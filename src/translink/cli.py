@@ -246,9 +246,9 @@ def _cmd_analyze(args, command: str) -> int:
         "infidelity_breakdown": infidelity_breakdown(link, p_her_override=ref),
         "p_her_discrepancy": _discrepancy_report(link, ref),
     }
-    text = emit_json(os.path.join(args.out, "metrics.json"), payload, manifest)
-
+    # before any write, so that a rejected --k-max leaves no artifact behind
     curve = delivery_curve(link, k_max=args.k_max, p_her_override=ref)
+    text = emit_json(os.path.join(args.out, "metrics.json"), payload, manifest)
     emit_csv(
         os.path.join(args.out, "delivery_curve.csv"),
         ["t_del_us", "p_success", "f_del"],
@@ -348,13 +348,8 @@ def _cmd_tradeoff(args, command: str) -> int:
     parsed = _apply_overrides(parse_config(args.config), args)
     if parsed.architecture is None:
         raise ConfigError("tradeoff requires an architecture section in the config")
-    link = parsed.link
     points = tradeoff_surface(
-        parsed.architecture.transducer_budget,
-        link.transducer,
-        link.qubit,
-        link.protocol,
-        k_max=args.k_max,
+        parsed.architecture.transducer_budget, parsed.link, k_max=args.k_max
     )
     manifest = build_manifest(command, resolved_config(parsed))
     payload = {"tradeoff": [p.to_dict() for p in points]}

@@ -78,6 +78,13 @@ def _success_decay(q: float, k: np.ndarray, d: float):
     return 1.0 - rk, q * core
 
 
+def _herald_and_decay(p_her, t_rep_us, t_coh_us, n_parallel):
+    """Per-round herald probability q over n channels and storage decay d."""
+    q = 1.0 - (1.0 - p_her) ** n_parallel
+    d = math.exp(-t_rep_us / t_coh_us) if not math.isinf(t_coh_us) else 1.0
+    return q, d
+
+
 def delivery_point(
     p_her: float,
     f_her: float,
@@ -95,8 +102,7 @@ def delivery_point(
     k_rounds = math.floor(t_del_us / t_rep_us)
     if k_rounds < 1:
         raise ConfigError("timeout shorter than one attempt")
-    q = 1.0 - (1.0 - p_her) ** n_parallel
-    d = math.exp(-t_rep_us / t_coh_us) if not math.isinf(t_coh_us) else 1.0
+    q, d = _herald_and_decay(p_her, t_rep_us, t_coh_us, n_parallel)
     p_success, s = _success_decay(q, np.asarray([k_rounds]), d)
     rem = t_del_us - k_rounds * t_rep_us
     rem_decay = math.exp(-rem / t_coh_us) if not math.isinf(t_coh_us) else 1.0
@@ -105,8 +111,7 @@ def delivery_point(
 
 
 def _grid(p_her, f_her, t_rep_us, t_coh_us, n_parallel, k_max):
-    q = 1.0 - (1.0 - p_her) ** n_parallel
-    d = math.exp(-t_rep_us / t_coh_us) if not math.isinf(t_coh_us) else 1.0
+    q, d = _herald_and_decay(p_her, t_rep_us, t_coh_us, n_parallel)
     k = np.arange(1, k_max + 1, dtype=float)
     p_success, s = _success_decay(q, k, d)
     f_del = 0.5 + max(f_her - 0.5, 0.0) * s
@@ -239,6 +244,8 @@ def delivery_curve(
         k_policy = math.floor(config.policy.t_del_us / t.t_rep_us)
         k_max = min(_default_k_max(config, None), max(1000, 2 * k_policy))
         k_max = max(k_max, 1)
+    else:
+        k_max = _default_k_max(config, k_max)
     t_grid, p_success, f_del = _grid(
         analytics.p_her,
         f_her,
@@ -293,6 +300,28 @@ def infidelity_breakdown_curve(
     }
 
 
+def _peak_round(q: float, d: float) -> float:
+    """Real round count k at which S(k) = q (r^k - d^k)/(r - d) peaks, r = 1 - q.
+
+    dS/dk = 0 where r^k ln r = d^k ln d, so k* = ln(ln d / ln r) / ln(r/d).
+    Returns inf when S never turns down and 1 when it falls from the start.
+    """
+    r = 1.0 - q
+    if abs(r - d) < 1e-9:
+        # the degenerate branch of _success_decay, S = q k m^(k-1)
+        m = 0.5 * (r + d)
+        if m >= 1.0:
+            return math.inf
+        return -1.0 / math.log(m) if m > 0.0 else 1.0
+    if r == 1.0 or d == 1.0:
+        # no decay, or q below float resolution: S = q (1 - d^k)/(1 - d) rises
+        return math.inf
+    if r == 0.0 or d == 0.0:
+        # every round heralds, or a stored state is lost within one round
+        return 1.0
+    return math.log(math.log(d) / math.log(r)) / math.log(r / d)
+
+
 def optimal_delivery_time(
     config: LinkConfig, k_max: int | None = None
 ) -> tuple[float, float]:
@@ -301,18 +330,58 @@ def optimal_delivery_time(
     The policy's own t_del_us is ignored. Searches k in [1, k_max], default
     k_max = ceil(10 T_coh / t_rep) (capped at the memory lifetime when a
     memory is attached). Ties break toward the smaller t_del.
+
+    f_del(k) = 1/2 + (f_her - 1/2) S(k) with S(k) = q (r^k - d^k)/(r - d), which
+    rises to one peak at the real k* of _peak_round and falls after it. So
+    f_del is evaluated, exactly as delivery_curve evaluates it, only at the
+    integers from floor(k*) - 2 to ceil(k*) + 2, with k* clipped to
+    [1, k_max]. Special cases:
+
+    - f_her <= 1/2: f_del is flat at 1/2, so the answer is k = 1.
+    - q = 1 (r = 0) or d = 0: S falls from k = 1.
+    - |r - d| < 1e-9: S = q k m^(k-1) with m = (r + d)/2 peaks at -1/ln m.
+    - d = 1 (infinite T_coh) or r = 1: S never falls, so k* = k_max.
+
+    When the best point of that window is its left end, f_del may have
+    reached the same float value at smaller k: with d = 1, 1 - 0.5^k is
+    exactly 1.0 from k = 54 on, and with q near 1e-10 the float rise can end
+    well before k*. The first such k is found by bisection over the
+    non-decreasing values left of the peak. Cost: a handful of points, plus
+    O(log k_max) in that case, instead of the k_max-point grid.
     """
     analytics, f_her = _link_quantities(config)
     if analytics.p_her <= 0.0:
         raise NoOptimumError("p_her = 0: no herald can ever arrive")
     k_max = _default_k_max(config, k_max)
-    t = config.transducer
-    t_grid, _, f_del = _grid(
-        analytics.p_her, f_her, t.t_rep_us, config.qubit.t_coh_us,
-        config.policy.n_parallel, k_max,
+    t_rep = config.transducer.t_rep_us
+    q, d = _herald_and_decay(
+        analytics.p_her, t_rep, config.qubit.t_coh_us, config.policy.n_parallel
     )
-    best = int(np.argmax(f_del))
-    return float(t_grid[best]), float(f_del[best])
+    gain = max(f_her - 0.5, 0.0)
+
+    def f_del_at(k):
+        _, s = _success_decay(q, np.asarray(k, dtype=float), d)
+        return 0.5 + gain * s
+
+    if gain == 0.0:
+        return float(t_rep), 0.5
+    peak = min(max(_peak_round(q, d), 1.0), float(k_max))
+    window = np.arange(
+        max(1, math.floor(peak) - 2), min(k_max, math.ceil(peak) + 2) + 1
+    )
+    values = f_del_at(window)
+    best = int(np.argmax(values))
+    k_best, f_best = int(window[best]), values[best]
+    if best == 0:
+        lo = 1
+        while lo < k_best:
+            mid = (lo + k_best) // 2
+            f_mid = f_del_at([mid])[0]
+            if f_mid >= values[0]:
+                k_best, f_best = mid, f_mid
+            else:
+                lo = mid + 1
+    return float(k_best * t_rep), float(f_best)
 
 
 def min_time_to_fidelity(

@@ -38,6 +38,12 @@ def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
 
+def _check_seed(seed: int) -> None:
+    """The stream adds the seed as one uint64, so it must fit in one."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed out of [0, 2**64)")
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """One delivery trial; herald_round is None when the link timed out."""
@@ -115,6 +121,9 @@ def run_trials(
     """
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
+    if n_jobs < 1:
+        raise ConfigError("n_jobs must be >= 1")
+    _check_seed(seed)
     if keep_trials and n_trials > MAX_TRIAL_DUMP:
         raise ConfigError(f"per-trial dump capped at {MAX_TRIAL_DUMP} rows")
     violations = validate(config)
@@ -249,6 +258,7 @@ def run_distill_trials(
     """
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
+    _check_seed(seed)
     ladder = recurrence_ladder(f_in, rounds)
     f_out = ladder[-1].state.fidelity if ladder else f_in
     expected = float(2**rounds)

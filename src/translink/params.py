@@ -295,6 +295,7 @@ def validate(config: LinkConfig) -> list[str]:
         "policy.t_del_us must be >= transducer.t_rep_us",
         lambda: pol.t_del_us >= t.t_rep_us,
     )
+    _require(v, "policy.t_del_us must be finite", lambda: not math.isinf(pol.t_del_us))
     _require(v, "policy.n_parallel must be >= 1", lambda: pol.n_parallel >= 1)
     _require(
         v, "policy.distill_rounds out of [0, 10]",

@@ -11,21 +11,14 @@ budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
 
 from .delivery import delivered_fidelity, min_time_to_fidelity, optimal_delivery_time
 from .distillation import calibrated_distill
 from .errors import ConfigError
-from .params import (
-    DeliveryPolicy,
-    LinkConfig,
-    ProtocolSpec,
-    StorageQubitParams,
-    TransducerParams,
-)
+from .params import LinkConfig
 
 # Hard per-module ceiling on transducer channels; beyond this the
 # communication hardware outgrows the processor it serves.
@@ -304,61 +297,77 @@ class TradeoffPoint:
         }
 
 
+def _pareto_front(candidates) -> list:
+    """Candidates whose first three entries no other candidate's dominate.
+
+    The objective triples must be distinct. Maximizes all three; returns the
+    survivors in descending lexicographic order of their triples. This is
+    the maxima sweep of Kung, Luccio & Preparata (J. ACM 22, 1975): in that
+    order every dominator of a point comes before it, so a point is
+    dominated exactly when an earlier point has both its second and third
+    entries at least as high. A staircase of the earlier points' 2-D maxima,
+    second entry ascending and third descending, answers that with one
+    bisection. O(C log C) for C candidates.
+    """
+    front = []
+    seconds: list = []  # the staircase, non-decreasing
+    thirds: list = []  # strictly decreasing along it
+    for cand in sorted(candidates, key=lambda c: (-c[0], -c[1], -c[2])):
+        second, third = cand[1], cand[2]
+        i = bisect_left(seconds, second)
+        if i < len(seconds) and thirds[i] >= third:
+            continue
+        front.append(cand)
+        # put it in place of the points to its left that it dominates; a
+        # point with an equal second entry may stay to its right, where
+        # bisect_left never returns it
+        lo = i
+        while lo > 0 and thirds[lo - 1] <= third:
+            lo -= 1
+        seconds[lo:i] = [second]
+        thirds[lo:i] = [third]
+    return front
+
+
 def tradeoff_surface(
-    budget: int,
-    transducer: TransducerParams,
-    qubit: StorageQubitParams,
-    protocol: ProtocolSpec,
-    k_max: int | None = None,
+    budget: int, link: LinkConfig, k_max: int | None = None
 ) -> tuple:
     """Pareto-optimal (n_links, rate, f_del) points for a channel budget.
 
     A budget of B channels can host n_links links of n_parallel channels
     each, with 2**rounds pairs burnt per delivered pair when distilling.
-    Each link runs at its per-width optimal delivery time. Returns the
-    non-dominated points under simultaneous maximization of all three axes,
-    sorted by descending n_links, then rate, then fidelity.
+    Each width runs `link` at its optimal delivery time, with the policy's
+    t_del_us and n_parallel replaced, so the memory (its boosted p_her and
+    its lifetime cap on the search) and the fidelity model take effect.
+    Returns the non-dominated points under simultaneous maximization of all
+    three axes, sorted by descending n_links, then rate, then fidelity.
+
+    Candidates with equal objective triples keep the cheapest witness (the
+    smallest n_parallel, then rounds); _pareto_front then filters the C
+    candidates, about 2 B of them, in O(C log C). Each of the B widths costs
+    one optimal_delivery_time call.
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
-    per_width: dict = {}
-    candidates = []
+    t_rep = link.transducer.t_rep_us
+    unique: dict = {}
     for n_parallel in range(1, budget + 1):
+        probe = replace(
+            link, policy=replace(link.policy, t_del_us=t_rep, n_parallel=n_parallel)
+        )
+        t_star, f_star = optimal_delivery_time(probe, k_max=k_max)
         for rounds in range(TRADEOFF_MAX_DISTILL_ROUNDS + 1):
             n_links = budget // (n_parallel * 2**rounds)
             if n_links < 1:
                 break
-            if n_parallel not in per_width:
-                probe = LinkConfig(
-                    transducer=transducer,
-                    qubit=qubit,
-                    protocol=protocol,
-                    policy=DeliveryPolicy(
-                        t_del_us=transducer.t_rep_us, n_parallel=n_parallel
-                    ),
-                )
-                per_width[n_parallel] = optimal_delivery_time(probe, k_max=k_max)
-            t_star, f_star = per_width[n_parallel]
             f_del = (
                 calibrated_distill(f_star, rounds)
                 if rounds > 0 and f_star > 0.5
                 else f_star
             )
-            candidates.append(
-                (n_links, 1.0 / t_star, f_del, n_parallel, rounds, t_star)
-            )
-
-    # dedupe identical objective triples, keeping the cheapest witness
-    unique: dict = {}
-    for cand in sorted(candidates, key=lambda c: (c[3], c[4])):
-        unique.setdefault(cand[:3], cand)
-    cands = list(unique.values())
-    objectives = np.array([c[:3] for c in cands], dtype=np.float64)
-    ge = (objectives[None, :, :] >= objectives[:, None, :]).all(axis=2)
-    gt = (objectives[None, :, :] > objectives[:, None, :]).any(axis=2)
-    dominated = (ge & gt).any(axis=1)
-    frontier = [c for c, dom in zip(cands, dominated) if not dom]
-    frontier.sort(key=lambda c: (-c[0], -c[1], -c[2]))
+            cand = (n_links, 1.0 / t_star, f_del, n_parallel, rounds, t_star)
+            # widths and rounds ascend, so the first witness is the cheapest
+            unique.setdefault(cand[:3], cand)
     return tuple(
         TradeoffPoint(
             n_links=c[0],
@@ -368,5 +377,5 @@ def tradeoff_surface(
             distill_rounds=c[4],
             t_del_us=c[5],
         )
-        for c in frontier
+        for c in _pareto_front(unique.values())
     )

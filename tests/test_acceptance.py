@@ -306,9 +306,11 @@ def test_criterion_7_property_suites():
             PhotonBasis.ONE_PHOTON, PumpMode.TMS, p_mo_override=0.02
         )
         for budget in (8, 32, 64):
-            got = tradeoff_surface(
-                budget, preset("transducer2"), preset("qubit1"), protocol, k_max=400
+            link = LinkConfig(
+                preset("transducer2"), preset("qubit1"), protocol,
+                DeliveryPolicy(t_del_us=1.0),
             )
+            got = tradeoff_surface(budget, link, k_max=400)
             got_rows = [
                 (p.n_links, p.rate_per_us, p.f_del, p.n_parallel,
                  p.distill_rounds, p.t_del_us)

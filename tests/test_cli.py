@@ -256,9 +256,14 @@ def test_tradeoff_csv(tmp_path, capsys):
     assert lines[2] == "16,0.0108695652,0.767253867,1,0,92"
     points = tradeoff_surface(
         16,
-        preset("transducer2"),
-        preset("qubit1"),
-        ProtocolSpec(PhotonBasis.ONE_PHOTON, PumpMode.TMS, p_mo_override=0.02),
+        LinkConfig(
+            transducer=preset("transducer2"),
+            qubit=preset("qubit1"),
+            protocol=ProtocolSpec(
+                PhotonBasis.ONE_PHOTON, PumpMode.TMS, p_mo_override=0.02
+            ),
+            policy=DeliveryPolicy(t_del_us=15.0, n_parallel=20),
+        ),
     )
     assert len(lines) == 2 + len(points)
 
@@ -279,6 +284,40 @@ def test_tradeoff_json(tmp_path, capsys):
             ["n_links", "rate_per_us", "f_del", "n_parallel", "distill_rounds", "t_del_us"]
         ))
     }
+
+
+def _tradeoff_rows(capsys, out_dir, *argv):
+    out_dir.mkdir()
+    code, _, err = _run(capsys, "tradeoff", *argv, "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    lines = (out_dir / "tradeoff.csv").read_text().splitlines()[2:]
+    return [dict(zip(
+        ["n_links", "rate_per_us", "f_del", "n_parallel", "distill_rounds", "t_del_us"],
+        map(float, line.split(",")),
+    )) for line in lines]
+
+
+def test_tradeoff_honours_memory_lifetime(tmp_path, capsys):
+    cfg = json.loads(Path(EX2).read_text())
+    cfg["architecture"] = json.loads(Path(LATTICE).read_text())["architecture"]
+    cfg["architecture"]["transducer_budget"] = 64
+    path = tmp_path / "ex2_module.json"
+    path.write_text(json.dumps(cfg))
+    rows = _tradeoff_rows(capsys, tmp_path / "out", "--config", str(path))
+    assert rows
+    # without the memory, p_her = 0.00113 and the optimum sits at 1424 us
+    assert all(r["t_del_us"] <= cfg["memory"]["lifetime_us"] for r in rows)
+    assert rows[0]["t_del_us"] == 173.0
+
+
+def test_tradeoff_fidelity_model_override(tmp_path, capsys):
+    path = str(_tradeoff_config(tmp_path))
+    thermal = _tradeoff_rows(capsys, tmp_path / "thermal", "--config", path)
+    linear = _tradeoff_rows(
+        capsys, tmp_path / "linear", "--config", path, "--fidelity-model", "linear"
+    )
+    assert linear[0]["n_links"] == thermal[0]["n_links"] == 16
+    assert linear[0]["f_del"] < thermal[0]["f_del"]
 
 
 def test_distill_flags_only(tmp_path, capsys):
@@ -375,3 +414,26 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     code, _, err = _run(capsys, "analyze", "--config", str(tmp_path / "none.json"))
     assert code == 1
     assert "cannot read" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--config", EX1, "--k-max", "0"],
+        ["analyze", "--config", EX1, "--k-max", "-5"],
+        ["analyze", "--config", EX1, "--t-del", "inf"],
+        ["simulate", "--config", EX1, "--trials", "100", "--jobs", "0"],
+        ["simulate", "--config", EX1, "--trials", "100", "--jobs", "-3"],
+        ["simulate", "--config", EX1, "--trials", "100", "--seed", "-1"],
+        ["simulate", "--config", EX1, "--trials", "100", "--seed", str(2**64)],
+    ],
+    ids=["k-max-0", "k-max-neg", "t-del-inf", "jobs-0", "jobs-neg", "seed-neg",
+         "seed-2**64"],
+)
+def test_out_of_range_flags_exit_1(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ConfigError"
+    assert list(tmp_path.iterdir()) == []

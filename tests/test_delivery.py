@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from grid_oracle import grid_optimal_delivery_time
 from translink import (
     ConfigError,
     DeliveryPolicy,
+    FidelityModel,
     LinkConfig,
     MemoryKind,
     MemoryParams,
@@ -276,6 +279,140 @@ def test_optimal_is_grid_argmax():
     best = int(np.argmax(curve.f_del))
     assert t_star == pytest.approx(curve.t_del_us[best])
     assert f_star == pytest.approx(curve.f_del[best], rel=1e-15)
+
+
+ONE_UP = (PhotonBasis.ONE_PHOTON, PumpMode.UPCONVERSION)
+ONE_TMS = (PhotonBasis.ONE_PHOTON, PumpMode.TMS)
+TWO_UP = (PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION)
+TWO_TMS = (PhotonBasis.TWO_PHOTON, PumpMode.TMS)
+LINK_KINDS = [
+    (protocol, memory, model)
+    for protocol, memory in [
+        (ONE_UP, None),
+        (ONE_TMS, None),
+        (TWO_UP, None),
+        (TWO_UP, MemoryKind.SPIN_CAVITY),
+        (TWO_TMS, None),
+        (TWO_TMS, MemoryKind.CATCH_RELEASE),
+    ]
+    for model in FidelityModel
+]
+
+
+def _log10_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _probe(transducer, qubit, protocol, n_parallel=1, memory=None, alpha=None,
+           p_mo_override=None, model=FidelityModel.THERMAL_HALF):
+    """A link whose policy passes validation whatever the memory lifetime."""
+    return LinkConfig(
+        transducer=transducer,
+        qubit=qubit,
+        protocol=ProtocolSpec(*protocol, alpha=alpha, p_mo_override=p_mo_override),
+        policy=DeliveryPolicy(
+            t_del_us=transducer.t_rep_us, n_parallel=n_parallel, fidelity_model=model
+        ),
+        memory=memory,
+    )
+
+
+@pytest.mark.parametrize(
+    "protocol,memory_kind,model",
+    LINK_KINDS,
+    ids=[f"{p[0].value}-{p[1].value}-{m and m.value}-{f.value}" for p, m, f in LINK_KINDS],
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_optimal_matches_grid_oracle(protocol, memory_kind, model, data):
+    """The closed-form optimum equals the full-grid first argmax, bit for bit."""
+    draw = data.draw
+    t_rep = draw(_log10_uniform(-2, 2))
+    transducer = TransducerParams(
+        "h",
+        eta_mw=draw(st.floats(0.5, 1.0)),
+        p_mo=draw(_log10_uniform(-6, 0)),
+        eta_det=draw(st.floats(0.05, 1.0)),
+        n_th=draw(st.just(0.0) | _log10_uniform(-6, -2)),
+        t_rep_us=t_rep,
+    )
+    memory = None
+    if memory_kind is not None:
+        memory = MemoryParams(
+            memory_kind,
+            eta_mem=draw(st.floats(0.05, 1.0)),
+            lifetime_us=t_rep * draw(_log10_uniform(0, 4)),
+        )
+    infinite = draw(st.booleans())
+    t_coh = math.inf if infinite else t_rep * draw(_log10_uniform(-1, 4))
+    k_max = draw(st.integers(1, 3000) if infinite else st.none() | st.integers(1, 3000))
+    cfg = _probe(
+        transducer,
+        StorageQubitParams(t1_us=t_coh, t2_us=t_coh),
+        protocol,
+        n_parallel=draw(st.integers(1, 20) | st.integers(1, 10**6)),
+        memory=memory,
+        alpha=draw(_log10_uniform(-3, -0.3)) if protocol == ONE_UP else None,
+        model=model,
+    )
+    try:
+        want = grid_optimal_delivery_time(cfg, k_max)
+    except ModelDomainError:
+        with pytest.raises(ModelDomainError):
+            optimal_delivery_time(cfg, k_max=k_max)
+        return
+    assert optimal_delivery_time(cfg, k_max=k_max) == want
+
+
+def _special_cases():
+    t1, t2 = preset("transducer1"), preset("transducer2")
+    ex1_link = _probe(t1, preset("qubit1"), ONE_TMS)
+    return [
+        # f_del is flat at 1/2
+        pytest.param(
+            _probe(TransducerParams("flat", 0.5, 0.1, 0.5, 0.001, 1.0),
+                   preset("qubit1"), ONE_TMS),
+            None, 1.0, id="f_her-at-most-half",
+        ),
+        # (1 - 0.02)^5000 rounds to 0, so q = 1 and r = 0
+        pytest.param(
+            _probe(t2, preset("qubit1"), ONE_TMS, n_parallel=5000, p_mo_override=0.02),
+            None, 1.0, id="q-equals-one",
+        ),
+        # d = exp(ln 0.99) sits within an ulp of r = 0.99
+        pytest.param(
+            _probe(t1, StorageQubitParams(500.0, -1.0 / math.log(0.99)), ONE_TMS),
+            None, 99.0, id="r-equals-d",
+        ),
+        # d = 1: 1 - r^k reaches its float maximum at k = 90, long before k_max
+        pytest.param(
+            _probe(t2, StorageQubitParams(math.inf, math.inf), ONE_TMS,
+                   n_parallel=20, p_mo_override=0.02),
+            2000, 90.0, id="infinite-coherence",
+        ),
+        # q ~ 1e-10, d = 1/2: f_del is flat in floats from k = 22 to past the
+        # real peak near 33, so the first maximum is left of the window
+        pytest.param(
+            _probe(TransducerParams("weak", 1.0, 2.8e-5, 0.5, 0.001, 1.0),
+                   StorageQubitParams(1.0, 1.0 / math.log(2.0)), TWO_UP),
+            100, 22.0, id="float-plateau-before-peak",
+        ),
+        # the unclipped optimum is 138 us
+        pytest.param(ex1_link, 50, 50.0, id="clipped-by-k-max"),
+        # the unclipped optimum is 173 us
+        pytest.param(
+            _probe(t2, preset("qubit2"), TWO_UP,
+                   memory=MemoryParams(MemoryKind.SPIN_CAVITY, 1.0, 100.0)),
+            None, 100.0, id="clipped-by-memory-lifetime",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("cfg,k_max,t_star", _special_cases())
+def test_optimal_special_cases_match_grid_oracle(cfg, k_max, t_star):
+    got = optimal_delivery_time(cfg, k_max=k_max)
+    assert got == grid_optimal_delivery_time(cfg, k_max)
+    assert got[0] == t_star
 
 
 def test_optimal_requires_positive_herald():

@@ -167,6 +167,19 @@ def test_trial_dump_cap():
         run_trials(_ex1(), 0, seed=0)
 
 
+def test_seed_and_jobs_bounds():
+    """The stream takes the seed as one uint64; both of its ends still run."""
+    assert run_trials(_ex1(10.0), 10, seed=2**64 - 1).n_trials == 10
+    for bad in (-1, 2**64):
+        with pytest.raises(ConfigError):
+            run_trials(_ex1(10.0), 10, seed=bad)
+        with pytest.raises(ConfigError):
+            run_distill_trials(0.9, 2, 10, seed=bad)
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError):
+            run_trials(_ex1(10.0), 10, seed=0, n_jobs=jobs)
+
+
 def test_stats_to_dict_shape():
     out = run_trials(_ex1(10.0), 50, seed=3, keep_trials=True)
     d = out.to_dict()

@@ -1,8 +1,12 @@
 """Module-scale planning arithmetic: links, budgets, cutting, trade-offs."""
 
+import hashlib
 import math
+from dataclasses import astuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from translink import (
     Architecture,
@@ -28,6 +32,7 @@ from translink import (
     tradeoff_surface,
     validate_architecture,
 )
+from translink.planner import MAX_TRANSDUCERS_PER_MODULE, _pareto_front
 
 PARALLEL_PROTOCOL = ProtocolSpec(
     PhotonBasis.ONE_PHOTON, PumpMode.TMS, p_mo_override=0.02
@@ -264,13 +269,7 @@ def _brute_force_surface(budget, k_max=400):
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13, 16, 21, 40, 64])
 def test_tradeoff_matches_brute_force(budget):
-    got = tradeoff_surface(
-        budget,
-        preset("transducer2"),
-        preset("qubit1"),
-        PARALLEL_PROTOCOL,
-        k_max=400,
-    )
+    got = tradeoff_surface(budget, _parallel_link(), k_max=400)
     got_rows = [
         (p.n_links, p.rate_per_us, p.f_del, p.n_parallel, p.distill_rounds, p.t_del_us)
         for p in got
@@ -279,9 +278,7 @@ def test_tradeoff_matches_brute_force(budget):
 
 
 def test_tradeoff_reference_rows():
-    got = tradeoff_surface(
-        16, preset("transducer2"), preset("qubit1"), PARALLEL_PROTOCOL
-    )
+    got = tradeoff_surface(16, _parallel_link())
     rows = [
         (p.n_links, p.n_parallel, p.distill_rounds, p.t_del_us) for p in got
     ]
@@ -296,21 +293,15 @@ def test_tradeoff_reference_rows():
 
 
 def test_tradeoff_budget_one():
-    got = tradeoff_surface(
-        1, preset("transducer2"), preset("qubit1"), PARALLEL_PROTOCOL, k_max=400
-    )
+    got = tradeoff_surface(1, _parallel_link(), k_max=400)
     assert len(got) >= 1
     assert all(p.n_links == 1 and p.n_parallel == 1 for p in got)
     with pytest.raises(ConfigError):
-        tradeoff_surface(
-            0, preset("transducer2"), preset("qubit1"), PARALLEL_PROTOCOL
-        )
+        tradeoff_surface(0, _parallel_link())
 
 
 def test_tradeoff_points_not_dominated_pairwise():
-    got = tradeoff_surface(
-        32, preset("transducer2"), preset("qubit1"), PARALLEL_PROTOCOL, k_max=400
-    )
+    got = tradeoff_surface(32, _parallel_link(), k_max=400)
     objs = [(p.n_links, p.rate_per_us, p.f_del) for p in got]
     for i, a in enumerate(objs):
         for j, b in enumerate(objs):
@@ -320,3 +311,40 @@ def test_tradeoff_points_not_dominated_pairwise():
                 all(b[k] >= a[k] for k in range(3))
                 and any(b[k] > a[k] for k in range(3))
             )
+
+
+def _dominated_pairs(objs):
+    """Count ordered pairs (a, b) where b dominates a; O(n^2) with numpy."""
+    objs = np.asarray(objs, dtype=np.float64)
+    ge = (objs[None, :, :] >= objs[:, None, :]).all(axis=2)
+    gt = (objs[None, :, :] > objs[:, None, :]).any(axis=2)
+    return int((ge & gt).sum())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sets(st.tuples(*[st.integers(0, 4)] * 3), max_size=80))
+def test_pareto_front_matches_brute_force(triples):
+    """Small-integer triples tie on every axis; the sweep must still agree."""
+    cands = [(*t, witness) for witness, t in enumerate(sorted(triples))]
+    want = [
+        c for c in cands
+        if not any(
+            all(d[k] >= c[k] for k in range(3)) and any(d[k] > c[k] for k in range(3))
+            for d in cands
+        )
+    ]
+    want.sort(key=lambda c: (-c[0], -c[1], -c[2]))
+    assert _pareto_front(cands) == want
+
+
+def test_tradeoff_at_module_ceiling():
+    """Budget 10^4 on the lattice link, pinned to the rows that the full-grid
+    search and the C x C dominance filter gave."""
+    got = tradeoff_surface(MAX_TRANSDUCERS_PER_MODULE, _parallel_link())
+    rows = [astuple(p) for p in got]
+    assert len(rows) == 522
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "205b9f7e5f339eedba0f5068a07a89a82ddca6684702bb298e7e408201d9e765"
+    )
+    assert _dominated_pairs([row[:3] for row in rows]) == 0
+
