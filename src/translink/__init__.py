@@ -20,7 +20,7 @@ from .config_io import (
 )
 from .delivery import (
     DeliveryCurve,
-    ParallelBoost,
+    Link,
     delivered_fidelity,
     delivery_curve,
     delivery_point,
@@ -28,7 +28,7 @@ from .delivery import (
     infidelity_breakdown_curve,
     min_time_to_fidelity,
     optimal_delivery_time,
-    parallel_speedup,
+    resolve,
 )
 from .distillation import (
     BellDiagonalState,
@@ -69,6 +69,7 @@ from .params import (
     FidelityModel,
     LinkConfig,
     LinkMetrics,
+    MAX_TRANSDUCERS_PER_MODULE,
     MemoryKind,
     MemoryParams,
     PhotonBasis,
@@ -86,7 +87,6 @@ from .planner import (
     CryostatCheck,
     GAMMA_CLASSICAL,
     LATTICE_SURGERY_LINK_ERROR_THRESHOLD,
-    MAX_TRANSDUCERS_PER_MODULE,
     PlanReport,
     TradeoffPoint,
     circuit_cut_comparison,
@@ -108,90 +108,3 @@ from .protocols import (
 )
 
 __version__ = TOOL_VERSION
-
-__all__ = [
-    "Architecture",
-    "ArchitectureSpec",
-    "BellDiagonalState",
-    "CircuitCutComparison",
-    "ConfigError",
-    "CryostatCheck",
-    "DEVICE_PRESETS",
-    "DegenerateInputError",
-    "DeliveryCurve",
-    "DeliveryPolicy",
-    "DeviceSummary",
-    "DistillMode",
-    "DistillTrialStats",
-    "DistillationOutcome",
-    "DivisionDomainError",
-    "FidelityModel",
-    "GAMMA_CLASSICAL",
-    "LATTICE_SURGERY_LINK_ERROR_THRESHOLD",
-    "LinkConfig",
-    "LinkMetrics",
-    "MAX_TRANSDUCERS_PER_MODULE",
-    "MAX_TRIAL_DUMP",
-    "DistillRoundStats",
-    "MCStats",
-    "MemoryKind",
-    "MemoryParams",
-    "ModelDomainError",
-    "NestedDistillResult",
-    "NoOptimumError",
-    "ParallelBoost",
-    "ParsedConfig",
-    "PhotonBasis",
-    "PlanReport",
-    "PresetNotFoundError",
-    "ProtocolAnalytics",
-    "ProtocolSpec",
-    "PumpMode",
-    "QUBIT_PRESETS",
-    "RunManifest",
-    "SchemaError",
-    "StorageQubitParams",
-    "TOOL_VERSION",
-    "TRANSDUCER_PRESETS",
-    "TradeoffPoint",
-    "TransducerParams",
-    "TranslinkError",
-    "TrialRecord",
-    "UnattainableError",
-    "analyze_protocol",
-    "build_manifest",
-    "format_float",
-    "calibrated_distill",
-    "circuit_cut_comparison",
-    "cryostat_budget_check",
-    "delivered_fidelity",
-    "delivery_curve",
-    "delivery_point",
-    "edge_qubit_count",
-    "emit_csv",
-    "emit_json",
-    "graph_state_pipe_width",
-    "herald_probability",
-    "herald_probability_with_memory",
-    "heralded_fidelity",
-    "infidelity_breakdown",
-    "infidelity_breakdown_curve",
-    "lattice_surgery_plan",
-    "min_time_to_fidelity",
-    "nested_distill",
-    "optimal_delivery_time",
-    "parallel_speedup",
-    "parse_config",
-    "parse_config_data",
-    "preset",
-    "protocol_infidelity",
-    "recurrence_ladder",
-    "recurrence_round",
-    "resolved_config",
-    "run_distill_trials",
-    "run_trials",
-    "thermal_infidelity",
-    "tradeoff_surface",
-    "validate",
-    "validate_architecture",
-]

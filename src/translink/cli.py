@@ -25,10 +25,12 @@ from .config_io import (
     resolved_config,
 )
 from .delivery import (
+    Link,
     delivered_fidelity,
     delivery_curve,
     infidelity_breakdown,
     infidelity_breakdown_curve,
+    resolve,
 )
 from .distillation import DistillMode, nested_distill, recurrence_ladder
 from .errors import ConfigError, ModelDomainError, SchemaError
@@ -218,11 +220,11 @@ def _apply_overrides(parsed: ParsedConfig, args) -> ParsedConfig:
     return replace(parsed, link=link)
 
 
-def _discrepancy_report(link: LinkConfig, reference: float | None) -> dict | None:
+def _discrepancy_report(link: Link, reference: float | None) -> dict | None:
     """Compare the formula herald probability against an external reference."""
     if reference is None:
         return None
-    formula = delivered_fidelity(link).p_her
+    formula = link.formula.p_her
     rel = (formula - reference) / reference
     return {
         "formula_p_her": formula,
@@ -236,18 +238,16 @@ def _discrepancy_report(link: LinkConfig, reference: float | None) -> dict | Non
 
 def _cmd_analyze(args, command: str) -> int:
     parsed = _apply_overrides(parse_config(args.config), args)
-    link = parsed.link
-    ref = parsed.p_her_reference
+    link = resolve(parsed.link, parsed.p_her_reference)
     manifest = build_manifest(command, resolved_config(parsed))
 
-    metrics = delivered_fidelity(link, p_her_override=ref)
     payload = {
-        "metrics": metrics.to_dict(),
-        "infidelity_breakdown": infidelity_breakdown(link, p_her_override=ref),
-        "p_her_discrepancy": _discrepancy_report(link, ref),
+        "metrics": delivered_fidelity(link).to_dict(),
+        "infidelity_breakdown": infidelity_breakdown(link),
+        "p_her_discrepancy": _discrepancy_report(link, parsed.p_her_reference),
     }
     # before any write, so that a rejected --k-max leaves no artifact behind
-    curve = delivery_curve(link, k_max=args.k_max, p_her_override=ref)
+    curve = delivery_curve(link, k_max=args.k_max)
     text = emit_json(os.path.join(args.out, "metrics.json"), payload, manifest)
     emit_csv(
         os.path.join(args.out, "delivery_curve.csv"),
@@ -255,7 +255,7 @@ def _cmd_analyze(args, command: str) -> int:
         curve.rows(),
         manifest,
     )
-    t_grid, comps = infidelity_breakdown_curve(link, k_max=args.k_max, p_her_override=ref)
+    t_grid, comps = infidelity_breakdown_curve(link, curve)
     emit_csv(
         os.path.join(args.out, "infidelity_breakdown.csv"),
         ["t_del_us", "protocol", "thermal", "decoherence", "fallback", "total_infidelity"],
@@ -275,18 +275,12 @@ def _cmd_analyze(args, command: str) -> int:
 
 def _cmd_simulate(args, command: str) -> int:
     parsed = _apply_overrides(parse_config(args.config), args)
-    link = parsed.link
-    ref = parsed.p_her_reference
+    link = resolve(parsed.link, parsed.p_her_reference)
     manifest = build_manifest(command, resolved_config(parsed), seed=args.seed)
     stats = run_trials(
-        link,
-        args.trials,
-        args.seed,
-        n_jobs=args.jobs,
-        keep_trials=args.keep_trials,
-        p_her_override=ref,
+        link, args.trials, args.seed, n_jobs=args.jobs, keep_trials=args.keep_trials
     )
-    analytic = delivered_fidelity(link, p_her_override=ref)
+    analytic = delivered_fidelity(link)
     payload = {
         "mcstats": stats.to_dict(),
         "analytic": {
@@ -321,7 +315,8 @@ def _cmd_plan(args, command: str) -> int:
     parsed = _apply_overrides(parse_config(args.config), args)
     if parsed.architecture is None:
         raise ConfigError("plan requires an architecture section in the config")
-    report = lattice_surgery_plan(parsed.architecture, parsed.link)
+    link = resolve(parsed.link, parsed.p_her_reference)
+    report = lattice_surgery_plan(parsed.architecture, link)
     cryostat = cryostat_budget_check(
         report.links_required, report.transducers_per_link
     )
@@ -348,8 +343,9 @@ def _cmd_tradeoff(args, command: str) -> int:
     parsed = _apply_overrides(parse_config(args.config), args)
     if parsed.architecture is None:
         raise ConfigError("tradeoff requires an architecture section in the config")
+    link = resolve(parsed.link, parsed.p_her_reference)
     points = tradeoff_surface(
-        parsed.architecture.transducer_budget, parsed.link, k_max=args.k_max
+        parsed.architecture.transducer_budget, link, k_max=args.k_max
     )
     manifest = build_manifest(command, resolved_config(parsed))
     payload = {"tradeoff": [p.to_dict() for p in points]}
@@ -384,9 +380,8 @@ def _cmd_distill(args, command: str) -> int:
         parsed = _apply_overrides(parse_config(args.config), args)
         resolved = resolved_config(parsed)
         if f_in is None:
-            f_in = delivered_fidelity(
-                parsed.link, p_her_override=parsed.p_her_reference
-            ).f_del
+            link = resolve(parsed.link, parsed.p_her_reference)
+            f_in = delivered_fidelity(link).f_del
         if rounds is None:
             rounds = parsed.link.policy.distill_rounds
     if f_in is None or rounds is None:

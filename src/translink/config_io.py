@@ -113,9 +113,13 @@ def _expect_object(value, pointer: str) -> dict:
 def _expect_number(value, pointer: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(pointer, "expected a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise SchemaError(pointer, "expected a finite number")
-    return float(value)
+    return value
 
 
 def _expect_int(value, pointer: str) -> int:

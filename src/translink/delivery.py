@@ -21,7 +21,7 @@ which avoids the overflowing e^(+k t_rep/T_coh) prefix sums for large grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +31,44 @@ from .errors import (
     NoOptimumError,
     UnattainableError,
 )
-from .params import DeliveryPolicy, FidelityModel, LinkConfig, LinkMetrics, validate
-from .protocols import analyze_protocol, heralded_fidelity
+from .params import MAX_GRID_POINTS, FidelityModel, LinkConfig, LinkMetrics, validate
+from .protocols import ProtocolAnalytics, analyze_protocol, heralded_fidelity
 
-# Hard cap on search-grid length; beyond this require an explicit k_max.
-MAX_GRID_POINTS = 10_000_000
+
+@dataclass(frozen=True)
+class Link:
+    """A link resolved once for every model that runs it.
+
+    formula holds the closed-form protocol analytics. p_her is the herald
+    probability per attempt and channel that the models use: the formula
+    value, or the external reference that replaced it. f_her is the
+    heralded fidelity under the policy's fidelity model.
+    """
+
+    config: LinkConfig
+    formula: ProtocolAnalytics
+    p_her: float
+    f_her: float
+
+
+def resolve(config: LinkConfig, p_her_reference: float | None = None) -> Link:
+    """Validate a link and evaluate its protocol analytics, once.
+
+    A p_her_reference, an externally quoted herald probability in (0, 1],
+    replaces the formula value in every model; the infidelities and f_her
+    are unaffected.
+    """
+    violations = validate(config)
+    if violations:
+        raise ConfigError("invalid link config: " + "; ".join(violations), violations)
+    formula = analyze_protocol(config.transducer, config.protocol, config.memory)
+    f_her = heralded_fidelity(formula, config.policy.fidelity_model)
+    p_her = formula.p_her
+    if p_her_reference is not None:
+        if not 0.0 < p_her_reference <= 1.0:
+            raise ConfigError("p_her reference out of (0, 1]")
+        p_her = p_her_reference
+    return Link(config=config, formula=formula, p_her=p_her, f_her=f_her)
 
 
 @dataclass(frozen=True)
@@ -49,15 +82,6 @@ class DeliveryCurve:
     def rows(self):
         for t, p, f in zip(self.t_del_us, self.p_success, self.f_del):
             yield float(t), float(p), float(f)
-
-
-@dataclass(frozen=True)
-class ParallelBoost:
-    """Per-round herald probability over n racing channels."""
-
-    exact: float  # 1 - (1-p)^n
-    approx: float  # n*p, the small-p linearization
-    relative_gap: float  # (approx - exact)/exact
 
 
 def _success_decay(q: float, k: np.ndarray, d: float):
@@ -78,11 +102,29 @@ def _success_decay(q: float, k: np.ndarray, d: float):
     return 1.0 - rk, q * core
 
 
+def _f_del(q: float, d: float, gain: float, k: np.ndarray, rem_decay: float = 1.0):
+    """(p_success, f_del) after k rounds, k a float array, gain = max(f_her - 1/2, 0).
+
+    rem_decay is the storage decay between the last round and t_del. The
+    grid points have none, and gain * 1.0 is exact, so a grid point and a
+    delivery time on it give the same float.
+    """
+    p_success, s = _success_decay(q, k, d)
+    return p_success, 0.5 + gain * rem_decay * s
+
+
 def _herald_and_decay(p_her, t_rep_us, t_coh_us, n_parallel):
     """Per-round herald probability q over n channels and storage decay d."""
     q = 1.0 - (1.0 - p_her) ** n_parallel
     d = math.exp(-t_rep_us / t_coh_us) if not math.isinf(t_coh_us) else 1.0
     return q, d
+
+
+def _link_herald_and_decay(link: Link):
+    c = link.config
+    return _herald_and_decay(
+        link.p_her, c.transducer.t_rep_us, c.qubit.t_coh_us, c.policy.n_parallel
+    )
 
 
 def delivery_point(
@@ -103,19 +145,24 @@ def delivery_point(
     if k_rounds < 1:
         raise ConfigError("timeout shorter than one attempt")
     q, d = _herald_and_decay(p_her, t_rep_us, t_coh_us, n_parallel)
-    p_success, s = _success_decay(q, np.asarray([k_rounds]), d)
     rem = t_del_us - k_rounds * t_rep_us
     rem_decay = math.exp(-rem / t_coh_us) if not math.isinf(t_coh_us) else 1.0
-    f_del = 0.5 + max(f_her - 0.5, 0.0) * rem_decay * float(s[0])
-    return float(p_success[0]), f_del
+    p_success, f_del = _f_del(
+        q, d, max(f_her - 0.5, 0.0), np.asarray([k_rounds], dtype=float), rem_decay
+    )
+    return float(p_success[0]), float(f_del[0])
 
 
-def _grid(p_her, f_her, t_rep_us, t_coh_us, n_parallel, k_max):
-    q, d = _herald_and_decay(p_her, t_rep_us, t_coh_us, n_parallel)
+def _grid(link: Link, k_max: int):
     k = np.arange(1, k_max + 1, dtype=float)
-    p_success, s = _success_decay(q, k, d)
-    f_del = 0.5 + max(f_her - 0.5, 0.0) * s
-    return k * t_rep_us, p_success, f_del
+    q, d = _link_herald_and_decay(link)
+    p_success, f_del = _f_del(q, d, max(link.f_her - 0.5, 0.0), k)
+    return k * link.config.transducer.t_rep_us, p_success, f_del
+
+
+def _whole(x: float, rounding) -> int | float:
+    """rounding(x) as an int; an infinite x, past any grid, stays a float."""
+    return rounding(x) if math.isfinite(x) else x
 
 
 def _default_k_max(config: LinkConfig, k_max: int | None) -> int:
@@ -126,9 +173,10 @@ def _default_k_max(config: LinkConfig, k_max: int | None) -> int:
             raise ConfigError(
                 "t_coh is infinite: the search grid is unbounded, pass k_max explicitly"
             )
-        k_max = math.ceil(10.0 * t_coh / t.t_rep_us)
+        k_max = _whole(10.0 * t_coh / t.t_rep_us, math.ceil)
         if config.memory is not None:
-            k_max = min(k_max, math.floor(config.memory.lifetime_us / t.t_rep_us))
+            lifetime_rounds = config.memory.lifetime_us / t.t_rep_us
+            k_max = min(k_max, _whole(lifetime_rounds, math.floor))
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
     if k_max > MAX_GRID_POINTS:
@@ -138,55 +186,35 @@ def _default_k_max(config: LinkConfig, k_max: int | None) -> int:
     return k_max
 
 
-def _link_quantities(config: LinkConfig, p_her_override: float | None = None):
-    violations = validate(config)
-    if violations:
-        raise ConfigError("invalid link config: " + "; ".join(violations), violations)
-    analytics = analyze_protocol(config.transducer, config.protocol, config.memory)
-    f_her = heralded_fidelity(analytics, config.policy.fidelity_model)
-    if p_her_override is not None:
-        if not 0.0 < p_her_override <= 1.0:
-            raise ConfigError("p_her override out of (0, 1]")
-        analytics = replace(analytics, p_her=p_her_override)
-    return analytics, f_her
-
-
-def delivered_fidelity(
-    config: LinkConfig, p_her_override: float | None = None
-) -> LinkMetrics:
+def delivered_fidelity(link: Link) -> LinkMetrics:
     """Full link analytics at the policy's delivery time.
 
     p_her and eta_link refer to a single channel; p_success and f_del account
     for the policy's n_parallel channels racing for the first herald.
-    p_her_override substitutes an externally quoted herald probability for
-    the formula value everywhere (the infidelities are unaffected).
     """
-    analytics, f_her = _link_quantities(config, p_her_override)
-    pol = config.policy
-    t = config.transducer
+    c = link.config
+    t_rep = c.transducer.t_rep_us
     p_success, f_del = delivery_point(
-        analytics.p_her,
-        f_her,
-        pol.t_del_us,
-        t.t_rep_us,
-        config.qubit.t_coh_us,
-        pol.n_parallel,
+        link.p_her,
+        link.f_her,
+        c.policy.t_del_us,
+        t_rep,
+        c.qubit.t_coh_us,
+        c.policy.n_parallel,
     )
     return LinkMetrics(
-        p_her=analytics.p_her,
-        i_prot=analytics.i_prot,
-        i_th=analytics.i_th,
-        f_her=f_her,
-        eta_link=config.qubit.t_coh_us * analytics.p_her / t.t_rep_us,
+        p_her=link.p_her,
+        i_prot=link.formula.i_prot,
+        i_th=link.formula.i_th,
+        f_her=link.f_her,
+        eta_link=c.qubit.t_coh_us * link.p_her / t_rep,
         p_success=p_success,
         f_del=f_del,
     )
 
 
-def infidelity_breakdown(
-    config: LinkConfig, p_her_override: float | None = None
-) -> dict:
-    """Split 1 - f_del at the policy's t_del into its four sources.
+def _breakdown(link: Link, p_success: np.ndarray, f_del: np.ndarray) -> dict:
+    """Split 1 - f_del into its four sources at each (p_success, f_del) point.
 
     protocol + thermal make up the heralded-state infidelity; decoherence is
     the decay of heralded states while stored; fallback is the mass of trials
@@ -194,110 +222,65 @@ def infidelity_breakdown(
     exactly (for f_her < 0.5 the heralded terms are rescaled onto the 0.5
     fallback budget so the identity still holds).
     """
-    analytics, f_her = _link_quantities(config, p_her_override)
-    pol = config.policy
-    model = pol.fidelity_model
-    i_th_weighted = (
-        analytics.i_th / 2.0 if model is FidelityModel.THERMAL_HALF else analytics.i_th
-    )
-    p_success, f_del = delivery_point(
-        analytics.p_her,
-        f_her,
-        pol.t_del_us,
-        config.transducer.t_rep_us,
-        config.qubit.t_coh_us,
-        pol.n_parallel,
-    )
+    f_her, i_prot = link.f_her, link.formula.i_prot
+    i_th = link.formula.i_th
+    if link.config.policy.fidelity_model is FidelityModel.THERMAL_HALF:
+        i_th = i_th / 2.0
+    ones = np.ones_like(f_del)
     if f_her >= 0.5:
         # recover S from f_del rather than recomputing the sum
-        s = (f_del - 0.5) / (f_her - 0.5) if f_her > 0.5 else 0.0
+        s = (f_del - 0.5) / (f_her - 0.5) if f_her > 0.5 else 0.0 * ones
         decoherence = (f_her - 0.5) * (p_success - s)
         fallback = (f_her - 0.5) * (1.0 - p_success)
-        protocol, thermal = analytics.i_prot, i_th_weighted
     else:
-        scale = 0.5 / (analytics.i_prot + i_th_weighted)
-        protocol = analytics.i_prot * scale
-        thermal = i_th_weighted * scale
-        decoherence = fallback = 0.0
+        scale = 0.5 / (i_prot + i_th)
+        i_prot, i_th = i_prot * scale, i_th * scale
+        decoherence = fallback = 0.0 * ones
     return {
-        "protocol": protocol,
-        "thermal": thermal,
+        "protocol": i_prot * ones,
+        "thermal": i_th * ones,
         "decoherence": decoherence,
         "fallback": fallback,
         "total": 1.0 - f_del,
     }
 
 
-def delivery_curve(
-    config: LinkConfig,
-    k_max: int | None = None,
-    p_her_override: float | None = None,
-) -> DeliveryCurve:
+def infidelity_breakdown(link: Link) -> dict:
+    """Split 1 - f_del at the policy's t_del into its four sources.
+
+    The breakdown of infidelity_breakdown_curve, at the one delivery point.
+    """
+    m = delivered_fidelity(link)
+    parts = _breakdown(link, np.asarray([m.p_success]), np.asarray([m.f_del]))
+    return {name: float(value[0]) for name, value in parts.items()}
+
+
+def delivery_curve(link: Link, k_max: int | None = None) -> DeliveryCurve:
     """Evaluate p_success and f_del over the grid t_del = k * t_rep.
 
     Default grid covers at least 1000 points and twice the policy's t_del,
     bounded by ten coherence times (past which f_del is flat at 0.5).
     """
-    analytics, f_her = _link_quantities(config, p_her_override)
-    t = config.transducer
+    c = link.config
     if k_max is None:
-        k_policy = math.floor(config.policy.t_del_us / t.t_rep_us)
-        k_max = min(_default_k_max(config, None), max(1000, 2 * k_policy))
+        k_policy = math.floor(c.policy.t_del_us / c.transducer.t_rep_us)
+        k_max = min(_default_k_max(c, None), max(1000, 2 * k_policy))
         k_max = max(k_max, 1)
     else:
-        k_max = _default_k_max(config, k_max)
-    t_grid, p_success, f_del = _grid(
-        analytics.p_her,
-        f_her,
-        t.t_rep_us,
-        config.qubit.t_coh_us,
-        config.policy.n_parallel,
-        k_max,
-    )
+        k_max = _default_k_max(c, k_max)
+    t_grid, p_success, f_del = _grid(link, k_max)
     return DeliveryCurve(t_del_us=t_grid, p_success=p_success, f_del=f_del)
 
 
 def infidelity_breakdown_curve(
-    config: LinkConfig,
-    k_max: int | None = None,
-    p_her_override: float | None = None,
+    link: Link, curve: DeliveryCurve
 ) -> tuple[np.ndarray, dict]:
-    """infidelity_breakdown evaluated along the delivery_curve grid.
+    """infidelity_breakdown evaluated along a delivery_curve of the link.
 
     Returns (t_del_us grid, dict of component arrays keyed like
     infidelity_breakdown). Component arrays sum to `total` exactly.
     """
-    analytics, f_her = _link_quantities(config, p_her_override)
-    curve = delivery_curve(config, k_max=k_max, p_her_override=p_her_override)
-    i_th_weighted = (
-        analytics.i_th / 2.0
-        if config.policy.fidelity_model is FidelityModel.THERMAL_HALF
-        else analytics.i_th
-    )
-    n = curve.t_del_us.size
-    if f_her >= 0.5:
-        s = (
-            (curve.f_del - 0.5) / (f_her - 0.5)
-            if f_her > 0.5
-            else np.zeros(n)
-        )
-        protocol = np.full(n, analytics.i_prot)
-        thermal = np.full(n, i_th_weighted)
-        decoherence = (f_her - 0.5) * (curve.p_success - s)
-        fallback = (f_her - 0.5) * (1.0 - curve.p_success)
-    else:
-        scale = 0.5 / (analytics.i_prot + i_th_weighted)
-        protocol = np.full(n, analytics.i_prot * scale)
-        thermal = np.full(n, i_th_weighted * scale)
-        decoherence = np.zeros(n)
-        fallback = np.zeros(n)
-    return curve.t_del_us, {
-        "protocol": protocol,
-        "thermal": thermal,
-        "decoherence": decoherence,
-        "fallback": fallback,
-        "total": 1.0 - curve.f_del,
-    }
+    return curve.t_del_us, _breakdown(link, curve.p_success, curve.f_del)
 
 
 def _peak_round(q: float, d: float) -> float:
@@ -322,9 +305,7 @@ def _peak_round(q: float, d: float) -> float:
     return math.log(math.log(d) / math.log(r)) / math.log(r / d)
 
 
-def optimal_delivery_time(
-    config: LinkConfig, k_max: int | None = None
-) -> tuple[float, float]:
+def optimal_delivery_time(link: Link, k_max: int | None = None) -> tuple[float, float]:
     """Exact discrete argmax of f_del over t_del = k * t_rep.
 
     The policy's own t_del_us is ignored. Searches k in [1, k_max], default
@@ -349,19 +330,15 @@ def optimal_delivery_time(
     non-decreasing values left of the peak. Cost: a handful of points, plus
     O(log k_max) in that case, instead of the k_max-point grid.
     """
-    analytics, f_her = _link_quantities(config)
-    if analytics.p_her <= 0.0:
+    if link.p_her <= 0.0:
         raise NoOptimumError("p_her = 0: no herald can ever arrive")
-    k_max = _default_k_max(config, k_max)
-    t_rep = config.transducer.t_rep_us
-    q, d = _herald_and_decay(
-        analytics.p_her, t_rep, config.qubit.t_coh_us, config.policy.n_parallel
-    )
-    gain = max(f_her - 0.5, 0.0)
+    k_max = _default_k_max(link.config, k_max)
+    t_rep = link.config.transducer.t_rep_us
+    q, d = _link_herald_and_decay(link)
+    gain = max(link.f_her - 0.5, 0.0)
 
     def f_del_at(k):
-        _, s = _success_decay(q, np.asarray(k, dtype=float), d)
-        return 0.5 + gain * s
+        return _f_del(q, d, gain, np.asarray(k, dtype=float))[1]
 
     if gain == 0.0:
         return float(t_rep), 0.5
@@ -384,9 +361,7 @@ def optimal_delivery_time(
     return float(k_best * t_rep), float(f_best)
 
 
-def min_time_to_fidelity(
-    config: LinkConfig, target: float, k_max: int | None = None
-) -> float:
+def min_time_to_fidelity(link: Link, target: float, k_max: int | None = None) -> float:
     """Smallest grid t_del with f_del >= target.
 
     Raises UnattainableError when even the optimal delivery time falls short,
@@ -394,26 +369,10 @@ def min_time_to_fidelity(
     """
     if not (0.5 < target < 1.0):
         raise ModelDomainError(f"target fidelity {target} outside (0.5, 1)")
-    analytics, f_her = _link_quantities(config)
-    k_max = _default_k_max(config, k_max)
-    t = config.transducer
-    t_grid, _, f_del = _grid(
-        analytics.p_her, f_her, t.t_rep_us, config.qubit.t_coh_us,
-        config.policy.n_parallel, k_max,
-    )
+    t_grid, _, f_del = _grid(link, _default_k_max(link.config, k_max))
     hits = np.nonzero(f_del >= target)[0]
     if hits.size == 0:
         raise UnattainableError(
             f"target fidelity {target} unattainable: best f_del is {f_del.max():.6f}"
         )
     return float(t_grid[hits[0]])
-
-
-def parallel_speedup(p_her: float, n: int) -> ParallelBoost:
-    """Per-round herald probability for n parallel channels."""
-    if n < 1:
-        raise ConfigError("n_parallel must be >= 1")
-    exact = 1.0 - (1.0 - p_her) ** n
-    approx = n * p_her
-    gap = (approx - exact) / exact if exact > 0 else 0.0
-    return ParallelBoost(exact=exact, approx=approx, relative_gap=gap)

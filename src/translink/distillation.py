@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError, DegenerateInputError, ModelDomainError
+from .params import MAX_DISTILL_ROUNDS
 
 SUM_TOLERANCE = 1e-12
 
@@ -141,8 +142,11 @@ def nested_distill(f_in: float, rounds: int, mode: DistillMode) -> NestedDistill
 
     Calibrated mode consumes exactly 2^rounds pairs. Recurrence mode also
     reports the expected consumption 2^rounds / prod(p_success_i) once
-    failed rounds are retried.
+    failed rounds are retried. Rounds outside [0, MAX_DISTILL_ROUNDS] are
+    rejected, the same range that policy.distill_rounds accepts.
     """
+    if not 0 <= rounds <= MAX_DISTILL_ROUNDS:
+        raise ConfigError(f"rounds out of [0, {MAX_DISTILL_ROUNDS}]")
     pairs = 2**rounds
     if mode is DistillMode.CALIBRATED:
         return NestedDistillResult(

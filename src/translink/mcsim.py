@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .delivery import Link
 from .errors import ConfigError
 from .distillation import recurrence_ladder
-from .params import LinkConfig, validate
-from .protocols import analyze_protocol, heralded_fidelity
 
 MAX_TRIAL_DUMP = 1_000_000
 
@@ -26,6 +25,9 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _CHUNK = 65536
+# Uniforms drawn per round by one chunk: trials x channels stays under this,
+# so memory stays bounded however many channels race.
+_CHUNK_DRAWS = 2**22
 
 
 def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
@@ -103,21 +105,19 @@ def _simulate_chunk(start, stop, seed, p_her, n_channels, k_rounds, rounds_out, 
 
 
 def run_trials(
-    config: LinkConfig,
+    link: Link,
     n_trials: int,
     seed: int,
     n_jobs: int = 1,
     keep_trials: bool = False,
-    p_her_override: float | None = None,
 ) -> MCStats:
-    """Simulate n_trials independent delivery attempts of the configured link.
+    """Simulate n_trials independent delivery attempts of the resolved link.
 
     Per trial: up to K = floor(t_del/t_rep) rounds, each of the N parallel
     channels heralds independently with probability p_her; the first herald
     freezes the state into storage where it decays until t_del. Trials with
-    no herald deliver the fidelity-1/2 fallback. Identical (config, n_trials,
-    seed) give bit-identical results for any n_jobs. p_her_override
-    substitutes an externally quoted herald probability for the formula one.
+    no herald deliver the fidelity-1/2 fallback. Identical (link, n_trials,
+    seed) give bit-identical results for any n_jobs.
     """
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
@@ -126,32 +126,22 @@ def run_trials(
     _check_seed(seed)
     if keep_trials and n_trials > MAX_TRIAL_DUMP:
         raise ConfigError(f"per-trial dump capped at {MAX_TRIAL_DUMP} rows")
-    violations = validate(config)
-    if violations:
-        raise ConfigError("invalid link config: " + "; ".join(violations), violations)
 
-    t = config.transducer
-    pol = config.policy
-    analytics = analyze_protocol(t, config.protocol, config.memory)
-    f_her = heralded_fidelity(analytics, pol.fidelity_model)
-    if p_her_override is not None:
-        if not 0.0 < p_her_override <= 1.0:
-            raise ConfigError("p_her override out of (0, 1]")
-        analytics = replace(analytics, p_her=p_her_override)
+    t = link.config.transducer
+    pol = link.config.policy
     k_rounds = math.floor(pol.t_del_us / t.t_rep_us)
     n_channels = pol.n_parallel
+    chunk = max(1, min(_CHUNK, _CHUNK_DRAWS // n_channels))
 
     rounds = np.zeros(n_trials, dtype=np.int64)
     chans = np.full(n_trials, -1, dtype=np.int64)
-    spans = [
-        (lo, min(lo + _CHUNK, n_trials)) for lo in range(0, n_trials, _CHUNK)
-    ]
+    spans = [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             list(
                 pool.map(
                     lambda span: _simulate_chunk(
-                        span[0], span[1], seed, analytics.p_her,
+                        span[0], span[1], seed, link.p_her,
                         n_channels, k_rounds, rounds, chans,
                     ),
                     spans,
@@ -160,14 +150,14 @@ def run_trials(
     else:
         for lo, hi in spans:
             _simulate_chunk(
-                lo, hi, seed, analytics.p_her, n_channels, k_rounds, rounds, chans
+                lo, hi, seed, link.p_her, n_channels, k_rounds, rounds, chans
             )
 
     heralded = rounds > 0
     tau = np.where(heralded, pol.t_del_us - rounds * t.t_rep_us, 0.0)
-    t_coh = config.qubit.t_coh_us
+    t_coh = link.config.qubit.t_coh_us
     decay = np.exp(-tau / t_coh) if not math.isinf(t_coh) else np.ones_like(tau)
-    f_del = np.where(heralded, 0.5 + max(f_her - 0.5, 0.0) * decay, 0.5)
+    f_del = np.where(heralded, 0.5 + max(link.f_her - 0.5, 0.0) * decay, 0.5)
 
     n_success = int(np.count_nonzero(heralded))
     mean = float(np.mean(f_del))

@@ -8,10 +8,21 @@ are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .errors import PresetNotFoundError
+
+# Hard cap on delivery rounds and search-grid length; beyond this the grid
+# (and the Monte Carlo round loop) would not fit in memory or time.
+MAX_GRID_POINTS = 10_000_000
+
+# Hard per-module ceiling on transducer channels; beyond this the
+# communication hardware outgrows the processor it serves.
+MAX_TRANSDUCERS_PER_MODULE = 10_000
+
+# Nested distillation burns 2**rounds pairs per delivered pair.
+MAX_DISTILL_ROUNDS = 10
 
 
 class PhotonBasis(Enum):
@@ -141,15 +152,7 @@ class LinkMetrics:
     f_del: float  # delivered fidelity at t_del
 
     def to_dict(self) -> dict:
-        return {
-            "p_her": self.p_her,
-            "i_prot": self.i_prot,
-            "i_th": self.i_th,
-            "f_her": self.f_her,
-            "eta_link": self.eta_link,
-            "p_success": self.p_success,
-            "f_del": self.f_del,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -296,10 +299,23 @@ def validate(config: LinkConfig) -> list[str]:
         lambda: pol.t_del_us >= t.t_rep_us,
     )
     _require(v, "policy.t_del_us must be finite", lambda: not math.isinf(pol.t_del_us))
+    _require(
+        v,
+        f"policy.t_del_us spans more than {MAX_GRID_POINTS} rounds of "
+        "transducer.t_rep_us",
+        # the other checks report a non-positive t_rep or a non-finite t_del
+        lambda: not (t.t_rep_us > 0 and pol.t_del_us < math.inf)
+        or pol.t_del_us / t.t_rep_us <= MAX_GRID_POINTS,
+    )
     _require(v, "policy.n_parallel must be >= 1", lambda: pol.n_parallel >= 1)
     _require(
-        v, "policy.distill_rounds out of [0, 10]",
-        lambda: 0 <= pol.distill_rounds <= 10,
+        v,
+        f"policy.n_parallel must be <= {MAX_TRANSDUCERS_PER_MODULE}",
+        lambda: pol.n_parallel <= MAX_TRANSDUCERS_PER_MODULE,
+    )
+    _require(
+        v, f"policy.distill_rounds out of [0, {MAX_DISTILL_ROUNDS}]",
+        lambda: 0 <= pol.distill_rounds <= MAX_DISTILL_ROUNDS,
     )
 
     m = config.memory

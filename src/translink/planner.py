@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
-from .delivery import delivered_fidelity, min_time_to_fidelity, optimal_delivery_time
+from .delivery import (
+    Link,
+    delivered_fidelity,
+    min_time_to_fidelity,
+    optimal_delivery_time,
+)
 from .distillation import calibrated_distill
 from .errors import ConfigError
-from .params import LinkConfig
-
-# Hard per-module ceiling on transducer channels; beyond this the
-# communication hardware outgrows the processor it serves.
-MAX_TRANSDUCERS_PER_MODULE = 10_000
+from .params import MAX_TRANSDUCERS_PER_MODULE
 
 # Link error (1 - f_del) below which lattice surgery across the link is
 # believed to sit under the surface-code threshold.
@@ -47,8 +48,6 @@ TRADEOFF_MAX_DISTILL_ROUNDS = 4
 
 class Architecture(Enum):
     LATTICE_SURGERY = "lattice_surgery"
-    SPARSE_LINKS = "sparse_links"
-    GRAPH_STATE = "graph_state"
 
 
 @dataclass(frozen=True)
@@ -92,21 +91,7 @@ class PlanReport:
     link_error_below_threshold: bool
 
     def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "links_required": self.links_required,
-            "transducers_per_link": self.transducers_per_link,
-            "total_transducers": self.total_transducers,
-            "qubits_communication": self.qubits_communication,
-            "feasible": self.feasible,
-            "limiting_factor": self.limiting_factor,
-            "speedup": self.speedup,
-            "t_del_us": self.t_del_us,
-            "min_t_del_us": self.min_t_del_us,
-            "fidelity_at_t_del": self.fidelity_at_t_del,
-            "fidelity_met": self.fidelity_met,
-            "link_error_below_threshold": self.link_error_below_threshold,
-        }
+        return asdict(self)
 
 
 def edge_qubit_count(n_qubits: int) -> int:
@@ -128,7 +113,7 @@ def _limiting_factor(total: int, budget: int, qubits: int, qubit_cap: int) -> tu
     return utilization <= 1.0, name
 
 
-def lattice_surgery_plan(spec: ArchitectureSpec, config: LinkConfig) -> PlanReport:
+def lattice_surgery_plan(spec: ArchitectureSpec, link: Link) -> PlanReport:
     """Resource tally for clock-rate lattice surgery across module boundaries.
 
     Every edge qubit of the square patch needs its own link, and each link
@@ -141,16 +126,13 @@ def lattice_surgery_plan(spec: ArchitectureSpec, config: LinkConfig) -> PlanRepo
     violations = validate_architecture(spec)
     if violations:
         raise ConfigError("invalid architecture spec: " + "; ".join(violations), violations)
-    metrics = delivered_fidelity(config)
-    min_t_del = min_time_to_fidelity(config, spec.target_fidelity)
+    metrics = delivered_fidelity(link)
+    min_t_del = min_time_to_fidelity(link, spec.target_fidelity)
 
-    t_del = config.policy.t_del_us
+    policy = link.config.policy
+    t_del = policy.t_del_us
     speedup = t_del / spec.clock_cycle_us
-    per_link = (
-        config.policy.n_parallel
-        * math.ceil(speedup - 1e-9)
-        * 2**config.policy.distill_rounds
-    )
+    per_link = policy.n_parallel * math.ceil(speedup - 1e-9) * 2**policy.distill_rounds
     links = edge_qubit_count(spec.qubits_per_processor)
     total = links * per_link
     feasible, factor = _limiting_factor(
@@ -183,13 +165,7 @@ class CircuitCutComparison:
     advantage: bool
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_quantum": self.gamma_quantum,
-            "gamma_classical": self.gamma_classical,
-            "k_quantum": self.k_quantum,
-            "k_classical": self.k_classical,
-            "advantage": self.advantage,
-        }
+        return asdict(self)
 
 
 def _k_max(budget: int, gamma: float) -> int:
@@ -247,15 +223,7 @@ class CryostatCheck:
     in_envelope: bool
 
     def to_dict(self) -> dict:
-        return {
-            "links": self.links,
-            "transducers_per_link": self.transducers_per_link,
-            "total_channels": self.total_channels,
-            "links_in_envelope": self.links_in_envelope,
-            "per_link_in_envelope": self.per_link_in_envelope,
-            "total_in_envelope": self.total_in_envelope,
-            "in_envelope": self.in_envelope,
-        }
+        return asdict(self)
 
 
 def cryostat_budget_check(links: int, transducers_per_link: int) -> CryostatCheck:
@@ -287,14 +255,7 @@ class TradeoffPoint:
     t_del_us: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_links": self.n_links,
-            "rate_per_us": self.rate_per_us,
-            "f_del": self.f_del,
-            "n_parallel": self.n_parallel,
-            "distill_rounds": self.distill_rounds,
-            "t_del_us": self.t_del_us,
-        }
+        return asdict(self)
 
 
 def _pareto_front(candidates) -> list:
@@ -329,18 +290,17 @@ def _pareto_front(candidates) -> list:
     return front
 
 
-def tradeoff_surface(
-    budget: int, link: LinkConfig, k_max: int | None = None
-) -> tuple:
+def tradeoff_surface(budget: int, link: Link, k_max: int | None = None) -> tuple:
     """Pareto-optimal (n_links, rate, f_del) points for a channel budget.
 
     A budget of B channels can host n_links links of n_parallel channels
     each, with 2**rounds pairs burnt per delivered pair when distilling.
-    Each width runs `link` at its optimal delivery time, with the policy's
-    t_del_us and n_parallel replaced, so the memory (its boosted p_her and
-    its lifetime cap on the search) and the fidelity model take effect.
-    Returns the non-dominated points under simultaneous maximization of all
-    three axes, sorted by descending n_links, then rate, then fidelity.
+    Each width runs the resolved `link` at its optimal delivery time, with
+    the policy's n_parallel replaced, so the memory (its boosted p_her and
+    its lifetime cap on the search), the fidelity model and a p_her
+    reference take effect. Returns the non-dominated points under
+    simultaneous maximization of all three axes, sorted by descending
+    n_links, then rate, then fidelity.
 
     Candidates with equal objective triples keep the cheapest witness (the
     smallest n_parallel, then rounds); _pareto_front then filters the C
@@ -349,11 +309,11 @@ def tradeoff_surface(
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
-    t_rep = link.transducer.t_rep_us
+    config, policy = link.config, link.config.policy
     unique: dict = {}
     for n_parallel in range(1, budget + 1):
         probe = replace(
-            link, policy=replace(link.policy, t_del_us=t_rep, n_parallel=n_parallel)
+            link, config=replace(config, policy=replace(policy, n_parallel=n_parallel))
         )
         t_star, f_star = optimal_delivery_time(probe, k_max=k_max)
         for rounds in range(TRADEOFF_MAX_DISTILL_ROUNDS + 1):

@@ -114,19 +114,24 @@ def protocol_infidelity(t: TransducerParams, p: ProtocolSpec) -> float:
     return (2.0 / 3.0) * p_mo * (1.0 - t.eta_mw)
 
 
+def _divisor(value: float, name: str, protocol: str) -> float:
+    if value == 0:
+        raise DivisionDomainError(
+            f"thermal infidelity diverges at {name} = 0 for {protocol}"
+        )
+    return value
+
+
 def thermal_infidelity(t: TransducerParams, p: ProtocolSpec) -> float:
     """Infidelity from the transducer's added thermal photons."""
     if p.basis is PhotonBasis.ONE_PHOTON:
         if p.pump is PumpMode.UPCONVERSION:
-            alpha = _require_alpha(p)
-            if alpha == 0:
-                raise DivisionDomainError(
-                    "thermal infidelity diverges at alpha = 0 for one-photon upconversion"
-                )
-            return t.n_th / (alpha * t.eta_mw)
+            protocol = "one-photon upconversion"
+            alpha = _divisor(_require_alpha(p), "alpha", protocol)
+            return t.n_th / _divisor(alpha * t.eta_mw, "alpha * eta_mw", protocol)
         return 2.0 * t.n_th * t.eta_mw**2
     if p.pump is PumpMode.UPCONVERSION:
-        return 6.0 * t.n_th / t.eta_mw
+        return 6.0 * t.n_th / _divisor(t.eta_mw, "eta_mw", "two-photon upconversion")
     return 2.0 * t.n_th
 
 

@@ -40,6 +40,7 @@ from translink import (
     optimal_delivery_time,
     preset,
     recurrence_round,
+    resolve,
     run_trials,
     thermal_infidelity,
     tradeoff_surface,
@@ -99,7 +100,7 @@ def _example3():
 def test_criterion_1_example1_reproduction():
     with _verdict(1, "example-1 link reproduction"):
         start = time.perf_counter()
-        m = delivered_fidelity(_example1())
+        m = delivered_fidelity(resolve(_example1()))
         assert m.i_prot == pytest.approx(0.208, abs=0.005)
         assert m.i_th == pytest.approx(0.128, abs=0.005)
         assert m.f_her == pytest.approx(0.728, abs=0.010)
@@ -109,7 +110,7 @@ def test_criterion_1_example1_reproduction():
 
 def test_criterion_2_example2_reproduction(tmp_path, capsys):
     with _verdict(2, "example-2 memory link + flagged herald discrepancy"):
-        m = delivered_fidelity(_example2(), p_her_override=0.03)
+        m = delivered_fidelity(resolve(_example2(), 0.03))
         assert m.f_del == pytest.approx(0.91, abs=0.02)
         # the formula herald probability deviates from the quoted 0.03
         # by more than the flag threshold but stays within 25%
@@ -127,10 +128,10 @@ def test_criterion_2_example2_reproduction(tmp_path, capsys):
 
 def test_criterion_3_example3_reproduction(tmp_path, capsys):
     with _verdict(3, "example-3 parallel link, protocol-limited budget"):
-        m = delivered_fidelity(_example3())
+        m = delivered_fidelity(resolve(_example3()))
         assert m.i_prot == pytest.approx(0.069, abs=0.005)
         assert m.f_del == pytest.approx(0.91, abs=0.02)
-        bd = infidelity_breakdown(_example3())
+        bd = infidelity_breakdown(resolve(_example3()))
         assert bd["protocol"] > bd["thermal"]
         assert bd["protocol"] > bd["decoherence"]
         # the per-timeout component breakdown ships as a CSV artifact
@@ -173,12 +174,12 @@ def test_criterion_5_mc_analytic_equivalence():
             (_example3(), None, 1 - (1 - 0.02) ** 20, 15),
         ]
         for cfg, ref, q, k_rounds in cases:
-            m = delivered_fidelity(cfg, p_her_override=ref)
+            m = delivered_fidelity(resolve(cfg, ref))
             lo = binom.ppf(0.00135, N_TRIALS, m.p_success)
             hi = binom.ppf(1 - 0.00135, N_TRIALS, m.p_success)
             passed = 0
             for seed in range(N_SEEDS):
-                s = run_trials(cfg, N_TRIALS, seed, p_her_override=ref)
+                s = run_trials(resolve(cfg, ref), N_TRIALS, seed)
                 mean_ok = abs(s.mean_f_del - m.f_del) <= 3 * s.std_error
                 successes = N_TRIALS - s.n_no_herald
                 if mean_ok and lo <= successes <= hi:
@@ -186,7 +187,7 @@ def test_criterion_5_mc_analytic_equivalence():
             assert passed >= 99, f"only {passed}/100 seeds within 3 SE"
 
             # herald-round distribution vs the truncated geometric law
-            s = run_trials(cfg, N_TRIALS, seed=0, p_her_override=ref)
+            s = run_trials(resolve(cfg, ref), N_TRIALS, seed=0)
             expected = [
                 N_TRIALS * (1 - q) ** (k - 1) * q for k in range(1, k_rounds + 1)
             ]
@@ -213,9 +214,9 @@ def test_criterion_6_planner_anchors():
         assert edge_qubit_count(1000) == 32
 
         spec2 = ArchitectureSpec(1000, 1.0, 100_000, 0.90)
-        plan2 = lattice_surgery_plan(spec2, _example2())
+        plan2 = lattice_surgery_plan(spec2, resolve(_example2()))
         spec3 = ArchitectureSpec(1000, 1.0, 100_000, 0.89)
-        plan3 = lattice_surgery_plan(spec3, _example3())
+        plan3 = lattice_surgery_plan(spec3, resolve(_example3()))
         for plan in (plan2, plan3):
             assert 300 <= plan.transducers_per_link <= 400
         assert {plan2.transducers_per_link, plan3.transducers_per_link} == {300, 400}
@@ -269,14 +270,14 @@ def test_criterion_7_property_suites():
             )
             assert thermal_infidelity(hotter, spec) >= thermal_infidelity(base, spec)
             try:
-                cold = delivered_fidelity(
+                cold = delivered_fidelity(resolve(
                     LinkConfig(base, preset("qubit1"), spec,
                                DeliveryPolicy(t_del_us=40.0))
-                )
-                hot = delivered_fidelity(
+                ))
+                hot = delivered_fidelity(resolve(
                     LinkConfig(hotter, preset("qubit1"), spec,
                                DeliveryPolicy(t_del_us=40.0))
-                )
+                ))
             except ModelDomainError:
                 continue
             assert hot.f_del <= cold.f_del + 1e-15
@@ -296,7 +297,7 @@ def test_criterion_7_property_suites():
             assert f_del >= 0.5
 
         # a state is delivered on every trial (success or fallback)
-        out = run_trials(_example3(), 5000, seed=17, keep_trials=True)
+        out = run_trials(resolve(_example3()), 5000, seed=17, keep_trials=True)
         assert len(out.trials) == 5000
         assert all(rec.f_del >= 0.5 for rec in out.trials)
         assert out.p_success + out.n_no_herald / 5000 == 1.0
@@ -310,7 +311,7 @@ def test_criterion_7_property_suites():
                 preset("transducer2"), preset("qubit1"), protocol,
                 DeliveryPolicy(t_del_us=1.0),
             )
-            got = tradeoff_surface(budget, link, k_max=400)
+            got = tradeoff_surface(budget, resolve(link), k_max=400)
             got_rows = [
                 (p.n_links, p.rate_per_us, p.f_del, p.n_parallel,
                  p.distill_rounds, p.t_del_us)
@@ -328,7 +329,9 @@ def test_criterion_7_property_suites():
                             preset("transducer2"), preset("qubit1"), protocol,
                             DeliveryPolicy(t_del_us=1.0, n_parallel=n),
                         )
-                        per_width[n] = optimal_delivery_time(probe, k_max=400)
+                        per_width[n] = optimal_delivery_time(
+                            resolve(probe), k_max=400
+                        )
                     t_star, f_star = per_width[n]
                     f = (
                         calibrated_distill(f_star, rounds)
@@ -352,9 +355,11 @@ def test_criterion_7_property_suites():
             assert got_rows == front
 
         # seeded Monte Carlo reruns are byte-identical across thread counts
-        single = run_trials(_example3(), 70_000, seed=6, n_jobs=1, keep_trials=True)
+        single = run_trials(
+            resolve(_example3()), 70_000, seed=6, n_jobs=1, keep_trials=True
+        )
         for jobs in (2, 4):
             threaded = run_trials(
-                _example3(), 70_000, seed=6, n_jobs=jobs, keep_trials=True
+                resolve(_example3()), 70_000, seed=6, n_jobs=jobs, keep_trials=True
             )
             assert threaded == single

@@ -15,6 +15,7 @@ from translink import (
     PumpMode,
     delivered_fidelity,
     preset,
+    resolve,
     run_trials,
     tradeoff_surface,
 )
@@ -160,7 +161,7 @@ def test_simulate_matches_library(tmp_path, capsys):
         protocol=ProtocolSpec(PhotonBasis.ONE_PHOTON, PumpMode.TMS),
         policy=DeliveryPolicy(t_del_us=88.0),
     )
-    stats = run_trials(cfg, 2000, seed=9)
+    stats = run_trials(resolve(cfg), 2000, seed=9)
     assert doc["mcstats"]["p_success"] == stats.p_success
     assert doc["mcstats"]["mean_f_del"] == pytest.approx(stats.mean_f_del, abs=1e-9)
     assert doc["mcstats"]["seed"] == 9
@@ -256,14 +257,14 @@ def test_tradeoff_csv(tmp_path, capsys):
     assert lines[2] == "16,0.0108695652,0.767253867,1,0,92"
     points = tradeoff_surface(
         16,
-        LinkConfig(
+        resolve(LinkConfig(
             transducer=preset("transducer2"),
             qubit=preset("qubit1"),
             protocol=ProtocolSpec(
                 PhotonBasis.ONE_PHOTON, PumpMode.TMS, p_mo_override=0.02
             ),
             policy=DeliveryPolicy(t_del_us=15.0, n_parallel=20),
-        ),
+        )),
     )
     assert len(lines) == 2 + len(points)
 
@@ -307,7 +308,36 @@ def test_tradeoff_honours_memory_lifetime(tmp_path, capsys):
     assert rows
     # without the memory, p_her = 0.00113 and the optimum sits at 1424 us
     assert all(r["t_del_us"] <= cfg["memory"]["lifetime_us"] for r in rows)
-    assert rows[0]["t_del_us"] == 173.0
+    # ex2's p_her_reference of 0.03 replaces the formula value 0.02375,
+    # whose optimum is 173 us
+    assert rows[0]["t_del_us"] == 144.0
+
+
+def test_plan_and_tradeoff_honour_p_her_reference(tmp_path, capsys):
+    cfg = json.loads(Path(LATTICE).read_text())
+    cfg["architecture"]["transducer_budget"] = 64
+    docs = {}
+    for ref in (None, 0.03):
+        if ref is not None:
+            cfg["p_her_reference"] = ref
+        path = tmp_path / f"lattice_{ref}.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / f"out_{ref}"
+        code, out, err = _run(
+            capsys, "plan", "--config", str(path), "--out", str(out_dir)
+        )
+        assert (code, err) == (0, "")
+        plan = _strip_manifest(json.loads(out))["plan"]
+        tradeoff = _tradeoff_rows(
+            capsys, tmp_path / f"tradeoff_{ref}", "--config", str(path)
+        )
+        docs[ref] = plan, tradeoff
+    # the reference raises p_her from the formula's 0.02, so links herald
+    # sooner: the target is met earlier, and at the fixed t_del of 15 us the
+    # heralded pairs sit longer in storage
+    assert docs[0.03][0]["min_t_del_us"] == 5.0 < docs[None][0]["min_t_del_us"]
+    assert docs[0.03][0]["fidelity_at_t_del"] < docs[None][0]["fidelity_at_t_del"]
+    assert docs[0.03][1][0]["t_del_us"] < docs[None][1][0]["t_del_us"]
 
 
 def test_tradeoff_fidelity_model_override(tmp_path, capsys):

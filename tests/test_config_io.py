@@ -107,7 +107,7 @@ def test_round_trip_synthetic_full_config():
             "clock_cycle_us": 2.0,
             "transducer_budget": 2000,
             "target_fidelity": 0.8,
-            "architecture": "graph_state",
+            "architecture": "lattice_surgery",
         },
         "p_her_reference": 0.01,
     }
@@ -115,6 +115,12 @@ def test_round_trip_synthetic_full_config():
     assert parsed.link.qubit.t_coh_us == 150.0
     assert parsed.link.policy.fidelity_model is FidelityModel.LINEAR_SUM
     assert parse_config_data(resolved_config(parsed)) == parsed
+    # lattice surgery is the only architecture that the planner computes
+    for kind in ("sparse_links", "graph_state"):
+        data["architecture"]["architecture"] = kind
+        with pytest.raises(SchemaError) as err:
+            parse_config_data(data)
+        assert err.value.pointer == "/architecture/architecture"
 
 
 def test_unknown_keys_rejected_with_pointer():

@@ -29,9 +29,10 @@ from translink import (
     infidelity_breakdown_curve,
     min_time_to_fidelity,
     optimal_delivery_time,
-    parallel_speedup,
     preset,
+    resolve,
 )
+from translink.params import MAX_TRANSDUCERS_PER_MODULE
 
 
 def _oracle_point(p_her, f_her, t_del, t_rep, t_coh, n_parallel=1):
@@ -79,7 +80,7 @@ def _ex3():
 
 
 def test_reference_link_metrics():
-    m = delivered_fidelity(_ex1())
+    m = delivered_fidelity(resolve(_ex1()))
     assert m.p_her == pytest.approx(0.01, rel=1e-12)
     assert m.f_her == pytest.approx(0.728, rel=1e-12)
     assert m.eta_link == pytest.approx(2.0, rel=1e-12)
@@ -91,14 +92,14 @@ def test_reference_link_metrics():
 
 
 def test_memory_link_metrics():
-    m = delivered_fidelity(_ex2())
+    m = delivered_fidelity(resolve(_ex2()))
     assert m.p_her == pytest.approx(0.02375, rel=1e-12)
     assert m.p_success == pytest.approx(0.9999332549974261, rel=1e-12)
     assert m.f_del == pytest.approx(0.9059667940506129, rel=1e-12)
 
 
 def test_parallel_link_metrics():
-    m = delivered_fidelity(_ex3())
+    m = delivered_fidelity(resolve(_ex3()))
     assert m.p_her == pytest.approx(0.02, rel=1e-12)
     assert m.eta_link == pytest.approx(4.0, rel=1e-12)
     oracle_p, oracle_f = _oracle_point(0.02, 0.921975, 15.0, 1.0, 200.0, n_parallel=20)
@@ -172,13 +173,13 @@ def test_configs_match_oracle_random():
             policy=DeliveryPolicy(t_del_us=t_del, n_parallel=n_par),
         )
         try:
-            m = delivered_fidelity(cfg)
+            m = delivered_fidelity(resolve(cfg))
         except ModelDomainError:
             continue
         want = _oracle_point(m.p_her, m.f_her, t_del, t.t_rep_us, q.t2_us, n_par)
         assert m.p_success == pytest.approx(want[0], rel=1e-10, abs=1e-14)
         assert m.f_del == pytest.approx(want[1], rel=1e-10)
-        bd = infidelity_breakdown(cfg)
+        bd = infidelity_breakdown(resolve(cfg))
         assert bd["total"] == pytest.approx(1.0 - m.f_del, rel=1e-10)
         parts = bd["protocol"] + bd["thermal"] + bd["decoherence"] + bd["fallback"]
         assert parts == pytest.approx(bd["total"], rel=1e-10)
@@ -187,7 +188,7 @@ def test_configs_match_oracle_random():
 
 
 def test_breakdown_reference_values():
-    bd = infidelity_breakdown(_ex3())
+    bd = infidelity_breakdown(resolve(_ex3()))
     assert bd["protocol"] == pytest.approx(0.069, rel=1e-12)
     assert bd["thermal"] == pytest.approx(0.009025, rel=1e-12)
     assert bd["decoherence"] == pytest.approx(0.024541751, abs=5e-10)
@@ -206,9 +207,9 @@ def test_breakdown_below_half_rescaled():
         protocol=ProtocolSpec(PhotonBasis.ONE_PHOTON, PumpMode.UPCONVERSION, alpha=0.6),
         policy=DeliveryPolicy(t_del_us=50.0),
     )
-    m = delivered_fidelity(cfg)
+    m = delivered_fidelity(resolve(cfg))
     assert m.f_del == 0.5
-    bd = infidelity_breakdown(cfg)
+    bd = infidelity_breakdown(resolve(cfg))
     assert bd["decoherence"] == 0.0
     assert bd["fallback"] == 0.0
     assert bd["total"] == pytest.approx(0.5, rel=1e-12)
@@ -232,8 +233,8 @@ def test_delivered_fidelity_never_below_half():
 
 def test_curve_contains_policy_point():
     cfg = _ex1()
-    curve = delivery_curve(cfg)
-    m = delivered_fidelity(cfg)
+    curve = delivery_curve(resolve(cfg))
+    m = delivered_fidelity(resolve(cfg))
     assert curve.t_del_us[0] == pytest.approx(1.0)
     assert len(curve.t_del_us) == len(curve.p_success) == len(curve.f_del)
     idx = int(np.argmin(np.abs(curve.t_del_us - 88.0)))
@@ -246,9 +247,9 @@ def test_curve_contains_policy_point():
 
 
 def test_breakdown_curve_sums_to_total():
-    cfg = _ex3()
-    t_grid, parts = infidelity_breakdown_curve(cfg, k_max=200)
-    curve = delivery_curve(cfg, k_max=200)
+    link = resolve(_ex3())
+    curve = delivery_curve(link, k_max=200)
+    t_grid, parts = infidelity_breakdown_curve(link, curve)
     np.testing.assert_allclose(t_grid, curve.t_del_us)
     total = (
         parts["protocol"]
@@ -261,21 +262,21 @@ def test_breakdown_curve_sums_to_total():
 
 
 def test_optimal_delivery_time_reference_links():
-    assert optimal_delivery_time(_ex1()) == pytest.approx(
+    assert optimal_delivery_time(resolve(_ex1())) == pytest.approx(
         (138.0, 0.6145071982709199), rel=1e-12
     )
-    assert optimal_delivery_time(_ex2()) == pytest.approx(
+    assert optimal_delivery_time(resolve(_ex2())) == pytest.approx(
         (173.0, 0.9371401823558896), rel=1e-12
     )
-    assert optimal_delivery_time(_ex3()) == pytest.approx(
+    assert optimal_delivery_time(resolve(_ex3())) == pytest.approx(
         (11.0, 0.9004469827172934), rel=1e-12
     )
 
 
 def test_optimal_is_grid_argmax():
     cfg = _ex1()
-    curve = delivery_curve(cfg)
-    t_star, f_star = optimal_delivery_time(cfg)
+    curve = delivery_curve(resolve(cfg))
+    t_star, f_star = optimal_delivery_time(resolve(cfg))
     best = int(np.argmax(curve.f_del))
     assert t_star == pytest.approx(curve.t_del_us[best])
     assert f_star == pytest.approx(curve.f_del[best], rel=1e-15)
@@ -350,7 +351,9 @@ def test_optimal_matches_grid_oracle(protocol, memory_kind, model, data):
         transducer,
         StorageQubitParams(t1_us=t_coh, t2_us=t_coh),
         protocol,
-        n_parallel=draw(st.integers(1, 20) | st.integers(1, 10**6)),
+        n_parallel=draw(
+            st.integers(1, 20) | st.integers(1, MAX_TRANSDUCERS_PER_MODULE)
+        ),
         memory=memory,
         alpha=draw(_log10_uniform(-3, -0.3)) if protocol == ONE_UP else None,
         model=model,
@@ -359,9 +362,9 @@ def test_optimal_matches_grid_oracle(protocol, memory_kind, model, data):
         want = grid_optimal_delivery_time(cfg, k_max)
     except ModelDomainError:
         with pytest.raises(ModelDomainError):
-            optimal_delivery_time(cfg, k_max=k_max)
+            optimal_delivery_time(resolve(cfg), k_max=k_max)
         return
-    assert optimal_delivery_time(cfg, k_max=k_max) == want
+    assert optimal_delivery_time(resolve(cfg), k_max=k_max) == want
 
 
 def _special_cases():
@@ -410,7 +413,7 @@ def _special_cases():
 
 @pytest.mark.parametrize("cfg,k_max,t_star", _special_cases())
 def test_optimal_special_cases_match_grid_oracle(cfg, k_max, t_star):
-    got = optimal_delivery_time(cfg, k_max=k_max)
+    got = optimal_delivery_time(resolve(cfg), k_max=k_max)
     assert got == grid_optimal_delivery_time(cfg, k_max)
     assert got[0] == t_star
 
@@ -423,25 +426,25 @@ def test_optimal_requires_positive_herald():
         policy=DeliveryPolicy(t_del_us=50.0),
     )
     with pytest.raises(NoOptimumError):
-        optimal_delivery_time(cfg)
+        optimal_delivery_time(resolve(cfg))
 
 
 def test_min_time_to_fidelity():
-    assert min_time_to_fidelity(_ex1(), 0.55) == pytest.approx(27.0)
-    assert min_time_to_fidelity(_ex2(), 0.90) == pytest.approx(86.0)
-    assert min_time_to_fidelity(_ex3(), 0.90) == pytest.approx(11.0)
+    assert min_time_to_fidelity(resolve(_ex1()), 0.55) == pytest.approx(27.0)
+    assert min_time_to_fidelity(resolve(_ex2()), 0.90) == pytest.approx(86.0)
+    assert min_time_to_fidelity(resolve(_ex3()), 0.90) == pytest.approx(11.0)
 
 
 def test_min_time_unattainable_reports_best():
     with pytest.raises(UnattainableError) as err:
-        min_time_to_fidelity(_ex1(), 0.70)
+        min_time_to_fidelity(resolve(_ex1()), 0.70)
     assert "0.61" in str(err.value)
 
 
 def test_min_time_target_domain():
     for bad in (0.5, 0.4, 1.0, 1.2):
         with pytest.raises(ModelDomainError):
-            min_time_to_fidelity(_ex1(), bad)
+            min_time_to_fidelity(resolve(_ex1()), bad)
 
 
 def test_infinite_coherence_needs_explicit_grid():
@@ -452,29 +455,15 @@ def test_infinite_coherence_needs_explicit_grid():
         policy=DeliveryPolicy(t_del_us=88.0),
     )
     with pytest.raises(ConfigError):
-        delivery_curve(cfg)
-    curve = delivery_curve(cfg, k_max=500)
+        delivery_curve(resolve(cfg))
+    curve = delivery_curve(resolve(cfg), k_max=500)
     assert len(curve.t_del_us) == 500
     # without decay the fidelity only improves with patience
     assert np.all(np.diff(curve.f_del) >= -1e-15)
 
 
-def test_parallel_speedup_reference():
-    boost = parallel_speedup(0.021, 20)
-    assert boost.exact == pytest.approx(0.3458854101482759, rel=1e-12)
-    assert boost.approx == pytest.approx(0.42, rel=1e-12)
-    assert boost.relative_gap == pytest.approx(
-        (0.42 - boost.exact) / boost.exact, rel=1e-12
-    )
-
-
-def test_parallel_speedup_small_p_limit():
-    boost = parallel_speedup(1e-8, 4)
-    assert boost.relative_gap == pytest.approx(0.0, abs=1e-6)
-
-
 def test_p_her_override_replaces_formula_value():
-    m = delivered_fidelity(_ex2(), p_her_override=0.03)
+    m = delivered_fidelity(resolve(_ex2(), 0.03))
     assert m.p_her == pytest.approx(0.03, rel=1e-12)
     assert m.eta_link == pytest.approx(75.0, rel=1e-12)
     assert m.p_success == pytest.approx(0.999994887, abs=5e-10)
@@ -487,7 +476,7 @@ def test_p_her_override_replaces_formula_value():
 def test_p_her_override_bounds():
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ConfigError):
-            delivered_fidelity(_ex1(), p_her_override=bad)
+            delivered_fidelity(resolve(_ex1(), bad))
     # exactly 1.0 is a legal (if optimistic) reference value
-    m = delivered_fidelity(_ex1(), p_her_override=1.0)
+    m = delivered_fidelity(resolve(_ex1(), 1.0))
     assert m.p_success == 1.0

@@ -144,6 +144,15 @@ def test_nested_distill_zero_rounds():
         assert res.pairs_expected == 1.0
 
 
+def test_nested_distill_rounds_bounded():
+    """Rounds share the range of policy.distill_rounds, so 2**rounds stays small."""
+    for mode in DistillMode:
+        assert nested_distill(0.9, 10, mode).pairs_nominal == 1024
+        for bad in (-1, 11, 2000, 10**20):
+            with pytest.raises(ConfigError):
+                nested_distill(0.9, bad, mode)
+
+
 def test_recurrence_improves_any_werner_above_half():
     rng = np.random.default_rng(77)
     for _ in range(200):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from translink import mcsim
 from translink import (
     ConfigError,
     DeliveryPolicy,
@@ -18,6 +19,7 @@ from translink import (
     delivered_fidelity,
     nested_distill,
     preset,
+    resolve,
     run_distill_trials,
     run_trials,
     DistillMode,
@@ -45,7 +47,7 @@ def _ex3():
 
 
 def test_reference_run_regression():
-    stats_out = run_trials(_ex1(), 100_000, seed=7)
+    stats_out = run_trials(resolve(_ex1()), 100_000, seed=7)
     assert stats_out.mean_f_del == pytest.approx(0.604782184, abs=5e-10)
     assert stats_out.std_error == pytest.approx(0.000284380109, abs=5e-13)
     assert stats_out.p_success == pytest.approx(0.58508, abs=1e-12)
@@ -54,30 +56,39 @@ def test_reference_run_regression():
 
 def test_agreement_with_closed_form():
     n = 100_000
-    m = delivered_fidelity(_ex1())
-    out = run_trials(_ex1(), n, seed=7)
+    m = delivered_fidelity(resolve(_ex1()))
+    out = run_trials(resolve(_ex1()), n, seed=7)
     assert abs(out.mean_f_del - m.f_del) <= 3 * out.std_error
     se_p = math.sqrt(m.p_success * (1 - m.p_success) / n)
     assert abs(out.p_success - m.p_success) <= 3 * se_p
 
 
 def test_thread_count_does_not_change_results():
-    base = run_trials(_ex3(), 70_000, seed=11, n_jobs=1, keep_trials=True)
+    link = resolve(_ex3())
+    base = run_trials(link, 70_000, seed=11, n_jobs=1, keep_trials=True)
     for jobs in (2, 4):
-        other = run_trials(_ex3(), 70_000, seed=11, n_jobs=jobs, keep_trials=True)
+        other = run_trials(link, 70_000, seed=11, n_jobs=jobs, keep_trials=True)
         assert other == base
 
 
+def test_chunking_does_not_change_results(monkeypatch):
+    """Chunks shrink as channels grow; the counter stream ignores them."""
+    link = resolve(_ex3())
+    base = run_trials(link, 3000, seed=8, keep_trials=True)
+    monkeypatch.setattr(mcsim, "_CHUNK_DRAWS", 7 * 20)  # chunks of 7 trials
+    assert run_trials(link, 3000, seed=8, keep_trials=True) == base
+
+
 def test_trial_prefix_independent_of_n_trials():
-    short = run_trials(_ex1(20.0), 500, seed=13, keep_trials=True)
-    long = run_trials(_ex1(20.0), 1500, seed=13, keep_trials=True)
+    short = run_trials(resolve(_ex1(20.0)), 500, seed=13, keep_trials=True)
+    long = run_trials(resolve(_ex1(20.0)), 1500, seed=13, keep_trials=True)
     assert long.trials[:500] == short.trials
 
 
 def test_histogram_matches_truncated_geometric():
     """Chi-square on herald rounds (plus the no-herald bin) at alpha=0.001."""
     n = 100_000
-    out = run_trials(_ex1(), n, seed=7)
+    out = run_trials(resolve(_ex1()), n, seed=7)
     q = 0.01
     k_rounds = 88
     expected = [n * (1 - q) ** (k - 1) * q for k in range(1, k_rounds + 1)]
@@ -103,8 +114,8 @@ def test_histogram_matches_truncated_geometric():
 
 def test_record_fields_recompute():
     cfg = _ex3()
-    m = delivered_fidelity(cfg)
-    out = run_trials(cfg, 4000, seed=21, keep_trials=True)
+    m = delivered_fidelity(resolve(cfg))
+    out = run_trials(resolve(cfg), 4000, seed=21, keep_trials=True)
     f_dels = []
     for rec in out.trials:
         if rec.herald_round is None:
@@ -124,7 +135,7 @@ def test_record_fields_recompute():
 
 def test_winning_channel_prefers_low_index():
     """Ties resolve to the lowest channel, so the winner law is geometric."""
-    out = run_trials(_ex3(), 50_000, seed=5, keep_trials=True)
+    out = run_trials(resolve(_ex3()), 50_000, seed=5, keep_trials=True)
     winners = [r.winning_channel for r in out.trials if r.winning_channel is not None]
     counts = np.bincount(winners, minlength=20)
     p = 0.02
@@ -141,7 +152,7 @@ def test_zero_herald_probability():
         protocol=ProtocolSpec(PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION),
         policy=DeliveryPolicy(t_del_us=30.0),
     )
-    out = run_trials(cfg, 300, seed=1)
+    out = run_trials(resolve(cfg), 300, seed=1)
     assert out.p_success == 0.0
     assert out.mean_f_del == 0.5
     assert out.std_error == 0.0
@@ -151,8 +162,8 @@ def test_zero_herald_probability():
 
 def test_certain_herald_via_override():
     cfg = _ex1(10.0)
-    m = delivered_fidelity(cfg)
-    out = run_trials(cfg, 200, seed=2, keep_trials=True, p_her_override=1.0)
+    m = delivered_fidelity(resolve(cfg))
+    out = run_trials(resolve(cfg, 1.0), 200, seed=2, keep_trials=True)
     assert out.p_success == 1.0
     assert out.herald_histogram[0] == 200
     want = 0.5 + (m.f_her - 0.5) * math.exp(-9.0 / 200.0)
@@ -162,26 +173,26 @@ def test_certain_herald_via_override():
 
 def test_trial_dump_cap():
     with pytest.raises(ConfigError):
-        run_trials(_ex1(), MAX_TRIAL_DUMP + 1, seed=0, keep_trials=True)
+        run_trials(resolve(_ex1()), MAX_TRIAL_DUMP + 1, seed=0, keep_trials=True)
     with pytest.raises(ConfigError):
-        run_trials(_ex1(), 0, seed=0)
+        run_trials(resolve(_ex1()), 0, seed=0)
 
 
 def test_seed_and_jobs_bounds():
     """The stream takes the seed as one uint64; both of its ends still run."""
-    assert run_trials(_ex1(10.0), 10, seed=2**64 - 1).n_trials == 10
+    assert run_trials(resolve(_ex1(10.0)), 10, seed=2**64 - 1).n_trials == 10
     for bad in (-1, 2**64):
         with pytest.raises(ConfigError):
-            run_trials(_ex1(10.0), 10, seed=bad)
+            run_trials(resolve(_ex1(10.0)), 10, seed=bad)
         with pytest.raises(ConfigError):
             run_distill_trials(0.9, 2, 10, seed=bad)
     for jobs in (0, -3):
         with pytest.raises(ConfigError):
-            run_trials(_ex1(10.0), 10, seed=0, n_jobs=jobs)
+            run_trials(resolve(_ex1(10.0)), 10, seed=0, n_jobs=jobs)
 
 
 def test_stats_to_dict_shape():
-    out = run_trials(_ex1(10.0), 50, seed=3, keep_trials=True)
+    out = run_trials(resolve(_ex1(10.0)), 50, seed=3, keep_trials=True)
     d = out.to_dict()
     assert set(d) == {
         "n_trials",

@@ -182,6 +182,18 @@ def test_validate_is_total_over_random_garbage():
         assert isinstance(violations, list)
 
 
+def test_validate_caps_rounds_and_channels():
+    """t_del spans at most MAX_GRID_POINTS attempts; n_parallel at most 10^4."""
+    assert validate(_link(policy=DeliveryPolicy(t_del_us=1e7))) == []
+    for t_del in (1e7 + 1, 1e308):
+        cfg = _link(policy=DeliveryPolicy(t_del_us=t_del))
+        assert any("spans more than 10000000 rounds" in v for v in validate(cfg))
+    assert validate(_link(policy=DeliveryPolicy(88.0, n_parallel=10_000))) == []
+    for n in (10_001, 10**30):
+        cfg = _link(policy=DeliveryPolicy(88.0, n_parallel=n))
+        assert "policy.n_parallel must be <= 10000" in validate(cfg)
+
+
 def test_presets_are_frozen():
     t = preset("transducer1")
     with pytest.raises(Exception):

@@ -29,6 +29,7 @@ from translink import (
     lattice_surgery_plan,
     optimal_delivery_time,
     preset,
+    resolve,
     tradeoff_surface,
     validate_architecture,
 )
@@ -88,7 +89,7 @@ def test_validate_architecture_messages():
 
 def test_lattice_plan_parallel_link():
     spec = ArchitectureSpec(1000, 1.0, 10_000, 0.89)
-    plan = lattice_surgery_plan(spec, _parallel_link())
+    plan = lattice_surgery_plan(spec, resolve(_parallel_link()))
     assert plan.links_required == 32
     assert plan.transducers_per_link == 300
     assert plan.total_transducers == 9600
@@ -103,7 +104,7 @@ def test_lattice_plan_parallel_link():
 
 def test_lattice_plan_memory_link():
     spec = ArchitectureSpec(1000, 1.0, 100_000, 0.90)
-    plan = lattice_surgery_plan(spec, _memory_link())
+    plan = lattice_surgery_plan(spec, resolve(_memory_link()))
     assert plan.transducers_per_link == 400
     assert plan.total_transducers == 32 * 400
     assert plan.min_t_del_us == pytest.approx(86.0)
@@ -115,7 +116,7 @@ def test_lattice_plan_memory_link():
 
 def test_lattice_plan_feasible_when_clock_matches():
     spec = ArchitectureSpec(1000, 15.0, 10_000, 0.89)
-    plan = lattice_surgery_plan(spec, _parallel_link())
+    plan = lattice_surgery_plan(spec, resolve(_parallel_link()))
     assert plan.speedup == pytest.approx(1.0)
     assert plan.transducers_per_link == 20
     assert plan.total_transducers == 640
@@ -125,7 +126,7 @@ def test_lattice_plan_feasible_when_clock_matches():
 
 def test_lattice_plan_limiting_factor_budget():
     spec = ArchitectureSpec(100_000, 1.0, 9_000, 0.89)
-    plan = lattice_surgery_plan(spec, _parallel_link())
+    plan = lattice_surgery_plan(spec, resolve(_parallel_link()))
     assert plan.links_required == 317
     assert plan.feasible is False
     assert plan.limiting_factor == "transducer budget"
@@ -133,7 +134,7 @@ def test_lattice_plan_limiting_factor_budget():
 
 def test_lattice_plan_limiting_factor_ceiling():
     spec = ArchitectureSpec(1_000_000, 1.0, 10_000_000, 0.89)
-    plan = lattice_surgery_plan(spec, _parallel_link())
+    plan = lattice_surgery_plan(spec, resolve(_parallel_link()))
     assert plan.total_transducers == 300_000
     assert plan.feasible is False
     assert plan.limiting_factor == "module channel ceiling"
@@ -146,13 +147,14 @@ def test_lattice_plan_distill_rounds_multiply_channels():
         protocol=PARALLEL_PROTOCOL,
         policy=DeliveryPolicy(t_del_us=15.0, n_parallel=20, distill_rounds=2),
     )
-    plan = lattice_surgery_plan(ArchitectureSpec(1000, 1.0, 10_000, 0.89), cfg)
+    spec = ArchitectureSpec(1000, 1.0, 10_000, 0.89)
+    plan = lattice_surgery_plan(spec, resolve(cfg))
     assert plan.transducers_per_link == 300 * 4
 
 
 def test_lattice_plan_fractional_clock_rounds_up():
     spec = ArchitectureSpec(1000, 2.0, 10_000, 0.89)
-    plan = lattice_surgery_plan(spec, _parallel_link())
+    plan = lattice_surgery_plan(spec, resolve(_parallel_link()))
     assert plan.speedup == pytest.approx(7.5)
     assert plan.transducers_per_link == 20 * 8
 
@@ -160,13 +162,13 @@ def test_lattice_plan_fractional_clock_rounds_up():
 def test_lattice_plan_unattainable_target():
     spec = ArchitectureSpec(1000, 1.0, 10_000, 0.99)
     with pytest.raises(UnattainableError):
-        lattice_surgery_plan(spec, _parallel_link())
+        lattice_surgery_plan(spec, resolve(_parallel_link()))
 
 
 def test_lattice_plan_rejects_bad_spec():
     spec = ArchitectureSpec(1000, 1.0, 10_000, 1.5)
     with pytest.raises(ConfigError) as err:
-        lattice_surgery_plan(spec, _parallel_link())
+        lattice_surgery_plan(spec, resolve(_parallel_link()))
     assert err.value.violations
 
 
@@ -247,7 +249,7 @@ def _brute_force_surface(budget, k_max=400):
                     protocol=PARALLEL_PROTOCOL,
                     policy=DeliveryPolicy(t_del_us=1.0, n_parallel=n),
                 )
-                per_width[n] = optimal_delivery_time(probe, k_max=k_max)
+                per_width[n] = optimal_delivery_time(resolve(probe), k_max=k_max)
             t_star, f_star = per_width[n]
             f = calibrated_distill(f_star, rounds) if rounds and f_star > 0.5 else f_star
             cands.append((n_links, 1.0 / t_star, f, n, rounds, t_star))
@@ -269,7 +271,7 @@ def _brute_force_surface(budget, k_max=400):
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13, 16, 21, 40, 64])
 def test_tradeoff_matches_brute_force(budget):
-    got = tradeoff_surface(budget, _parallel_link(), k_max=400)
+    got = tradeoff_surface(budget, resolve(_parallel_link()), k_max=400)
     got_rows = [
         (p.n_links, p.rate_per_us, p.f_del, p.n_parallel, p.distill_rounds, p.t_del_us)
         for p in got
@@ -278,7 +280,7 @@ def test_tradeoff_matches_brute_force(budget):
 
 
 def test_tradeoff_reference_rows():
-    got = tradeoff_surface(16, _parallel_link())
+    got = tradeoff_surface(16, resolve(_parallel_link()))
     rows = [
         (p.n_links, p.n_parallel, p.distill_rounds, p.t_del_us) for p in got
     ]
@@ -293,15 +295,15 @@ def test_tradeoff_reference_rows():
 
 
 def test_tradeoff_budget_one():
-    got = tradeoff_surface(1, _parallel_link(), k_max=400)
+    got = tradeoff_surface(1, resolve(_parallel_link()), k_max=400)
     assert len(got) >= 1
     assert all(p.n_links == 1 and p.n_parallel == 1 for p in got)
     with pytest.raises(ConfigError):
-        tradeoff_surface(0, _parallel_link())
+        tradeoff_surface(0, resolve(_parallel_link()))
 
 
 def test_tradeoff_points_not_dominated_pairwise():
-    got = tradeoff_surface(32, _parallel_link(), k_max=400)
+    got = tradeoff_surface(32, resolve(_parallel_link()), k_max=400)
     objs = [(p.n_links, p.rate_per_us, p.f_del) for p in got]
     for i, a in enumerate(objs):
         for j, b in enumerate(objs):
@@ -340,7 +342,7 @@ def test_pareto_front_matches_brute_force(triples):
 def test_tradeoff_at_module_ceiling():
     """Budget 10^4 on the lattice link, pinned to the rows that the full-grid
     search and the C x C dominance filter gave."""
-    got = tradeoff_surface(MAX_TRANSDUCERS_PER_MODULE, _parallel_link())
+    got = tradeoff_surface(MAX_TRANSDUCERS_PER_MODULE, resolve(_parallel_link()))
     rows = [astuple(p) for p in got]
     assert len(rows) == 522
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (

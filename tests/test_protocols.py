@@ -131,6 +131,13 @@ def test_alpha_zero_division_domain():
         thermal_infidelity(T1, P_1P_UP(0.0))
 
 
+def test_eta_mw_zero_division_domain():
+    dark = TransducerParams("dark", 0.0, 0.01, 0.5, 0.1, 1.0)
+    for protocol in (P_1P_UP(0.1), P_2P_UP):
+        with pytest.raises(DivisionDomainError):
+            thermal_infidelity(dark, protocol)
+
+
 def test_heralded_fidelity_models():
     a = analyze_protocol(T1, P_1P_TMS)
     assert heralded_fidelity(a, FidelityModel.THERMAL_HALF) == pytest.approx(
