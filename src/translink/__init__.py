@@ -53,6 +53,7 @@ from .errors import (
 )
 from .mcsim import (
     MAX_TRIAL_DUMP,
+    MAX_TRIALS,
     DistillRoundStats,
     DistillTrialStats,
     MCStats,

@@ -14,7 +14,7 @@ import json
 import os
 import shlex
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, fields, replace
 
 from .config_io import (
     ParsedConfig,
@@ -46,6 +46,7 @@ from .params import (
     validate,
 )
 from .planner import (
+    TradeoffPoint,
     circuit_cut_comparison,
     cryostat_budget_check,
     graph_state_pipe_width,
@@ -355,18 +356,8 @@ def _cmd_tradeoff(args, command: str) -> int:
     else:
         text = emit_csv(
             os.path.join(args.out, "tradeoff.csv"),
-            ["n_links", "rate_per_us", "f_del", "n_parallel", "distill_rounds", "t_del_us"],
-            (
-                (
-                    p.n_links,
-                    p.rate_per_us,
-                    p.f_del,
-                    p.n_parallel,
-                    p.distill_rounds,
-                    p.t_del_us,
-                )
-                for p in points
-            ),
+            [f.name for f in fields(TradeoffPoint)],
+            (astuple(p) for p in points),
             manifest,
         )
         sys.stdout.write(text)
@@ -412,19 +403,12 @@ def _cmd_distill(args, command: str) -> int:
 
 
 def _cmd_presets(args, command: str) -> int:
-    transducers = {}
-    for name, params in TRANSDUCER_PRESETS.items():
-        entry = asdict(params)
-        entry["eta_tot"] = params.eta_tot
-        transducers[name] = entry
     payload = {
-        "transducers": transducers,
-        "qubits": {
-            name: {
-                "t1_us": q.t1_us, "t2_us": q.t2_us, "t_coh_us": q.t_coh_us,
-            }
-            for name, q in QUBIT_PRESETS.items()
+        "transducers": {
+            name: {**asdict(t), "eta_tot": t.eta_tot}
+            for name, t in TRANSDUCER_PRESETS.items()
         },
+        "qubits": {name: asdict(q) for name, q in QUBIT_PRESETS.items()},
         "devices": {name: asdict(d) for name, d in DEVICE_PRESETS.items()},
     }
     manifest = build_manifest(command, {})

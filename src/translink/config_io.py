@@ -8,8 +8,10 @@ The config file is a single JSON object with sections
     p_her_reference                        (optional externally quoted p_her)
 
 The transducer and qubit sections accept "preset:<name>" strings in place
-of objects. Parsing is strict: unknown keys are rejected with a JSON-pointer
-path, and no invalid file produces a partially usable object.
+of objects. A section's keys, their types, defaults and ranges are the
+fields declared on its dataclass (see params.schema). Parsing is strict:
+unknown keys are rejected with a JSON-pointer path, and no invalid file
+produces a partially usable object.
 
 Every emitted artifact embeds a RunManifest (tool version, command line,
 fully resolved config, seed, timestamp); the resolved config parses back to
@@ -24,33 +26,42 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
+from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError, SchemaError
 from .params import (
     DeliveryPolicy,
-    FidelityModel,
     LinkConfig,
-    MemoryKind,
     MemoryParams,
-    PhotonBasis,
     ProtocolSpec,
-    PumpMode,
     StorageQubitParams,
     TransducerParams,
     preset,
+    schema,
     validate,
 )
-from .planner import Architecture, ArchitectureSpec, validate_architecture
+from .planner import ArchitectureSpec, validate_architecture
 
 TOOL_VERSION = "0.1.0"
 
 _PRESET_PREFIX = "preset:"
-_LINK_SECTIONS = ("transducer", "qubit", "protocol", "policy")
-_TOP_KEYS = set(_LINK_SECTIONS) | {"memory", "architecture", "p_her_reference"}
+# The sections that accept "preset:<name>", and what their presets are.
+_PRESET_KINDS = {TransducerParams: "transducer", StorageQubitParams: "storage qubit"}
+# The link's sections in the order that they are parsed and written back:
+# memory comes before policy, unlike in LinkConfig.
+_LINK_SECTIONS = {
+    "transducer": TransducerParams,
+    "qubit": StorageQubitParams,
+    "protocol": ProtocolSpec,
+    "memory": MemoryParams,
+    "policy": DeliveryPolicy,
+}
+_REQUIRED_SECTIONS = tuple(f.name for f in fields(LinkConfig) if f.default is MISSING)
+_TOP_KEYS = set(_LINK_SECTIONS) | {"architecture", "p_her_reference"}
 
 
 @dataclass(frozen=True)
@@ -68,18 +79,12 @@ class RunManifest:
 
     tool_version: str
     command: str
-    resolved_config: dict
     seed: int | None
     created_utc: str
+    resolved_config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "seed": self.seed,
-            "created_utc": self.created_utc,
-            "resolved_config": self.resolved_config,
-        }
+        return asdict(self)
 
 
 def build_manifest(command: str, resolved_config: dict, seed: int | None = None) -> RunManifest:
@@ -93,15 +98,6 @@ def build_manifest(command: str, resolved_config: dict, seed: int | None = None)
 
 
 # ---------------------------------------------------------------- parsing
-
-
-def _check_keys(obj: dict, pointer: str, required: tuple, optional: tuple):
-    for key in obj:
-        if key not in required and key not in optional:
-            raise SchemaError(f"{pointer}/{key}", "unknown key")
-    for key in required:
-        if key not in obj:
-            raise SchemaError(pointer, f"missing required key {key!r}")
 
 
 def _expect_object(value, pointer: str) -> dict:
@@ -122,158 +118,57 @@ def _expect_number(value, pointer: str) -> float:
     return value
 
 
-def _expect_int(value, pointer: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(pointer, "expected an integer")
-    return value
-
-
-def _expect_enum(value, pointer: str, enum_cls):
+def _parse_value(kind, value, pointer: str):
+    """One JSON value as a field of declared type float, int, str or an Enum."""
+    if kind is float:
+        return _expect_number(value, pointer)
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(pointer, "expected an integer")
+        return value
     if not isinstance(value, str):
         raise SchemaError(pointer, "expected a string")
+    if kind is str:
+        return value
     try:
-        return enum_cls(value)
+        return kind(value)
     except ValueError:
-        valid = ", ".join(sorted(m.value for m in enum_cls))
+        valid = ", ".join(sorted(m.value for m in kind))
         raise SchemaError(pointer, f"must be one of: {valid}") from None
 
 
-def _maybe_number(obj: dict, key: str, pointer: str) -> float | None:
-    if key not in obj:
-        return None
-    return _expect_number(obj[key], f"{pointer}/{key}")
+def _parse_section(cls, value, pointer: str):
+    """Build the section dataclass `cls` from its JSON value, strictly.
 
-
-def _parse_transducer(value, pointer: str) -> TransducerParams:
-    if isinstance(value, str):
+    The keys are the declared fields: an unknown key or a missing required
+    one is a SchemaError, and each value must have its field's type. The
+    sections in _PRESET_KINDS also take a "preset:<name>" string.
+    """
+    if cls in _PRESET_KINDS and isinstance(value, str):
         if not value.startswith(_PRESET_PREFIX):
             raise SchemaError(pointer, 'expected an object or "preset:<name>"')
-        found = preset(value[len(_PRESET_PREFIX):])
-        if not isinstance(found, TransducerParams):
-            raise SchemaError(
-                pointer, f"preset {value[len(_PRESET_PREFIX):]!r} is not a transducer"
-            )
+        name = value[len(_PRESET_PREFIX):]
+        found = preset(name)
+        if not isinstance(found, cls):
+            raise SchemaError(pointer, f"preset {name!r} is not a {_PRESET_KINDS[cls]}")
         return found
     obj = _expect_object(value, pointer)
-    _check_keys(
-        obj,
-        pointer,
-        required=("eta_mw", "p_mo", "eta_det", "n_th", "t_rep_us"),
-        optional=("name", "bandwidth_mhz", "eta_per_uw"),
-    )
-    name = obj.get("name", "custom")
-    if not isinstance(name, str):
-        raise SchemaError(f"{pointer}/name", "expected a string")
-    return TransducerParams(
-        name=name,
-        eta_mw=_expect_number(obj["eta_mw"], f"{pointer}/eta_mw"),
-        p_mo=_expect_number(obj["p_mo"], f"{pointer}/p_mo"),
-        eta_det=_expect_number(obj["eta_det"], f"{pointer}/eta_det"),
-        n_th=_expect_number(obj["n_th"], f"{pointer}/n_th"),
-        t_rep_us=_expect_number(obj["t_rep_us"], f"{pointer}/t_rep_us"),
-        bandwidth_mhz=_maybe_number(obj, "bandwidth_mhz", pointer),
-        eta_per_uw=_maybe_number(obj, "eta_per_uw", pointer),
-    )
-
-
-def _parse_qubit(value, pointer: str) -> StorageQubitParams:
-    if isinstance(value, str):
-        if not value.startswith(_PRESET_PREFIX):
-            raise SchemaError(pointer, 'expected an object or "preset:<name>"')
-        found = preset(value[len(_PRESET_PREFIX):])
-        if not isinstance(found, StorageQubitParams):
-            raise SchemaError(
-                pointer, f"preset {value[len(_PRESET_PREFIX):]!r} is not a storage qubit"
-            )
-        return found
-    obj = _expect_object(value, pointer)
-    _check_keys(obj, pointer, required=("t1_us", "t2_us"), optional=("t_coh_us",))
-    return StorageQubitParams(
-        t1_us=_expect_number(obj["t1_us"], f"{pointer}/t1_us"),
-        t2_us=_expect_number(obj["t2_us"], f"{pointer}/t2_us"),
-        t_coh_us=_maybe_number(obj, "t_coh_us", pointer),
-    )
-
-
-def _parse_protocol(value, pointer: str) -> ProtocolSpec:
-    obj = _expect_object(value, pointer)
-    _check_keys(
-        obj, pointer, required=("basis", "pump"), optional=("alpha", "p_mo_override")
-    )
-    return ProtocolSpec(
-        basis=_expect_enum(obj["basis"], f"{pointer}/basis", PhotonBasis),
-        pump=_expect_enum(obj["pump"], f"{pointer}/pump", PumpMode),
-        alpha=_maybe_number(obj, "alpha", pointer),
-        p_mo_override=_maybe_number(obj, "p_mo_override", pointer),
-    )
-
-
-def _parse_memory(value, pointer: str) -> MemoryParams:
-    obj = _expect_object(value, pointer)
-    _check_keys(obj, pointer, required=("kind", "eta_mem", "lifetime_us"), optional=())
-    return MemoryParams(
-        kind=_expect_enum(obj["kind"], f"{pointer}/kind", MemoryKind),
-        eta_mem=_expect_number(obj["eta_mem"], f"{pointer}/eta_mem"),
-        lifetime_us=_expect_number(obj["lifetime_us"], f"{pointer}/lifetime_us"),
-    )
-
-
-def _parse_policy(value, pointer: str) -> DeliveryPolicy:
-    obj = _expect_object(value, pointer)
-    _check_keys(
-        obj,
-        pointer,
-        required=("t_del_us",),
-        optional=("n_parallel", "distill_rounds", "fidelity_model"),
-    )
-    n_parallel = 1
-    if "n_parallel" in obj:
-        n_parallel = _expect_int(obj["n_parallel"], f"{pointer}/n_parallel")
-    distill_rounds = 0
-    if "distill_rounds" in obj:
-        distill_rounds = _expect_int(obj["distill_rounds"], f"{pointer}/distill_rounds")
-    model = FidelityModel.THERMAL_HALF
-    if "fidelity_model" in obj:
-        model = _expect_enum(
-            obj["fidelity_model"], f"{pointer}/fidelity_model", FidelityModel
-        )
-    return DeliveryPolicy(
-        t_del_us=_expect_number(obj["t_del_us"], f"{pointer}/t_del_us"),
-        n_parallel=n_parallel,
-        distill_rounds=distill_rounds,
-        fidelity_model=model,
-    )
-
-
-def _parse_architecture(value, pointer: str) -> ArchitectureSpec:
-    obj = _expect_object(value, pointer)
-    _check_keys(
-        obj,
-        pointer,
-        required=(
-            "qubits_per_processor",
-            "clock_cycle_us",
-            "transducer_budget",
-            "target_fidelity",
-        ),
-        optional=("architecture",),
-    )
-    kind = Architecture.LATTICE_SURGERY
-    if "architecture" in obj:
-        kind = _expect_enum(obj["architecture"], f"{pointer}/architecture", Architecture)
-    return ArchitectureSpec(
-        qubits_per_processor=_expect_int(
-            obj["qubits_per_processor"], f"{pointer}/qubits_per_processor"
-        ),
-        clock_cycle_us=_expect_number(obj["clock_cycle_us"], f"{pointer}/clock_cycle_us"),
-        transducer_budget=_expect_int(
-            obj["transducer_budget"], f"{pointer}/transducer_budget"
-        ),
-        target_fidelity=_expect_number(
-            obj["target_fidelity"], f"{pointer}/target_fidelity"
-        ),
-        architecture=kind,
-    )
+    declared = schema(cls)
+    names = {f.name for f, _, _ in declared}
+    for key in obj:
+        if key not in names:
+            raise SchemaError(f"{pointer}/{key}", "unknown key")
+    for f, _, _ in declared:
+        required = f.default is MISSING and "config_default" not in f.metadata
+        if required and f.name not in obj:
+            raise SchemaError(pointer, f"missing required key {f.name!r}")
+    kwargs = {}
+    for f, kind, _ in declared:
+        if f.name in obj:
+            kwargs[f.name] = _parse_value(kind, obj[f.name], f"{pointer}/{f.name}")
+        elif "config_default" in f.metadata:
+            kwargs[f.name] = f.metadata["config_default"]
+    return cls(**kwargs)
 
 
 def parse_config_data(data) -> ParsedConfig:
@@ -282,9 +177,9 @@ def parse_config_data(data) -> ParsedConfig:
     for key in obj:
         if key not in _TOP_KEYS:
             raise SchemaError(f"/{key}", "unknown key")
-    present = [k for k in _LINK_SECTIONS if k in obj]
-    if present and len(present) < len(_LINK_SECTIONS):
-        missing = [k for k in _LINK_SECTIONS if k not in obj]
+    present = [k for k in _REQUIRED_SECTIONS if k in obj]
+    if present and len(present) < len(_REQUIRED_SECTIONS):
+        missing = [k for k in _REQUIRED_SECTIONS if k not in obj]
         raise SchemaError(
             "/", "incomplete link config; missing: " + ", ".join(missing)
         )
@@ -298,13 +193,11 @@ def parse_config_data(data) -> ParsedConfig:
 
     link = None
     if present:
-        link = LinkConfig(
-            transducer=_parse_transducer(obj["transducer"], "/transducer"),
-            qubit=_parse_qubit(obj["qubit"], "/qubit"),
-            protocol=_parse_protocol(obj["protocol"], "/protocol"),
-            policy=_parse_policy(obj["policy"], "/policy"),
-            memory=_parse_memory(obj["memory"], "/memory") if "memory" in obj else None,
-        )
+        link = LinkConfig(**{
+            name: _parse_section(cls, obj[name], f"/{name}")
+            for name, cls in _LINK_SECTIONS.items()
+            if name in obj
+        })
         violations = validate(link)
         if violations:
             raise ConfigError(
@@ -313,7 +206,9 @@ def parse_config_data(data) -> ParsedConfig:
 
     architecture = None
     if "architecture" in obj:
-        architecture = _parse_architecture(obj["architecture"], "/architecture")
+        architecture = _parse_section(
+            ArchitectureSpec, obj["architecture"], "/architecture"
+        )
         violations = validate_architecture(architecture)
         if violations:
             raise ConfigError(
@@ -347,56 +242,26 @@ def parse_config(path) -> ParsedConfig:
 # ------------------------------------------------------------- resolution
 
 
+def _section_doc(section) -> dict:
+    """A section's fields in declared order, Enums by value, unset ones dropped."""
+    doc = {}
+    for f, _, _ in schema(type(section)):
+        value = getattr(section, f.name)
+        if value is not None:
+            doc[f.name] = value.value if isinstance(value, Enum) else value
+    return doc
+
+
 def resolved_config(parsed: ParsedConfig) -> dict:
     """Materialize every default into a plain dict that parses back equal."""
     doc: dict = {}
     if parsed.link is not None:
-        t = parsed.link.transducer
-        transducer = {
-            "name": t.name,
-            "eta_mw": t.eta_mw,
-            "p_mo": t.p_mo,
-            "eta_det": t.eta_det,
-            "n_th": t.n_th,
-            "t_rep_us": t.t_rep_us,
-        }
-        if t.bandwidth_mhz is not None:
-            transducer["bandwidth_mhz"] = t.bandwidth_mhz
-        if t.eta_per_uw is not None:
-            transducer["eta_per_uw"] = t.eta_per_uw
-        doc["transducer"] = transducer
-        q = parsed.link.qubit
-        doc["qubit"] = {"t1_us": q.t1_us, "t2_us": q.t2_us, "t_coh_us": q.t_coh_us}
-        p = parsed.link.protocol
-        protocol = {"basis": p.basis.value, "pump": p.pump.value}
-        if p.alpha is not None:
-            protocol["alpha"] = p.alpha
-        if p.p_mo_override is not None:
-            protocol["p_mo_override"] = p.p_mo_override
-        doc["protocol"] = protocol
-        m = parsed.link.memory
-        if m is not None:
-            doc["memory"] = {
-                "kind": m.kind.value,
-                "eta_mem": m.eta_mem,
-                "lifetime_us": m.lifetime_us,
-            }
-        pol = parsed.link.policy
-        doc["policy"] = {
-            "t_del_us": pol.t_del_us,
-            "n_parallel": pol.n_parallel,
-            "distill_rounds": pol.distill_rounds,
-            "fidelity_model": pol.fidelity_model.value,
-        }
+        for name in _LINK_SECTIONS:
+            section = getattr(parsed.link, name)
+            if section is not None:
+                doc[name] = _section_doc(section)
     if parsed.architecture is not None:
-        a = parsed.architecture
-        doc["architecture"] = {
-            "qubits_per_processor": a.qubits_per_processor,
-            "clock_cycle_us": a.clock_cycle_us,
-            "transducer_budget": a.transducer_budget,
-            "target_fidelity": a.target_fidelity,
-            "architecture": a.architecture.value,
-        }
+        doc["architecture"] = _section_doc(parsed.architecture)
     if parsed.p_her_reference is not None:
         doc["p_her_reference"] = parsed.p_her_reference
     return doc

@@ -17,9 +17,12 @@ import numpy as np
 
 from .delivery import Link
 from .errors import ConfigError
-from .distillation import recurrence_ladder
+from .distillation import DistillMode, nested_distill, recurrence_ladder
 
 MAX_TRIAL_DUMP = 1_000_000
+# The per-trial arrays are allocated up front: about 50 bytes a trial at
+# peak, so `simulate` peaks near 0.5 GB at the cap.
+MAX_TRIALS = 10_000_000
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -121,6 +124,8 @@ def run_trials(
     """
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
+    if n_trials > MAX_TRIALS:
+        raise ConfigError(f"n_trials must be <= {MAX_TRIALS}")
     if n_jobs < 1:
         raise ConfigError("n_jobs must be >= 1")
     _check_seed(seed)
@@ -249,11 +254,8 @@ def run_distill_trials(
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
     _check_seed(seed)
+    closed_form = nested_distill(f_in, rounds, DistillMode.RECURRENCE)
     ladder = recurrence_ladder(f_in, rounds)
-    f_out = ladder[-1].state.fidelity if ladder else f_in
-    expected = float(2**rounds)
-    for outcome in ladder:
-        expected /= outcome.success_probability
 
     trial_ids = np.arange(n_trials, dtype=np.uint64)
     needed = np.ones(n_trials, dtype=np.int64)
@@ -294,8 +296,8 @@ def run_distill_trials(
         n_trials=n_trials,
         seed=seed,
         rounds=rounds,
-        f_out=f_out,
+        f_out=closed_form.f_out,
         mean_pairs_consumed=float(pairs.mean()),
-        expected_pairs=expected,
+        expected_pairs=closed_form.pairs_expected,
         per_round=tuple(per_round),
     )

@@ -2,13 +2,17 @@
 
 All times are microseconds (field names carry the unit), efficiencies and
 probabilities are unitless in [0, 1]. Types are frozen dataclasses: values
-are immutable after construction and safe to share between threads.
+are immutable after construction and safe to share between threads. A
+field's range is declared on the field (see `bounded`); validate and the
+config parser read the declarations through `schema`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 from .errors import PresetNotFoundError
@@ -23,6 +27,27 @@ MAX_TRANSDUCERS_PER_MODULE = 10_000
 
 # Nested distillation burns 2**rounds pairs per delivered pair.
 MAX_DISTILL_ROUNDS = 10
+
+
+def bounded(holds, text: str, **kwargs):
+    """A dataclass field whose value must satisfy holds(value).
+
+    `text` completes the violation "<section>.<field> <text>" that
+    field_violations reports otherwise; kwargs go to dataclasses.field.
+    """
+    return field(metadata={"range": (holds, text)}, **kwargs)
+
+
+def unit_interval(**kwargs):
+    return bounded(lambda x: 0.0 <= x <= 1.0, "out of [0, 1]", **kwargs)
+
+
+def positive(**kwargs):
+    return bounded(lambda x: x > 0, "must be > 0", **kwargs)
+
+
+def at_least_one(**kwargs):
+    return bounded(lambda n: n >= 1, "must be >= 1", **kwargs)
 
 
 class PhotonBasis(Enum):
@@ -56,12 +81,12 @@ class FidelityModel(Enum):
 class TransducerParams:
     """One transducer channel: efficiencies, added noise and attempt timing."""
 
-    name: str
-    eta_mw: float  # microwave loading/heralding efficiency
-    p_mo: float  # microwave<->optical conversion probability per attempt
-    eta_det: float  # optical detection chain efficiency
-    n_th: float  # added thermal photons per attempt
-    t_rep_us: float  # attempt period
+    name: str = field(metadata={"config_default": "custom"})
+    eta_mw: float = unit_interval()  # microwave loading/heralding efficiency
+    p_mo: float = unit_interval()  # microwave<->optical conversion per attempt
+    eta_det: float = unit_interval()  # optical detection chain efficiency
+    n_th: float = bounded(lambda x: x >= 0, "must be >= 0")  # thermal photons per attempt
+    t_rep_us: float = positive()  # attempt period
     bandwidth_mhz: float | None = None  # informational
     eta_per_uw: float | None = None  # informational, % per uW of pump
 
@@ -79,9 +104,9 @@ class StorageQubitParams:
     model a different effective decay, e.g. t2/2 for two-sided accounting.
     """
 
-    t1_us: float
-    t2_us: float
-    t_coh_us: float | None = None
+    t1_us: float = positive()
+    t2_us: float = positive()
+    t_coh_us: float | None = positive(default=None)
 
     def __post_init__(self):
         if self.t_coh_us is None:
@@ -93,8 +118,8 @@ class MemoryParams:
     """Optical memory used to boost the heralding probability."""
 
     kind: MemoryKind
-    eta_mem: float  # store-and-reemit efficiency
-    lifetime_us: float  # upper bound on t_del
+    eta_mem: float = unit_interval()  # store-and-reemit efficiency
+    lifetime_us: float = positive()  # upper bound on t_del
 
 
 @dataclass(frozen=True)
@@ -123,8 +148,12 @@ class DeliveryPolicy:
     """On-demand delivery settings for one link."""
 
     t_del_us: float  # fixed delivery time / timeout
-    n_parallel: int = 1  # parallel transducer channels racing for a herald
-    distill_rounds: int = 0
+    n_parallel: int = at_least_one(default=1)  # channels racing for a herald
+    distill_rounds: int = bounded(
+        lambda n: 0 <= n <= MAX_DISTILL_ROUNDS,
+        f"out of [0, {MAX_DISTILL_ROUNDS}]",
+        default=0,
+    )
     fidelity_model: FidelityModel = FidelityModel.THERMAL_HALF
 
 
@@ -232,16 +261,6 @@ def preset(name: str):
     raise PresetNotFoundError(name, valid)
 
 
-def _check_range(violations, prefix, value, name, lo, hi):
-    try:
-        ok = lo <= value <= hi
-    except TypeError:
-        violations.append(f"{prefix}{name} is not a number")
-        return
-    if not ok:
-        violations.append(f"{prefix}{name} out of [{lo:g}, {hi:g}]")
-
-
 def _require(violations, message, predicate):
     """Record `message` unless predicate() is true; TypeError counts as false."""
     try:
@@ -252,27 +271,62 @@ def _require(violations, message, predicate):
         violations.append(message)
 
 
+@functools.cache
+def schema(cls) -> tuple:
+    """(field, type, optional) for each field of a dataclass, in order.
+
+    A field declared `X | None` is an optional X. The types are resolved
+    once per class, because get_type_hints is slow.
+    """
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        args = typing.get_args(kind)
+        optional = type(None) in args
+        if optional:
+            (kind,) = (a for a in args if a is not type(None))
+        out.append((f, kind, optional))
+    return tuple(out)
+
+
+def field_violations(section, prefix: str) -> list[str]:
+    """Violations of the ranges declared on one section's fields.
+
+    Unset optional fields are skipped. A float field that holds NaN is
+    reported as such, since the range text alone would not name the cause.
+    """
+    v: list[str] = []
+    for f, kind, optional in schema(type(section)):
+        value = getattr(section, f.name)
+        if optional and value is None:
+            continue
+        if "range" in f.metadata:
+            holds, text = f.metadata["range"]
+            _require(v, f"{prefix}.{f.name} {text}", lambda: holds(value))
+        if kind is float:
+            try:
+                if math.isnan(value):
+                    v.append(f"{prefix}.{f.name} is NaN")
+            except TypeError:
+                v.append(f"{prefix}.{f.name} is not a number")
+    return v
+
+
 def validate(config: LinkConfig) -> list[str]:
     """Check every invariant of a LinkConfig; returns a list of violations.
 
     Total: never raises for any finite input. An empty list means the
-    config is valid.
+    config is valid. The declared field ranges come first, section by
+    section, then the rules that tie fields together.
     """
     v: list[str] = []
-    t = config.transducer
-    _check_range(v, "transducer.", t.eta_mw, "eta_mw", 0.0, 1.0)
-    _check_range(v, "transducer.", t.p_mo, "p_mo", 0.0, 1.0)
-    _check_range(v, "transducer.", t.eta_det, "eta_det", 0.0, 1.0)
-    _require(v, "transducer.n_th must be >= 0", lambda: t.n_th >= 0)
-    _require(v, "transducer.t_rep_us must be > 0", lambda: t.t_rep_us > 0)
+    for f in fields(config):
+        section = getattr(config, f.name)
+        if section is not None:
+            v += field_violations(section, f.name)
 
-    q = config.qubit
-    _require(v, "qubit.t1_us must be > 0", lambda: q.t1_us > 0)
-    _require(v, "qubit.t2_us must be > 0", lambda: q.t2_us > 0)
-    if q.t_coh_us is not None:
-        _require(v, "qubit.t_coh_us must be > 0", lambda: q.t_coh_us > 0)
-
-    p = config.protocol
+    t, p, pol, m = config.transducer, config.protocol, config.policy, config.memory
     one_photon_upconv = (
         p.basis is PhotonBasis.ONE_PHOTON and p.pump is PumpMode.UPCONVERSION
     )
@@ -292,7 +346,6 @@ def validate(config: LinkConfig) -> list[str]:
             lambda: 0.0 < p.p_mo_override <= t.p_mo,
         )
 
-    pol = config.policy
     _require(
         v,
         "policy.t_del_us must be >= transducer.t_rep_us",
@@ -307,21 +360,13 @@ def validate(config: LinkConfig) -> list[str]:
         lambda: not (t.t_rep_us > 0 and pol.t_del_us < math.inf)
         or pol.t_del_us / t.t_rep_us <= MAX_GRID_POINTS,
     )
-    _require(v, "policy.n_parallel must be >= 1", lambda: pol.n_parallel >= 1)
     _require(
         v,
         f"policy.n_parallel must be <= {MAX_TRANSDUCERS_PER_MODULE}",
         lambda: pol.n_parallel <= MAX_TRANSDUCERS_PER_MODULE,
     )
-    _require(
-        v, f"policy.distill_rounds out of [0, {MAX_DISTILL_ROUNDS}]",
-        lambda: 0 <= pol.distill_rounds <= MAX_DISTILL_ROUNDS,
-    )
 
-    m = config.memory
     if m is not None:
-        _check_range(v, "memory.", m.eta_mem, "eta_mem", 0.0, 1.0)
-        _require(v, "memory.lifetime_us must be > 0", lambda: m.lifetime_us > 0)
         compatible = {
             MemoryKind.SPIN_CAVITY: (PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION),
             MemoryKind.CATCH_RELEASE: (PhotonBasis.TWO_PHOTON, PumpMode.TMS),
@@ -337,22 +382,4 @@ def validate(config: LinkConfig) -> list[str]:
             exceeds = False
         if exceeds:
             v.append("policy.t_del_us exceeds memory.lifetime_us")
-
-    # NaN poisons every comparison above into silence; catch it explicitly.
-    numeric = {
-        "transducer.eta_mw": t.eta_mw,
-        "transducer.p_mo": t.p_mo,
-        "transducer.eta_det": t.eta_det,
-        "transducer.n_th": t.n_th,
-        "transducer.t_rep_us": t.t_rep_us,
-        "qubit.t1_us": q.t1_us,
-        "qubit.t2_us": q.t2_us,
-        "policy.t_del_us": pol.t_del_us,
-    }
-    for field_name, value in numeric.items():
-        try:
-            if math.isnan(value):
-                v.append(f"{field_name} is NaN")
-        except TypeError:
-            v.append(f"{field_name} is not a number")
     return v

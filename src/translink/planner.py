@@ -23,7 +23,13 @@ from .delivery import (
 )
 from .distillation import calibrated_distill
 from .errors import ConfigError
-from .params import MAX_TRANSDUCERS_PER_MODULE
+from .params import (
+    MAX_TRANSDUCERS_PER_MODULE,
+    at_least_one,
+    bounded,
+    field_violations,
+    positive,
+)
 
 # Link error (1 - f_del) below which lattice surgery across the link is
 # believed to sit under the surface-code threshold.
@@ -54,24 +60,15 @@ class Architecture(Enum):
 class ArchitectureSpec:
     """Module-level planning inputs."""
 
-    qubits_per_processor: int
-    clock_cycle_us: float
-    transducer_budget: int
-    target_fidelity: float
+    qubits_per_processor: int = at_least_one()
+    clock_cycle_us: float = positive()
+    transducer_budget: int = at_least_one()
+    target_fidelity: float = bounded(lambda f: 0.5 < f < 1, "out of (0.5, 1)")
     architecture: Architecture = Architecture.LATTICE_SURGERY
 
 
 def validate_architecture(spec: ArchitectureSpec) -> list:
-    violations = []
-    if not spec.qubits_per_processor >= 1:
-        violations.append("architecture.qubits_per_processor must be >= 1")
-    if not spec.clock_cycle_us > 0:
-        violations.append("architecture.clock_cycle_us must be > 0")
-    if not spec.transducer_budget >= 1:
-        violations.append("architecture.transducer_budget must be >= 1")
-    if not 0.5 < spec.target_fidelity < 1:
-        violations.append("architecture.target_fidelity out of (0.5, 1)")
-    return violations
+    return field_violations(spec, "architecture")
 
 
 @dataclass(frozen=True)

@@ -456,9 +456,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["simulate", "--config", EX1, "--trials", "100", "--jobs", "-3"],
         ["simulate", "--config", EX1, "--trials", "100", "--seed", "-1"],
         ["simulate", "--config", EX1, "--trials", "100", "--seed", str(2**64)],
+        ["simulate", "--config", EX1, "--trials", str(10**15)],
     ],
     ids=["k-max-0", "k-max-neg", "t-del-inf", "jobs-0", "jobs-neg", "seed-neg",
-         "seed-2**64"],
+         "seed-2**64", "trials-10**15"],
 )
 def test_out_of_range_flags_exit_1(tmp_path, capsys, argv):
     code, out, err = _run(capsys, *argv, "--out", str(tmp_path))

@@ -4,18 +4,25 @@ import json
 import math
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from translink import (
+    ArchitectureSpec,
     ConfigError,
+    DeliveryPolicy,
     FidelityModel,
     MemoryKind,
+    MemoryParams,
     PhotonBasis,
+    ProtocolSpec,
     PumpMode,
     SchemaError,
+    StorageQubitParams,
     TOOL_VERSION,
+    TransducerParams,
     build_manifest,
     emit_csv,
     emit_json,
@@ -69,6 +76,15 @@ def test_readme_configuration_sample_parses():
     assert parsed.link.memory.kind is MemoryKind.SPIN_CAVITY
     assert parsed.architecture is not None
     assert parsed.p_her_reference == 0.03
+
+
+def test_readme_names_every_config_field():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    for cls in (TransducerParams, StorageQubitParams, ProtocolSpec, MemoryParams,
+                DeliveryPolicy, ArchitectureSpec):
+        for f in fields(cls):
+            assert f"`{f.name}`" in section, f"{cls.__name__}.{f.name}"
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from translink import (
     nested_distill,
     recurrence_ladder,
     recurrence_round,
+    run_distill_trials,
 )
 
 
@@ -151,6 +152,8 @@ def test_nested_distill_rounds_bounded():
         for bad in (-1, 11, 2000, 10**20):
             with pytest.raises(ConfigError):
                 nested_distill(0.9, bad, mode)
+            with pytest.raises(ConfigError):
+                run_distill_trials(0.9, bad, 10, seed=0)
 
 
 def test_recurrence_improves_any_werner_above_half():

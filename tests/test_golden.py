@@ -1,0 +1,94 @@
+"""Golden output of the six subcommands on the shipped examples.
+
+Each command runs in process from a scratch directory that holds copies of
+the example configs, so the command line recorded in every manifest is the
+same on every checkout. The digest covers the exit code, stdout, stderr and
+every artifact, with the manifest's `created_utc` masked; the constants were
+taken from the code before the config schema became declarative.
+"""
+
+import hashlib
+import json
+import re
+import shutil
+from pathlib import Path
+
+import pytest
+
+from translink import cli
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+_CREATED = re.compile(r'"created_utc": "[^"]*"')
+
+COMMANDS = {
+    "analyze-ex1": ["analyze", "--config", "ex1.json"],
+    "analyze-ex2": ["analyze", "--config", "ex2.json"],
+    "analyze-ex3": ["analyze", "--config", "ex3.json"],
+    "simulate-ex1-keep": [
+        "simulate", "--config", "ex1.json", "--trials", "3000", "--seed", "7",
+        "--keep-trials",
+    ],
+    "simulate-ex3-jobs2": [
+        "simulate", "--config", "ex3.json", "--trials", "2000", "--seed", "1",
+        "--jobs", "2",
+    ],
+    "plan-lattice": ["plan", "--config", "lattice.json", "--code-distance", "7"],
+    "tradeoff-csv": ["tradeoff", "--config", "lattice64.json", "--format", "csv"],
+    "tradeoff-json": ["tradeoff", "--config", "lattice64.json", "--format", "json"],
+    "distill-config": [
+        "distill", "--config", "ex2.json", "--mode", "recurrence", "--rounds", "3",
+    ],
+    "distill-flags": ["distill", "--mode", "calibrated", "--f-in", "0.91",
+                      "--rounds", "4"],
+    "presets": ["presets"],
+}
+
+GOLDEN = {
+    "analyze-ex1":
+        "6256d31eb42dd16e1d4436dbf62c308beb387ee23925128616632ebb78bbc74c",
+    "analyze-ex2":
+        "5957c1b20052f349c88278f50601ce6ab1338284da2726e541ca172f02a0b440",
+    "analyze-ex3":
+        "e0f872848e997eba209c2c87b18285576d9b440fa0bd3e4774b63ca6fcda53eb",
+    "simulate-ex1-keep":
+        "b0cb48a07e4d304a9f872faccc512b905bf6245aedd6fb3301e6ae79eaca3be3",
+    "simulate-ex3-jobs2":
+        "461f845e0e883e33f9d4558f6121ad965b3a54072cab8900e816854f03085894",
+    "plan-lattice":
+        "b3b7235673f0915ec484f0bf7aa20de87ee5e021421c4915056578ed3b328f8a",
+    "tradeoff-csv":
+        "c369b382457d64f4a2299ee4ac48ddb5058082142c3ad2744d4eb4848606d000",
+    "tradeoff-json":
+        "ef35611c4e041d985a90c51d3b4c38a0a53fb04d650019ab60fabb704f72413a",
+    "distill-config":
+        "7609de50fc242c862153ee98cf5110366d7d3a16d8c16fe24833f2769716b368",
+    "distill-flags":
+        "ed07e7eb53a900bca2c38216919df93097a6bfdce8b25696af4268024a074647",
+    "presets":
+        "a5f11277c9cc64c41d06ee715dc1212a1dda987aeb77d4be6af098b717d38bc0",
+}
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    for name in ("ex1.json", "ex2.json", "ex3.json", "lattice.json"):
+        shutil.copy(EXAMPLES / name, tmp_path / name)
+    small = json.loads((EXAMPLES / "lattice.json").read_text())
+    small["architecture"]["transducer_budget"] = 64
+    (tmp_path / "lattice64.json").write_text(json.dumps(small))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_golden_output(workdir, capsys, name):
+    code = cli.main(COMMANDS[name] + ["--out", "out"])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256()
+    digest.update(f"{code}\0{captured.err}\0".encode())
+    digest.update(_CREATED.sub('"created_utc": ""', captured.out).encode())
+    for path in sorted((workdir / "out").iterdir()):
+        text = _CREATED.sub('"created_utc": ""', path.read_text())
+        digest.update(f"\0{path.name}\0{text}".encode())
+    assert code == 0 and captured.err == ""
+    assert digest.hexdigest() == GOLDEN[name]

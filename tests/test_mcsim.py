@@ -189,6 +189,8 @@ def test_seed_and_jobs_bounds():
     for jobs in (0, -3):
         with pytest.raises(ConfigError):
             run_trials(resolve(_ex1(10.0)), 10, seed=0, n_jobs=jobs)
+    with pytest.raises(ConfigError):
+        run_trials(resolve(_ex1(10.0)), mcsim.MAX_TRIALS + 1, seed=0)
 
 
 def test_stats_to_dict_shape():

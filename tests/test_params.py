@@ -1,6 +1,8 @@
 """Parameter types, presets and the validate() totality contract."""
 
 import math
+import typing
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -200,3 +202,29 @@ def test_presets_are_frozen():
         t.eta_mw = 0.9
     assert TRANSDUCER_PRESETS["transducer1"].eta_mw == 0.8
     assert QUBIT_PRESETS["qubit1"].t2_us == 200.0
+
+
+@pytest.mark.parametrize(
+    "section", ["transducer", "qubit", "protocol", "policy", "memory"]
+)
+def test_validate_names_every_nan_float_field(section):
+    """NaN slips past every range comparison, so it gets its own violation."""
+    cfg = _link(
+        transducer="transducer2",
+        protocol=ProtocolSpec(
+            PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION, alpha=0.5,
+            p_mo_override=0.05,
+        ),
+        memory=MemoryParams(MemoryKind.SPIN_CAVITY, eta_mem=0.9, lifetime_us=500.0),
+    )
+    part = getattr(cfg, section)
+    part = replace(
+        part,
+        **{f.name: 1.0 for f in fields(part) if getattr(part, f.name) is None},
+    )
+    hints = typing.get_type_hints(type(part))
+    floats = [f.name for f in fields(part) if hints[f.name] in (float, float | None)]
+    assert floats
+    for name in floats:
+        bad = replace(cfg, **{section: replace(part, **{name: math.nan})})
+        assert f"{section}.{name} is NaN" in validate(bad)

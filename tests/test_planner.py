@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -85,6 +85,19 @@ def test_validate_architecture_messages():
     assert "architecture.target_fidelity out of (0.5, 1)" in v
     good = ArchitectureSpec(1000, 1.0, 10_000, 0.89)
     assert validate_architecture(good) == []
+
+
+@pytest.mark.parametrize(
+    "bad", [None, "x", math.nan, math.inf, -math.inf], ids=repr
+)
+def test_validate_architecture_is_total(bad):
+    good = ArchitectureSpec(1000, 1.0, 10_000, 0.89)
+    for name in ("qubits_per_processor", "clock_cycle_us", "transducer_budget",
+                 "target_fidelity"):
+        v = validate_architecture(replace(good, **{name: bad}))
+        assert all(isinstance(line, str) for line in v)
+        if bad is not math.inf:
+            assert any(line.startswith(f"architecture.{name} ") for line in v)
 
 
 def test_lattice_plan_parallel_link():
