@@ -54,11 +54,8 @@ from .errors import (
 from .mcsim import (
     MAX_TRIAL_DUMP,
     MAX_TRIALS,
-    DistillRoundStats,
-    DistillTrialStats,
     MCStats,
-    TrialRecord,
-    run_distill_trials,
+    TrialColumns,
     run_trials,
 )
 from .params import (
@@ -88,6 +85,7 @@ from .planner import (
     CryostatCheck,
     GAMMA_CLASSICAL,
     LATTICE_SURGERY_LINK_ERROR_THRESHOLD,
+    MAX_TRANSDUCER_BUDGET,
     PlanReport,
     TradeoffPoint,
     circuit_cut_comparison,

@@ -292,15 +292,14 @@ def _cmd_simulate(args, command: str) -> int:
     }
     text = emit_json(os.path.join(args.out, "mcstats.json"), payload, manifest)
     if args.keep_trials:
-        rows = (
-            (
-                i,
-                "" if rec.herald_round is None else rec.herald_round,
-                "" if rec.winning_channel is None else rec.winning_channel,
-                rec.tau_us,
-                rec.f_del,
-            )
-            for i, rec in enumerate(stats.trials)
+        cols = stats.trials
+        # timed-out trials (round 0, channel -1) leave both cells empty
+        rows = zip(
+            range(len(cols)),
+            [r or "" for r in cols.herald_round.tolist()],
+            ["" if c < 0 else c for c in cols.winning_channel.tolist()],
+            cols.tau_us.tolist(),
+            cols.f_del.tolist(),
         )
         emit_csv(
             os.path.join(args.out, "trials.csv"),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import typing
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
@@ -35,7 +36,7 @@ def bounded(holds, text: str, **kwargs):
     `text` completes the violation "<section>.<field> <text>" that
     field_violations reports otherwise; kwargs go to dataclasses.field.
     """
-    return field(metadata={"range": (holds, text)}, **kwargs)
+    return field(metadata={"range": ((holds, text),)}, **kwargs)
 
 
 def unit_interval(**kwargs):
@@ -46,8 +47,13 @@ def positive(**kwargs):
     return bounded(lambda x: x > 0, "must be > 0", **kwargs)
 
 
-def at_least_one(**kwargs):
-    return bounded(lambda n: n >= 1, "must be >= 1", **kwargs)
+def at_least_one(at_most: int | None = None, **kwargs):
+    """A count >= 1 and, when at_most is given, <= at_most; each bound has
+    its own violation text."""
+    checks = ((lambda n: n >= 1, "must be >= 1"),)
+    if at_most is not None:
+        checks += ((lambda n: n <= at_most, f"must be <= {at_most}"),)
+    return field(metadata={"range": checks}, **kwargs)
 
 
 class PhotonBasis(Enum):
@@ -148,7 +154,8 @@ class DeliveryPolicy:
     """On-demand delivery settings for one link."""
 
     t_del_us: float  # fixed delivery time / timeout
-    n_parallel: int = at_least_one(default=1)  # channels racing for a herald
+    # channels racing for a herald
+    n_parallel: int = at_least_one(at_most=MAX_TRANSDUCERS_PER_MODULE, default=1)
     distill_rounds: int = bounded(
         lambda n: 0 <= n <= MAX_DISTILL_ROUNDS,
         f"out of [0, {MAX_DISTILL_ROUNDS}]",
@@ -291,19 +298,29 @@ def schema(cls) -> tuple:
 
 
 def field_violations(section, prefix: str) -> list[str]:
-    """Violations of the ranges declared on one section's fields.
+    """Violations of the ranges and types declared on one section's fields.
 
     Unset optional fields are skipped. A float field that holds NaN is
     reported as such, since the range text alone would not name the cause.
+    A field declared int must hold an integer: a Python int or a numpy
+    integer (anything `operator.index` accepts), but not a bool, and not a
+    float even when it is integral, since counts index arrays and ranges.
     """
     v: list[str] = []
     for f, kind, optional in schema(type(section)):
         value = getattr(section, f.name)
         if optional and value is None:
             continue
-        if "range" in f.metadata:
-            holds, text = f.metadata["range"]
+        for holds, text in f.metadata.get("range", ()):
             _require(v, f"{prefix}.{f.name} {text}", lambda: holds(value))
+        if kind is int:
+            try:
+                operator.index(value)
+                integral = not isinstance(value, bool)
+            except TypeError:
+                integral = False
+            if not integral:
+                v.append(f"{prefix}.{f.name} is not an integer")
         if kind is float:
             try:
                 if math.isnan(value):
@@ -359,11 +376,6 @@ def validate(config: LinkConfig) -> list[str]:
         # the other checks report a non-positive t_rep or a non-finite t_del
         lambda: not (t.t_rep_us > 0 and pol.t_del_us < math.inf)
         or pol.t_del_us / t.t_rep_us <= MAX_GRID_POINTS,
-    )
-    _require(
-        v,
-        f"policy.n_parallel must be <= {MAX_TRANSDUCERS_PER_MODULE}",
-        lambda: pol.n_parallel <= MAX_TRANSDUCERS_PER_MODULE,
     )
 
     if m is not None:

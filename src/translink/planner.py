@@ -51,6 +51,10 @@ CIRCUIT_CUT_BREAK_EVEN_INFIDELITY = 0.3
 
 TRADEOFF_MAX_DISTILL_ROUNDS = 4
 
+# Upper bound on a transducer budget: 10^5 modules, each at the per-module
+# channel ceiling.
+MAX_TRANSDUCER_BUDGET = 1_000_000_000
+
 
 class Architecture(Enum):
     LATTICE_SURGERY = "lattice_surgery"
@@ -62,7 +66,7 @@ class ArchitectureSpec:
 
     qubits_per_processor: int = at_least_one()
     clock_cycle_us: float = positive()
-    transducer_budget: int = at_least_one()
+    transducer_budget: int = at_least_one(at_most=MAX_TRANSDUCER_BUDGET)
     target_fidelity: float = bounded(lambda f: 0.5 < f < 1, "out of (0.5, 1)")
     architecture: Architecture = Architecture.LATTICE_SURGERY
 
@@ -292,23 +296,25 @@ def tradeoff_surface(budget: int, link: Link, k_max: int | None = None) -> tuple
 
     A budget of B channels can host n_links links of n_parallel channels
     each, with 2**rounds pairs burnt per delivered pair when distilling.
-    Each width runs the resolved `link` at its optimal delivery time, with
-    the policy's n_parallel replaced, so the memory (its boosted p_her and
-    its lifetime cap on the search), the fidelity model and a p_her
-    reference take effect. Returns the non-dominated points under
+    Widths run from 1 to min(B, MAX_TRANSDUCERS_PER_MODULE): no link is
+    wider than a module's channel ceiling, so the work stays bounded for any
+    budget. Each width runs the resolved `link` at its optimal delivery
+    time, with the policy's n_parallel replaced, so the memory (its boosted
+    p_her and its lifetime cap on the search), the fidelity model and a
+    p_her reference take effect. Returns the non-dominated points under
     simultaneous maximization of all three axes, sorted by descending
     n_links, then rate, then fidelity.
 
     Candidates with equal objective triples keep the cheapest witness (the
     smallest n_parallel, then rounds); _pareto_front then filters the C
-    candidates, about 2 B of them, in O(C log C). Each of the B widths costs
-    one optimal_delivery_time call.
+    candidates, at most 5 W of them for W widths, in O(C log C). Each width
+    costs one optimal_delivery_time call.
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     config, policy = link.config, link.config.policy
     unique: dict = {}
-    for n_parallel in range(1, budget + 1):
+    for n_parallel in range(1, min(budget, MAX_TRANSDUCERS_PER_MODULE) + 1):
         probe = replace(
             link, config=replace(config, policy=replace(policy, n_parallel=n_parallel))
         )

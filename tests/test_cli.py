@@ -269,6 +269,18 @@ def test_tradeoff_csv(tmp_path, capsys):
     assert len(lines) == 2 + len(points)
 
 
+def test_tradeoff_budget_above_cap_exits_1(tmp_path, capsys):
+    path = _tradeoff_config(tmp_path, budget=10**9 + 1)
+    out_dir = tmp_path / "out"
+    code, out, err = _run(
+        capsys, "tradeoff", "--config", str(path), "--out", str(out_dir)
+    )
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert "architecture.transducer_budget must be <= 1000000000" in err
+    assert not out_dir.exists()
+
+
 def test_tradeoff_json(tmp_path, capsys):
     path = _tradeoff_config(tmp_path)
     code, out, _ = _run(

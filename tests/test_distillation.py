@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dm_oracle import dejmps_oracle
+from mc_oracle import run_distill_trials
 from translink import (
     BellDiagonalState,
     ConfigError,
@@ -14,7 +15,6 @@ from translink import (
     nested_distill,
     recurrence_ladder,
     recurrence_round,
-    run_distill_trials,
 )
 
 

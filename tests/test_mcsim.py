@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import mc_oracle
+from mc_oracle import run_distill_trials
 from translink import mcsim
 from translink import (
     ConfigError,
     DeliveryPolicy,
     LinkConfig,
     MAX_TRIAL_DUMP,
+    MemoryKind,
+    MemoryParams,
     PhotonBasis,
     ProtocolSpec,
     PumpMode,
@@ -20,7 +24,6 @@ from translink import (
     nested_distill,
     preset,
     resolve,
-    run_distill_trials,
     run_trials,
     DistillMode,
 )
@@ -46,12 +49,133 @@ def _ex3():
     )
 
 
+def _ex2():
+    """Example 2 as a resolved link, with its reference herald probability."""
+    cfg = LinkConfig(
+        transducer=preset("transducer2"),
+        qubit=preset("qubit2"),
+        protocol=ProtocolSpec(PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION),
+        memory=MemoryParams(MemoryKind.SPIN_CAVITY, eta_mem=1.0, lifetime_us=1000.0),
+        policy=DeliveryPolicy(t_del_us=400.0),
+    )
+    return resolve(cfg, 0.03)
+
+
 def test_reference_run_regression():
-    stats_out = run_trials(resolve(_ex1()), 100_000, seed=7)
+    """The reference engine still draws the per-channel race stream."""
+    stats_out = mc_oracle.run_trials(resolve(_ex1()), 100_000, seed=7)
     assert stats_out.mean_f_del == pytest.approx(0.604782184, abs=5e-10)
     assert stats_out.std_error == pytest.approx(0.000284380109, abs=5e-13)
     assert stats_out.p_success == pytest.approx(0.58508, abs=1e-12)
     assert stats_out.n_no_herald == 100_000 - round(0.58508 * 100_000)
+
+
+def test_library_stream_regression():
+    """Two uniforms per trial, at stream positions 2t and 2t + 1."""
+    stats_out = run_trials(resolve(_ex1()), 100_000, seed=7)
+    assert stats_out.mean_f_del == pytest.approx(0.604772214, abs=5e-10)
+    assert stats_out.std_error == pytest.approx(0.000284214881, abs=5e-13)
+    assert stats_out.p_success == pytest.approx(0.58534, abs=1e-12)
+    assert stats_out.n_no_herald == 100_000 - round(0.58534 * 100_000)
+
+
+def _homogeneity_pvalue(a, b):
+    """Two-sample chi-square p-value for two count vectors over the same bins.
+
+    Adjacent bins are pooled until each pooled bin holds at least 10 counts
+    over both samples, so no expected cell is tiny.
+    """
+    cols, acc = [], np.zeros(2)
+    for pair in zip(a, b):
+        acc = acc + pair
+        if acc.sum() >= 10:
+            cols.append(acc)
+            acc = np.zeros(2)
+    if acc.sum():
+        cols[-1] = cols[-1] + acc
+    return stats.chi2_contingency(np.array(cols).T, correction=False).pvalue
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+def test_engines_agree_in_distribution(name):
+    """Inversion sampling and the per-channel race draw the same trial law.
+
+    The engines read different stream positions under different seeds, so
+    the two samples are independent.
+    """
+    link = {"ex1": resolve(_ex1()), "ex2": _ex2(), "ex3": resolve(_ex3())}[name]
+    n = 100_000
+    new = run_trials(link, n, seed=101, keep_trials=True)
+    ref = mc_oracle.run_trials(link, n, seed=202, keep_trials=True)
+    rounds = [list(s.herald_histogram) + [s.n_no_herald] for s in (new, ref)]
+    assert _homogeneity_pvalue(*rounds) > 0.001
+    n_channels = link.config.policy.n_parallel
+    if n_channels > 1:
+        chans = [
+            np.bincount(c[c >= 0], minlength=n_channels)
+            for c in (new.trials.winning_channel, ref.trials.winning_channel)
+        ]
+        assert _homogeneity_pvalue(*chans) > 0.001
+        # the joint law too: the channel must not depend on the round
+        cells = len(new.herald_histogram) * n_channels
+        joint = []
+        for s in (new, ref):
+            hit = s.trials.herald_round > 0
+            key = (s.trials.herald_round[hit] - 1) * n_channels
+            joint.append(np.bincount(key + s.trials.winning_channel[hit], minlength=cells))
+        assert _homogeneity_pvalue(*joint) > 0.001
+
+
+def test_inversion_edge_cases():
+    """Certain and impossible heralds, extreme uniforms and extreme links."""
+    zero = np.zeros(4)
+    top = np.full(4, 1.0 - 2.0**-53)  # the largest uniform the stream yields
+    for n_channels in (1, 20):
+        rounds, chans = mcsim._invert(top, top, 0.0, n_channels, 88)
+        assert rounds.tolist() == [0] * 4 and chans.tolist() == [-1] * 4
+        rounds, chans = mcsim._invert(top, top, 1.0, n_channels, 88)
+        assert rounds.tolist() == [1] * 4 and chans.tolist() == [0] * 4
+        # u = 0 heralds at once, on the first channel
+        rounds, chans = mcsim._invert(zero, zero, 0.3, n_channels, 15)
+        assert rounds.tolist() == [1] * 4 and chans.tolist() == [0] * 4
+
+    # p_her = 1e-18: the rounds skipped overflow int64 and never herald,
+    # except at u = 0
+    rounds, chans = mcsim._invert(top, top, 1e-18, 1, 88)
+    assert rounds.tolist() == [0] * 4 and chans.tolist() == [-1] * 4
+    rounds, chans = mcsim._invert(zero, zero, 1e-18, 1, 88)
+    assert rounds.tolist() == [1] * 4 and chans.tolist() == [0] * 4
+    out = run_trials(resolve(_ex1(), 1e-18), 10_000, seed=4, keep_trials=True)
+    assert out.p_success == 0.0 and out.mean_f_del == 0.5
+    assert (out.trials.winning_channel == -1).all()
+
+    # 10^4 channels with p near 1: q rounds to 1 and the channel stays in range
+    u = mcsim._uniforms(3, np.arange(20_000, dtype=np.uint64))
+    for u_round, u_chan in ((u[0::2], u[1::2]), (top, top)):
+        rounds, chans = mcsim._invert(u_round, u_chan, 1 - 1e-12, 10_000, 15)
+        assert (rounds == 1).all()
+        assert (chans >= 0).all() and (chans <= 1).all()
+    assert (mcsim._invert(u[0::2], u[1::2], 1 - 1e-12, 10_000, 15)[1] == 0).all()
+
+    # a span of 10^7 rounds: heralds spread over the whole span, none beyond
+    k_rounds = 10_000_000
+    u = mcsim._uniforms(5, np.arange(400_000, dtype=np.uint64))
+    rounds, chans = mcsim._invert(u[0::2], u[1::2], 1e-7, 1, k_rounds)
+    heralded = rounds > 0
+    assert rounds.max() <= k_rounds and rounds.max() > k_rounds // 2
+    assert (chans[heralded] == 0).all() and (chans[~heralded] == -1).all()
+    q = -math.expm1(k_rounds * math.log1p(-1e-7))
+    assert abs(heralded.mean() - q) <= 5 * math.sqrt(q * (1 - q) / 200_000)
+
+
+def test_full_round_span_runs():
+    """A link at the 10^7-round cap costs the same two draws per trial."""
+    link = resolve(_ex1(10_000_000.0), 1e-7)
+    out = run_trials(link, 2000, seed=9, n_jobs=2, keep_trials=True)
+    assert len(out.herald_histogram) == 10_000_000
+    assert sum(out.herald_histogram) + out.n_no_herald == 2000
+    assert len(out.trials) == 2000
+    assert out.trials.herald_round.max() <= 10_000_000
 
 
 def test_agreement_with_closed_form():
@@ -75,14 +199,15 @@ def test_chunking_does_not_change_results(monkeypatch):
     """Chunks shrink as channels grow; the counter stream ignores them."""
     link = resolve(_ex3())
     base = run_trials(link, 3000, seed=8, keep_trials=True)
-    monkeypatch.setattr(mcsim, "_CHUNK_DRAWS", 7 * 20)  # chunks of 7 trials
+    monkeypatch.setattr(mcsim, "_CHUNK", 7)
     assert run_trials(link, 3000, seed=8, keep_trials=True) == base
 
 
 def test_trial_prefix_independent_of_n_trials():
     short = run_trials(resolve(_ex1(20.0)), 500, seed=13, keep_trials=True)
     long = run_trials(resolve(_ex1(20.0)), 1500, seed=13, keep_trials=True)
-    assert long.trials[:500] == short.trials
+    for name in ("herald_round", "winning_channel", "tau_us", "f_del"):
+        assert np.array_equal(getattr(long.trials, name)[:500], getattr(short.trials, name))
 
 
 def test_histogram_matches_truncated_geometric():
@@ -116,27 +241,31 @@ def test_record_fields_recompute():
     cfg = _ex3()
     m = delivered_fidelity(resolve(cfg))
     out = run_trials(resolve(cfg), 4000, seed=21, keep_trials=True)
+    cols = out.trials
     f_dels = []
-    for rec in out.trials:
-        if rec.herald_round is None:
-            assert rec.winning_channel is None
-            assert rec.f_del == 0.5
-            assert rec.tau_us == 0.0
+    for herald_round, winning_channel, tau_us, f_del in zip(
+        cols.herald_round.tolist(), cols.winning_channel.tolist(),
+        cols.tau_us.tolist(), cols.f_del.tolist(),
+    ):
+        if herald_round == 0:
+            assert winning_channel == -1
+            assert f_del == 0.5
+            assert tau_us == 0.0
         else:
-            assert 1 <= rec.herald_round <= 15
-            assert 0 <= rec.winning_channel < 20
-            assert rec.tau_us == pytest.approx(15.0 - rec.herald_round * 1.0)
-            want = 0.5 + (m.f_her - 0.5) * math.exp(-rec.tau_us / 200.0)
-            assert rec.f_del == pytest.approx(want, rel=1e-12)
-        f_dels.append(rec.f_del)
+            assert 1 <= herald_round <= 15
+            assert 0 <= winning_channel < 20
+            assert tau_us == pytest.approx(15.0 - herald_round * 1.0)
+            want = 0.5 + (m.f_her - 0.5) * math.exp(-tau_us / 200.0)
+            assert f_del == pytest.approx(want, rel=1e-12)
+        f_dels.append(f_del)
     assert np.mean(f_dels) == pytest.approx(out.mean_f_del, rel=1e-12)
-    assert out.p_success == sum(r.herald_round is not None for r in out.trials) / 4000
+    assert out.p_success == np.count_nonzero(cols.herald_round) / 4000
 
 
 def test_winning_channel_prefers_low_index():
     """Ties resolve to the lowest channel, so the winner law is geometric."""
     out = run_trials(resolve(_ex3()), 50_000, seed=5, keep_trials=True)
-    winners = [r.winning_channel for r in out.trials if r.winning_channel is not None]
+    winners = [c for c in out.trials.winning_channel.tolist() if c >= 0]
     counts = np.bincount(winners, minlength=20)
     p = 0.02
     law = np.array([(1 - p) ** i * p for i in range(20)])
@@ -168,7 +297,7 @@ def test_certain_herald_via_override():
     assert out.herald_histogram[0] == 200
     want = 0.5 + (m.f_her - 0.5) * math.exp(-9.0 / 200.0)
     assert out.mean_f_del == pytest.approx(want, rel=1e-12)
-    assert all(r.winning_channel == 0 for r in out.trials)
+    assert all(c == 0 for c in out.trials.winning_channel.tolist())
 
 
 def test_trial_dump_cap():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from translink import (
+    ArchitectureSpec,
     DeliveryPolicy,
     DeviceSummary,
     LinkConfig,
@@ -23,6 +24,7 @@ from translink import (
     TransducerParams,
     preset,
     validate,
+    validate_architecture,
 )
 
 # Published eta_tot values carry table rounding; 5% covers the worst row.
@@ -228,3 +230,45 @@ def test_validate_names_every_nan_float_field(section):
     for name in floats:
         bad = replace(cfg, **{section: replace(part, **{name: math.nan})})
         assert f"{section}.{name} is NaN" in validate(bad)
+
+
+SECTIONS = ["transducer", "qubit", "protocol", "policy", "memory", "architecture"]
+
+
+def _valid_sections():
+    """One valid value per section, with every optional field set."""
+    cfg = _link(
+        transducer="transducer2",
+        protocol=ProtocolSpec(
+            PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION, p_mo_override=0.05,
+        ),
+        policy=DeliveryPolicy(t_del_us=88.0, n_parallel=3, distill_rounds=2),
+        memory=MemoryParams(MemoryKind.SPIN_CAVITY, eta_mem=0.9, lifetime_us=500.0),
+    )
+    return cfg, ArchitectureSpec(1000, 1.0, 10_000, 0.89)
+
+
+def _violations(cfg, arch, section, part):
+    if section == "architecture":
+        return validate_architecture(part)
+    return validate(replace(cfg, **{section: part}))
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_validate_names_every_non_integer_int_field(section):
+    """A bool or a float in an int field is reported, though it passes the
+    range; numpy integers count as integers."""
+    cfg, arch = _valid_sections()
+    part = arch if section == "architecture" else getattr(cfg, section)
+    assert _violations(cfg, arch, section, part) == []
+    hints = typing.get_type_hints(type(part))
+    ints = [f.name for f in fields(part) if hints[f.name] in (int, int | None)]
+    assert bool(ints) == (section in ("policy", "architecture"))
+    for name in ints:
+        for bad in (2.5, 2.0, True, False, math.inf, math.nan, np.float64(2.0),
+                    "2"):
+            v = _violations(cfg, arch, section, replace(part, **{name: bad}))
+            assert f"{section}.{name} is not an integer" in v, (name, bad)
+        fine = replace(part, **{name: np.int64(getattr(part, name))})
+        assert _violations(cfg, arch, section, fine) == []
+

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -33,7 +34,11 @@ from translink import (
     tradeoff_surface,
     validate_architecture,
 )
-from translink.planner import MAX_TRANSDUCERS_PER_MODULE, _pareto_front
+from translink.planner import (
+    MAX_TRANSDUCER_BUDGET,
+    MAX_TRANSDUCERS_PER_MODULE,
+    _pareto_front,
+)
 
 PARALLEL_PROTOCOL = ProtocolSpec(
     PhotonBasis.ONE_PHOTON, PumpMode.TMS, p_mo_override=0.02
@@ -363,3 +368,25 @@ def test_tradeoff_at_module_ceiling():
     )
     assert _dominated_pairs([row[:3] for row in rows]) == 0
 
+
+
+def test_tradeoff_at_budget_cap_is_bounded():
+    """Widths stop at the module ceiling, so the largest budget costs about
+    what 10^4 does, and every point still fits the budget."""
+    start = time.perf_counter()
+    got = tradeoff_surface(MAX_TRANSDUCER_BUDGET, resolve(_parallel_link()))
+    assert time.perf_counter() - start < 20.0
+    assert got
+    for p in got:
+        assert 1 <= p.n_parallel <= MAX_TRANSDUCERS_PER_MODULE
+        assert p.n_links * p.n_parallel * 2**p.distill_rounds <= MAX_TRANSDUCER_BUDGET
+    assert _dominated_pairs([astuple(p)[:3] for p in got]) == 0
+
+
+def test_transducer_budget_upper_bound():
+    good = ArchitectureSpec(1000, 1.0, MAX_TRANSDUCER_BUDGET, 0.89)
+    assert validate_architecture(good) == []
+    over = replace(good, transducer_budget=MAX_TRANSDUCER_BUDGET + 1)
+    assert validate_architecture(over) == [
+        "architecture.transducer_budget must be <= 1000000000"
+    ]
