@@ -13,7 +13,6 @@ from .config_io import (
     build_manifest,
     emit_csv,
     emit_json,
-    format_float,
     parse_config,
     parse_config_data,
     resolved_config,

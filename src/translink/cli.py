@@ -14,7 +14,9 @@ import json
 import os
 import shlex
 import sys
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import asdict, fields, replace
+
+import numpy as np
 
 from .config_io import (
     ParsedConfig,
@@ -123,7 +125,11 @@ def _build_parser() -> _Parser:
     link_overrides(simulate)
     simulate.add_argument("--trials", type=int, default=100_000)
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--jobs", type=int, default=1, help="worker threads")
+    simulate.add_argument(
+        "--jobs", type=int, default=1,
+        help="threads drawing the trials; the reduction runs on one, so this "
+        "pays only on large runs. Results are byte-identical for any value",
+    )
     simulate.add_argument(
         "--keep-trials", dest="keep_trials", action="store_true",
         help="also write per-trial rows (trials.csv)",
@@ -243,7 +249,7 @@ def _cmd_analyze(args, command: str) -> int:
     manifest = build_manifest(command, resolved_config(parsed))
 
     payload = {
-        "metrics": delivered_fidelity(link).to_dict(),
+        "metrics": delivered_fidelity(link),
         "infidelity_breakdown": infidelity_breakdown(link),
         "p_her_discrepancy": _discrepancy_report(link, parsed.p_her_reference),
     }
@@ -252,22 +258,14 @@ def _cmd_analyze(args, command: str) -> int:
     text = emit_json(os.path.join(args.out, "metrics.json"), payload, manifest)
     emit_csv(
         os.path.join(args.out, "delivery_curve.csv"),
-        ["t_del_us", "p_success", "f_del"],
-        curve.rows(),
+        {f.name: getattr(curve, f.name) for f in fields(curve)},
         manifest,
     )
     t_grid, comps = infidelity_breakdown_curve(link, curve)
+    comps["total_infidelity"] = comps.pop("total")
     emit_csv(
         os.path.join(args.out, "infidelity_breakdown.csv"),
-        ["t_del_us", "protocol", "thermal", "decoherence", "fallback", "total_infidelity"],
-        zip(
-            t_grid,
-            comps["protocol"],
-            comps["thermal"],
-            comps["decoherence"],
-            comps["fallback"],
-            comps["total"],
-        ),
+        {"t_del_us": t_grid, **comps},
         manifest,
     )
     sys.stdout.write(text)
@@ -293,18 +291,21 @@ def _cmd_simulate(args, command: str) -> int:
     text = emit_json(os.path.join(args.out, "mcstats.json"), payload, manifest)
     if args.keep_trials:
         cols = stats.trials
-        # timed-out trials (round 0, channel -1) leave both cells empty
-        rows = zip(
-            range(len(cols)),
-            [r or "" for r in cols.herald_round.tolist()],
-            ["" if c < 0 else c for c in cols.winning_channel.tolist()],
-            cols.tau_us.tolist(),
-            cols.f_del.tolist(),
-        )
+        # timed-out trials (round 0, channel -1) leave both cells empty; object
+        # columns hold them in a fraction of a numpy string array's memory
+        timed_out = cols.winning_channel < 0
+        herald_round = cols.herald_round.astype(object)
+        winning_channel = cols.winning_channel.astype(object)
+        herald_round[timed_out] = winning_channel[timed_out] = ""
         emit_csv(
             os.path.join(args.out, "trials.csv"),
-            ["trial", "herald_round", "winning_channel", "tau_us", "f_del"],
-            rows,
+            {
+                "trial": np.arange(len(cols)),
+                "herald_round": herald_round,
+                "winning_channel": winning_channel,
+                "tau_us": cols.tau_us,
+                "f_del": cols.f_del,
+            },
             manifest,
         )
     sys.stdout.write(text)
@@ -324,9 +325,9 @@ def _cmd_plan(args, command: str) -> int:
         1.0 - report.fidelity_at_t_del, args.circuit_budget
     )
     payload = {
-        "plan": report.to_dict(),
-        "cryostat": cryostat.to_dict(),
-        "circuit_cut": cut.to_dict(),
+        "plan": report,
+        "cryostat": cryostat,
+        "circuit_cut": cut,
         "graph_state_pipe_width": (
             graph_state_pipe_width(args.code_distance)
             if args.code_distance is not None
@@ -348,18 +349,15 @@ def _cmd_tradeoff(args, command: str) -> int:
         parsed.architecture.transducer_budget, link, k_max=args.k_max
     )
     manifest = build_manifest(command, resolved_config(parsed))
-    payload = {"tradeoff": [p.to_dict() for p in points]}
+    path = os.path.join(args.out, "tradeoff." + args.format)
     if args.format == "json":
-        text = emit_json(os.path.join(args.out, "tradeoff.json"), payload, manifest)
-        sys.stdout.write(text)
+        text = emit_json(path, {"tradeoff": points}, manifest)
     else:
-        text = emit_csv(
-            os.path.join(args.out, "tradeoff.csv"),
-            [f.name for f in fields(TradeoffPoint)],
-            (astuple(p) for p in points),
-            manifest,
-        )
-        sys.stdout.write(text)
+        columns = {
+            f.name: [getattr(p, f.name) for p in points] for f in fields(TradeoffPoint)
+        }
+        text = emit_csv(path, columns, manifest)
+    sys.stdout.write(text)
     return 0
 
 
@@ -407,8 +405,8 @@ def _cmd_presets(args, command: str) -> int:
             name: {**asdict(t), "eta_tot": t.eta_tot}
             for name, t in TRANSDUCER_PRESETS.items()
         },
-        "qubits": {name: asdict(q) for name, q in QUBIT_PRESETS.items()},
-        "devices": {name: asdict(d) for name, d in DEVICE_PRESETS.items()},
+        "qubits": QUBIT_PRESETS,
+        "devices": DEVICE_PRESETS,
     }
     manifest = build_manifest(command, {})
     text = emit_json(os.path.join(args.out, "presets.json"), payload, manifest)

@@ -26,9 +26,10 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -82,9 +83,6 @@ class RunManifest:
     seed: int | None
     created_utc: str
     resolved_config: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def build_manifest(command: str, resolved_config: dict, seed: int | None = None) -> RunManifest:
@@ -269,9 +267,13 @@ def resolved_config(parsed: ParsedConfig) -> dict:
 
 # --------------------------------------------------------------- emission
 
+# Rows per % call in emit_csv: enough to amortize the call, few enough that
+# a block's cells stay small next to the columns themselves.
+_CSV_BLOCK = 4096
+
 
 def _nine_digits(obj):
-    """Round every float in a JSON-like tree to 9 significant digits."""
+    """Round every float in a JSON-like tree, dataclasses included, to 9 digits."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (np.floating, float)):
@@ -282,6 +284,8 @@ def _nine_digits(obj):
         return {k: _nine_digits(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_nine_digits(v) for v in obj]
+    if is_dataclass(obj):
+        return _nine_digits(asdict(obj))
     return obj
 
 
@@ -301,32 +305,36 @@ def _atomic_write(path, text: str):
         raise
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def emit_json(path, payload: dict, manifest: RunManifest) -> str:
     """Write a JSON artifact with the manifest as its first key."""
-    doc = {"manifest": manifest.to_dict()}
+    doc = {"manifest": manifest}
     doc.update(payload)
     text = json.dumps(_nine_digits(doc), indent=2) + "\n"
     _atomic_write(path, text)
     return text
 
 
-def emit_csv(path, header, rows, manifest: RunManifest) -> str:
-    """Write a CSV artifact; the manifest rides along as a '#' comment line."""
-    lines = ["# manifest: " + json.dumps(_nine_digits(manifest.to_dict()))]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(
-            ",".join(
-                format_float(v)
-                if isinstance(v, (float, np.floating))
-                else str(v)
-                for v in row
-            )
-        )
-    text = "\n".join(lines) + "\n"
+def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
+    """Write a CSV artifact of named, equal-length columns.
+
+    `columns` maps each header name to its column, in order. A floating
+    column is written at 9 significant digits (%.9g), any other with %s:
+    integers in decimal, and an object column may hold "" for an empty cell.
+    The manifest rides along as a '#' comment line above the header. Each
+    block of _CSV_BLOCK rows is formatted by one % on the repeated row format.
+    """
+    arrays = [np.asarray(column) for column in columns.values()]
+    n_rows = len(arrays[0])
+    if any(len(a) != n_rows for a in arrays):
+        raise ValueError("CSV columns differ in length")
+    row = ",".join("%.9g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
+    parts = [
+        "# manifest: " + json.dumps(_nine_digits(manifest)) + "\n",
+        ",".join(columns) + "\n",
+    ]
+    for start in range(0, n_rows, _CSV_BLOCK):
+        block = [a[start:start + _CSV_BLOCK].tolist() for a in arrays]
+        parts.append(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+    text = "".join(parts)
     _atomic_write(path, text)
     return text

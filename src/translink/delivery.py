@@ -79,10 +79,6 @@ class DeliveryCurve:
     p_success: np.ndarray
     f_del: np.ndarray
 
-    def rows(self):
-        for t, p, f in zip(self.t_del_us, self.p_success, self.f_del):
-            yield float(t), float(p), float(f)
-
 
 def _success_decay(q: float, k: np.ndarray, d: float):
     """Vectorized p_success and decay-weighted success mass S at round counts k.
@@ -165,7 +161,22 @@ def _whole(x: float, rounding) -> int | float:
     return rounding(x) if math.isfinite(x) else x
 
 
-def _default_k_max(config: LinkConfig, k_max: int | None) -> int:
+def _checked_k_max(k_max) -> int:
+    if k_max < 1:
+        raise ConfigError("k_max must be >= 1")
+    if k_max > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"search grid of {k_max} points exceeds {MAX_GRID_POINTS}; pass a smaller k_max"
+        )
+    return k_max
+
+
+def _search_k_max(config: LinkConfig, k_max: int | None) -> int:
+    """Grid length of the searches: k_max, by default ten coherence times.
+
+    An attached memory caps it, given or not, at its lifetime in rounds: a
+    stored pair cannot be delivered later than that.
+    """
     t = config.transducer
     t_coh = config.qubit.t_coh_us
     if k_max is None:
@@ -174,16 +185,10 @@ def _default_k_max(config: LinkConfig, k_max: int | None) -> int:
                 "t_coh is infinite: the search grid is unbounded, pass k_max explicitly"
             )
         k_max = _whole(10.0 * t_coh / t.t_rep_us, math.ceil)
-        if config.memory is not None:
-            lifetime_rounds = config.memory.lifetime_us / t.t_rep_us
-            k_max = min(k_max, _whole(lifetime_rounds, math.floor))
-    if k_max < 1:
-        raise ConfigError("k_max must be >= 1")
-    if k_max > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"search grid of {k_max} points exceeds {MAX_GRID_POINTS}; pass a smaller k_max"
-        )
-    return k_max
+    if config.memory is not None:
+        lifetime_rounds = config.memory.lifetime_us / t.t_rep_us
+        k_max = min(k_max, _whole(lifetime_rounds, math.floor))
+    return _checked_k_max(k_max)
 
 
 def delivered_fidelity(link: Link) -> LinkMetrics:
@@ -259,15 +264,16 @@ def delivery_curve(link: Link, k_max: int | None = None) -> DeliveryCurve:
     """Evaluate p_success and f_del over the grid t_del = k * t_rep.
 
     Default grid covers at least 1000 points and twice the policy's t_del,
-    bounded by ten coherence times (past which f_del is flat at 0.5).
+    bounded by ten coherence times (past which f_del is flat at 0.5) and
+    the memory lifetime. An explicit k_max is taken as given, past the
+    memory lifetime too.
     """
     c = link.config
     if k_max is None:
         k_policy = math.floor(c.policy.t_del_us / c.transducer.t_rep_us)
-        k_max = min(_default_k_max(c, None), max(1000, 2 * k_policy))
-        k_max = max(k_max, 1)
+        k_max = min(_search_k_max(c, None), max(1000, 2 * k_policy))
     else:
-        k_max = _default_k_max(c, k_max)
+        k_max = _checked_k_max(k_max)
     t_grid, p_success, f_del = _grid(link, k_max)
     return DeliveryCurve(t_del_us=t_grid, p_success=p_success, f_del=f_del)
 
@@ -309,8 +315,8 @@ def optimal_delivery_time(link: Link, k_max: int | None = None) -> tuple[float, 
     """Exact discrete argmax of f_del over t_del = k * t_rep.
 
     The policy's own t_del_us is ignored. Searches k in [1, k_max], default
-    k_max = ceil(10 T_coh / t_rep) (capped at the memory lifetime when a
-    memory is attached). Ties break toward the smaller t_del.
+    k_max = ceil(10 T_coh / t_rep); an attached memory caps k_max, given or
+    not, at its lifetime. Ties break toward the smaller t_del.
 
     f_del(k) = 1/2 + (f_her - 1/2) S(k) with S(k) = q (r^k - d^k)/(r - d), which
     rises to one peak at the real k* of _peak_round and falls after it. So
@@ -332,7 +338,7 @@ def optimal_delivery_time(link: Link, k_max: int | None = None) -> tuple[float, 
     """
     if link.p_her <= 0.0:
         raise NoOptimumError("p_her = 0: no herald can ever arrive")
-    k_max = _default_k_max(link.config, k_max)
+    k_max = _search_k_max(link.config, k_max)
     t_rep = link.config.transducer.t_rep_us
     q, d = _link_herald_and_decay(link)
     gain = max(link.f_her - 0.5, 0.0)
@@ -364,12 +370,13 @@ def optimal_delivery_time(link: Link, k_max: int | None = None) -> tuple[float, 
 def min_time_to_fidelity(link: Link, target: float, k_max: int | None = None) -> float:
     """Smallest grid t_del with f_del >= target.
 
+    The grid is that of optimal_delivery_time, memory lifetime cap included.
     Raises UnattainableError when even the optimal delivery time falls short,
     and ModelDomainError for targets outside (0.5, 1).
     """
     if not (0.5 < target < 1.0):
         raise ModelDomainError(f"target fidelity {target} outside (0.5, 1)")
-    t_grid, _, f_del = _grid(link, _default_k_max(link.config, k_max))
+    t_grid, _, f_del = _grid(link, _search_k_max(link.config, k_max))
     hits = np.nonzero(f_del >= target)[0]
     if hits.size == 0:
         raise UnattainableError(

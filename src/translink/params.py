@@ -13,7 +13,7 @@ import functools
 import math
 import operator
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .errors import PresetNotFoundError
@@ -186,9 +186,6 @@ class LinkMetrics:
     eta_link: float  # link capacity t_coh * p_her / t_rep
     p_success: float  # probability of any herald within t_del
     f_del: float  # delivered fidelity at t_del
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

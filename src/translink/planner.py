@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .delivery import (
@@ -91,9 +91,6 @@ class PlanReport:
     fidelity_met: bool
     link_error_below_threshold: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def edge_qubit_count(n_qubits: int) -> int:
     """Physical qubits along one edge of a square n-qubit patch."""
@@ -165,9 +162,6 @@ class CircuitCutComparison:
     k_classical: int
     advantage: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _k_max(budget: int, gamma: float) -> int:
     # small epsilon so exact powers of gamma are not floored away
@@ -223,9 +217,6 @@ class CryostatCheck:
     total_in_envelope: bool
     in_envelope: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def cryostat_budget_check(links: int, transducers_per_link: int) -> CryostatCheck:
     """Flag a (links, channels-per-link) pair against per-cryostat envelopes."""
@@ -254,9 +245,6 @@ class TradeoffPoint:
     n_parallel: int
     distill_rounds: int
     t_del_us: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _pareto_front(candidates) -> list:

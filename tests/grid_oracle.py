@@ -14,11 +14,11 @@ from translink import analyze_protocol, heralded_fidelity
 
 
 def grid_k_max(config, k_max=None):
-    """The library's default grid length: ten coherence times, memory-capped."""
-    if k_max is not None:
-        return k_max
+    """The library's search grid length: by default ten coherence times, and
+    given or not, capped at the memory lifetime."""
     t_rep = config.transducer.t_rep_us
-    k_max = math.ceil(10.0 * config.qubit.t_coh_us / t_rep)
+    if k_max is None:
+        k_max = math.ceil(10.0 * config.qubit.t_coh_us / t_rep)
     if config.memory is not None:
         k_max = min(k_max, math.floor(config.memory.lifetime_us / t_rep))
     return k_max

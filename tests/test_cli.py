@@ -216,7 +216,7 @@ def test_plan_without_architecture_fails(tmp_path, capsys):
 
 
 def test_plan_unattainable_target_exit_2(tmp_path, capsys):
-    cfg = json.loads(open(LATTICE).read())
+    cfg = json.loads(Path(LATTICE).read_text())
     cfg["architecture"]["target_fidelity"] = 0.99
     path = tmp_path / "hard.json"
     path.write_text(json.dumps(cfg))
@@ -323,6 +323,23 @@ def test_tradeoff_honours_memory_lifetime(tmp_path, capsys):
     # ex2's p_her_reference of 0.03 replaces the formula value 0.02375,
     # whose optimum is 173 us
     assert rows[0]["t_del_us"] == 144.0
+
+
+def test_tradeoff_k_max_capped_at_memory_lifetime(tmp_path, capsys):
+    cfg = json.loads(Path(EX2).read_text())
+    cfg["p_her_reference"] = 0.001
+    cfg["architecture"] = json.loads(Path(LATTICE).read_text())["architecture"]
+    cfg["architecture"]["transducer_budget"] = 1
+    path = tmp_path / "ex2_slow.json"
+    path.write_text(json.dumps(cfg))
+    lifetime = cfg["memory"]["lifetime_us"]
+    # this link's optimum, 1527 us, lies past the memory's 1000 us lifetime
+    default = _tradeoff_rows(capsys, tmp_path / "default", "--config", str(path))
+    explicit = _tradeoff_rows(
+        capsys, tmp_path / "explicit", "--config", str(path), "--k-max", "5000"
+    )
+    assert default == explicit
+    assert [r["t_del_us"] for r in explicit] == [lifetime]
 
 
 def test_plan_and_tradeoff_honour_p_her_reference(tmp_path, capsys):

@@ -4,10 +4,13 @@ import json
 import math
 import os
 import re
-from dataclasses import fields
+import struct
+from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from translink import (
     ArchitectureSpec,
@@ -26,11 +29,11 @@ from translink import (
     build_manifest,
     emit_csv,
     emit_json,
-    format_float,
     parse_config,
     parse_config_data,
     resolved_config,
 )
+from translink import config_io
 
 ROOT = Path(__file__).resolve().parents[1]
 # repo-relative, so the parametrized test IDs do not depend on the checkout
@@ -297,20 +300,12 @@ def test_config_file_round_trip_via_emit(tmp_path):
 
 def test_manifest_shape():
     m = build_manifest("translink analyze --config x.json", {"a": 1}, seed=9)
-    d = m.to_dict()
+    d = asdict(m)
     assert list(d) == ["tool_version", "command", "seed", "created_utc", "resolved_config"]
     assert d["tool_version"] == TOOL_VERSION
     assert d["seed"] == 9
     assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", d["created_utc"])
     assert build_manifest("c", {}).seed is None
-
-
-def test_format_float_nine_digits():
-    assert format_float(0.1 + 0.2) == "0.3"
-    assert format_float(1 / 3) == "0.333333333"
-    assert format_float(2.0) == "2"
-    assert format_float(1234567891.0) == "1.23456789e+09"
-    assert format_float(0.9999332549974261) == "0.999933255"
 
 
 def test_emit_json_rounds_floats(tmp_path):
@@ -326,11 +321,47 @@ def test_emit_json_rounds_floats(tmp_path):
     assert list(doc)[0] == "manifest"
 
 
+# Rows per formatting block in emit_csv; the lengths below straddle it.
+BLOCK = config_io._CSV_BLOCK
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    0.1 + 0.2, 1 / 3, 2.0, 1234567891.0, 0.9999332549974261,
+]
+
+
+def _oracle_csv(columns, manifest_line):
+    """The CSV text of `columns`, one cell at a time: floats via format(x, ".9g")."""
+    cells = [
+        [format(float(v), ".9g") if isinstance(v, (float, np.floating)) else str(v)
+         for v in column]
+        for column in columns.values()
+    ]
+    lines = [manifest_line, ",".join(columns)]
+    lines += [",".join(row) for row in zip(*cells)]
+    return "\n".join(lines) + "\n"
+
+
+def _check_against_oracle(tmp_path, columns):
+    manifest = build_manifest("cmd", {"x": 1 / 3})
+    path = tmp_path / "out.csv"
+    text = emit_csv(path, columns, manifest)
+    assert path.read_text() == text
+    assert text == _oracle_csv(columns, text.splitlines()[0])
+    return text
+
+
 def test_emit_csv_format(tmp_path):
     manifest = build_manifest("cmd", {})
     path = tmp_path / "out.csv"
     text = emit_csv(
-        path, ["a", "b", "c"], [(1, 1 / 3, "x"), (2, 0.5, "")], manifest
+        path,
+        {
+            "a": np.array([1, 2]),
+            "b": np.array([1 / 3, 0.5]),
+            "c": np.array(["x", ""], dtype=object),
+        },
+        manifest,
     )
     lines = text.splitlines()
     assert lines[0].startswith("# manifest: {")
@@ -338,6 +369,56 @@ def test_emit_csv_format(tmp_path):
     assert lines[2] == "1,0.333333333,x"
     assert lines[3] == "2,0.5,"
     assert path.read_text() == text
+
+    # nine significant digits, shortest form, exponent past 1e9
+    text = emit_csv(path, {"x": SPECIAL_FLOATS}, manifest)
+    assert text.splitlines()[2:] == [
+        "0", "-0", "inf", "-inf", "nan", "4.94065646e-324", "-4.94065646e-324",
+        "1.79769313e+308", "-1.79769313e+308",
+        "0.3", "0.333333333", "2", "1.23456789e+09", "0.999933255",
+    ]
+
+    with pytest.raises(ValueError):
+        emit_csv(path, {"a": [1.0, 2.0], "b": [1.0]}, manifest)
+
+
+@pytest.mark.parametrize(
+    "n_rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+)
+def test_emit_csv_block_boundaries(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 301, n_rows)
+    floats[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:n_rows]
+    ints = rng.integers(-(2**62), 2**62, n_rows)
+    cells = ints.astype(object)
+    cells[::3] = ""
+    text = _check_against_oracle(
+        tmp_path, {"f": floats, "i": ints, "o": cells, "g": floats[::-1].copy()}
+    )
+    assert text.count("\n") == n_rows + 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 2**64 - 1).map(
+                lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+            ),
+            st.integers(-(2**63), 2**63 - 1),
+            st.one_of(st.just(""), st.integers(0, 10**4)),
+        ),
+        max_size=3 * BLOCK,
+    )
+)
+def test_emit_csv_matches_per_cell_oracle(tmp_path_factory, rows):
+    floats, ints, cells = zip(*rows) if rows else ((), (), ())
+    columns = {
+        "f": np.array(floats, dtype=float),
+        "i": np.array(ints, dtype=np.int64),
+        "o": np.array(cells, dtype=object),
+    }
+    _check_against_oracle(tmp_path_factory.mktemp("csv"), columns)
 
 
 def test_emit_failure_leaves_no_artifact(tmp_path, monkeypatch):
