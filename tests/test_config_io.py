@@ -370,16 +370,18 @@ def test_emit_csv_format(tmp_path):
     assert lines[3] == "2,0.5,"
     assert path.read_text() == text
 
+    with pytest.raises(ValueError):
+        emit_csv(path, {"a": [1.0, 2.0], "b": [1.0]}, manifest)
+
+
+def test_format_float_nine_digits(tmp_path):
     # nine significant digits, shortest form, exponent past 1e9
-    text = emit_csv(path, {"x": SPECIAL_FLOATS}, manifest)
+    text = emit_csv(tmp_path / "out.csv", {"x": SPECIAL_FLOATS}, build_manifest("cmd", {}))
     assert text.splitlines()[2:] == [
         "0", "-0", "inf", "-inf", "nan", "4.94065646e-324", "-4.94065646e-324",
         "1.79769313e+308", "-1.79769313e+308",
         "0.3", "0.333333333", "2", "1.23456789e+09", "0.999933255",
     ]
-
-    with pytest.raises(ValueError):
-        emit_csv(path, {"a": [1.0, 2.0], "b": [1.0]}, manifest)
 
 
 @pytest.mark.parametrize(
