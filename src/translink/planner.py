@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .delivery import (
     Link,
+    _optimal_delivery_times,
     delivered_fidelity,
     min_time_to_fidelity,
-    optimal_delivery_time,
 )
 from .distillation import calibrated_distill
 from .errors import ConfigError
@@ -287,26 +289,24 @@ def tradeoff_surface(budget: int, link: Link, k_max: int | None = None) -> tuple
     Widths run from 1 to min(B, MAX_TRANSDUCERS_PER_MODULE): no link is
     wider than a module's channel ceiling, so the work stays bounded for any
     budget. Each width runs the resolved `link` at its optimal delivery
-    time, with the policy's n_parallel replaced, so the memory (its boosted
-    p_her and its lifetime cap on the search), the fidelity model and a
-    p_her reference take effect. Returns the non-dominated points under
+    time, with that width as n_parallel, so the memory (its boosted p_her
+    and its lifetime cap on the search), the fidelity model and a p_her
+    reference take effect. Returns the non-dominated points under
     simultaneous maximization of all three axes, sorted by descending
     n_links, then rate, then fidelity.
 
     Candidates with equal objective triples keep the cheapest witness (the
     smallest n_parallel, then rounds); _pareto_front then filters the C
-    candidates, at most 5 W of them for W widths, in O(C log C). Each width
-    costs one optimal_delivery_time call.
+    candidates, at most 5 W of them for W widths, in O(C log C). The optimal
+    delivery times of all W widths come from one array pass.
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
-    config, policy = link.config, link.config.policy
+    widths = np.arange(1, min(budget, MAX_TRANSDUCERS_PER_MODULE) + 1)
+    t_stars, f_stars = _optimal_delivery_times(link, widths, k_max)
     unique: dict = {}
-    for n_parallel in range(1, min(budget, MAX_TRANSDUCERS_PER_MODULE) + 1):
-        probe = replace(
-            link, config=replace(config, policy=replace(policy, n_parallel=n_parallel))
-        )
-        t_star, f_star = optimal_delivery_time(probe, k_max=k_max)
+    optima = zip(t_stars.tolist(), f_stars.tolist())
+    for n_parallel, (t_star, f_star) in enumerate(optima, start=1):
         for rounds in range(TRADEOFF_MAX_DISTILL_ROUNDS + 1):
             n_links = budget // (n_parallel * 2**rounds)
             if n_links < 1:

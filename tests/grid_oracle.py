@@ -24,13 +24,19 @@ def grid_k_max(config, k_max=None):
     return k_max
 
 
-def grid_f_del(config, k_max):
-    """(t_del grid, f_del grid) for k = 1..k_max."""
+def grid_f_del(config, k_max, p_her=None):
+    """(t_del grid, f_del grid) for k = 1..k_max.
+
+    p_her, when given, replaces the formula's herald probability, as a
+    p_her reference does in the library.
+    """
     analytics = analyze_protocol(config.transducer, config.protocol, config.memory)
     f_her = heralded_fidelity(analytics, config.policy.fidelity_model)
     t_rep = config.transducer.t_rep_us
     t_coh = config.qubit.t_coh_us
-    q = 1.0 - (1.0 - analytics.p_her) ** config.policy.n_parallel
+    if p_her is None:
+        p_her = analytics.p_her
+    q = 1.0 - (1.0 - p_her) ** config.policy.n_parallel
     d = math.exp(-t_rep / t_coh) if not math.isinf(t_coh) else 1.0
     r = 1.0 - q
     k = np.arange(1, k_max + 1, dtype=float)
@@ -42,8 +48,8 @@ def grid_f_del(config, k_max):
     return k * t_rep, 0.5 + max(f_her - 0.5, 0.0) * (q * core)
 
 
-def grid_optimal_delivery_time(config, k_max=None):
+def grid_optimal_delivery_time(config, k_max=None, p_her=None):
     """(t_del, f_del) at the first maximum of f_del on the full grid."""
-    t_grid, f_del = grid_f_del(config, grid_k_max(config, k_max))
+    t_grid, f_del = grid_f_del(config, grid_k_max(config, k_max), p_her)
     best = int(np.argmax(f_del))
     return float(t_grid[best]), float(f_del[best])

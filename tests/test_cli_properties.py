@@ -16,11 +16,9 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from translink import cli, preset
+from translink.planner import MAX_TRANSDUCER_BUDGET
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
-
-# The run time of tradeoff grows with the budget, so the budget is pinned.
-TRADEOFF_BUDGET = 64
 
 EXTREMES = [0, -1, math.nan, math.inf, -math.inf, 1e308, 10**30, 1e-300]
 
@@ -32,8 +30,6 @@ def _expanded(name: str) -> dict:
     cfg["transducer"] = {k: v for k, v in transducer.items() if v is not None}
     qubit = preset(cfg["qubit"].removeprefix("preset:"))
     cfg["qubit"] = {"t1_us": qubit.t1_us, "t2_us": qubit.t2_us}
-    if "architecture" in cfg:
-        cfg["architecture"]["transducer_budget"] = TRADEOFF_BUDGET
     return cfg
 
 
@@ -41,14 +37,13 @@ BASES = {name: _expanded(name) for name in ("ex1", "ex2", "ex3", "lattice")}
 
 
 def _numeric_fields(cfg: dict) -> list:
-    """Paths to every numeric field, except the pinned tradeoff budget."""
+    """Paths to every numeric field."""
     fields = []
     for key, value in cfg.items():
         if isinstance(value, dict):
             fields += [
                 (key, sub) for sub, v in value.items()
                 if isinstance(v, (int, float)) and not isinstance(v, bool)
-                and sub != "transducer_budget"
             ]
         elif isinstance(value, (int, float)):
             fields.append((key,))
@@ -167,6 +162,9 @@ SIMULATE_9 = ["simulate", "--trials", "9"]
 @example(case=("ex2", (("p_her_reference",), -math.inf), ["analyze"]))
 @example(case=("lattice", (("architecture", "qubits_per_processor"), 10**30), ["plan"]))
 @example(case=("lattice", (("qubit", "t2_us"), 1e308), ["tradeoff"]))
+# tradeoff works on at most 10^4 widths at once, so it runs at any budget
+@example(case=("lattice", (("architecture", "transducer_budget"), MAX_TRANSDUCER_BUDGET),
+               ["tradeoff"]))
 # an integer literal beyond the float range
 @example(case=("ex1", (("policy", "t_del_us"), 10**400), ["analyze"]))
 def test_every_input_exits_0_1_or_2(tmp_path_factory, case):

@@ -1,6 +1,7 @@
 """Timeout-window delivery statistics against a literal per-round oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from translink import (
     preset,
     resolve,
 )
+from translink.delivery import _optimal_delivery_times
 from translink.params import MAX_TRANSDUCERS_PER_MODULE
 
 
@@ -316,16 +318,8 @@ def _probe(transducer, qubit, protocol, n_parallel=1, memory=None, alpha=None,
     )
 
 
-@pytest.mark.parametrize(
-    "protocol,memory_kind,model",
-    LINK_KINDS,
-    ids=[f"{p[0].value}-{p[1].value}-{m and m.value}-{f.value}" for p, m, f in LINK_KINDS],
-)
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_optimal_matches_grid_oracle(protocol, memory_kind, model, data):
-    """The closed-form optimum equals the full-grid first argmax, bit for bit."""
-    draw = data.draw
+def _draw_probe(draw, protocol, memory_kind, model):
+    """A random link of the given kind and a search grid length for it."""
     t_rep = draw(_log10_uniform(-2, 2))
     transducer = TransducerParams(
         "h",
@@ -356,6 +350,20 @@ def test_optimal_matches_grid_oracle(protocol, memory_kind, model, data):
         alpha=draw(_log10_uniform(-3, -0.3)) if protocol == ONE_UP else None,
         model=model,
     )
+    return cfg, k_max
+
+
+LINK_KIND_IDS = [
+    f"{p[0].value}-{p[1].value}-{m and m.value}-{f.value}" for p, m, f in LINK_KINDS
+]
+
+
+@pytest.mark.parametrize("protocol,memory_kind,model", LINK_KINDS, ids=LINK_KIND_IDS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_optimal_matches_grid_oracle(protocol, memory_kind, model, data):
+    """The closed-form optimum equals the full-grid first argmax, bit for bit."""
+    cfg, k_max = _draw_probe(data.draw, protocol, memory_kind, model)
     try:
         want = grid_optimal_delivery_time(cfg, k_max)
     except ModelDomainError:
@@ -363,6 +371,43 @@ def test_optimal_matches_grid_oracle(protocol, memory_kind, model, data):
             optimal_delivery_time(resolve(cfg), k_max=k_max)
         return
     assert optimal_delivery_time(resolve(cfg), k_max=k_max) == want
+
+
+def _width(cfg, n_parallel):
+    return replace(cfg, policy=replace(cfg.policy, n_parallel=n_parallel))
+
+
+@pytest.mark.parametrize("protocol,memory_kind,model", LINK_KINDS, ids=LINK_KIND_IDS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_optimal_at_many_widths_matches_grid_oracle(protocol, memory_kind, model, data):
+    """The array pass over a set of widths equals the grid oracle at each width."""
+    cfg, k_max = _draw_probe(data.draw, protocol, memory_kind, model)
+    widths = [1, 2] + data.draw(
+        st.lists(st.integers(1, MAX_TRANSDUCERS_PER_MODULE), max_size=4)
+    )
+    try:
+        link = resolve(cfg)
+    except ModelDomainError:
+        return
+    t_del, f_del = _optimal_delivery_times(link, np.array(widths), k_max)
+    got = list(zip(t_del.tolist(), f_del.tolist()))
+    assert got == [grid_optimal_delivery_time(_width(cfg, n), k_max) for n in widths]
+
+
+# Widths at which numpy's power and Python's ** give q values one ulp apart,
+# and the optimum moves with that ulp; the ex2 link's reference p_her is 0.03.
+@pytest.mark.parametrize(
+    "cfg,p_her,widths",
+    [(_ex1(), None, [3, 408]), (_ex2(), 0.03, [18])],
+    ids=["ex1-3-408", "ex2-ref-18"],
+)
+def test_optimal_at_ulp_sensitive_widths(cfg, p_her, widths):
+    t_del, f_del = _optimal_delivery_times(resolve(cfg, p_her), np.array(widths))
+    got = list(zip(t_del.tolist(), f_del.tolist()))
+    assert got == [
+        grid_optimal_delivery_time(_width(cfg, n), p_her=p_her) for n in widths
+    ]
 
 
 def _special_cases():
