@@ -89,21 +89,20 @@ def _success_decay(q, k: np.ndarray, d: float):
     """
     r = 1.0 - q
     rk = np.power(r, k, dtype=float)
-    dk = np.power(d, k, dtype=float)
-    near = np.abs(r - d) < 1e-9
-    if not near.any():
-        core = (rk - dk) / (r - d)
-    else:
-        # degenerate limit (r^k - d^k)/(r - d) -> k * m^(k-1)
-        m = 0.5 * (r + d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (rk - dk) / (r - d)
-        core = np.where(near, k * np.power(m, k - 1, dtype=float), ratio)
+    # core = (r^k - d^k)/(r - d), built in place: the optimum evaluates a
+    # block of 6 rounds per width, and every full-size temporary adds to its
+    # peak memory
+    core = rk - np.power(d, k, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        core /= r - d
+    # degenerate limit (r^k - d^k)/(r - d) -> k * m^(k-1) where |r - d| < 1e-9
+    m = 0.5 * (r + d)
+    np.copyto(core, k * np.power(m, k - 1, dtype=float), where=np.abs(r - d) < 1e-9)
     return 1.0 - rk, q * core
 
 
 def _f_del(q, d: float, gain: float, k: np.ndarray, rem_decay: float = 1.0):
-    """(p_success, f_del) after k rounds, k a float array, gain = max(f_her - 1/2, 0).
+    """(p_success, f_del) after k rounds, k an array, gain = max(f_her - 1/2, 0).
 
     rem_decay is the storage decay between the last round and t_del. The
     grid points have none, and gain * 1.0 is exact, so a grid point and a
@@ -317,62 +316,20 @@ def _peak_rounds(r: np.ndarray, d: float) -> np.ndarray:
     return np.where(np.abs(r - d) < 1e-9, degenerate, peak)
 
 
-def _optimal_delivery_times(link: Link, widths: np.ndarray, k_max: int | None = None):
-    """optimal_delivery_time of the link at each of the widths (n_parallel values).
-
-    Returns the (t_del, f_del) arrays, computed for all widths at once.
-    """
-    if link.p_her <= 0.0:
-        raise NoOptimumError("p_her = 0: no herald can ever arrive")
-    k_max = _search_k_max(link.config, k_max)
-    t_rep = link.config.transducer.t_rep_us
-    _, d = _link_herald_and_decay(link)
-    # Python's float ** for each width, as delivery_curve's q: numpy's power
-    # can differ from it in the last bit, and that bit can move the optimum
-    q = np.array([_round_herald(link.p_her, n) for n in widths.tolist()])
-    gain = max(link.f_her - 0.5, 0.0)
-
-    def f_del_at(q, k):
-        return _f_del(q, d, gain, k.astype(float))[1]
-
-    peak = np.clip(_peak_rounds(1.0 - q, d), 1.0, float(k_max))
-    lo = np.maximum(np.floor(peak) - 2, 1).astype(np.int64)
-    hi = np.minimum(np.ceil(peak) + 2, k_max).astype(np.int64)
-    # the window lo..hi holds at most 6 rounds; its first maximum
-    k_best, f_best = lo, f_del_at(q, lo)
-    for offset in range(1, 6):
-        k = lo + offset
-        values = f_del_at(q, k)
-        better = (k <= hi) & (values > f_best)
-        k_best = np.where(better, k, k_best)
-        f_best = np.where(better, values, f_best)
-    # where the window's left end is best, bisect [1, lo] for the first k
-    # that reaches the same value
-    left_end = k_best == lo
-    floor_value = f_best.copy()
-    low = np.ones_like(k_best)
-    while True:
-        lanes = np.flatnonzero(left_end & (low < k_best))
-        if lanes.size == 0:
-            break
-        mid = (low[lanes] + k_best[lanes]) // 2
-        values = f_del_at(q[lanes], mid)
-        hit = values >= floor_value[lanes]
-        k_best[lanes] = np.where(hit, mid, k_best[lanes])
-        f_best[lanes] = np.where(hit, values, f_best[lanes])
-        low[lanes] = np.where(hit, low[lanes], mid + 1)
-    return k_best * t_rep, f_best
-
-
-def optimal_delivery_time(link: Link, k_max: int | None = None) -> tuple[float, float]:
+def optimal_delivery_time(
+    link: Link, k_max: int | None = None, *, n_parallel: int | np.ndarray | None = None
+) -> tuple:
     """Exact discrete argmax of f_del over t_del = k * t_rep.
 
     The policy's own t_del_us is ignored. Searches k in [1, k_max], default
     k_max = ceil(10 T_coh / t_rep); an attached memory caps k_max, given or
     not, at its lifetime. Ties break toward the smaller t_del.
 
-    This is _optimal_delivery_times, the array pass that tradeoff_surface
-    runs over every width at once, at the policy's one width.
+    Returns (t_del, f_del) as floats at the policy's n_parallel. Given
+    n_parallel, an array of widths, it returns the two arrays of the link
+    at each of those widths instead, all found in one pass of array
+    operations; an int n_parallel gives floats again.
+
     f_del(k) = 1/2 + (f_her - 1/2) S(k) with S(k) = q (r^k - d^k)/(r - d), which
     rises to one peak at the real k* of _peak_rounds and falls after it. So
     f_del is evaluated, exactly as delivery_curve evaluates it, only at the
@@ -395,10 +352,48 @@ def optimal_delivery_time(link: Link, k_max: int | None = None) -> tuple[float, 
     Cost: six points per width, plus at most log2(k_max) in that case,
     instead of the k_max-point grid.
     """
-    t_del, f_del = _optimal_delivery_times(
-        link, np.array([link.config.policy.n_parallel]), k_max
-    )
-    return float(t_del[0]), float(f_del[0])
+    if link.p_her <= 0.0:
+        raise NoOptimumError("p_her = 0: no herald can ever arrive")
+    widths = np.asarray(link.config.policy.n_parallel if n_parallel is None else n_parallel)
+    k_max = _search_k_max(link.config, k_max)
+    t_rep = link.config.transducer.t_rep_us
+    _, d = _link_herald_and_decay(link)
+    # Python's float ** for each width, as delivery_curve's q: numpy's power
+    # can differ from it in the last bit, and that bit can move the optimum
+    q = np.array([_round_herald(link.p_her, n) for n in widths.ravel().tolist()])
+    gain = max(link.f_her - 0.5, 0.0)
+
+    def f_del_at(q, k):
+        return _f_del(q, d, gain, k)[1]
+
+    peak = np.clip(_peak_rounds(1.0 - q, d), 1.0, float(k_max))
+    lo = np.maximum(np.floor(peak) - 2, 1).astype(np.int64)
+    hi = np.minimum(np.ceil(peak) + 2, k_max).astype(np.int64)
+    # the window lo..hi, at most 6 rounds, as one block; its first maximum
+    window = lo[:, None] + np.arange(6)
+    values = f_del_at(q[:, None], window)
+    values[window > hi[:, None]] = -np.inf
+    best = np.argmax(values, axis=1)
+    rows = np.arange(len(q))
+    k_best, f_best = window[rows, best], values[rows, best]
+    # where the window's left end is best, bisect [1, lo] for the first k
+    # that reaches the same value
+    left_end = best == 0
+    floor_value = f_best.copy()
+    low = np.ones_like(k_best)
+    while True:
+        lanes = np.flatnonzero(left_end & (low < k_best))
+        if lanes.size == 0:
+            break
+        mid = (low[lanes] + k_best[lanes]) // 2
+        values = f_del_at(q[lanes], mid)
+        hit = values >= floor_value[lanes]
+        k_best[lanes] = np.where(hit, mid, k_best[lanes])
+        f_best[lanes] = np.where(hit, values, f_best[lanes])
+        low[lanes] = np.where(hit, low[lanes], mid + 1)
+    if widths.ndim == 0:
+        return float(k_best[0] * t_rep), float(f_best[0])
+    return (k_best * t_rep).reshape(widths.shape), f_best.reshape(widths.shape)
 
 
 def min_time_to_fidelity(link: Link, target: float, k_max: int | None = None) -> float:

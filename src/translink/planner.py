@@ -19,9 +19,9 @@ import numpy as np
 
 from .delivery import (
     Link,
-    _optimal_delivery_times,
     delivered_fidelity,
     min_time_to_fidelity,
+    optimal_delivery_time,
 )
 from .distillation import calibrated_distill
 from .errors import ConfigError
@@ -298,12 +298,12 @@ def tradeoff_surface(budget: int, link: Link, k_max: int | None = None) -> tuple
     Candidates with equal objective triples keep the cheapest witness (the
     smallest n_parallel, then rounds); _pareto_front then filters the C
     candidates, at most 5 W of them for W widths, in O(C log C). The optimal
-    delivery times of all W widths come from one array pass.
+    delivery times of all W widths come from one optimal_delivery_time call.
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     widths = np.arange(1, min(budget, MAX_TRANSDUCERS_PER_MODULE) + 1)
-    t_stars, f_stars = _optimal_delivery_times(link, widths, k_max)
+    t_stars, f_stars = optimal_delivery_time(link, k_max, n_parallel=widths)
     unique: dict = {}
     optima = zip(t_stars.tolist(), f_stars.tolist())
     for n_parallel, (t_star, f_star) in enumerate(optima, start=1):

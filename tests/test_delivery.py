@@ -33,7 +33,6 @@ from translink import (
     preset,
     resolve,
 )
-from translink.delivery import _optimal_delivery_times
 from translink.params import MAX_TRANSDUCERS_PER_MODULE
 
 
@@ -390,9 +389,22 @@ def test_optimal_at_many_widths_matches_grid_oracle(protocol, memory_kind, model
         link = resolve(cfg)
     except ModelDomainError:
         return
-    t_del, f_del = _optimal_delivery_times(link, np.array(widths), k_max)
+    t_del, f_del = optimal_delivery_time(link, k_max, n_parallel=np.array(widths))
     got = list(zip(t_del.tolist(), f_del.tolist()))
     assert got == [grid_optimal_delivery_time(_width(cfg, n), k_max) for n in widths]
+
+
+def test_optimal_width_argument_shapes():
+    """An int width gives floats, as the policy's own width does; an array of
+    widths gives arrays of its shape."""
+    cfg = _ex1()
+    link = resolve(cfg)
+    at_5 = optimal_delivery_time(link, n_parallel=5)
+    assert at_5 == optimal_delivery_time(resolve(_width(cfg, 5)))
+    assert all(type(x) is float for x in at_5)
+    t_del, f_del = optimal_delivery_time(link, n_parallel=np.array([[1, 5], [7, 9]]))
+    assert t_del.shape == f_del.shape == (2, 2)
+    assert (t_del[0, 1], f_del[0, 1]) == at_5
 
 
 # Widths at which numpy's power and Python's ** give q values one ulp apart,
@@ -403,7 +415,7 @@ def test_optimal_at_many_widths_matches_grid_oracle(protocol, memory_kind, model
     ids=["ex1-3-408", "ex2-ref-18"],
 )
 def test_optimal_at_ulp_sensitive_widths(cfg, p_her, widths):
-    t_del, f_del = _optimal_delivery_times(resolve(cfg, p_her), np.array(widths))
+    t_del, f_del = optimal_delivery_time(resolve(cfg, p_her), n_parallel=np.array(widths))
     got = list(zip(t_del.tolist(), f_del.tolist()))
     assert got == [
         grid_optimal_delivery_time(_width(cfg, n), p_her=p_her) for n in widths
