@@ -22,7 +22,6 @@ from .delivery import (
     Link,
     delivered_fidelity,
     delivery_curve,
-    delivery_point,
     infidelity_breakdown,
     infidelity_breakdown_curve,
     min_time_to_fidelity,
@@ -61,11 +60,14 @@ from .params import (
     DEVICE_PRESETS,
     QUBIT_PRESETS,
     TRANSDUCER_PRESETS,
+    Architecture,
+    ArchitectureSpec,
     DeliveryPolicy,
     DeviceSummary,
     FidelityModel,
     LinkConfig,
     LinkMetrics,
+    MAX_TRANSDUCER_BUDGET,
     MAX_TRANSDUCERS_PER_MODULE,
     MemoryKind,
     MemoryParams,
@@ -76,15 +78,13 @@ from .params import (
     TransducerParams,
     preset,
     validate,
+    validate_architecture,
 )
 from .planner import (
-    Architecture,
-    ArchitectureSpec,
     CircuitCutComparison,
     CryostatCheck,
     GAMMA_CLASSICAL,
     LATTICE_SURGERY_LINK_ERROR_THRESHOLD,
-    MAX_TRANSDUCER_BUDGET,
     PlanReport,
     TradeoffPoint,
     circuit_cut_comparison,
@@ -93,7 +93,6 @@ from .planner import (
     graph_state_pipe_width,
     lattice_surgery_plan,
     tradeoff_surface,
-    validate_architecture,
 )
 from .protocols import (
     ProtocolAnalytics,

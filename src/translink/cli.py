@@ -38,6 +38,7 @@ from .distillation import DistillMode, nested_distill, recurrence_ladder
 from .errors import ConfigError, ModelDomainError, SchemaError
 from .mcsim import run_trials
 from .params import (
+    ALPHA_PROTOCOL,
     DEVICE_PRESETS,
     QUBIT_PRESETS,
     TRANSDUCER_PRESETS,
@@ -201,14 +202,11 @@ def _apply_overrides(parsed: ParsedConfig, args) -> ParsedConfig:
     protocol = link.protocol
     if getattr(args, "protocol", None):
         basis, pump = _PROTOCOL_NAMES[args.protocol]
-        one_photon_upconv = (
-            basis is PhotonBasis.ONE_PHOTON and pump is PumpMode.UPCONVERSION
-        )
         protocol = replace(
             protocol,
             basis=basis,
             pump=pump,
-            alpha=protocol.alpha if one_photon_upconv else None,
+            alpha=protocol.alpha if (basis, pump) == ALPHA_PROTOCOL else None,
         )
     policy = link.policy
     if getattr(args, "t_del", None) is not None:

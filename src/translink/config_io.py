@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, SchemaError
 from .params import (
+    ArchitectureSpec,
     DeliveryPolicy,
     LinkConfig,
     MemoryParams,
@@ -44,8 +45,8 @@ from .params import (
     preset,
     schema,
     validate,
+    validate_architecture,
 )
-from .planner import ArchitectureSpec, validate_architecture
 
 TOOL_VERSION = "0.1.0"
 

@@ -112,54 +112,25 @@ def _f_del(q, d: float, gain: float, k: np.ndarray, rem_decay: float = 1.0):
     return p_success, 0.5 + gain * rem_decay * s
 
 
-def _round_herald(p_her: float, n_parallel: int) -> float:
-    """Per-round herald probability q = 1 - (1 - p_her)^n over n channels."""
-    return 1.0 - (1.0 - p_her) ** n_parallel
+def _herald_and_decay(link: Link, widths: np.ndarray | None = None):
+    """Per-round herald probability q and storage decay d = exp(-t_rep/T_coh).
 
-
-def _herald_and_decay(p_her, t_rep_us, t_coh_us, n_parallel):
-    """Per-round herald probability q over n channels and storage decay d."""
-    q = _round_herald(p_her, n_parallel)
-    d = math.exp(-t_rep_us / t_coh_us) if not math.isinf(t_coh_us) else 1.0
-    return q, d
-
-
-def _link_herald_and_decay(link: Link):
-    c = link.config
-    return _herald_and_decay(
-        link.p_her, c.transducer.t_rep_us, c.qubit.t_coh_us, c.policy.n_parallel
-    )
-
-
-def delivery_point(
-    p_her: float,
-    f_her: float,
-    t_del_us: float,
-    t_rep_us: float,
-    t_coh_us: float,
-    n_parallel: int = 1,
-) -> tuple[float, float]:
-    """(p_success, f_del) at an arbitrary delivery time.
-
-    A heralded state whose fidelity has fallen below the classical fallback
-    would never be preferred over it, so the decaying term is floored at the
-    fallback fidelity 1/2 (relevant only when f_her < 0.5).
+    q = 1 - (1 - p_her)^n over n channels: a float at the policy's
+    n_parallel, or one entry per width of `widths`. Each is taken with
+    Python's float **, not numpy's power, whose last bit can differ and
+    move the optimum. An infinite T_coh gives d = exp(-0.0) = 1 exactly.
     """
-    k_rounds = math.floor(t_del_us / t_rep_us)
-    if k_rounds < 1:
-        raise ConfigError("timeout shorter than one attempt")
-    q, d = _herald_and_decay(p_her, t_rep_us, t_coh_us, n_parallel)
-    rem = t_del_us - k_rounds * t_rep_us
-    rem_decay = math.exp(-rem / t_coh_us) if not math.isinf(t_coh_us) else 1.0
-    p_success, f_del = _f_del(
-        q, d, max(f_her - 0.5, 0.0), np.asarray([k_rounds], dtype=float), rem_decay
-    )
-    return float(p_success[0]), float(f_del[0])
+    c = link.config
+    d = math.exp(-c.transducer.t_rep_us / c.qubit.t_coh_us)
+    miss = 1.0 - link.p_her
+    if widths is None:
+        return 1.0 - miss**c.policy.n_parallel, d
+    return np.array([1.0 - miss**n for n in widths.ravel().tolist()]), d
 
 
 def _grid(link: Link, k_max: int):
-    k = np.arange(1, k_max + 1, dtype=float)
-    q, d = _link_herald_and_decay(link)
+    k = np.arange(1, _checked_k_max(k_max) + 1, dtype=float)
+    q, d = _herald_and_decay(link)
     p_success, f_del = _f_del(q, d, max(link.f_her - 0.5, 0.0), k)
     return k * link.config.transducer.t_rep_us, p_success, f_del
 
@@ -179,11 +150,13 @@ def _checked_k_max(k_max) -> int:
     return k_max
 
 
-def _search_k_max(config: LinkConfig, k_max: int | None) -> int:
+def _search_k_max(config: LinkConfig, k_max: int | None) -> int | float:
     """Grid length of the searches: k_max, by default ten coherence times.
 
     An attached memory caps it, given or not, at its lifetime in rounds: a
-    stored pair cannot be delivered later than that.
+    stored pair cannot be delivered later than that. The length is not yet
+    checked against MAX_GRID_POINTS, so that a caller can cap it further
+    first.
     """
     t = config.transducer
     t_coh = config.qubit.t_coh_us
@@ -196,24 +169,28 @@ def _search_k_max(config: LinkConfig, k_max: int | None) -> int:
     if config.memory is not None:
         lifetime_rounds = config.memory.lifetime_us / t.t_rep_us
         k_max = min(k_max, _whole(lifetime_rounds, math.floor))
-    return _checked_k_max(k_max)
+    return k_max
 
 
 def delivered_fidelity(link: Link) -> LinkMetrics:
     """Full link analytics at the policy's delivery time.
 
     p_her and eta_link refer to a single channel; p_success and f_del account
-    for the policy's n_parallel channels racing for the first herald.
+    for the policy's n_parallel channels racing for the first herald. The
+    state decays over the K = floor(t_del/t_rep) rounds of the grid and
+    then for the rest of t_del. A heralded state below the fallback
+    fidelity 1/2 would never be preferred over it, so f_her < 1/2 gives
+    f_del = 1/2.
     """
     c = link.config
     t_rep = c.transducer.t_rep_us
-    p_success, f_del = delivery_point(
-        link.p_her,
-        link.f_her,
-        c.policy.t_del_us,
-        t_rep,
-        c.qubit.t_coh_us,
-        c.policy.n_parallel,
+    t_del = c.policy.t_del_us
+    # validate's t_del >= t_rep makes k_rounds >= 1
+    k_rounds = math.floor(t_del / t_rep)
+    q, d = _herald_and_decay(link)
+    rem_decay = math.exp(-(t_del - k_rounds * t_rep) / c.qubit.t_coh_us)
+    p_success, f_del = _f_del(
+        q, d, max(link.f_her - 0.5, 0.0), np.asarray([k_rounds], dtype=float), rem_decay
     )
     return LinkMetrics(
         p_her=link.p_her,
@@ -221,8 +198,8 @@ def delivered_fidelity(link: Link) -> LinkMetrics:
         i_th=link.formula.i_th,
         f_her=link.f_her,
         eta_link=c.qubit.t_coh_us * link.p_her / t_rep,
-        p_success=p_success,
-        f_del=f_del,
+        p_success=float(p_success[0]),
+        f_del=float(f_del[0]),
     )
 
 
@@ -279,9 +256,9 @@ def delivery_curve(link: Link, k_max: int | None = None) -> DeliveryCurve:
     c = link.config
     if k_max is None:
         k_policy = math.floor(c.policy.t_del_us / c.transducer.t_rep_us)
+        # the cap comes before _grid's check, so that a long coherence time
+        # needs no more than this grid
         k_max = min(_search_k_max(c, None), max(1000, 2 * k_policy))
-    else:
-        k_max = _checked_k_max(k_max)
     t_grid, p_success, f_del = _grid(link, k_max)
     return DeliveryCurve(t_del_us=t_grid, p_success=p_success, f_del=f_del)
 
@@ -355,12 +332,9 @@ def optimal_delivery_time(
     if link.p_her <= 0.0:
         raise NoOptimumError("p_her = 0: no herald can ever arrive")
     widths = np.asarray(link.config.policy.n_parallel if n_parallel is None else n_parallel)
-    k_max = _search_k_max(link.config, k_max)
+    k_max = _checked_k_max(_search_k_max(link.config, k_max))
     t_rep = link.config.transducer.t_rep_us
-    _, d = _link_herald_and_decay(link)
-    # Python's float ** for each width, as delivery_curve's q: numpy's power
-    # can differ from it in the last bit, and that bit can move the optimum
-    q = np.array([_round_herald(link.p_her, n) for n in widths.ravel().tolist()])
+    q, d = _herald_and_decay(link, widths)
     gain = max(link.f_her - 0.5, 0.0)
 
     def f_del_at(q, k):

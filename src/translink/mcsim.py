@@ -205,10 +205,6 @@ def run_trials(
         )
 
     spans = [(lo, min(lo + _CHUNK, n_trials)) for lo in range(0, n_trials, _CHUNK)]
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            list(pool.map(sample, spans))
-    else:
-        for span in spans:
-            sample(span)
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        list(pool.map(sample, spans))
     return _summarize(link, rounds, chans, k_rounds, seed, keep_trials)

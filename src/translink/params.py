@@ -29,6 +29,10 @@ MAX_TRANSDUCERS_PER_MODULE = 10_000
 # Nested distillation burns 2**rounds pairs per delivered pair.
 MAX_DISTILL_ROUNDS = 10
 
+# Upper bound on a transducer budget: 10^5 modules, each at the per-module
+# channel ceiling.
+MAX_TRANSDUCER_BUDGET = 1_000_000_000
+
 
 def bounded(holds, text: str, **kwargs):
     """A dataclass field whose value must satisfy holds(value).
@@ -69,6 +73,17 @@ class PumpMode(Enum):
 class MemoryKind(Enum):
     SPIN_CAVITY = "spin_cavity"
     CATCH_RELEASE = "catch_release"
+
+
+# The (basis, pump) protocol that each memory kind boosts; no other pairing
+# runs.
+MEMORY_PROTOCOLS = {
+    MemoryKind.SPIN_CAVITY: (PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION),
+    MemoryKind.CATCH_RELEASE: (PhotonBasis.TWO_PHOTON, PumpMode.TMS),
+}
+
+# The one (basis, pump) protocol that takes the emission probability alpha.
+ALPHA_PROTOCOL = (PhotonBasis.ONE_PHOTON, PumpMode.UPCONVERSION)
 
 
 class FidelityModel(Enum):
@@ -173,6 +188,21 @@ class LinkConfig:
     protocol: ProtocolSpec
     policy: DeliveryPolicy
     memory: MemoryParams | None = None
+
+
+class Architecture(Enum):
+    LATTICE_SURGERY = "lattice_surgery"
+
+
+@dataclass(frozen=True)
+class ArchitectureSpec:
+    """Module-level planning inputs."""
+
+    qubits_per_processor: int = at_least_one()
+    clock_cycle_us: float = positive()
+    transducer_budget: int = at_least_one(at_most=MAX_TRANSDUCER_BUDGET)
+    target_fidelity: float = bounded(lambda f: 0.5 < f < 1, "out of (0.5, 1)")
+    architecture: Architecture = Architecture.LATTICE_SURGERY
 
 
 @dataclass(frozen=True)
@@ -341,10 +371,7 @@ def validate(config: LinkConfig) -> list[str]:
             v += field_violations(section, f.name)
 
     t, p, pol, m = config.transducer, config.protocol, config.policy, config.memory
-    one_photon_upconv = (
-        p.basis is PhotonBasis.ONE_PHOTON and p.pump is PumpMode.UPCONVERSION
-    )
-    if one_photon_upconv:
+    if (p.basis, p.pump) == ALPHA_PROTOCOL:
         if p.alpha is None:
             v.append("protocol.alpha required for the one-photon upconversion protocol")
         else:
@@ -376,11 +403,7 @@ def validate(config: LinkConfig) -> list[str]:
     )
 
     if m is not None:
-        compatible = {
-            MemoryKind.SPIN_CAVITY: (PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION),
-            MemoryKind.CATCH_RELEASE: (PhotonBasis.TWO_PHOTON, PumpMode.TMS),
-        }
-        if (p.basis, p.pump) != compatible[m.kind]:
+        if (p.basis, p.pump) != MEMORY_PROTOCOLS[m.kind]:
             v.append(
                 f"memory.kind {m.kind.value} incompatible with protocol "
                 f"{p.basis.value}/{p.pump.value}"
@@ -392,3 +415,8 @@ def validate(config: LinkConfig) -> list[str]:
         if exceeds:
             v.append("policy.t_del_us exceeds memory.lifetime_us")
     return v
+
+
+def validate_architecture(spec: ArchitectureSpec) -> list[str]:
+    """Violations of an ArchitectureSpec's declared field ranges."""
+    return field_violations(spec, "architecture")

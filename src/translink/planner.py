@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,13 +24,7 @@ from .delivery import (
 )
 from .distillation import calibrated_distill
 from .errors import ConfigError
-from .params import (
-    MAX_TRANSDUCERS_PER_MODULE,
-    at_least_one,
-    bounded,
-    field_violations,
-    positive,
-)
+from .params import MAX_TRANSDUCERS_PER_MODULE, ArchitectureSpec, validate_architecture
 
 # Link error (1 - f_del) below which lattice surgery across the link is
 # believed to sit under the surface-code threshold.
@@ -52,30 +45,6 @@ _GAMMA_Q_OFFSET = -0.1
 CIRCUIT_CUT_BREAK_EVEN_INFIDELITY = 0.3
 
 TRADEOFF_MAX_DISTILL_ROUNDS = 4
-
-# Upper bound on a transducer budget: 10^5 modules, each at the per-module
-# channel ceiling.
-MAX_TRANSDUCER_BUDGET = 1_000_000_000
-
-
-class Architecture(Enum):
-    LATTICE_SURGERY = "lattice_surgery"
-
-
-@dataclass(frozen=True)
-class ArchitectureSpec:
-    """Module-level planning inputs."""
-
-    qubits_per_processor: int = at_least_one()
-    clock_cycle_us: float = positive()
-    transducer_budget: int = at_least_one(at_most=MAX_TRANSDUCER_BUDGET)
-    target_fidelity: float = bounded(lambda f: 0.5 < f < 1, "out of (0.5, 1)")
-    architecture: Architecture = Architecture.LATTICE_SURGERY
-
-
-def validate_architecture(spec: ArchitectureSpec) -> list:
-    return field_violations(spec, "architecture")
-
 
 @dataclass(frozen=True)
 class PlanReport:
@@ -264,7 +233,7 @@ def _pareto_front(candidates) -> list:
     front = []
     seconds: list = []  # the staircase, non-decreasing
     thirds: list = []  # strictly decreasing along it
-    for cand in sorted(candidates, key=lambda c: (-c[0], -c[1], -c[2])):
+    for cand in sorted(candidates, reverse=True):
         second, third = cand[1], cand[2]
         i = bisect_left(seconds, second)
         if i < len(seconds) and thirds[i] >= third:
@@ -319,14 +288,4 @@ def tradeoff_surface(budget: int, link: Link, k_max: int | None = None) -> tuple
             cand = (n_links, 1.0 / t_star, f_del, n_parallel, rounds, t_star)
             # widths and rounds ascend, so the first witness is the cheapest
             unique.setdefault(cand[:3], cand)
-    return tuple(
-        TradeoffPoint(
-            n_links=c[0],
-            rate_per_us=c[1],
-            f_del=c[2],
-            n_parallel=c[3],
-            distill_rounds=c[4],
-            t_del_us=c[5],
-        )
-        for c in _pareto_front(unique.values())
-    )
+    return tuple(TradeoffPoint(*c) for c in _pareto_front(unique.values()))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, DivisionDomainError, ModelDomainError
 from .params import (
+    MEMORY_PROTOCOLS,
     FidelityModel,
     MemoryKind,
     MemoryParams,
@@ -21,20 +22,6 @@ from .params import (
     TransducerParams,
 )
 
-FORMULA_1P_UPCONVERSION = "1p_upconversion"
-FORMULA_1P_TMS = "1p_tms"
-FORMULA_2P_UPCONVERSION = "2p_upconversion"
-FORMULA_2P_TMS = "2p_tms"
-FORMULA_2P_UPCONVERSION_SPIN_CAVITY = "2p_upconversion+spin_cavity"
-FORMULA_2P_TMS_CATCH_RELEASE = "2p_tms+catch_release"
-
-_MEMORY_FORMULAS = {
-    (MemoryKind.SPIN_CAVITY, PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION):
-        FORMULA_2P_UPCONVERSION_SPIN_CAVITY,
-    (MemoryKind.CATCH_RELEASE, PhotonBasis.TWO_PHOTON, PumpMode.TMS):
-        FORMULA_2P_TMS_CATCH_RELEASE,
-}
-
 
 @dataclass(frozen=True)
 class ProtocolAnalytics:
@@ -43,17 +30,10 @@ class ProtocolAnalytics:
     p_her: float
     i_prot: float
     i_th: float
-    formula_id: str
 
 
 def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
-
-
-def _formula_id(p: ProtocolSpec) -> str:
-    if p.basis is PhotonBasis.ONE_PHOTON:
-        return FORMULA_1P_UPCONVERSION if p.pump is PumpMode.UPCONVERSION else FORMULA_1P_TMS
-    return FORMULA_2P_UPCONVERSION if p.pump is PumpMode.UPCONVERSION else FORMULA_2P_TMS
 
 
 def _effective_eta_tot(t: TransducerParams, p: ProtocolSpec) -> float:
@@ -90,8 +70,7 @@ def herald_probability_with_memory(
     SpinCavity boosts two-photon upconversion to eta_tot*eta_mem/2;
     CatchRelease boosts two-photon TMS to eta_tot*eta_mw*eta_mem^2/2.
     """
-    key = (m.kind, p.basis, p.pump)
-    if key not in _MEMORY_FORMULAS:
+    if (p.basis, p.pump) != MEMORY_PROTOCOLS[m.kind]:
         raise ConfigError(
             f"memory kind {m.kind.value} incompatible with protocol "
             f"{p.basis.value}/{p.pump.value}"
@@ -139,17 +118,12 @@ def analyze_protocol(
     t: TransducerParams, p: ProtocolSpec, memory: MemoryParams | None = None
 ) -> ProtocolAnalytics:
     """Bundle p_her (memory-boosted when a memory is attached) with infidelities."""
-    if memory is not None:
-        p_her = herald_probability_with_memory(t, p, memory)
-        formula = _MEMORY_FORMULAS[(memory.kind, p.basis, p.pump)]
-    else:
-        p_her = herald_probability(t, p)
-        formula = _formula_id(p)
     return ProtocolAnalytics(
-        p_her=p_her,
+        p_her=herald_probability(t, p)
+        if memory is None
+        else herald_probability_with_memory(t, p, memory),
         i_prot=protocol_infidelity(t, p),
         i_th=thermal_infidelity(t, p),
-        formula_id=formula,
     )
 
 

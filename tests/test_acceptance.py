@@ -6,6 +6,7 @@ one test whose PASSED/FAILED status is the verdict.
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,13 @@ from translink import (
     PhotonBasis,
     ProtocolSpec,
     PumpMode,
+    StorageQubitParams,
     TransducerParams,
     calibrated_distill,
     circuit_cut_comparison,
     cli,
     cryostat_budget_check,
     delivered_fidelity,
-    delivery_point,
     edge_qubit_count,
     herald_probability,
     infidelity_breakdown,
@@ -286,15 +287,16 @@ def test_criterion_7_property_suites():
 
         # delivered fidelity never dips under the classical fallback
         for _ in range(300):
-            _, f_del = delivery_point(
-                rng.uniform(1e-4, 0.5),
-                rng.uniform(0.0, 1.0),
-                rng.uniform(1.0, 150.0),
-                1.0,
-                rng.uniform(1.0, 500.0),
-                n_parallel=int(rng.integers(1, 8)),
+            p_her, f_her = rng.uniform(1e-4, 0.5), rng.uniform(0.0, 1.0)
+            t_del, t_coh = rng.uniform(1.0, 150.0), rng.uniform(1.0, 500.0)
+            cfg = LinkConfig(
+                preset("transducer1"),  # t_rep_us = 1
+                StorageQubitParams(t1_us=500.0, t2_us=t_coh),
+                ProtocolSpec(PhotonBasis.ONE_PHOTON, PumpMode.TMS),
+                DeliveryPolicy(t_del_us=t_del, n_parallel=int(rng.integers(1, 8))),
             )
-            assert f_del >= 0.5
+            link = replace(resolve(cfg), p_her=p_her, f_her=f_her)
+            assert delivered_fidelity(link).f_del >= 0.5
 
         # a state is delivered on every trial (success or fallback)
         out = run_trials(resolve(_example3()), 5000, seed=17, keep_trials=True)

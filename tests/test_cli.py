@@ -215,6 +215,36 @@ def test_plan_without_architecture_fails(tmp_path, capsys):
     assert "architecture" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "plan", "tradeoff", "distill"])
+def test_config_without_link_exits_1(tmp_path, capsys, command):
+    cfg = json.loads(Path(LATTICE).read_text())
+    path = tmp_path / "architecture_only.json"
+    path.write_text(json.dumps({"architecture": cfg["architecture"]}))
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, command, "--config", str(path), "--out", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "no link sections" in json.loads(err)["message"]
+    assert not out_dir.exists()
+
+
+def test_analyze_long_coherence_default_grid(tmp_path, capsys):
+    # 10 T_coh is 2e7 rounds, past MAX_GRID_POINTS, but the default curve
+    # needs only 1000 of them; plan, which searches all 2e7, still exits 1
+    cfg = json.loads(Path(LATTICE).read_text())
+    cfg["qubit"] = {"t1_us": 1e5, "t2_us": 2e6}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = _run(capsys, "analyze", "--config", str(path), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    lines = (tmp_path / "delivery_curve.csv").read_text().splitlines()
+    assert len(lines) == 2 + 1000
+    code, _, err = _run(capsys, "plan", "--config", str(path), "--out", str(tmp_path))
+    assert code == 1
+    assert "exceeds" in json.loads(err)["message"]
+
+
 def test_plan_unattainable_target_exit_2(tmp_path, capsys):
     cfg = json.loads(Path(LATTICE).read_text())
     cfg["architecture"]["target_fidelity"] = 0.99

@@ -16,7 +16,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from translink import cli, preset
-from translink.planner import MAX_TRANSDUCER_BUDGET
+from translink.params import MAX_TRANSDUCER_BUDGET
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 

@@ -254,6 +254,13 @@ def test_type_strictness():
         parse_config_data(data)
     assert "linear_sum" in str(err.value) and "thermal_half" in str(err.value)
 
+    # a number where an enum's string value belongs
+    data = _base_data()
+    data["protocol"] = {**data["protocol"], "basis": 5}
+    with pytest.raises(SchemaError) as err:
+        parse_config_data(data)
+    assert err.value.pointer == "/protocol/basis"
+
 
 def test_semantic_violations_surface_as_config_error():
     data = _base_data()

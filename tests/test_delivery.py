@@ -25,7 +25,6 @@ from translink import (
     UnattainableError,
     delivered_fidelity,
     delivery_curve,
-    delivery_point,
     infidelity_breakdown,
     infidelity_breakdown_curve,
     min_time_to_fidelity,
@@ -48,6 +47,22 @@ def _oracle_point(p_her, f_her, t_del, t_rep, t_coh, n_parallel=1):
         acc += p_k * math.exp(-tau / t_coh) if math.isfinite(t_coh) else p_k
     f_del = 0.5 + max(f_her - 0.5, 0.0) * acc
     return p_success, f_del
+
+
+def _point(p_her, f_her, t_del, t_rep, t_coh, n_parallel=1):
+    """(p_success, f_del) of delivered_fidelity on a link with these inputs.
+
+    The link is resolved from a config with the given times and width, and
+    then takes the given p_her and f_her in place of the formula values.
+    """
+    cfg = LinkConfig(
+        transducer=replace(preset("transducer1"), t_rep_us=t_rep),
+        qubit=StorageQubitParams(t1_us=500.0, t2_us=t_coh),
+        protocol=ProtocolSpec(PhotonBasis.ONE_PHOTON, PumpMode.TMS),
+        policy=DeliveryPolicy(t_del_us=t_del, n_parallel=n_parallel),
+    )
+    m = delivered_fidelity(replace(resolve(cfg), p_her=p_her, f_her=f_her))
+    return m.p_success, m.f_del
 
 
 def _ex1():
@@ -117,7 +132,7 @@ def test_delivery_point_matches_oracle_random():
         t_del = t_rep * rng.uniform(1.0, 150.0)
         t_coh = rng.uniform(5.0, 5000.0)
         n = int(rng.integers(1, 30))
-        got = delivery_point(p_her, f_her, t_del, t_rep, t_coh, n_parallel=n)
+        got = _point(p_her, f_her, t_del, t_rep, t_coh, n_parallel=n)
         want = _oracle_point(p_her, f_her, t_del, t_rep, t_coh, n_parallel=n)
         assert got[0] == pytest.approx(want[0], rel=1e-10, abs=1e-14)
         assert got[1] == pytest.approx(want[1], rel=1e-10)
@@ -128,25 +143,26 @@ def test_delivery_point_degenerate_ratio():
     t_rep, t_coh = 1.0, 100.0
     d = math.exp(-t_rep / t_coh)
     p_her = 1.0 - d  # makes (1 - q) == d exactly
-    got = delivery_point(p_her, 0.9, 50.0, t_rep, t_coh)
+    got = _point(p_her, 0.9, 50.0, t_rep, t_coh)
     want = _oracle_point(p_her, 0.9, 50.0, t_rep, t_coh)
     assert got[0] == pytest.approx(want[0], rel=1e-12)
     assert got[1] == pytest.approx(want[1], rel=1e-9)
     # continuity: a hair away from the degenerate point lands at the same value
-    near = delivery_point(p_her * (1 + 1e-10), 0.9, 50.0, t_rep, t_coh)
+    near = _point(p_her * (1 + 1e-10), 0.9, 50.0, t_rep, t_coh)
     assert near[1] == pytest.approx(got[1], rel=1e-7)
 
 
 def test_delivery_point_infinite_coherence():
-    got = delivery_point(0.05, 0.9, 40.0, 1.0, math.inf)
+    got = _point(0.05, 0.9, 40.0, 1.0, math.inf)
     p_success = 1.0 - 0.95**40
     assert got[0] == pytest.approx(p_success, rel=1e-12)
     assert got[1] == pytest.approx(0.5 + 0.4 * p_success, rel=1e-12)
 
 
 def test_delivery_point_rejects_short_timeout():
+    # resolve rejects a t_del shorter than one attempt period
     with pytest.raises(ConfigError):
-        delivery_point(0.05, 0.9, 0.5, 1.0, 200.0)
+        _point(0.05, 0.9, 0.5, 1.0, 200.0)
 
 
 def test_configs_match_oracle_random():
@@ -228,7 +244,7 @@ def test_delivered_fidelity_never_below_half():
         p = rng.uniform(1e-4, 0.5)
         f = rng.uniform(0.0, 1.0)
         t_del = rng.uniform(1.0, 200.0)
-        _, f_del = delivery_point(p, f, t_del, 1.0, rng.uniform(1.0, 100.0))
+        _, f_del = _point(p, f, t_del, 1.0, rng.uniform(1.0, 100.0))
         assert f_del >= 0.5
 
 

@@ -34,11 +34,8 @@ from translink import (
     tradeoff_surface,
     validate_architecture,
 )
-from translink.planner import (
-    MAX_TRANSDUCER_BUDGET,
-    MAX_TRANSDUCERS_PER_MODULE,
-    _pareto_front,
-)
+from translink.params import MAX_TRANSDUCER_BUDGET, MAX_TRANSDUCERS_PER_MODULE
+from translink.planner import _pareto_front
 
 PARALLEL_PROTOCOL = ProtocolSpec(
     PhotonBasis.ONE_PHOTON, PumpMode.TMS, p_mo_override=0.02

@@ -117,7 +117,6 @@ def test_analyze_protocol_uses_memory_formula():
     mem = MemoryParams(kind=MemoryKind.SPIN_CAVITY, eta_mem=1.0, lifetime_us=1000.0)
     a = analyze_protocol(T2, P_2P_UP, mem)
     assert a.p_her == pytest.approx(0.02375, rel=1e-12)
-    assert "spin_cavity" in a.formula_id
 
 
 def test_missing_alpha_raises_config_error():
@@ -220,13 +219,6 @@ def test_one_photon_tms_dark_transducer():
     assert herald_probability(dark, P_1P_TMS) == 0.0
     assert protocol_infidelity(dark, P_1P_TMS) == pytest.approx(1.0)
     assert thermal_infidelity(dark, P_1P_TMS) == 0.0
-
-
-def test_formula_identifiers():
-    assert analyze_protocol(T1, P_1P_TMS).formula_id == "1p_tms"
-    assert analyze_protocol(T1, P_1P_UP(0.1)).formula_id == "1p_upconversion"
-    assert analyze_protocol(T2, P_2P_UP).formula_id == "2p_upconversion"
-    assert analyze_protocol(T2, P_2P_TMS).formula_id == "2p_tms"
 
 
 def test_perfect_link_fidelity_one():
