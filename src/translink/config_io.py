@@ -315,6 +315,34 @@ def emit_json(path, payload: dict, manifest: RunManifest) -> str:
     return text
 
 
+def _float_cells(block: np.ndarray) -> tuple[str, list | None]:
+    """One float64 block as (row-format field, the values that it takes).
+
+    Each cell prints as format(v, ".9g"). Runs of equal cells are found bit
+    for bit, so 0.0 and -0.0 stay apart and no NaN merges. A block that is
+    one run becomes a literal field that takes no values. When at least half
+    of the cells repeat the cell above them, each run's first value is
+    formatted once and its string repeated. When every value is a whole
+    number below 1e9 in magnitude and none is -0.0, the values go on as
+    ints, whose str is the %.9g text. Any other block keeps %.9g.
+    """
+    bits = block.view(np.int64)
+    changes = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if not len(changes):
+        return "%.9g" % block[0], None  # the text holds no "%"
+    if 2 * (len(block) - 1 - len(changes)) >= len(block):
+        starts = np.concatenate(([0], changes))
+        heads = block[starts].tolist()
+        texts = np.array(("%.9g," * len(heads) % tuple(heads)).split(",")[:-1], dtype=object)
+        return "%s", np.repeat(texts, np.diff(starts, append=len(block))).tolist()
+    if (np.abs(block) < 1e9).all():
+        ints = block.astype(np.int64)
+        # the round trip is bit-exact only for whole numbers other than -0.0
+        if np.array_equal(ints.astype(np.float64).view(np.int64), bits):
+            return "%s", ints.tolist()
+    return "%.9g", block.tolist()
+
+
 def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
     """Write a CSV artifact of named, equal-length columns.
 
@@ -322,20 +350,37 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
     column is written at 9 significant digits (%.9g), any other with %s:
     integers in decimal, and an object column may hold "" for an empty cell.
     The manifest rides along as a '#' comment line above the header. Each
-    block of _CSV_BLOCK rows is formatted by one % on the repeated row format.
+    block of _CSV_BLOCK rows is formatted by one % on a repeated row format.
+    Within a block, a float column that is one run of equal cells, or in
+    which at least half of the cells repeat the one above, formats each run
+    once, and one of whole numbers below 1e9 goes as ints; each cell still
+    prints what %.9g prints (see _float_cells).
     """
     arrays = [np.asarray(column) for column in columns.values()]
     n_rows = len(arrays[0])
     if any(len(a) != n_rows for a in arrays):
         raise ValueError("CSV columns differ in length")
-    row = ",".join("%.9g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
+    arrays = [
+        np.ascontiguousarray(a, dtype=np.float64) if a.dtype.kind == "f" else a
+        for a in arrays
+    ]
     parts = [
         "# manifest: " + json.dumps(_nine_digits(manifest)) + "\n",
         ",".join(columns) + "\n",
     ]
     for start in range(0, n_rows, _CSV_BLOCK):
-        block = [a[start:start + _CSV_BLOCK].tolist() for a in arrays]
-        parts.append(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+        specs, block = [], []
+        for a in arrays:
+            cells = a[start:start + _CSV_BLOCK]
+            spec, cells = (
+                _float_cells(cells) if a.dtype.kind == "f" else ("%s", cells.tolist())
+            )
+            specs.append(spec)
+            if cells is not None:
+                block.append(cells)
+        row = ",".join(specs) + "\n"
+        n_block = min(_CSV_BLOCK, n_rows - start)
+        parts.append(row * n_block % tuple(chain.from_iterable(zip(*block))))
     text = "".join(parts)
     _atomic_write(path, text)
     return text

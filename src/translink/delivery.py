@@ -95,9 +95,12 @@ def _success_decay(q, k: np.ndarray, d: float):
     core = rk - np.power(d, k, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         core /= r - d
-    # degenerate limit (r^k - d^k)/(r - d) -> k * m^(k-1) where |r - d| < 1e-9
-    m = 0.5 * (r + d)
-    np.copyto(core, k * np.power(m, k - 1, dtype=float), where=np.abs(r - d) < 1e-9)
+    # degenerate limit (r^k - d^k)/(r - d) -> k * m^(k-1) where |r - d| < 1e-9,
+    # evaluated only when some entry is degenerate
+    degenerate = np.abs(r - d) < 1e-9
+    if np.any(degenerate):
+        m = 0.5 * (r + d)
+        np.copyto(core, k * np.power(m, k - 1, dtype=float), where=degenerate)
     return 1.0 - rk, q * core
 
 

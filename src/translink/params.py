@@ -332,6 +332,8 @@ def field_violations(section, prefix: str) -> list[str]:
     A field declared int must hold an integer: a Python int or a numpy
     integer (anything `operator.index` accepts), but not a bool, and not a
     float even when it is integral, since counts index arrays and ranges.
+    A field declared as an Enum must hold one of its members, not the
+    member's value.
     """
     v: list[str] = []
     for f, kind, optional in schema(type(section)):
@@ -354,6 +356,8 @@ def field_violations(section, prefix: str) -> list[str]:
                     v.append(f"{prefix}.{f.name} is NaN")
             except TypeError:
                 v.append(f"{prefix}.{f.name} is not a number")
+        if issubclass(kind, Enum) and not isinstance(value, kind):
+            v.append(f"{prefix}.{f.name} is not a {kind.__name__}")
     return v
 
 
@@ -403,7 +407,13 @@ def validate(config: LinkConfig) -> list[str]:
     )
 
     if m is not None:
-        if (p.basis, p.pump) != MEMORY_PROTOCOLS[m.kind]:
+        # a kind, basis or pump that is not a member is reported above
+        members = (
+            isinstance(m.kind, MemoryKind)
+            and isinstance(p.basis, PhotonBasis)
+            and isinstance(p.pump, PumpMode)
+        )
+        if members and (p.basis, p.pump) != MEMORY_PROTOCOLS[m.kind]:
             v.append(
                 f"memory.kind {m.kind.value} incompatible with protocol "
                 f"{p.basis.value}/{p.pump.value}"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from translink import (
     ArchitectureSpec,
@@ -427,6 +427,59 @@ def test_emit_csv_matches_per_cell_oracle(tmp_path_factory, rows):
         "i": np.array(ints, dtype=np.int64),
         "o": np.array(cells, dtype=object),
     }
+    _check_against_oracle(tmp_path_factory.mktemp("csv"), columns)
+
+
+# What run-heavy columns are drawn from: both zeros, NaNs of two bit
+# patterns, infinities, whole numbers at and inside the 1e9 edge of the
+# whole-number path, and fractions.
+RUN_POOL = np.array([
+    0.0, -0.0, math.nan, struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0],
+    math.inf, -math.inf, 1e9 - 1, -(1e9 - 1), 1e9, -1e9, -7.0, 3.0, 0.5, 1 / 3,
+])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_rows=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    | st.integers(0, 3 * BLOCK),
+    specs=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, len(RUN_POOL) - 1), min_size=1, max_size=4),
+            st.sampled_from([0.0, 0.99, 1.0]),
+            st.sampled_from([np.float64, np.float32]),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    max_run=st.sampled_from([1, 3, 64, 2 * BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a few pool cells in otherwise fresh whole numbers: the edges of the
+# whole-number path (1e9, also float32's rounding of 1e9 - 1, and -0.0)
+@example(
+    n_rows=BLOCK + 1,
+    specs=[([8], 0.99, np.float64), ([9, 7], 0.99, np.float64),
+           ([6], 0.99, np.float32), ([1], 0.99, np.float64)],
+    max_run=1,
+    seed=0,
+)
+def test_emit_csv_runs_match_per_cell_oracle(tmp_path_factory, n_rows, specs, max_run, seed):
+    """Run-heavy and whole-number columns: every block path prints %.9g's text.
+
+    Each run's value comes from the pool, or with probability `fresh` is a
+    new whole number below 1e9 in magnitude.
+    """
+    rng = np.random.default_rng(seed)
+    columns = {"i": np.arange(n_rows)}
+    for j, (pool, fresh, dtype) in enumerate(specs):
+        heads = np.where(
+            rng.random(n_rows) < fresh,
+            rng.integers(-(10**9 - 1), 10**9, n_rows),
+            RUN_POOL[rng.choice(pool, n_rows)],
+        )
+        lengths = rng.integers(1, max_run + 1, n_rows)
+        columns[f"f{j}"] = np.repeat(heads, lengths)[:n_rows].astype(dtype)
     _check_against_oracle(tmp_path_factory.mktemp("csv"), columns)
 
 

@@ -6,7 +6,9 @@ same on every checkout. The digest covers the exit code, stdout, stderr and
 every artifact, with the manifest's `created_utc` masked. The constants were
 taken from the code before the config schema became declarative, except the
 two `simulate` ones, taken when Monte Carlo trials became two inversion
-draws each.
+draws each, and `analyze-ex2-k200000`, taken before emit_csv began to
+format runs of equal cells once: its 2x10^5-row grid pins the long flat
+tail that it writes.
 """
 
 import hashlib
@@ -26,6 +28,7 @@ COMMANDS = {
     "analyze-ex1": ["analyze", "--config", "ex1.json"],
     "analyze-ex2": ["analyze", "--config", "ex2.json"],
     "analyze-ex3": ["analyze", "--config", "ex3.json"],
+    "analyze-ex2-k200000": ["analyze", "--config", "ex2.json", "--k-max", "200000"],
     "simulate-ex1-keep": [
         "simulate", "--config", "ex1.json", "--trials", "3000", "--seed", "7",
         "--keep-trials",
@@ -52,6 +55,8 @@ GOLDEN = {
         "5957c1b20052f349c88278f50601ce6ab1338284da2726e541ca172f02a0b440",
     "analyze-ex3":
         "e0f872848e997eba209c2c87b18285576d9b440fa0bd3e4774b63ca6fcda53eb",
+    "analyze-ex2-k200000":
+        "a0c65a81fd98b6f969cd708351c91eef0f38a1caa52c999e037fecc5d81124d1",
     "simulate-ex1-keep":
         "4097c00fbf4939572ce597be58c1d744fe98fa323aa266a7d9c6a7170cedcb87",
     "simulate-ex3-jobs2":

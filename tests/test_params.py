@@ -140,6 +140,27 @@ def test_validate_memory_compatibility():
     assert validate(right) == []
 
 
+def test_validate_rejects_enum_value_in_place_of_member():
+    """A string where an Enum member belongs is a violation, not the wrong formulas."""
+    cfg = _link(protocol=ProtocolSpec("one_photon", "tms"))
+    assert validate(cfg) == [
+        "protocol.basis is not a PhotonBasis",
+        "protocol.pump is not a PumpMode",
+    ]
+
+
+def test_validate_total_over_non_member_memory_kind():
+    """validate returns the violation for a non-member kind instead of raising."""
+    two_photon = ProtocolSpec(PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION)
+    cfg = _link(protocol=two_photon, memory=MemoryParams("spin_cavity", 1.0, 1000.0))
+    assert validate(cfg) == ["memory.kind is not a MemoryKind"]
+    # the compatibility rule names basis and pump by value: with a non-member
+    # basis it stays silent, and the basis is reported once
+    mem = MemoryParams(MemoryKind.SPIN_CAVITY, 1.0, 1000.0)
+    cfg = _link(protocol=ProtocolSpec("two_photon", PumpMode.UPCONVERSION), memory=mem)
+    assert validate(cfg) == ["protocol.basis is not a PhotonBasis"]
+
+
 def test_validate_t_del_against_memory_lifetime():
     mem = MemoryParams(kind=MemoryKind.SPIN_CAVITY, eta_mem=0.9, lifetime_us=50.0)
     cfg = _link(
