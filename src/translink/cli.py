@@ -260,6 +260,7 @@ def _cmd_analyze(args, command: str) -> int:
         manifest,
     )
     t_grid, comps = infidelity_breakdown_curve(link, curve)
+    del curve  # frees p_success and f_del, which the breakdown has used
     comps["total_infidelity"] = comps.pop("total")
     emit_csv(
         os.path.join(args.out, "infidelity_breakdown.csv"),

@@ -17,7 +17,7 @@ Every emitted artifact embeds a RunManifest (tool version, command line,
 fully resolved config, seed, timestamp); the resolved config parses back to
 the identical configuration. Floats are serialized with 9 significant
 digits; files are written to a temp name and renamed so failures never leave
-partial artifacts.
+partial artifacts, and they get the mode that the umask gives a new file.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -290,19 +290,25 @@ def _nine_digits(obj):
     return obj
 
 
-def _atomic_write(path, text: str):
+@contextmanager
+def _atomic_writer(path):
+    """A text handle on a new sibling of `path`, renamed onto it on success.
+
+    The file is created like any other, with mode 0o666 less the umask. On
+    any failure it is removed, so `path` never holds a partial artifact.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", newline="\n", dir=directory,
-        prefix=os.path.basename(path) + ".", suffix=".tmp", delete=False,
+    temp = os.path.join(
+        directory, f"{os.path.basename(path)}.{os.urandom(8).hex()}.tmp"
     )
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
+        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(temp, path)
     except BaseException:
-        os.unlink(handle.name)
+        os.unlink(temp)
         raise
 
 
@@ -311,7 +317,8 @@ def emit_json(path, payload: dict, manifest: RunManifest) -> str:
     doc = {"manifest": manifest}
     doc.update(payload)
     text = json.dumps(_nine_digits(doc), indent=2) + "\n"
-    _atomic_write(path, text)
+    with _atomic_writer(path) as handle:
+        handle.write(text)
     return text
 
 
@@ -350,37 +357,39 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
     column is written at 9 significant digits (%.9g), any other with %s:
     integers in decimal, and an object column may hold "" for an empty cell.
     The manifest rides along as a '#' comment line above the header. Each
-    block of _CSV_BLOCK rows is formatted by one % on a repeated row format.
-    Within a block, a float column that is one run of equal cells, or in
-    which at least half of the cells repeat the one above, formats each run
-    once, and one of whole numbers below 1e9 goes as ints; each cell still
-    prints what %.9g prints (see _float_cells).
+    block of _CSV_BLOCK rows is formatted by one % on a repeated row format
+    and written out at once, and a float column is cast to float64 a block
+    at a time; the whole text is joined only to be returned. Within a block,
+    a float column that is one run of equal cells, or in which at least half
+    of the cells repeat the one above, formats each run once, and one of
+    whole numbers below 1e9 goes as ints; each cell still prints what %.9g
+    prints (see _float_cells).
     """
     arrays = [np.asarray(column) for column in columns.values()]
     n_rows = len(arrays[0])
     if any(len(a) != n_rows for a in arrays):
         raise ValueError("CSV columns differ in length")
-    arrays = [
-        np.ascontiguousarray(a, dtype=np.float64) if a.dtype.kind == "f" else a
-        for a in arrays
-    ]
     parts = [
         "# manifest: " + json.dumps(_nine_digits(manifest)) + "\n",
         ",".join(columns) + "\n",
     ]
-    for start in range(0, n_rows, _CSV_BLOCK):
-        specs, block = [], []
-        for a in arrays:
-            cells = a[start:start + _CSV_BLOCK]
-            spec, cells = (
-                _float_cells(cells) if a.dtype.kind == "f" else ("%s", cells.tolist())
-            )
-            specs.append(spec)
-            if cells is not None:
-                block.append(cells)
-        row = ",".join(specs) + "\n"
-        n_block = min(_CSV_BLOCK, n_rows - start)
-        parts.append(row * n_block % tuple(chain.from_iterable(zip(*block))))
-    text = "".join(parts)
-    _atomic_write(path, text)
-    return text
+    with _atomic_writer(path) as handle:
+        handle.write(parts[0] + parts[1])
+        for start in range(0, n_rows, _CSV_BLOCK):
+            specs, block = [], []
+            for a in arrays:
+                cells = a[start:start + _CSV_BLOCK]
+                if a.dtype.kind == "f":
+                    spec, cells = _float_cells(
+                        np.ascontiguousarray(cells, dtype=np.float64)
+                    )
+                else:
+                    spec, cells = "%s", cells.tolist()
+                specs.append(spec)
+                if cells is not None:
+                    block.append(cells)
+            row = ",".join(specs) + "\n"
+            n_block = min(_CSV_BLOCK, n_rows - start)
+            parts.append(row * n_block % tuple(chain.from_iterable(zip(*block))))
+            handle.write(parts[-1])
+    return "".join(parts)

@@ -219,19 +219,18 @@ def _breakdown(link: Link, p_success: np.ndarray, f_del: np.ndarray) -> dict:
     i_th = link.formula.i_th
     if link.config.policy.fidelity_model is FidelityModel.THERMAL_HALF:
         i_th = i_th / 2.0
-    ones = np.ones_like(f_del)
     if f_her >= 0.5:
         # recover S from f_del rather than recomputing the sum
-        s = (f_del - 0.5) / (f_her - 0.5) if f_her > 0.5 else 0.0 * ones
+        s = (f_del - 0.5) / (f_her - 0.5) if f_her > 0.5 else np.zeros_like(f_del)
         decoherence = (f_her - 0.5) * (p_success - s)
         fallback = (f_her - 0.5) * (1.0 - p_success)
     else:
         scale = 0.5 / (i_prot + i_th)
         i_prot, i_th = i_prot * scale, i_th * scale
-        decoherence = fallback = 0.0 * ones
+        decoherence = fallback = np.zeros_like(f_del)
     return {
-        "protocol": i_prot * ones,
-        "thermal": i_th * ones,
+        "protocol": np.broadcast_to(np.float64(i_prot), f_del.shape),
+        "thermal": np.broadcast_to(np.float64(i_th), f_del.shape),
         "decoherence": decoherence,
         "fallback": fallback,
         "total": 1.0 - f_del,
@@ -272,7 +271,9 @@ def infidelity_breakdown_curve(
     """infidelity_breakdown evaluated along a delivery_curve of the link.
 
     Returns (t_del_us grid, dict of component arrays keyed like
-    infidelity_breakdown). Component arrays sum to `total` exactly.
+    infidelity_breakdown). Component arrays sum to `total` exactly. The
+    constant `protocol` and `thermal` components are read-only broadcast
+    views of one value; copy them before writing into them.
     """
     return curve.t_del_us, _breakdown(link, curve.p_success, curve.f_del)
 

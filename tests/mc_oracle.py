@@ -7,6 +7,13 @@ costs O(K N). It reproduces that engine's stream exactly and shares the
 library's reductions, so the two engines can be compared trial law against
 trial law.
 
+`run_two_draw_trials` is the inversion engine as it was before the library
+skipped the draws that no output reads: it draws both uniforms of every
+trial, at stream positions 2t and 2t + 1, from its own copy of the
+splitmix64 hash, and evaluates herald rounds, storage time and f_del trial
+by trial with the expressions that the library used then. The library must
+match it bit for bit.
+
 `run_distill_trials` samples the pair consumption of nested recurrence
 distillation, to cross-check the closed-form `pairs_expected` of
 `nested_distill`.
@@ -24,6 +31,7 @@ from translink import ConfigError, DistillMode, nested_distill, recurrence_ladde
 from translink.mcsim import (
     MAX_TRIALS,
     MCStats,
+    TrialColumns,
     _check_seed,
     _summarize,
     _uniforms,
@@ -91,7 +99,75 @@ def run_trials(link, n_trials: int, seed: int, n_jobs: int = 1,
             _simulate_chunk(
                 lo, hi, seed, link.p_her, n_channels, k_rounds, rounds, chans
             )
-    return _summarize(link, rounds, chans, k_rounds, seed, keep_trials)
+    return _summarize(link, rounds, chans if keep_trials else None, seed)
+
+
+def _splitmix_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
+    """splitmix64 at the given stream positions, mapped to [0, 1)."""
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed) + (counters + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+
+
+def _invert(u_round, u_chan, p_her, n_channels, k_rounds) -> tuple:
+    """Herald round and winning channel of each trial from its two uniforms."""
+    n = len(u_round)
+    if p_her <= 0.0:
+        return np.zeros(n, dtype=np.int64), np.full(n, -1, dtype=np.int64)
+    if p_her >= 1.0:
+        return np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    log_miss = math.log1p(-p_her)
+    skipped = np.floor(np.log1p(-u_round) / (n_channels * log_miss))
+    heralded = skipped < k_rounds
+    rounds = np.where(heralded, skipped + 1.0, 0.0).astype(np.int64)
+    q = -math.expm1(n_channels * log_miss)
+    chans = np.minimum(np.floor(np.log1p(-u_chan * q) / log_miss), n_channels - 1)
+    chans = np.where(heralded, chans, -1.0).astype(np.int64)
+    return rounds, chans
+
+
+def run_two_draw_trials(link, n_trials: int, seed: int) -> MCStats:
+    """Two draws per trial and a per-trial f_del; the trials are always kept.
+
+    The histogram comes from np.unique, not the library's bincount.
+    """
+    t = link.config.transducer
+    pol = link.config.policy
+    k_rounds = math.floor(pol.t_del_us / t.t_rep_us)
+    u = _splitmix_uniforms(seed, np.arange(2 * n_trials, dtype=np.uint64))
+    rounds, chans = _invert(u[0::2], u[1::2], link.p_her, pol.n_parallel, k_rounds)
+
+    heralded = rounds > 0
+    missed = ~heralded
+    f_del = np.multiply(rounds, t.t_rep_us, dtype=float)
+    np.subtract(pol.t_del_us, f_del, out=f_del)
+    np.copyto(f_del, 0.0, where=missed)
+    tau = f_del.copy()
+    np.negative(f_del, out=f_del)
+    np.divide(f_del, link.config.qubit.t_coh_us, out=f_del)
+    np.exp(f_del, out=f_del)
+    np.multiply(max(link.f_her - 0.5, 0.0), f_del, out=f_del)
+    np.add(0.5, f_del, out=f_del)
+    np.copyto(f_del, 0.5, where=missed)
+
+    n_success = int(np.count_nonzero(heralded))
+    herald_rounds, herald_histogram = np.unique(rounds[heralded], return_counts=True)
+    return MCStats(
+        n_trials=n_trials,
+        seed=seed,
+        mean_f_del=float(np.mean(f_del)),
+        std_error=(
+            float(np.std(f_del, ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
+        ),
+        p_success=n_success / n_trials,
+        herald_rounds=tuple(herald_rounds.tolist()),
+        herald_histogram=tuple(herald_histogram.tolist()),
+        n_no_herald=n_trials - n_success,
+        trials=TrialColumns(rounds, chans, tau, f_del),
+    )
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,10 @@ def test_criterion_5_mc_analytic_equivalence():
                 N_TRIALS * (1 - q) ** (k - 1) * q for k in range(1, k_rounds + 1)
             ]
             expected.append(N_TRIALS * (1 - q) ** k_rounds)
-            observed = list(s.herald_histogram) + [s.n_no_herald]
+            # the sparse histogram spread over rounds 1..K, then no herald
+            observed = [0] * k_rounds + [s.n_no_herald]
+            for k, count in zip(s.herald_rounds, s.herald_histogram):
+                observed[k - 1] = count
             obs, exp = [], []
             acc_o = acc_e = 0.0
             for o, e in zip(observed, expected):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import stat
+import time
 from pathlib import Path
 
 import pytest
@@ -185,6 +188,51 @@ def test_simulate_deterministic_across_jobs(tmp_path, capsys):
         assert code == 0
         out_docs.append(_strip_manifest(json.loads(out)))
     assert out_docs[0] == out_docs[1]
+
+
+def test_simulate_cost_follows_trials_not_rounds(tmp_path, capsys):
+    """10^7 rounds and 1000 trials: the histogram holds only the heralded rounds."""
+    cfg = json.loads(Path(EX2).read_text())
+    del cfg["memory"]
+    cfg["qubit"] = {"t1_us": 1e6, "t2_us": 1e6}
+    cfg["policy"]["t_del_us"] = 1e7  # K = 10^7 rounds of 1 us
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys, "simulate", "--config", str(path), "--out", str(tmp_path),
+        "--trials", "1000", "--seed", "3",
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    artifact = tmp_path / "mcstats.json"
+    assert out == artifact.read_text()
+    assert artifact.stat().st_size < 64 * 1024
+    mc = json.loads(out)["mcstats"]
+    assert len(mc["herald_rounds"]) == len(mc["herald_histogram"]) <= 1000
+    assert sum(mc["herald_histogram"]) + mc["n_no_herald"] == 1000
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
+def test_artifacts_honour_umask(tmp_path, capsys, umask):
+    """Artifacts get the mode of any new file: 0o666 less the umask."""
+    old = os.umask(umask)
+    try:
+        for argv in (
+            ["analyze", "--config", EX1],
+            ["simulate", "--config", EX3, "--trials", "100", "--keep-trials"],
+        ):
+            code, _, err = _run(capsys, *argv, "--out", str(tmp_path))
+            assert (code, err) == (0, "")
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(
+        ["delivery_curve.csv", "infidelity_breakdown.csv", "metrics.json",
+         "mcstats.json", "trials.csv"],
+        0o666 & ~umask,
+    )
 
 
 def test_plan_reference_architecture(tmp_path, capsys):

@@ -502,6 +502,27 @@ def test_emit_failure_leaves_no_artifact(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # temp file cleaned up
 
 
+def test_emit_csv_failure_mid_stream_leaves_no_artifact(tmp_path, monkeypatch):
+    """A block that fails after earlier blocks went out leaves the old file."""
+    target = tmp_path / "artifact.csv"
+    target.write_text("old\n")
+    calls = []
+    float_cells = config_io._float_cells
+
+    def fail_on_third_block(block):
+        calls.append(len(block))
+        if len(calls) == 3:
+            raise MemoryError("out of memory")
+        return float_cells(block)
+
+    monkeypatch.setattr(config_io, "_float_cells", fail_on_third_block)
+    with pytest.raises(MemoryError):
+        emit_csv(target, {"x": np.arange(3 * BLOCK) / 7}, build_manifest("cmd", {}))
+    assert calls == [BLOCK] * 3
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+
+
 def test_emit_creates_directories(tmp_path):
     nested = tmp_path / "a" / "b" / "out.json"
     emit_json(nested, {"x": 1}, build_manifest("cmd", {}))

@@ -274,6 +274,12 @@ def test_breakdown_curve_sums_to_total():
     )
     np.testing.assert_allclose(total, parts["total"], rtol=1e-10)
     np.testing.assert_allclose(parts["total"], 1.0 - curve.f_del, rtol=1e-10)
+    # the constant components are read-only views of the point breakdown
+    point = infidelity_breakdown(link)
+    for name in ("protocol", "thermal"):
+        assert parts[name].shape == t_grid.shape
+        assert not parts[name].flags.writeable
+        assert (parts[name] == point[name]).all()
 
 
 def test_optimal_delivery_time_reference_links():

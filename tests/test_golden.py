@@ -5,10 +5,12 @@ the example configs, so the command line recorded in every manifest is the
 same on every checkout. The digest covers the exit code, stdout, stderr and
 every artifact, with the manifest's `created_utc` masked. The constants were
 taken from the code before the config schema became declarative, except the
-two `simulate` ones, taken when Monte Carlo trials became two inversion
-draws each, and `analyze-ex2-k200000`, taken before emit_csv began to
-format runs of equal cells once: its 2x10^5-row grid pins the long flat
-tail that it writes.
+two `simulate` ones, and `analyze-ex2-k200000`, taken before emit_csv began
+to format runs of equal cells once: its 2x10^5-row grid pins the long flat
+tail that it writes. The `simulate` ones were taken when Monte Carlo trials
+became two inversion draws each, and again when the herald histogram became
+sparse (the rounds that heralded and their counts); the retake left
+`trials.csv` byte for byte as it was.
 """
 
 import hashlib
@@ -58,9 +60,9 @@ GOLDEN = {
     "analyze-ex2-k200000":
         "a0c65a81fd98b6f969cd708351c91eef0f38a1caa52c999e037fecc5d81124d1",
     "simulate-ex1-keep":
-        "4097c00fbf4939572ce597be58c1d744fe98fa323aa266a7d9c6a7170cedcb87",
+        "ca240468b4c72956666145c134e5b52566be7f73123dc320dc515734092074f3",
     "simulate-ex3-jobs2":
-        "8cdc219b29c0e4882100c946aa8f7f398c41f135272b03ad6f0e8d8c9069e150",
+        "a345e2457d3d3360b5099a0f8c5f98f26e5b6d09c06d96e5f5c351dea160d880",
     "plan-lattice":
         "b3b7235673f0915ec484f0bf7aa20de87ee5e021421c4915056578ed3b328f8a",
     "tradeoff-csv":

@@ -1,9 +1,12 @@
 """Counter-based Monte Carlo: determinism, statistics, and analytic agreement."""
 
 import math
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import mc_oracle
@@ -19,7 +22,9 @@ from translink import (
     PhotonBasis,
     ProtocolSpec,
     PumpMode,
+    StorageQubitParams,
     TransducerParams,
+    TrialColumns,
     delivered_fidelity,
     nested_distill,
     preset,
@@ -79,6 +84,74 @@ def test_library_stream_regression():
     assert stats_out.n_no_herald == 100_000 - round(0.58534 * 100_000)
 
 
+@st.composite
+def _mc_links(draw):
+    """A resolved link for the MC engines, with its edge cases drawn often.
+
+    Infinite t_coh, f_her < 1/2 (no gain), K = 1, N = 1 and a reference
+    p_her of 1 each have a branch of their own.
+    """
+    t_rep = draw(st.just(1.0) | st.floats(0.05, 20.0))
+    k_rounds = draw(st.just(1) | st.integers(1, 500))
+    t_coh = draw(st.just(math.inf) | st.floats(0.1, 1e3).map(lambda x: x * t_rep))
+    cfg = LinkConfig(
+        transducer=replace(preset("transducer1"), t_rep_us=t_rep),
+        qubit=StorageQubitParams(t1_us=t_coh, t2_us=t_coh),
+        protocol=ProtocolSpec(PhotonBasis.ONE_PHOTON, PumpMode.TMS),
+        # half a period past K rounds, so that floor(t_del/t_rep) is K exactly
+        policy=DeliveryPolicy(
+            t_del_us=(k_rounds + 0.5) * t_rep,
+            n_parallel=draw(st.just(1) | st.integers(2, 40)),
+        ),
+    )
+    reference = draw(st.none() | st.just(1.0) | st.floats(1e-4, 0.6))
+    link = resolve(cfg, reference)
+    f_her = draw(st.none() | st.floats(0.25, 0.5) | st.floats(0.5, 1.0))
+    return link if f_her is None else replace(link, f_her=f_her)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    link=_mc_links(),
+    n_trials=st.integers(1, 3000),
+    seed=st.integers(0, 2**64 - 1),
+    keep_trials=st.booleans(),
+    n_jobs=st.sampled_from([1, 2]),
+    chunk=st.sampled_from([7, 256, mcsim._CHUNK]),
+)
+def test_matches_two_draw_oracle(link, n_trials, seed, keep_trials, n_jobs, chunk):
+    """Skipped channel draws and per-round f_del change no bit of the output.
+
+    The oracle draws both uniforms of every trial and evaluates f_del trial
+    by trial. Kept columns must match bit for bit; without kept trials, the
+    rounds are compared through the histogram.
+    """
+    want = mc_oracle.run_two_draw_trials(link, n_trials, seed)
+    with mock.patch.object(mcsim, "_CHUNK", chunk):
+        got = run_trials(link, n_trials, seed, n_jobs=n_jobs, keep_trials=keep_trials)
+    assert got.mean_f_del == want.mean_f_del
+    assert got.std_error == want.std_error
+    assert got.p_success == want.p_success
+    assert got.n_no_herald == want.n_no_herald
+    assert got.herald_rounds == want.herald_rounds
+    assert got.herald_histogram == want.herald_histogram
+    if not keep_trials:
+        assert got.trials is None
+        return
+    for f in fields(TrialColumns):
+        # bit patterns, so that -0.0 and 0.0 differ
+        got_bits, want_bits = (getattr(s.trials, f.name).view(np.uint64) for s in (got, want))
+        assert np.array_equal(got_bits, want_bits)
+
+
+def _dense(stats_out, k_rounds):
+    """Herald counts at rounds 1..K, then the no-herald count."""
+    counts = np.zeros(k_rounds + 1, dtype=np.int64)
+    counts[np.array(stats_out.herald_rounds, dtype=np.int64) - 1] = stats_out.herald_histogram
+    counts[k_rounds] = stats_out.n_no_herald
+    return counts
+
+
 def _homogeneity_pvalue(a, b):
     """Two-sample chi-square p-value for two count vectors over the same bins.
 
@@ -107,7 +180,8 @@ def test_engines_agree_in_distribution(name):
     n = 100_000
     new = run_trials(link, n, seed=101, keep_trials=True)
     ref = mc_oracle.run_trials(link, n, seed=202, keep_trials=True)
-    rounds = [list(s.herald_histogram) + [s.n_no_herald] for s in (new, ref)]
+    k_rounds = {"ex1": 88, "ex2": 400, "ex3": 15}[name]
+    rounds = [_dense(s, k_rounds) for s in (new, ref)]
     assert _homogeneity_pvalue(*rounds) > 0.001
     n_channels = link.config.policy.n_parallel
     if n_channels > 1:
@@ -117,7 +191,7 @@ def test_engines_agree_in_distribution(name):
         ]
         assert _homogeneity_pvalue(*chans) > 0.001
         # the joint law too: the channel must not depend on the round
-        cells = len(new.herald_histogram) * n_channels
+        cells = k_rounds * n_channels
         joint = []
         for s in (new, ref):
             hit = s.trials.herald_round > 0
@@ -126,24 +200,30 @@ def test_engines_agree_in_distribution(name):
         assert _homogeneity_pvalue(*joint) > 0.001
 
 
+def _invert(u_round, u_chan, p_her, n_channels, k_rounds):
+    """Herald rounds, then winning channels, as run_trials takes them."""
+    rounds = mcsim._herald_rounds(u_round, p_her, n_channels, k_rounds)
+    return rounds, mcsim._winning_channels(u_chan, rounds, p_her, n_channels)
+
+
 def test_inversion_edge_cases():
     """Certain and impossible heralds, extreme uniforms and extreme links."""
     zero = np.zeros(4)
     top = np.full(4, 1.0 - 2.0**-53)  # the largest uniform the stream yields
     for n_channels in (1, 20):
-        rounds, chans = mcsim._invert(top, top, 0.0, n_channels, 88)
+        rounds, chans = _invert(top, top, 0.0, n_channels, 88)
         assert rounds.tolist() == [0] * 4 and chans.tolist() == [-1] * 4
-        rounds, chans = mcsim._invert(top, top, 1.0, n_channels, 88)
+        rounds, chans = _invert(top, top, 1.0, n_channels, 88)
         assert rounds.tolist() == [1] * 4 and chans.tolist() == [0] * 4
         # u = 0 heralds at once, on the first channel
-        rounds, chans = mcsim._invert(zero, zero, 0.3, n_channels, 15)
+        rounds, chans = _invert(zero, zero, 0.3, n_channels, 15)
         assert rounds.tolist() == [1] * 4 and chans.tolist() == [0] * 4
 
     # p_her = 1e-18: the rounds skipped overflow int64 and never herald,
     # except at u = 0
-    rounds, chans = mcsim._invert(top, top, 1e-18, 1, 88)
+    rounds, chans = _invert(top, top, 1e-18, 1, 88)
     assert rounds.tolist() == [0] * 4 and chans.tolist() == [-1] * 4
-    rounds, chans = mcsim._invert(zero, zero, 1e-18, 1, 88)
+    rounds, chans = _invert(zero, zero, 1e-18, 1, 88)
     assert rounds.tolist() == [1] * 4 and chans.tolist() == [0] * 4
     out = run_trials(resolve(_ex1(), 1e-18), 10_000, seed=4, keep_trials=True)
     assert out.p_success == 0.0 and out.mean_f_del == 0.5
@@ -152,15 +232,15 @@ def test_inversion_edge_cases():
     # 10^4 channels with p near 1: q rounds to 1 and the channel stays in range
     u = mcsim._uniforms(3, np.arange(20_000, dtype=np.uint64))
     for u_round, u_chan in ((u[0::2], u[1::2]), (top, top)):
-        rounds, chans = mcsim._invert(u_round, u_chan, 1 - 1e-12, 10_000, 15)
+        rounds, chans = _invert(u_round, u_chan, 1 - 1e-12, 10_000, 15)
         assert (rounds == 1).all()
         assert (chans >= 0).all() and (chans <= 1).all()
-    assert (mcsim._invert(u[0::2], u[1::2], 1 - 1e-12, 10_000, 15)[1] == 0).all()
+    assert (_invert(u[0::2], u[1::2], 1 - 1e-12, 10_000, 15)[1] == 0).all()
 
     # a span of 10^7 rounds: heralds spread over the whole span, none beyond
     k_rounds = 10_000_000
     u = mcsim._uniforms(5, np.arange(400_000, dtype=np.uint64))
-    rounds, chans = mcsim._invert(u[0::2], u[1::2], 1e-7, 1, k_rounds)
+    rounds, chans = _invert(u[0::2], None, 1e-7, 1, k_rounds)
     heralded = rounds > 0
     assert rounds.max() <= k_rounds and rounds.max() > k_rounds // 2
     assert (chans[heralded] == 0).all() and (chans[~heralded] == -1).all()
@@ -172,7 +252,11 @@ def test_full_round_span_runs():
     """A link at the 10^7-round cap costs the same two draws per trial."""
     link = resolve(_ex1(10_000_000.0), 1e-7)
     out = run_trials(link, 2000, seed=9, n_jobs=2, keep_trials=True)
-    assert len(out.herald_histogram) == 10_000_000
+    # the histogram holds only the rounds that heralded, ascending
+    heralded = out.trials.herald_round[out.trials.herald_round > 0]
+    want_rounds, want_counts = np.unique(heralded, return_counts=True)
+    assert out.herald_rounds == tuple(want_rounds.tolist())
+    assert out.herald_histogram == tuple(want_counts.tolist())
     assert sum(out.herald_histogram) + out.n_no_herald == 2000
     assert len(out.trials) == 2000
     assert out.trials.herald_round.max() <= 10_000_000
@@ -218,7 +302,7 @@ def test_histogram_matches_truncated_geometric():
     k_rounds = 88
     expected = [n * (1 - q) ** (k - 1) * q for k in range(1, k_rounds + 1)]
     expected.append(n * (1 - q) ** k_rounds)
-    observed = list(out.herald_histogram) + [out.n_no_herald]
+    observed = _dense(out, k_rounds).tolist()
     assert sum(observed) == n
     # pool any low-expectation tail bins
     obs, exp = [], []
@@ -286,7 +370,7 @@ def test_zero_herald_probability():
     assert out.mean_f_del == 0.5
     assert out.std_error == 0.0
     assert out.n_no_herald == 300
-    assert sum(out.herald_histogram) == 0
+    assert out.herald_rounds == out.herald_histogram == ()
 
 
 def test_certain_herald_via_override():
@@ -294,7 +378,7 @@ def test_certain_herald_via_override():
     m = delivered_fidelity(resolve(cfg))
     out = run_trials(resolve(cfg, 1.0), 200, seed=2, keep_trials=True)
     assert out.p_success == 1.0
-    assert out.herald_histogram[0] == 200
+    assert out.herald_rounds == (1,) and out.herald_histogram == (200,)
     want = 0.5 + (m.f_her - 0.5) * math.exp(-9.0 / 200.0)
     assert out.mean_f_del == pytest.approx(want, rel=1e-12)
     assert all(c == 0 for c in out.trials.winning_channel.tolist())
@@ -332,10 +416,17 @@ def test_stats_to_dict_shape():
         "std_error",
         "p_success",
         "n_no_herald",
+        "herald_rounds",
         "herald_histogram",
     }
+    assert isinstance(d["herald_rounds"], list)
     assert isinstance(d["herald_histogram"], list)
-    assert len(d["herald_histogram"]) == 10
+    # only the rounds that heralded, ascending, out of K = 10
+    rounds = d["herald_rounds"]
+    assert len(rounds) == len(d["herald_histogram"]) == len(set(rounds))
+    assert rounds == sorted(rounds) and set(rounds) <= set(range(1, 11))
+    assert all(count > 0 for count in d["herald_histogram"])
+    assert sum(d["herald_histogram"]) + d["n_no_herald"] == 50
 
 
 def test_distill_trials_reference():
