@@ -25,9 +25,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from datetime import datetime, timezone
 from enum import Enum
 from itertools import chain
 
@@ -92,7 +92,7 @@ def build_manifest(command: str, resolved_config: dict, seed: int | None = None)
         command=command,
         resolved_config=resolved_config,
         seed=seed,
-        created_utc=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
 
 

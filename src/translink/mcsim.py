@@ -17,7 +17,6 @@ fully-populated per-trial arrays, keeping aggregation order-independent.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -252,6 +251,13 @@ def run_trials(
             )
 
     spans = [(lo, min(lo + _CHUNK, n_trials)) for lo in range(0, n_trials, _CHUNK)]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        list(pool.map(sample, spans))
+    if n_jobs == 1:
+        for span in spans:
+            sample(span)
+    else:
+        # imported here: it pulls in logging, which a one-job run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            list(pool.map(sample, spans))
     return _summarize(link, rounds, chans, seed)

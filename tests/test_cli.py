@@ -3,7 +3,10 @@
 import json
 import math
 import os
+import re
 import stat
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -23,7 +26,8 @@ from translink import (
     tradeoff_surface,
 )
 
-EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = ROOT / "examples"
 EX1 = str(EXAMPLES / "ex1.json")
 EX2 = str(EXAMPLES / "ex2.json")
 EX3 = str(EXAMPLES / "ex3.json")
@@ -575,3 +579,59 @@ def test_out_of_range_flags_exit_1(tmp_path, capsys, argv):
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "ConfigError"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["presets"], ["analyze", "--config", EX1]], ids=["presets", "analyze"]
+)
+def test_unwritable_out_exits_1(tmp_path, capsys, argv):
+    """An --out below a regular file is one JSON error line, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    code, out, err = _run(capsys, *argv, "--out", str(blocker / "sub"))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "NotADirectoryError"
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "x"
+
+
+# What the `translink` console script runs, and then a list of the modules
+# that were loaded when main returned, written to the file named first.
+_PROCESS_SHIM = (
+    "import sys; from translink.cli import main; code = main(sys.argv[2:]); "
+    "open(sys.argv[1], 'w').write('\\n'.join(sorted(sys.modules))); sys.exit(code)"
+)
+_CREATED = re.compile(rb'"created_utc": "[^"]*"')
+
+
+def test_simulate_as_a_process(tmp_path, capsys, monkeypatch):
+    """A fresh interpreter runs one job without a thread pool, and the
+    exit-time freeze loses no output: stdout is the artifact, which matches
+    an in-process run's."""
+    argv = ["simulate", "--config", EX1, "--trials", "5000", "--seed", "3",
+            "--jobs", "1", "--out", "out"]
+    process_dir, local_dir = tmp_path / "process", tmp_path / "local"
+    process_dir.mkdir()
+    local_dir.mkdir()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    modules = tmp_path / "modules.txt"
+    done = subprocess.run(
+        [sys.executable, "-c", _PROCESS_SHIM, str(modules), *argv],
+        cwd=process_dir, env=env, capture_output=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    loaded = modules.read_text().split()
+    assert "translink.mcsim" in loaded
+    assert "concurrent.futures" not in loaded
+    artifact = (process_dir / "out" / "mcstats.json").read_bytes()
+    assert done.stdout == artifact
+
+    monkeypatch.chdir(local_dir)
+    assert _run(capsys, *argv)[0] == 0
+    local = (local_dir / "out" / "mcstats.json").read_bytes()
+    assert _CREATED.sub(b"", artifact) == _CREATED.sub(b"", local)
