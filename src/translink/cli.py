@@ -37,7 +37,7 @@ from .delivery import (
     infidelity_breakdown_curve,
     resolve,
 )
-from .distillation import DistillMode, nested_distill, recurrence_ladder
+from .distillation import DistillMode, nested_distill
 from .errors import ConfigError, ModelDomainError, SchemaError
 from .mcsim import run_trials
 from .params import (
@@ -173,7 +173,7 @@ def _build_parser() -> _Parser:
     link_overrides(tradeoff)
     tradeoff.add_argument("--format", choices=("csv", "json"), default="csv")
     tradeoff.add_argument(
-        "--k-max", dest="k_max", type=int, help="per-width optimization grid length"
+        "--k-max", dest="k_max", type=int, help="last round of the per-width search"
     )
     tradeoff.set_defaults(func=_cmd_tradeoff)
 
@@ -388,6 +388,7 @@ def _cmd_distill(args, command: str) -> int:
         raise ConfigError("distill needs --config or both --f-in and --rounds")
     mode = DistillMode.CALIBRATED if args.mode == "calibrated" else DistillMode.RECURRENCE
     result = nested_distill(f_in, rounds, mode)
+    ladder, recurrence = result.ladder, mode is DistillMode.RECURRENCE
     block = {
         "mode": args.mode,
         "f_in": f_in,
@@ -395,16 +396,11 @@ def _cmd_distill(args, command: str) -> int:
         "f_out": result.f_out,
         "pairs_nominal": result.pairs_nominal,
         "pairs_expected": result.pairs_expected,
-        "final_state": None,
-        "round_success_probabilities": None,
+        "final_state": list(ladder[-1].state.as_tuple()) if ladder else None,
+        "round_success_probabilities": (
+            [o.success_probability for o in ladder] if recurrence else None
+        ),
     }
-    if mode is DistillMode.RECURRENCE:
-        ladder = recurrence_ladder(f_in, rounds)
-        if ladder:
-            block["final_state"] = list(ladder[-1].state.as_tuple())
-        block["round_success_probabilities"] = [
-            o.success_probability for o in ladder
-        ]
     manifest = build_manifest(command, resolved)
     text = emit_json(os.path.join(args.out, "distill.json"), {"distill": block}, manifest)
     sys.stdout.write(text)

@@ -131,42 +131,34 @@ def _herald_and_decay(link: Link, widths: np.ndarray | None = None):
     return np.array([1.0 - miss**n for n in widths.ravel().tolist()]), d
 
 
-def _grid(link: Link, k_max: int):
-    k = np.arange(1, _checked_k_max(k_max) + 1, dtype=float)
-    q, d = _herald_and_decay(link)
-    p_success, f_del = _f_del(q, d, max(link.f_her - 0.5, 0.0), k)
-    return k * link.config.transducer.t_rep_us, p_success, f_del
-
-
 def _whole(x: float, rounding) -> int | float:
     """rounding(x) as an int; an infinite x, past any grid, stays a float."""
     return rounding(x) if math.isfinite(x) else x
 
 
-def _checked_k_max(k_max) -> int:
+def _checked_k_max(k_max, limit: int = 2**53) -> int:
+    """k_max, checked against limit: by default 2**53, the last round count a
+    float holds exactly."""
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
-    if k_max > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"search grid of {k_max} points exceeds {MAX_GRID_POINTS}; pass a smaller k_max"
-        )
+    if k_max > limit:
+        raise ConfigError(f"k_max of {k_max} rounds exceeds {limit}; pass a smaller k_max")
     return k_max
 
 
 def _search_k_max(config: LinkConfig, k_max: int | None) -> int | float:
-    """Grid length of the searches: k_max, by default ten coherence times.
+    """Last round of the searches: k_max, by default ten coherence times.
 
     An attached memory caps it, given or not, at its lifetime in rounds: a
-    stored pair cannot be delivered later than that. The length is not yet
-    checked against MAX_GRID_POINTS, so that a caller can cap it further
-    first.
+    stored pair cannot be delivered later than that. It is not yet checked,
+    so that delivery_curve can cap it to its grid first.
     """
     t = config.transducer
     t_coh = config.qubit.t_coh_us
     if k_max is None:
         if math.isinf(t_coh):
             raise ConfigError(
-                "t_coh is infinite: the search grid is unbounded, pass k_max explicitly"
+                "t_coh is infinite: the search range is unbounded, pass k_max explicitly"
             )
         k_max = _whole(10.0 * t_coh / t.t_rep_us, math.ceil)
     if config.memory is not None:
@@ -258,11 +250,13 @@ def delivery_curve(link: Link, k_max: int | None = None) -> DeliveryCurve:
     c = link.config
     if k_max is None:
         k_policy = math.floor(c.policy.t_del_us / c.transducer.t_rep_us)
-        # the cap comes before _grid's check, so that a long coherence time
-        # needs no more than this grid
+        # the cap comes before the grid's check, so that a long coherence
+        # time needs no more than this grid
         k_max = min(_search_k_max(c, None), max(1000, 2 * k_policy))
-    t_grid, p_success, f_del = _grid(link, k_max)
-    return DeliveryCurve(t_del_us=t_grid, p_success=p_success, f_del=f_del)
+    k = np.arange(1, _checked_k_max(k_max, MAX_GRID_POINTS) + 1, dtype=float)
+    q, d = _herald_and_decay(link)
+    p_success, f_del = _f_del(q, d, max(link.f_her - 0.5, 0.0), k)
+    return DeliveryCurve(k * c.transducer.t_rep_us, p_success, f_del)
 
 
 def infidelity_breakdown_curve(
@@ -297,14 +291,61 @@ def _peak_rounds(r: np.ndarray, d: float) -> np.ndarray:
     return np.where(np.abs(r - d) < 1e-9, degenerate, peak)
 
 
+def _first_reaching(f_del_at, q, floor, low, k, f):
+    """Move each lane's k down to the first round in [low, k] whose f_del reaches floor.
+
+    A lane is one entry of q. f_del must not decrease on [low, k] and must
+    reach floor at k, where it is f; k and f are updated in place. All
+    lanes bisect in lockstep, log2(k) + 1 steps at most.
+    """
+    while True:
+        lanes = np.flatnonzero(low < k)
+        if lanes.size == 0:
+            return
+        mid = (low[lanes] + k[lanes]) // 2
+        values = f_del_at(q[lanes], mid)
+        hit = values >= floor[lanes]
+        k[lanes] = np.where(hit, mid, k[lanes])
+        f[lanes] = np.where(hit, values, f[lanes])
+        low[lanes] = np.where(hit, low[lanes], mid + 1)
+
+
+def _optimum(link: Link, k_max: int | None, widths):
+    """(f_del_at, q, k*, f*): per width, the first argmax k* of f_del(k) =
+    f_del_at(q, k) on [1, k_max], and f* = f_del(k*). See optimal_delivery_time.
+    """
+    k_max = _checked_k_max(_search_k_max(link.config, k_max))
+    q, d = _herald_and_decay(link, np.asarray(widths))
+    gain = max(link.f_her - 0.5, 0.0)
+
+    def f_del_at(q, k):
+        return _f_del(q, d, gain, k)[1]
+
+    peak = np.clip(_peak_rounds(1.0 - q, d), 1.0, float(k_max))
+    lo = np.maximum(np.floor(peak) - 2, 1).astype(np.int64)
+    hi = np.minimum(np.ceil(peak) + 2, k_max).astype(np.int64)
+    # the window lo..hi, at most 6 rounds, as one block; its first maximum
+    window = lo[:, None] + np.arange(6)
+    values = f_del_at(q[:, None], window)
+    values[window > hi[:, None]] = -np.inf
+    best = np.argmax(values, axis=1)
+    rows = np.arange(len(q))
+    k_best, f_best = window[rows, best], values[rows, best]
+    # where the window's left end is best, bisect [1, lo] for the first k
+    # that reaches the same value
+    low = np.where(best == 0, 1, k_best)
+    _first_reaching(f_del_at, q, f_best.copy(), low, k_best, f_best)
+    return f_del_at, q, k_best, f_best
+
+
 def optimal_delivery_time(
     link: Link, k_max: int | None = None, *, n_parallel: int | np.ndarray | None = None
 ) -> tuple:
     """Exact discrete argmax of f_del over t_del = k * t_rep.
 
     The policy's own t_del_us is ignored. Searches k in [1, k_max], default
-    k_max = ceil(10 T_coh / t_rep); an attached memory caps k_max, given or
-    not, at its lifetime. Ties break toward the smaller t_del.
+    k_max = ceil(10 T_coh / t_rep), at most 2**53; an attached memory caps
+    k_max, given or not, at its lifetime. Ties break toward the smaller t_del.
 
     Returns (t_del, f_del) as floats at the policy's n_parallel. Given
     n_parallel, an array of widths, it returns the two arrays of the link
@@ -328,65 +369,34 @@ def optimal_delivery_time(
     reached the same float value at smaller k: with d = 1, 1 - 0.5^k is
     exactly 1.0 from k = 54 on, with q near 1e-10 the float rise can end
     well before k*, and for f_her <= 1/2 f_del is flat at 1/2 (the answer
-    is k = 1). The first such k is found by bisection over the
-    non-decreasing values left of the peak, run for all widths in lockstep.
-    Cost: six points per width, plus at most log2(k_max) in that case,
-    instead of the k_max-point grid.
+    is k = 1). _first_reaching bisects the non-decreasing values left of
+    the window for the first such k. Cost: six points per width, plus at
+    most log2(k_max) + 1 in that case, instead of a k_max-point grid.
     """
     if link.p_her <= 0.0:
         raise NoOptimumError("p_her = 0: no herald can ever arrive")
     widths = np.asarray(link.config.policy.n_parallel if n_parallel is None else n_parallel)
-    k_max = _checked_k_max(_search_k_max(link.config, k_max))
+    _, _, k_best, f_best = _optimum(link, k_max, widths)
     t_rep = link.config.transducer.t_rep_us
-    q, d = _herald_and_decay(link, widths)
-    gain = max(link.f_her - 0.5, 0.0)
-
-    def f_del_at(q, k):
-        return _f_del(q, d, gain, k)[1]
-
-    peak = np.clip(_peak_rounds(1.0 - q, d), 1.0, float(k_max))
-    lo = np.maximum(np.floor(peak) - 2, 1).astype(np.int64)
-    hi = np.minimum(np.ceil(peak) + 2, k_max).astype(np.int64)
-    # the window lo..hi, at most 6 rounds, as one block; its first maximum
-    window = lo[:, None] + np.arange(6)
-    values = f_del_at(q[:, None], window)
-    values[window > hi[:, None]] = -np.inf
-    best = np.argmax(values, axis=1)
-    rows = np.arange(len(q))
-    k_best, f_best = window[rows, best], values[rows, best]
-    # where the window's left end is best, bisect [1, lo] for the first k
-    # that reaches the same value
-    left_end = best == 0
-    floor_value = f_best.copy()
-    low = np.ones_like(k_best)
-    while True:
-        lanes = np.flatnonzero(left_end & (low < k_best))
-        if lanes.size == 0:
-            break
-        mid = (low[lanes] + k_best[lanes]) // 2
-        values = f_del_at(q[lanes], mid)
-        hit = values >= floor_value[lanes]
-        k_best[lanes] = np.where(hit, mid, k_best[lanes])
-        f_best[lanes] = np.where(hit, values, f_best[lanes])
-        low[lanes] = np.where(hit, low[lanes], mid + 1)
     if widths.ndim == 0:
         return float(k_best[0] * t_rep), float(f_best[0])
     return (k_best * t_rep).reshape(widths.shape), f_best.reshape(widths.shape)
 
 
 def min_time_to_fidelity(link: Link, target: float, k_max: int | None = None) -> float:
-    """Smallest grid t_del with f_del >= target.
+    """Smallest t_del = k * t_rep, k in optimal_delivery_time's range, with f_del >= target.
 
-    The grid is that of optimal_delivery_time, memory lifetime cap included.
-    Raises UnattainableError when even the optimal delivery time falls short,
-    and ModelDomainError for targets outside (0.5, 1).
+    f_del does not decrease up to the optimum k*, so the optimum's pass and
+    a bisection of [1, k*] find it, with no grid. Raises UnattainableError
+    when f_del(k*) falls short (p_her = 0 and f_her <= 1/2 give 1/2), and
+    ModelDomainError for targets outside (0.5, 1).
     """
     if not (0.5 < target < 1.0):
         raise ModelDomainError(f"target fidelity {target} outside (0.5, 1)")
-    t_grid, _, f_del = _grid(link, _search_k_max(link.config, k_max))
-    hits = np.nonzero(f_del >= target)[0]
-    if hits.size == 0:
+    f_del_at, q, k_best, f_best = _optimum(link, k_max, link.config.policy.n_parallel)
+    if f_best[0] < target:
         raise UnattainableError(
-            f"target fidelity {target} unattainable: best f_del is {f_del.max():.6f}"
+            f"target fidelity {target} unattainable: best f_del is {f_best[0]:.6f}"
         )
-    return float(t_grid[hits[0]])
+    _first_reaching(f_del_at, q, np.asarray([target]), np.ones_like(k_best), k_best, f_best)
+    return float(k_best[0] * link.config.transducer.t_rep_us)

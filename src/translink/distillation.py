@@ -65,8 +65,6 @@ class BellDiagonalState:
 class DistillationOutcome:
     state: BellDiagonalState
     success_probability: float
-    pairs_consumed: int
-    rounds: int
 
 
 @dataclass(frozen=True)
@@ -74,6 +72,7 @@ class NestedDistillResult:
     f_out: float
     pairs_nominal: int  # 2^rounds
     pairs_expected: float  # includes retries after failed rounds
+    ladder: tuple[DistillationOutcome, ...]  # recurrence rounds; () when calibrated
 
 
 def calibrated_distill(f_in: float, rounds: int) -> float:
@@ -112,9 +111,7 @@ def recurrence_round(a: BellDiagonalState, b: BellDiagonalState) -> Distillation
         (a2 * b2 + a3 * b3) / n,
         (a2 * b3 + a3 * b2) / n,
     )
-    return DistillationOutcome(
-        state=out, success_probability=n, pairs_consumed=2, rounds=1
-    )
+    return DistillationOutcome(state=out, success_probability=n)
 
 
 def recurrence_ladder(f_in: float, rounds: int) -> list[DistillationOutcome]:
@@ -142,21 +139,18 @@ def nested_distill(f_in: float, rounds: int, mode: DistillMode) -> NestedDistill
 
     Calibrated mode consumes exactly 2^rounds pairs. Recurrence mode also
     reports the expected consumption 2^rounds / prod(p_success_i) once
-    failed rounds are retried. Rounds outside [0, MAX_DISTILL_ROUNDS] are
-    rejected, the same range that policy.distill_rounds accepts.
+    failed rounds are retried, and returns the ladder of rounds it ran.
+    Rounds outside [0, MAX_DISTILL_ROUNDS] are rejected, the same range
+    that policy.distill_rounds accepts.
     """
     if not 0 <= rounds <= MAX_DISTILL_ROUNDS:
         raise ConfigError(f"rounds out of [0, {MAX_DISTILL_ROUNDS}]")
     pairs = 2**rounds
     if mode is DistillMode.CALIBRATED:
-        return NestedDistillResult(
-            f_out=calibrated_distill(f_in, rounds),
-            pairs_nominal=pairs,
-            pairs_expected=float(pairs),
-        )
+        return NestedDistillResult(calibrated_distill(f_in, rounds), pairs, float(pairs), ())
     ladder = recurrence_ladder(f_in, rounds)
     f_out = ladder[-1].state.fidelity if ladder else f_in
     expected = float(pairs)
     for outcome in ladder:
         expected /= outcome.success_probability
-    return NestedDistillResult(f_out=f_out, pairs_nominal=pairs, pairs_expected=expected)
+    return NestedDistillResult(f_out, pairs, expected, tuple(ladder))

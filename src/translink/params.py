@@ -18,8 +18,8 @@ from enum import Enum
 
 from .errors import PresetNotFoundError
 
-# Hard cap on delivery rounds and search-grid length; beyond this the grid
-# (and the Monte Carlo round loop) would not fit in memory or time.
+# Hard cap on policy.t_del_us in rounds and on analyze's delivery-curve grid,
+# which holds a few float arrays of this length.
 MAX_GRID_POINTS = 10_000_000
 
 # Hard per-module ceiling on transducer channels; beyond this the

@@ -1,9 +1,10 @@
-"""Brute-force grid oracle for the optimal delivery time.
+"""Brute-force grid oracle for the delivery-time searches.
 
-Evaluates f_del at every k = 1..k_max and takes the first argmax, the way
-translink searched before it located the optimum in closed form. The grid
+Evaluates f_del at every k = 1..k_max and takes the first argmax, or the
+first k that reaches a target fidelity, the way translink searched before
+it located the optimum in closed form and bisected for the target. The grid
 arithmetic is written out here, in the same order as the library's, so the
-closed form must match it bit for bit.
+searches must match it bit for bit.
 """
 
 import math
@@ -53,3 +54,11 @@ def grid_optimal_delivery_time(config, k_max=None, p_her=None):
     t_grid, f_del = grid_f_del(config, grid_k_max(config, k_max), p_her)
     best = int(np.argmax(f_del))
     return float(t_grid[best]), float(f_del[best])
+
+
+def grid_min_time_to_fidelity(config, target, k_max=None, p_her=None):
+    """(t_del, f_max): the first grid t_del with f_del >= target, or None when
+    no grid point reaches it, and the largest f_del on the grid."""
+    t_grid, f_del = grid_f_del(config, grid_k_max(config, k_max), p_her)
+    hits = np.flatnonzero(f_del >= target)
+    return (float(t_grid[hits[0]]) if hits.size else None), float(f_del.max())

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from grid_oracle import grid_min_time_to_fidelity
 from translink import cli
 from translink import (
     DeliveryPolicy,
@@ -20,6 +21,7 @@ from translink import (
     ProtocolSpec,
     PumpMode,
     delivered_fidelity,
+    parse_config,
     preset,
     resolve,
     run_trials,
@@ -283,7 +285,7 @@ def test_config_without_link_exits_1(tmp_path, capsys, command):
 
 def test_analyze_long_coherence_default_grid(tmp_path, capsys):
     # 10 T_coh is 2e7 rounds, past MAX_GRID_POINTS, but the default curve
-    # needs only 1000 of them; plan, which searches all 2e7, still exits 1
+    # needs only 1000 of them, and plan's search builds no grid at all
     cfg = json.loads(Path(LATTICE).read_text())
     cfg["qubit"] = {"t1_us": 1e5, "t2_us": 2e6}
     path = tmp_path / "long.json"
@@ -292,9 +294,29 @@ def test_analyze_long_coherence_default_grid(tmp_path, capsys):
     assert (code, err) == (0, "")
     lines = (tmp_path / "delivery_curve.csv").read_text().splitlines()
     assert len(lines) == 2 + 1000
+    code, out, err = _run(capsys, "plan", "--config", str(path), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    # a grid prefix that holds a hit has the full grid's first hit, and this
+    # one spares the test the 2e7-point grid
+    parsed = parse_config(path)
+    t_del, _ = grid_min_time_to_fidelity(
+        parsed.link, parsed.architecture.target_fidelity, k_max=1000
+    )
+    assert t_del is not None
+    assert json.loads(out)["plan"]["min_t_del_us"] == t_del
+
+
+def test_plan_at_very_long_coherence(tmp_path, capsys):
+    """10 T_coh is 10^10 rounds: the search bisects and stays fast."""
+    cfg = json.loads(Path(LATTICE).read_text())
+    cfg["qubit"] = {"t1_us": 1e9, "t2_us": 1e9}
+    path = tmp_path / "very_long.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
     code, _, err = _run(capsys, "plan", "--config", str(path), "--out", str(tmp_path))
-    assert code == 1
-    assert "exceeds" in json.loads(err)["message"]
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert elapsed < 1.0
 
 
 def test_plan_unattainable_target_exit_2(tmp_path, capsys):

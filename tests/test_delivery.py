@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grid_oracle import grid_optimal_delivery_time
+from grid_oracle import (
+    grid_f_del,
+    grid_k_max,
+    grid_min_time_to_fidelity,
+    grid_optimal_delivery_time,
+)
 from translink import (
     ConfigError,
     DeliveryPolicy,
@@ -495,15 +500,19 @@ def test_optimal_special_cases_match_grid_oracle(cfg, k_max, t_star):
     assert got[0] == t_star
 
 
-def test_optimal_requires_positive_herald():
-    cfg = LinkConfig(
+def _dead_link():
+    """p_her = 0: no herald ever arrives, and f_del is 1/2 at every t_del."""
+    return LinkConfig(
         transducer=TransducerParams("dead", 0.8, 0.0, 0.5, 0.01, 1.0),
         qubit=preset("qubit1"),
         protocol=ProtocolSpec(PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION),
         policy=DeliveryPolicy(t_del_us=50.0),
     )
+
+
+def test_optimal_requires_positive_herald():
     with pytest.raises(NoOptimumError):
-        optimal_delivery_time(resolve(cfg))
+        optimal_delivery_time(resolve(_dead_link()))
 
 
 def test_min_time_to_fidelity():
@@ -516,6 +525,60 @@ def test_min_time_unattainable_reports_best():
     with pytest.raises(UnattainableError) as err:
         min_time_to_fidelity(resolve(_ex1()), 0.70)
     assert "0.61" in str(err.value)
+
+
+def _targets(draw, f_del):
+    """Targets at grid values, one ulp below them, at random and past the max."""
+    picks = draw(st.lists(st.integers(0, len(f_del) - 1), min_size=1, max_size=3))
+    values = [float(f_del[i]) for i in picks]
+    targets = values + [math.nextafter(v, 0.0) for v in values]
+    targets.append(draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)))
+    targets.append(math.nextafter(float(f_del.max()), 1.0))
+    return targets
+
+
+@pytest.mark.parametrize("protocol,memory_kind,model", LINK_KINDS, ids=LINK_KIND_IDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_min_time_matches_grid_oracle(protocol, memory_kind, model, data):
+    """The bisection equals the full grid's first hit, bit for bit; on a miss
+    it reports the grid's max."""
+    cfg, k_max = _draw_probe(data.draw, protocol, memory_kind, model)
+    try:
+        link = resolve(cfg)
+    except ModelDomainError:
+        return
+    _, f_del = grid_f_del(cfg, grid_k_max(cfg, k_max))
+    for target in _targets(data.draw, f_del):
+        if not 0.5 < target < 1.0:
+            with pytest.raises(ModelDomainError):
+                min_time_to_fidelity(link, target, k_max)
+            continue
+        t_del, f_max = grid_min_time_to_fidelity(cfg, target, k_max)
+        if t_del is not None:
+            assert min_time_to_fidelity(link, target, k_max) == t_del
+            continue
+        with pytest.raises(UnattainableError) as err:
+            min_time_to_fidelity(link, target, k_max)
+        assert str(err.value).endswith(f"best f_del is {f_max:.6f}")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _dead_link(),
+        _probe(TransducerParams("flat", 0.5, 0.1, 0.5, 0.001, 1.0),
+               preset("qubit1"), ONE_TMS),
+    ],
+    ids=["p_her-zero", "f_her-at-most-half"],
+)
+def test_min_time_flat_half_is_unattainable(cfg):
+    """f_del is 1/2 at every t_del: no target is met, and p_her = 0 gives
+    this error, not the optimum's NoOptimumError."""
+    assert grid_min_time_to_fidelity(cfg, 0.51) == (None, 0.5)
+    with pytest.raises(UnattainableError) as err:
+        min_time_to_fidelity(resolve(cfg), 0.51)
+    assert str(err.value).endswith("best f_del is 0.500000")
 
 
 def test_min_time_target_domain():

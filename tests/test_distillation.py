@@ -46,8 +46,6 @@ def test_werner_085_round():
         ),
         rel=1e-12,
     )
-    assert out.pairs_consumed == 2
-    assert out.rounds == 1
 
 
 def test_perfect_state_is_fixed_point():
