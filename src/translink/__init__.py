@@ -56,11 +56,7 @@ _SUBMODULE = {
             "edge_qubit_count", "graph_state_pipe_width",
             "lattice_surgery_plan", "tradeoff_surface",
         ),
-        "protocols": (
-            "ProtocolAnalytics", "analyze_protocol", "herald_probability",
-            "herald_probability_with_memory", "heralded_fidelity",
-            "protocol_infidelity", "thermal_infidelity",
-        ),
+        "protocols": ("ProtocolAnalytics", "analyze_protocol", "heralded_fidelity"),
     }.items()
     for name in names
 }

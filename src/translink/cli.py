@@ -107,11 +107,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="artifact output directory")
 
-    def link_overrides(p):
-        p.add_argument(
-            "--t-del", dest="t_del", type=float, metavar="MICROSECONDS",
-            help="override policy t_del_us",
-        )
+    def link_overrides(p, t_del=True):
+        if t_del:
+            p.add_argument(
+                "--t-del", dest="t_del", type=float, metavar="MICROSECONDS",
+                help="override policy t_del_us",
+            )
         p.add_argument(
             "--protocol", choices=sorted(_PROTOCOL_NAMES),
             help="override the protocol basis/pump",
@@ -170,7 +171,8 @@ def _build_parser() -> _Parser:
         "tradeoff", help="Pareto surface of links vs rate vs fidelity"
     )
     common(tradeoff)
-    link_overrides(tradeoff)
+    # each width searches its own t_del, so tradeoff takes no --t-del
+    link_overrides(tradeoff, t_del=False)
     tradeoff.add_argument("--format", choices=("csv", "json"), default="csv")
     tradeoff.add_argument(
         "--k-max", dest="k_max", type=int, help="last round of the per-width search"
@@ -180,7 +182,9 @@ def _build_parser() -> _Parser:
     distill = sub.add_parser(
         "distill", help="nested entanglement distillation of a link's output"
     )
-    distill.add_argument("--config", help="JSON config file")
+    distill.add_argument(
+        "--config", help="JSON config file; the link overrides need one"
+    )
     distill.add_argument("--out", default=".", help="artifact output directory")
     link_overrides(distill)
     distill.add_argument(
@@ -376,6 +380,8 @@ def _cmd_tradeoff(args, command: str) -> int:
 def _cmd_distill(args, command: str) -> int:
     f_in, rounds = args.f_in, args.rounds
     resolved = {}
+    if not args.config and (args.t_del is not None or args.protocol or args.fidelity_model):
+        raise ConfigError("distill's --t-del, --protocol and --fidelity-model need --config")
     if args.config:
         parsed = _apply_overrides(parse_config(args.config), args)
         resolved = resolved_config(parsed)

@@ -31,7 +31,7 @@ from .errors import (
     NoOptimumError,
     UnattainableError,
 )
-from .params import MAX_GRID_POINTS, FidelityModel, LinkConfig, LinkMetrics, validate
+from .params import MAX_GRID_POINTS, LinkConfig, LinkMetrics, validate
 from .protocols import ProtocolAnalytics, analyze_protocol, heralded_fidelity
 
 
@@ -115,20 +115,18 @@ def _f_del(q, d: float, gain: float, k: np.ndarray, rem_decay: float = 1.0):
     return p_success, 0.5 + gain * rem_decay * s
 
 
-def _herald_and_decay(link: Link, widths: np.ndarray | None = None):
+def _herald_and_decay(link: Link, widths):
     """Per-round herald probability q and storage decay d = exp(-t_rep/T_coh).
 
-    q = 1 - (1 - p_her)^n over n channels: a float at the policy's
-    n_parallel, or one entry per width of `widths`. Each is taken with
-    Python's float **, not numpy's power, whose last bit can differ and
-    move the optimum. An infinite T_coh gives d = exp(-0.0) = 1 exactly.
+    q = 1 - (1 - p_her)^n over n channels, one entry per width of `widths`
+    (an int or an array). Each is taken with Python's float **, not numpy's
+    power, whose last bit can differ and move the optimum. An infinite
+    T_coh gives d = exp(-0.0) = 1 exactly.
     """
     c = link.config
     d = math.exp(-c.transducer.t_rep_us / c.qubit.t_coh_us)
     miss = 1.0 - link.p_her
-    if widths is None:
-        return 1.0 - miss**c.policy.n_parallel, d
-    return np.array([1.0 - miss**n for n in widths.ravel().tolist()]), d
+    return np.array([1.0 - miss**n for n in np.ravel(widths).tolist()]), d
 
 
 def _whole(x: float, rounding) -> int | float:
@@ -182,7 +180,7 @@ def delivered_fidelity(link: Link) -> LinkMetrics:
     t_del = c.policy.t_del_us
     # validate's t_del >= t_rep makes k_rounds >= 1
     k_rounds = math.floor(t_del / t_rep)
-    q, d = _herald_and_decay(link)
+    q, d = _herald_and_decay(link, c.policy.n_parallel)
     rem_decay = math.exp(-(t_del - k_rounds * t_rep) / c.qubit.t_coh_us)
     p_success, f_del = _f_del(
         q, d, max(link.f_her - 0.5, 0.0), np.asarray([k_rounds], dtype=float), rem_decay
@@ -208,9 +206,7 @@ def _breakdown(link: Link, p_success: np.ndarray, f_del: np.ndarray) -> dict:
     fallback budget so the identity still holds).
     """
     f_her, i_prot = link.f_her, link.formula.i_prot
-    i_th = link.formula.i_th
-    if link.config.policy.fidelity_model is FidelityModel.THERMAL_HALF:
-        i_th = i_th / 2.0
+    i_th = link.formula.i_th * link.config.policy.fidelity_model.thermal_weight
     if f_her >= 0.5:
         # recover S from f_del rather than recomputing the sum
         s = (f_del - 0.5) / (f_her - 0.5) if f_her > 0.5 else np.zeros_like(f_del)
@@ -254,7 +250,7 @@ def delivery_curve(link: Link, k_max: int | None = None) -> DeliveryCurve:
         # time needs no more than this grid
         k_max = min(_search_k_max(c, None), max(1000, 2 * k_policy))
     k = np.arange(1, _checked_k_max(k_max, MAX_GRID_POINTS) + 1, dtype=float)
-    q, d = _herald_and_decay(link)
+    q, d = _herald_and_decay(link, c.policy.n_parallel)
     p_success, f_del = _f_del(q, d, max(link.f_her - 0.5, 0.0), k)
     return DeliveryCurve(k * c.transducer.t_rep_us, p_success, f_del)
 
@@ -315,7 +311,7 @@ def _optimum(link: Link, k_max: int | None, widths):
     f_del_at(q, k) on [1, k_max], and f* = f_del(k*). See optimal_delivery_time.
     """
     k_max = _checked_k_max(_search_k_max(link.config, k_max))
-    q, d = _herald_and_decay(link, np.asarray(widths))
+    q, d = _herald_and_decay(link, widths)
     gain = max(link.f_her - 0.5, 0.0)
 
     def f_del_at(q, k):

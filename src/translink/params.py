@@ -97,6 +97,11 @@ class FidelityModel(Enum):
     THERMAL_HALF = "thermal_half"
     LINEAR_SUM = "linear_sum"
 
+    @property
+    def thermal_weight(self) -> float:
+        """The share of i_th that the heralded fidelity loses."""
+        return 0.5 if self is FidelityModel.THERMAL_HALF else 1.0
+
 
 @dataclass(frozen=True)
 class TransducerParams:
@@ -108,8 +113,6 @@ class TransducerParams:
     eta_det: float = unit_interval()  # optical detection chain efficiency
     n_th: float = bounded(lambda x: x >= 0, "must be >= 0")  # thermal photons per attempt
     t_rep_us: float = positive()  # attempt period
-    bandwidth_mhz: float | None = None  # informational
-    eta_per_uw: float | None = None  # informational, % per uW of pump
 
     @property
     def eta_tot(self) -> float:

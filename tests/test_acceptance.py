@@ -28,13 +28,13 @@ from translink import (
     PumpMode,
     StorageQubitParams,
     TransducerParams,
+    analyze_protocol,
     calibrated_distill,
     circuit_cut_comparison,
     cli,
     cryostat_budget_check,
     delivered_fidelity,
     edge_qubit_count,
-    herald_probability,
     infidelity_breakdown,
     lattice_surgery_plan,
     nested_distill,
@@ -43,7 +43,6 @@ from translink import (
     recurrence_round,
     resolve,
     run_trials,
-    thermal_infidelity,
     tradeoff_surface,
 )
 
@@ -266,13 +265,15 @@ def test_criterion_7_property_suites():
                 )
                 kwargs[field] = value
                 kicked = TransducerParams("k", t_rep_us=1.0, **kwargs)
-                assert herald_probability(kicked, spec) >= (
-                    herald_probability(base, spec) - 1e-15
+                assert analyze_protocol(kicked, spec).p_her >= (
+                    analyze_protocol(base, spec).p_her - 1e-15
                 )
             hotter = TransducerParams(
                 "h", eta_mw, p_mo, eta_det, n_th + 0.01, 1.0
             )
-            assert thermal_infidelity(hotter, spec) >= thermal_infidelity(base, spec)
+            assert (
+                analyze_protocol(hotter, spec).i_th >= analyze_protocol(base, spec).i_th
+            )
             try:
                 cold = delivered_fidelity(resolve(
                     LinkConfig(base, preset("qubit1"), spec,

@@ -483,6 +483,19 @@ def test_tradeoff_fidelity_model_override(tmp_path, capsys):
     assert linear[0]["f_del"] < thermal[0]["f_del"]
 
 
+def test_tradeoff_has_no_t_del(tmp_path, capsys):
+    """Each width searches its own t_del, so tradeoff refuses the override."""
+    out_dir = tmp_path / "out"
+    code, out, err = _run(
+        capsys, "tradeoff", "--config", str(_tradeoff_config(tmp_path)),
+        "--t-del", "15", "--out", str(out_dir),
+    )
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not out_dir.exists()
+
+
 def test_distill_flags_only(tmp_path, capsys):
     code, out, _ = _run(
         capsys, "distill", "--f-in", "0.91", "--rounds", "4", "--out", str(tmp_path)
@@ -519,6 +532,23 @@ def test_distill_requires_inputs(tmp_path, capsys):
     code, _, err = _run(capsys, "distill", "--f-in", "0.91", "--out", str(tmp_path))
     assert code == 1
     assert "rounds" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "override", [["--t-del", "nan"], ["--protocol", "2p-tms"], ["--fidelity-model", "linear"]]
+)
+def test_distill_link_overrides_need_config(tmp_path, capsys, override):
+    out_dir = tmp_path / "out"
+    code, out, err = _run(
+        capsys, "distill", "--f-in", "0.9", "--rounds", "2", *override,
+        "--out", str(out_dir),
+    )
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert "need --config" in payload["message"]
+    assert not out_dir.exists()
 
 
 def test_distill_domain_error_exit_2(tmp_path, capsys):

@@ -66,11 +66,12 @@ def _flags(*parts):
     return st.tuples(*parts).map(lambda chosen: [a for part in chosen for a in part])
 
 
-_OVERRIDES = (
-    _flag("--t-del", FLOATS),
+# tradeoff takes the protocol overrides but no --t-del
+_PROTOCOL_OVERRIDES = (
     _flag("--protocol", ["1p-upconv", "1p-tms", "2p-upconv", "2p-tms"]),
     _flag("--fidelity-model", ["thermal-half", "linear"]),
 )
+_OVERRIDES = (_flag("--t-del", FLOATS), *_PROTOCOL_OVERRIDES)
 FLAGS = {
     "analyze": _flags(*_OVERRIDES, _flag("--k-max", INTS)),
     "simulate": _flags(
@@ -85,7 +86,7 @@ FLAGS = {
         *_OVERRIDES, _flag("--circuit-budget", INTS), _flag("--code-distance", INTS)
     ),
     "tradeoff": _flags(
-        *_OVERRIDES, _flag("--format", ["csv", "json"]), _flag("--k-max", INTS)
+        *_PROTOCOL_OVERRIDES, _flag("--format", ["csv", "json"]), _flag("--k-max", INTS)
     ),
     "distill": _flags(
         *_OVERRIDES,

@@ -110,7 +110,6 @@ def test_round_trip_synthetic_full_config():
             "eta_det": 0.6,
             "n_th": 0.02,
             "t_rep_us": 0.5,
-            "bandwidth_mhz": 2.5,
         },
         "qubit": {"t1_us": 300.0, "t2_us": 120.0, "t_coh_us": 150.0},
         "protocol": {"basis": "two_photon", "pump": "tms"},
@@ -134,6 +133,12 @@ def test_round_trip_synthetic_full_config():
     assert parsed.link.qubit.t_coh_us == 150.0
     assert parsed.link.policy.fidelity_model is FidelityModel.LINEAR_SUM
     assert parse_config_data(resolved_config(parsed)) == parsed
+    # the transducer's former informational fields are read by no model
+    for key in ("bandwidth_mhz", "eta_per_uw"):
+        with pytest.raises(SchemaError) as err:
+            parse_config_data({**data, "transducer": {**data["transducer"], key: 2.5}})
+        assert err.value.pointer == f"/transducer/{key}"
+        assert str(err.value).endswith("unknown key")
     # lattice surgery is the only architecture that the planner computes
     for kind in ("sparse_links", "graph_state"):
         data["architecture"]["architecture"] = kind

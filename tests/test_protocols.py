@@ -15,12 +15,8 @@ from translink import (
     PumpMode,
     TransducerParams,
     analyze_protocol,
-    herald_probability,
-    herald_probability_with_memory,
     heralded_fidelity,
     preset,
-    protocol_infidelity,
-    thermal_infidelity,
 )
 
 T1 = preset("transducer1")
@@ -39,10 +35,10 @@ def _transducer(eta_mw, p_mo, eta_det, n_th, t_rep=1.0):
 
 
 def test_one_photon_upconversion_formulas():
-    spec = P_1P_UP(0.1)
-    assert herald_probability(T1, spec) == pytest.approx(2 * 0.1 * T1.eta_tot, rel=1e-15)
-    assert protocol_infidelity(T1, spec) == 0.1
-    assert thermal_infidelity(T1, spec) == pytest.approx(0.1 / (0.1 * 0.8), rel=1e-15)
+    a = analyze_protocol(T1, P_1P_UP(0.1))
+    assert a.p_her == pytest.approx(2 * 0.1 * T1.eta_tot, rel=1e-15)
+    assert a.i_prot == 0.1
+    assert a.i_th == pytest.approx(0.1 / (0.1 * 0.8), rel=1e-15)
 
 
 def test_one_photon_tms_formulas_transducer1():
@@ -73,7 +69,7 @@ def test_two_photon_p_her_pump_independent():
     rng = np.random.default_rng(7)
     for _ in range(50):
         t = _transducer(*rng.uniform(0.05, 1.0, size=3), n_th=rng.uniform(0, 0.2))
-        assert herald_probability(t, P_2P_UP) == herald_probability(t, P_2P_TMS)
+        assert analyze_protocol(t, P_2P_UP).p_her == analyze_protocol(t, P_2P_TMS).p_her
 
 
 def test_p_mo_override_feeds_every_formula():
@@ -87,19 +83,19 @@ def test_p_mo_override_feeds_every_formula():
 
 def test_memory_boost_spin_cavity():
     mem = MemoryParams(kind=MemoryKind.SPIN_CAVITY, eta_mem=1.0, lifetime_us=1000.0)
-    boosted = herald_probability_with_memory(T2, P_2P_UP, mem)
+    boosted = analyze_protocol(T2, P_2P_UP, mem).p_her
     assert boosted == pytest.approx(T2.eta_tot * 1.0 / 2, rel=1e-15)
     assert boosted == pytest.approx(0.02375, rel=1e-12)
     # probability increase over the bare protocol: eta_mem / eta_tot
-    bare = herald_probability(T2, P_2P_UP)
+    bare = analyze_protocol(T2, P_2P_UP).p_her
     assert boosted / bare == pytest.approx(mem.eta_mem / T2.eta_tot, rel=1e-12)
 
 
 def test_memory_boost_catch_release():
     mem = MemoryParams(kind=MemoryKind.CATCH_RELEASE, eta_mem=0.9, lifetime_us=1000.0)
-    boosted = herald_probability_with_memory(T2, P_2P_TMS, mem)
+    boosted = analyze_protocol(T2, P_2P_TMS, mem).p_her
     assert boosted == pytest.approx(T2.eta_tot * 0.95 * 0.81 / 2, rel=1e-15)
-    bare = herald_probability(T2, P_2P_TMS)
+    bare = analyze_protocol(T2, P_2P_TMS).p_her
     assert boosted / bare == pytest.approx(
         mem.eta_mem**2 * T2.eta_mw / T2.eta_tot, rel=1e-12
     )
@@ -108,9 +104,9 @@ def test_memory_boost_catch_release():
 def test_memory_protocol_mismatch_rejected():
     mem = MemoryParams(kind=MemoryKind.SPIN_CAVITY, eta_mem=0.9, lifetime_us=100.0)
     with pytest.raises(ConfigError):
-        herald_probability_with_memory(T2, P_2P_TMS, mem)
+        analyze_protocol(T2, P_2P_TMS, mem)
     with pytest.raises(ConfigError):
-        herald_probability_with_memory(T2, P_1P_TMS, mem)
+        analyze_protocol(T2, P_1P_TMS, mem)
 
 
 def test_analyze_protocol_uses_memory_formula():
@@ -122,19 +118,19 @@ def test_analyze_protocol_uses_memory_formula():
 def test_missing_alpha_raises_config_error():
     spec = ProtocolSpec(PhotonBasis.ONE_PHOTON, PumpMode.UPCONVERSION)
     with pytest.raises(ConfigError):
-        herald_probability(T1, spec)
+        analyze_protocol(T1, spec)
 
 
 def test_alpha_zero_division_domain():
     with pytest.raises(DivisionDomainError):
-        thermal_infidelity(T1, P_1P_UP(0.0))
+        analyze_protocol(T1, P_1P_UP(0.0))
 
 
 def test_eta_mw_zero_division_domain():
     dark = TransducerParams("dark", 0.0, 0.01, 0.5, 0.1, 1.0)
     for protocol in (P_1P_UP(0.1), P_2P_UP):
         with pytest.raises(DivisionDomainError):
-            thermal_infidelity(dark, protocol)
+            analyze_protocol(dark, protocol)
 
 
 def test_heralded_fidelity_models():
@@ -173,28 +169,29 @@ def test_monotonicity_in_efficiencies():
         bump = rng.uniform(1.0, 1.05)
         base = _transducer(eta_mw, p_mo, eta_det, n_th)
         for spec in protocols:
-            p0 = herald_probability(base, spec)
+            p0 = analyze_protocol(base, spec).p_her
             for kick in (
                 _transducer(min(eta_mw * bump, 1), p_mo, eta_det, n_th),
                 _transducer(eta_mw, min(p_mo * bump, 1), eta_det, n_th),
                 _transducer(eta_mw, p_mo, min(eta_det * bump, 1), n_th),
             ):
-                assert herald_probability(kick, spec) >= p0 - 1e-15
+                assert analyze_protocol(kick, spec).p_her >= p0 - 1e-15
 
 
 def test_monotonicity_in_alpha_and_eta_mem():
     rng = np.random.default_rng(43)
     for _ in range(100):
         alpha = rng.uniform(0.01, 0.9)
-        assert herald_probability(T1, P_1P_UP(min(alpha * 1.1, 1.0))) >= (
-            herald_probability(T1, P_1P_UP(alpha)) - 1e-15
+        assert analyze_protocol(T1, P_1P_UP(min(alpha * 1.1, 1.0))).p_her >= (
+            analyze_protocol(T1, P_1P_UP(alpha)).p_her - 1e-15
         )
         eta_mem = rng.uniform(0.1, 0.9)
         lo = MemoryParams(MemoryKind.SPIN_CAVITY, eta_mem, 1000.0)
         hi = MemoryParams(MemoryKind.SPIN_CAVITY, min(eta_mem * 1.1, 1.0), 1000.0)
-        assert herald_probability_with_memory(
-            T2, P_2P_UP, hi
-        ) >= herald_probability_with_memory(T2, P_2P_UP, lo)
+        assert (
+            analyze_protocol(T2, P_2P_UP, hi).p_her
+            >= analyze_protocol(T2, P_2P_UP, lo).p_her
+        )
 
 
 def test_thermal_infidelity_monotone_in_n_th():
@@ -204,21 +201,21 @@ def test_thermal_infidelity_monotone_in_n_th():
             n_th = rng.uniform(0.0, 0.3)
             lo = _transducer(0.8, 0.05, 0.5, n_th)
             hi = _transducer(0.8, 0.05, 0.5, n_th * 1.2 + 1e-3)
-            assert thermal_infidelity(hi, spec) > thermal_infidelity(lo, spec)
+            assert analyze_protocol(hi, spec).i_th > analyze_protocol(lo, spec).i_th
 
 
 def test_herald_probability_clamped():
     absurd = _transducer(1.0, 1.0, 1.0, 0.0)
-    assert herald_probability(absurd, P_1P_UP(1.0)) == 1.0  # 2*1*1 clamped
-    assert 0.0 <= herald_probability(absurd, P_2P_TMS) <= 1.0
+    assert analyze_protocol(absurd, P_1P_UP(1.0)).p_her == 1.0  # 2*1*1 clamped
+    assert 0.0 <= analyze_protocol(absurd, P_2P_TMS).p_her <= 1.0
 
 
 def test_one_photon_tms_dark_transducer():
     """With no microwave coupling the TMS herald never fires."""
-    dark = _transducer(0.0, 0.05, 0.5, 0.1)
-    assert herald_probability(dark, P_1P_TMS) == 0.0
-    assert protocol_infidelity(dark, P_1P_TMS) == pytest.approx(1.0)
-    assert thermal_infidelity(dark, P_1P_TMS) == 0.0
+    a = analyze_protocol(_transducer(0.0, 0.05, 0.5, 0.1), P_1P_TMS)
+    assert a.p_her == 0.0
+    assert a.i_prot == pytest.approx(1.0)
+    assert a.i_th == 0.0
 
 
 def test_perfect_link_fidelity_one():
