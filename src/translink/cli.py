@@ -380,9 +380,11 @@ def _cmd_tradeoff(args, command: str) -> int:
 def _cmd_distill(args, command: str) -> int:
     f_in, rounds = args.f_in, args.rounds
     resolved = {}
-    if not args.config and (args.t_del is not None or args.protocol or args.fidelity_model):
+    if args.config is None and (
+        args.t_del is not None or args.protocol or args.fidelity_model
+    ):
         raise ConfigError("distill's --t-del, --protocol and --fidelity-model need --config")
-    if args.config:
+    if args.config is not None:
         parsed = _apply_overrides(parse_config(args.config), args)
         resolved = resolved_config(parsed)
         if f_in is None:

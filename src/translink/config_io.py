@@ -139,8 +139,9 @@ def _parse_value(kind, value, pointer: str):
 def _parse_section(cls, value, pointer: str):
     """Build the section dataclass `cls` from its JSON value, strictly.
 
-    The keys are the declared fields: an unknown key or a missing required
-    one is a SchemaError, and each value must have its field's type. The
+    The keys are the declared fields: an unknown key, or a missing one whose
+    field has no default, is a SchemaError, and each value must have its
+    field's type. The
     sections in _PRESET_KINDS also take a "preset:<name>" string.
     """
     if cls in _PRESET_KINDS and isinstance(value, str):
@@ -158,16 +159,13 @@ def _parse_section(cls, value, pointer: str):
         if key not in names:
             raise SchemaError(f"{pointer}/{key}", "unknown key")
     for f, _, _ in declared:
-        required = f.default is MISSING and "config_default" not in f.metadata
-        if required and f.name not in obj:
+        if f.default is MISSING and f.name not in obj:
             raise SchemaError(pointer, f"missing required key {f.name!r}")
-    kwargs = {}
-    for f, kind, _ in declared:
-        if f.name in obj:
-            kwargs[f.name] = _parse_value(kind, obj[f.name], f"{pointer}/{f.name}")
-        elif "config_default" in f.metadata:
-            kwargs[f.name] = f.metadata["config_default"]
-    return cls(**kwargs)
+    return cls(**{
+        f.name: _parse_value(kind, obj[f.name], f"{pointer}/{f.name}")
+        for f, kind, _ in declared
+        if f.name in obj
+    })
 
 
 def parse_config_data(data) -> ParsedConfig:

@@ -107,7 +107,7 @@ class FidelityModel(Enum):
 class TransducerParams:
     """One transducer channel: efficiencies, added noise and attempt timing."""
 
-    name: str = field(metadata={"config_default": "custom"})
+    name: str = field(default="custom", kw_only=True)
     eta_mw: float = unit_interval()  # microwave loading/heralding efficiency
     p_mo: float = unit_interval()  # microwave<->optical conversion per attempt
     eta_det: float = unit_interval()  # optical detection chain efficiency
@@ -122,19 +122,14 @@ class TransducerParams:
 
 @dataclass(frozen=True)
 class StorageQubitParams:
-    """Storage qubit holding the heralded state until delivery.
+    """Storage qubit holding the heralded pair until delivery.
 
-    t_coh_us defaults to t2_us (dephasing-dominated storage). Override it to
-    model a different effective decay, e.g. t2/2 for two-sided accounting.
+    t_coh_us is the decay constant of the stored pair's fidelity toward 1/2:
+    a device's T2 for dephasing-limited storage, or T2/2 to count decay on
+    both halves of the pair.
     """
 
-    t1_us: float = positive()
-    t2_us: float = positive()
-    t_coh_us: float | None = positive(default=None)
-
-    def __post_init__(self):
-        if self.t_coh_us is None:
-            object.__setattr__(self, "t_coh_us", self.t2_us)
+    t_coh_us: float = positive()
 
 
 @dataclass(frozen=True)
@@ -250,9 +245,11 @@ TRANSDUCER_PRESETS = {
     ),
 }
 
+# Each qubit stores at its T2: set 1 has T1 = 500 us and T2 = 200 us, set 2
+# has T1 = 10^5 us and T2 = 2500 us.
 QUBIT_PRESETS = {
-    "qubit1": StorageQubitParams(t1_us=500.0, t2_us=200.0),
-    "qubit2": StorageQubitParams(t1_us=1e5, t2_us=2500.0),
+    "qubit1": StorageQubitParams(t_coh_us=200.0),
+    "qubit2": StorageQubitParams(t_coh_us=2500.0),
 }
 
 # Published device survey (informational presets; see DeviceSummary).

@@ -253,7 +253,7 @@ def test_criterion_7_property_suites():
             eta_mw, eta_det = rng.uniform(0.5, 0.95, size=2)
             p_mo = rng.uniform(0.005, 0.1)
             n_th = rng.uniform(0.0, 0.05)
-            base = TransducerParams("b", eta_mw, p_mo, eta_det, n_th, 1.0)
+            base = TransducerParams(eta_mw, p_mo, eta_det, n_th, 1.0, name="b")
             spec = protocols[int(rng.integers(len(protocols)))]
             for field, value in (
                 ("eta_mw", min(eta_mw * 1.1, 1.0)),
@@ -264,12 +264,12 @@ def test_criterion_7_property_suites():
                     eta_mw=eta_mw, p_mo=p_mo, eta_det=eta_det, n_th=n_th
                 )
                 kwargs[field] = value
-                kicked = TransducerParams("k", t_rep_us=1.0, **kwargs)
+                kicked = TransducerParams(name="k", t_rep_us=1.0, **kwargs)
                 assert analyze_protocol(kicked, spec).p_her >= (
                     analyze_protocol(base, spec).p_her - 1e-15
                 )
             hotter = TransducerParams(
-                "h", eta_mw, p_mo, eta_det, n_th + 0.01, 1.0
+                eta_mw, p_mo, eta_det, n_th + 0.01, 1.0, name="h"
             )
             assert (
                 analyze_protocol(hotter, spec).i_th >= analyze_protocol(base, spec).i_th
@@ -295,7 +295,7 @@ def test_criterion_7_property_suites():
             t_del, t_coh = rng.uniform(1.0, 150.0), rng.uniform(1.0, 500.0)
             cfg = LinkConfig(
                 preset("transducer1"),  # t_rep_us = 1
-                StorageQubitParams(t1_us=500.0, t2_us=t_coh),
+                StorageQubitParams(t_coh_us=t_coh),
                 ProtocolSpec(PhotonBasis.ONE_PHOTON, PumpMode.TMS),
                 DeliveryPolicy(t_del_us=t_del, n_parallel=int(rng.integers(1, 8))),
             )

@@ -200,7 +200,7 @@ def test_simulate_cost_follows_trials_not_rounds(tmp_path, capsys):
     """10^7 rounds and 1000 trials: the histogram holds only the heralded rounds."""
     cfg = json.loads(Path(EX2).read_text())
     del cfg["memory"]
-    cfg["qubit"] = {"t1_us": 1e6, "t2_us": 1e6}
+    cfg["qubit"] = {"t_coh_us": 1e6}
     cfg["policy"]["t_del_us"] = 1e7  # K = 10^7 rounds of 1 us
     path = tmp_path / "long.json"
     path.write_text(json.dumps(cfg))
@@ -287,7 +287,7 @@ def test_analyze_long_coherence_default_grid(tmp_path, capsys):
     # 10 T_coh is 2e7 rounds, past MAX_GRID_POINTS, but the default curve
     # needs only 1000 of them, and plan's search builds no grid at all
     cfg = json.loads(Path(LATTICE).read_text())
-    cfg["qubit"] = {"t1_us": 1e5, "t2_us": 2e6}
+    cfg["qubit"] = {"t_coh_us": 2e6}
     path = tmp_path / "long.json"
     path.write_text(json.dumps(cfg))
     code, _, err = _run(capsys, "analyze", "--config", str(path), "--out", str(tmp_path))
@@ -309,7 +309,7 @@ def test_analyze_long_coherence_default_grid(tmp_path, capsys):
 def test_plan_at_very_long_coherence(tmp_path, capsys):
     """10 T_coh is 10^10 rounds: the search bisects and stays fast."""
     cfg = json.loads(Path(LATTICE).read_text())
-    cfg["qubit"] = {"t1_us": 1e9, "t2_us": 1e9}
+    cfg["qubit"] = {"t_coh_us": 1e9}
     path = tmp_path / "very_long.json"
     path.write_text(json.dumps(cfg))
     start = time.perf_counter()
@@ -548,6 +548,22 @@ def test_distill_link_overrides_need_config(tmp_path, capsys, override):
     payload = json.loads(err)
     assert payload["error"] == "ConfigError"
     assert "need --config" in payload["message"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("override", [[], ["--t-del", "5"]])
+def test_distill_empty_config_path_fails_to_open(tmp_path, capsys, override):
+    """An empty --config is a path like any other, with or without overrides."""
+    out_dir = tmp_path / "out"
+    code, out, err = _run(
+        capsys, "distill", "--config", "", "--f-in", "0.9", "--rounds", "2",
+        *override, "--out", str(out_dir),
+    )
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert "cannot read config" in payload["message"]
     assert not out_dir.exists()
 
 

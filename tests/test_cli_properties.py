@@ -26,10 +26,8 @@ EXTREMES = [0, -1, math.nan, math.inf, -math.inf, 1e308, 10**30, 1e-300]
 def _expanded(name: str) -> dict:
     """An example config with its presets written out as objects."""
     cfg = json.loads((EXAMPLES / f"{name}.json").read_text())
-    transducer = asdict(preset(cfg["transducer"].removeprefix("preset:")))
-    cfg["transducer"] = {k: v for k, v in transducer.items() if v is not None}
-    qubit = preset(cfg["qubit"].removeprefix("preset:"))
-    cfg["qubit"] = {"t1_us": qubit.t1_us, "t2_us": qubit.t2_us}
+    for section in ("transducer", "qubit"):
+        cfg[section] = asdict(preset(cfg[section].removeprefix("preset:")))
     return cfg
 
 
@@ -151,7 +149,7 @@ SIMULATE_9 = ["simulate", "--trials", "9"]
 @example(case=("ex1", (("transducer", "t_rep_us"), 1e-300), ["analyze"]))
 @example(case=("ex1", (("transducer", "t_rep_us"), 1e-300), SIMULATE_9))
 @example(case=("ex3", (("policy", "n_parallel"), 10**30), SIMULATE_9))
-@example(case=("ex1", (("qubit", "t2_us"), 1e308), ["analyze"]))
+@example(case=("ex1", (("qubit", "t_coh_us"), 1e308), ["analyze"]))
 @example(case=("ex2", (("transducer", "eta_mw"), 0), ["analyze"]))
 @example(case=(None, None, ["distill", "--mode", "recurrence", "--f-in", "0.9",
                             "--rounds", "2000"]))
@@ -162,7 +160,7 @@ SIMULATE_9 = ["simulate", "--trials", "9"]
 @example(case=("lattice", (("architecture", "clock_cycle_us"), math.inf), ["plan"]))
 @example(case=("ex2", (("p_her_reference",), -math.inf), ["analyze"]))
 @example(case=("lattice", (("architecture", "qubits_per_processor"), 10**30), ["plan"]))
-@example(case=("lattice", (("qubit", "t2_us"), 1e308), ["tradeoff"]))
+@example(case=("lattice", (("qubit", "t_coh_us"), 1e308), ["tradeoff"]))
 # tradeoff works on at most 10^4 widths at once, so it runs at any budget
 @example(case=("lattice", (("architecture", "transducer_budget"), MAX_TRANSDUCER_BUDGET),
                ["tradeoff"]))

@@ -111,7 +111,7 @@ def test_round_trip_synthetic_full_config():
             "n_th": 0.02,
             "t_rep_us": 0.5,
         },
-        "qubit": {"t1_us": 300.0, "t2_us": 120.0, "t_coh_us": 150.0},
+        "qubit": {"t_coh_us": 150.0},
         "protocol": {"basis": "two_photon", "pump": "tms"},
         "memory": {"kind": "catch_release", "eta_mem": 0.8, "lifetime_us": 500.0},
         "policy": {
@@ -139,6 +139,16 @@ def test_round_trip_synthetic_full_config():
             parse_config_data({**data, "transducer": {**data["transducer"], key: 2.5}})
         assert err.value.pointer == f"/transducer/{key}"
         assert str(err.value).endswith("unknown key")
+    # the qubit's T1 and T2 are read by no model: t_coh_us is its one field
+    for key in ("t1_us", "t2_us"):
+        with pytest.raises(SchemaError) as err:
+            parse_config_data({**data, "qubit": {**data["qubit"], key: 200.0}})
+        assert err.value.pointer == f"/qubit/{key}"
+        assert str(err.value).endswith("unknown key")
+    with pytest.raises(SchemaError) as err:
+        parse_config_data({**data, "qubit": {}})
+    assert err.value.pointer == "/qubit"
+    assert str(err.value).endswith("missing required key 't_coh_us'")
     # lattice surgery is the only architecture that the planner computes
     for kind in ("sparse_links", "graph_state"):
         data["architecture"]["architecture"] = kind

@@ -62,7 +62,7 @@ def _point(p_her, f_her, t_del, t_rep, t_coh, n_parallel=1):
     """
     cfg = LinkConfig(
         transducer=replace(preset("transducer1"), t_rep_us=t_rep),
-        qubit=StorageQubitParams(t1_us=500.0, t2_us=t_coh),
+        qubit=StorageQubitParams(t_coh_us=t_coh),
         protocol=ProtocolSpec(PhotonBasis.ONE_PHOTON, PumpMode.TMS),
         policy=DeliveryPolicy(t_del_us=t_del, n_parallel=n_parallel),
     )
@@ -183,7 +183,7 @@ def test_configs_match_oracle_random():
             n_th=rng.uniform(0.0, 0.05),
             t_rep_us=rng.uniform(0.5, 2.0),
         )
-        q = StorageQubitParams(t1_us=500.0, t2_us=rng.uniform(50.0, 3000.0))
+        q = StorageQubitParams(t_coh_us=rng.uniform(50.0, 3000.0))
         basis = PhotonBasis.ONE_PHOTON if rng.random() < 0.5 else PhotonBasis.TWO_PHOTON
         spec = ProtocolSpec(basis, PumpMode.TMS)
         n_par = int(rng.integers(1, 10))
@@ -198,7 +198,7 @@ def test_configs_match_oracle_random():
             m = delivered_fidelity(resolve(cfg))
         except ModelDomainError:
             continue
-        want = _oracle_point(m.p_her, m.f_her, t_del, t.t_rep_us, q.t2_us, n_par)
+        want = _oracle_point(m.p_her, m.f_her, t_del, t.t_rep_us, q.t_coh_us, n_par)
         assert m.p_success == pytest.approx(want[0], rel=1e-10, abs=1e-14)
         assert m.f_del == pytest.approx(want[1], rel=1e-10)
         bd = infidelity_breakdown(resolve(cfg))
@@ -348,7 +348,7 @@ def _draw_probe(draw, protocol, memory_kind, model):
     """A random link of the given kind and a search grid length for it."""
     t_rep = draw(_log10_uniform(-2, 2))
     transducer = TransducerParams(
-        "h",
+        name="h",
         eta_mw=draw(st.floats(0.5, 1.0)),
         p_mo=draw(_log10_uniform(-6, 0)),
         eta_det=draw(st.floats(0.05, 1.0)),
@@ -367,7 +367,7 @@ def _draw_probe(draw, protocol, memory_kind, model):
     k_max = draw(st.integers(1, 3000) if infinite else st.none() | st.integers(1, 3000))
     cfg = _probe(
         transducer,
-        StorageQubitParams(t1_us=t_coh, t2_us=t_coh),
+        StorageQubitParams(t_coh_us=t_coh),
         protocol,
         n_parallel=draw(
             st.integers(1, 20) | st.integers(1, MAX_TRANSDUCERS_PER_MODULE)
@@ -455,7 +455,7 @@ def _special_cases():
     return [
         # f_del is flat at 1/2
         pytest.param(
-            _probe(TransducerParams("flat", 0.5, 0.1, 0.5, 0.001, 1.0),
+            _probe(TransducerParams(0.5, 0.1, 0.5, 0.001, 1.0, name="flat"),
                    preset("qubit1"), ONE_TMS),
             None, 1.0, id="f_her-at-most-half",
         ),
@@ -466,20 +466,20 @@ def _special_cases():
         ),
         # d = exp(ln 0.99) sits within an ulp of r = 0.99
         pytest.param(
-            _probe(t1, StorageQubitParams(500.0, -1.0 / math.log(0.99)), ONE_TMS),
+            _probe(t1, StorageQubitParams(t_coh_us=-1.0 / math.log(0.99)), ONE_TMS),
             None, 99.0, id="r-equals-d",
         ),
         # d = 1: 1 - r^k reaches its float maximum at k = 90, long before k_max
         pytest.param(
-            _probe(t2, StorageQubitParams(math.inf, math.inf), ONE_TMS,
+            _probe(t2, StorageQubitParams(t_coh_us=math.inf), ONE_TMS,
                    n_parallel=20, p_mo_override=0.02),
             2000, 90.0, id="infinite-coherence",
         ),
         # q ~ 1e-10, d = 1/2: f_del is flat in floats from k = 22 to past the
         # real peak near 33, so the first maximum is left of the window
         pytest.param(
-            _probe(TransducerParams("weak", 1.0, 2.8e-5, 0.5, 0.001, 1.0),
-                   StorageQubitParams(1.0, 1.0 / math.log(2.0)), TWO_UP),
+            _probe(TransducerParams(1.0, 2.8e-5, 0.5, 0.001, 1.0, name="weak"),
+                   StorageQubitParams(t_coh_us=1.0 / math.log(2.0)), TWO_UP),
             100, 22.0, id="float-plateau-before-peak",
         ),
         # the unclipped optimum is 138 us
@@ -503,7 +503,7 @@ def test_optimal_special_cases_match_grid_oracle(cfg, k_max, t_star):
 def _dead_link():
     """p_her = 0: no herald ever arrives, and f_del is 1/2 at every t_del."""
     return LinkConfig(
-        transducer=TransducerParams("dead", 0.8, 0.0, 0.5, 0.01, 1.0),
+        transducer=TransducerParams(0.8, 0.0, 0.5, 0.01, 1.0, name="dead"),
         qubit=preset("qubit1"),
         protocol=ProtocolSpec(PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION),
         policy=DeliveryPolicy(t_del_us=50.0),
@@ -567,7 +567,7 @@ def test_min_time_matches_grid_oracle(protocol, memory_kind, model, data):
     "cfg",
     [
         _dead_link(),
-        _probe(TransducerParams("flat", 0.5, 0.1, 0.5, 0.001, 1.0),
+        _probe(TransducerParams(0.5, 0.1, 0.5, 0.001, 1.0, name="flat"),
                preset("qubit1"), ONE_TMS),
     ],
     ids=["p_her-zero", "f_her-at-most-half"],
@@ -590,7 +590,7 @@ def test_min_time_target_domain():
 def test_infinite_coherence_needs_explicit_grid():
     cfg = LinkConfig(
         transducer=preset("transducer1"),
-        qubit=StorageQubitParams(t1_us=math.inf, t2_us=math.inf),
+        qubit=StorageQubitParams(t_coh_us=math.inf),
         protocol=ProtocolSpec(PhotonBasis.ONE_PHOTON, PumpMode.TMS),
         policy=DeliveryPolicy(t_del_us=88.0),
     )

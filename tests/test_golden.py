@@ -13,6 +13,13 @@ sparse (the rounds that heralded and their counts); the retake left
 `trials.csv` byte for byte as it was. `presets` was retaken when the
 transducers lost their two unread fields, `bandwidth_mhz` and
 `eta_per_uw`: its only change is their two `null` keys per transducer.
+
+Every constant but `distill-flags`, whose resolved config is empty, was
+retaken when the storage qubit lost `t1_us` and `t2_us`, which no model
+read, and kept `t_coh_us` as its one field. The stdout and artifacts of
+the code before that change, with their `t1_us` and `t2_us` entries
+deleted, hash to the new constants: the qubit objects in the manifests and
+in `presets.json` are the only change.
 """
 
 import hashlib
@@ -54,29 +61,29 @@ COMMANDS = {
 
 GOLDEN = {
     "analyze-ex1":
-        "6256d31eb42dd16e1d4436dbf62c308beb387ee23925128616632ebb78bbc74c",
+        "66ea287cd76fcbee91897d27ad0541745c9b89b9776b9ffcc270bf294a9c4ad7",
     "analyze-ex2":
-        "5957c1b20052f349c88278f50601ce6ab1338284da2726e541ca172f02a0b440",
+        "773253593601062003ce3f1aa01ee87b5f8aba3b0359a26ebadada5ed46f691e",
     "analyze-ex3":
-        "e0f872848e997eba209c2c87b18285576d9b440fa0bd3e4774b63ca6fcda53eb",
+        "448bcc667fe561ef3b36dcdc8f30e50037f6a16601903ae2a0c0bf0045bdbdd9",
     "analyze-ex2-k200000":
-        "a0c65a81fd98b6f969cd708351c91eef0f38a1caa52c999e037fecc5d81124d1",
+        "272a7022521bd68df3e696f2cfef9e4ad7536f910c423df5fef586f7574c2dc1",
     "simulate-ex1-keep":
-        "ca240468b4c72956666145c134e5b52566be7f73123dc320dc515734092074f3",
+        "889abeef26a3867fea48880b77bac1e3a3b8f4a8c36112a43c24465864074bf0",
     "simulate-ex3-jobs2":
-        "a345e2457d3d3360b5099a0f8c5f98f26e5b6d09c06d96e5f5c351dea160d880",
+        "d87fdb3df9a41e790154f738a4a4e9a8186ef4c766eab8f2d91a4e0fa83c858f",
     "plan-lattice":
-        "b3b7235673f0915ec484f0bf7aa20de87ee5e021421c4915056578ed3b328f8a",
+        "4d04ba3b82a1f1a77727cec6200cb3f49d86b2d27c803c3c972ab49db0e6d748",
     "tradeoff-csv":
-        "c369b382457d64f4a2299ee4ac48ddb5058082142c3ad2744d4eb4848606d000",
+        "a8e582949ebb3c70e9c25392c473fbb3e926f04f62921714cbd66361b2640b0b",
     "tradeoff-json":
-        "ef35611c4e041d985a90c51d3b4c38a0a53fb04d650019ab60fabb704f72413a",
+        "c75d9bb9e1752a0031b21812c0e86fbe87c212af78502a76296a0dd93abd5368",
     "distill-config":
-        "7609de50fc242c862153ee98cf5110366d7d3a16d8c16fe24833f2769716b368",
+        "9db8a691343248aafb4512d3887ea325403c9dc699eef777486e1f2ccb87aafb",
     "distill-flags":
         "ed07e7eb53a900bca2c38216919df93097a6bfdce8b25696af4268024a074647",
     "presets":
-        "f9fc829aded1b332032d64ceca0655f4e7032dce21abb59b994debde4d650c8f",
+        "788d25bd002b93623b15319ee087a7768777ec635f692ca080ce9aef258ce2c9",
 }
 
 

@@ -96,7 +96,7 @@ def _mc_links(draw):
     t_coh = draw(st.just(math.inf) | st.floats(0.1, 1e3).map(lambda x: x * t_rep))
     cfg = LinkConfig(
         transducer=replace(preset("transducer1"), t_rep_us=t_rep),
-        qubit=StorageQubitParams(t1_us=t_coh, t2_us=t_coh),
+        qubit=StorageQubitParams(t_coh_us=t_coh),
         protocol=ProtocolSpec(PhotonBasis.ONE_PHOTON, PumpMode.TMS),
         # half a period past K rounds, so that floor(t_del/t_rep) is K exactly
         policy=DeliveryPolicy(
@@ -360,7 +360,7 @@ def test_winning_channel_prefers_low_index():
 
 def test_zero_herald_probability():
     cfg = LinkConfig(
-        transducer=TransducerParams("dead", 0.8, 0.0, 0.5, 0.01, 1.0),
+        transducer=TransducerParams(0.8, 0.0, 0.5, 0.01, 1.0, name="dead"),
         qubit=preset("qubit1"),
         protocol=ProtocolSpec(PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION),
         policy=DeliveryPolicy(t_del_us=30.0),

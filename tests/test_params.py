@@ -58,12 +58,8 @@ def test_preset_transducer2_exact_row():
 
 
 def test_preset_qubits():
-    q1 = preset("qubit1")
-    assert (q1.t2_us, q1.t1_us) == (200.0, 500.0)
-    assert q1.t_coh_us == 200.0  # defaults to T2
-    q2 = preset("qubit2")
-    assert (q2.t2_us, q2.t1_us) == (2500.0, 1e5)
-    assert q2.t_coh_us == 2500.0
+    assert preset("qubit1").t_coh_us == 200.0
+    assert preset("qubit2").t_coh_us == 2500.0
 
 
 def test_eta_tot_matches_published_within_rounding():
@@ -85,11 +81,6 @@ def test_device_presets_are_informational():
     assert isinstance(dev, DeviceSummary)
     assert dev.eta_tot == 0.38
     assert dev.t_rep_us == 5000.0
-
-
-def test_t_coh_override_respected():
-    q = StorageQubitParams(t1_us=500.0, t2_us=200.0, t_coh_us=100.0)
-    assert q.t_coh_us == 100.0
 
 
 def test_validate_accepts_preset_combination():
@@ -196,7 +187,7 @@ def test_validate_is_total_over_random_garbage():
                 name="junk", eta_mw=pick(), p_mo=pick(), eta_det=pick(),
                 n_th=pick(), t_rep_us=pick(),
             ),
-            qubit=StorageQubitParams(t1_us=pick(), t2_us=pick() or 1.0),
+            qubit=StorageQubitParams(t_coh_us=pick() or 1.0),
             protocol=ProtocolSpec(
                 PhotonBasis.ONE_PHOTON, PumpMode.TMS,
                 p_mo_override=pick() if rng.random() < 0.5 else None,
@@ -224,7 +215,7 @@ def test_presets_are_frozen():
     with pytest.raises(Exception):
         t.eta_mw = 0.9
     assert TRANSDUCER_PRESETS["transducer1"].eta_mw == 0.8
-    assert QUBIT_PRESETS["qubit1"].t2_us == 200.0
+    assert QUBIT_PRESETS["qubit1"].t_coh_us == 200.0
 
 
 @pytest.mark.parametrize(

@@ -127,7 +127,7 @@ def test_alpha_zero_division_domain():
 
 
 def test_eta_mw_zero_division_domain():
-    dark = TransducerParams("dark", 0.0, 0.01, 0.5, 0.1, 1.0)
+    dark = TransducerParams(0.0, 0.01, 0.5, 0.1, 1.0, name="dark")
     for protocol in (P_1P_UP(0.1), P_2P_UP):
         with pytest.raises(DivisionDomainError):
             analyze_protocol(dark, protocol)
