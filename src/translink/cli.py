@@ -14,6 +14,7 @@ import argparse
 import atexit
 import gc
 import json
+import math
 import os
 import shlex
 import sys
@@ -379,6 +380,9 @@ def _cmd_tradeoff(args, command: str) -> int:
 
 def _cmd_distill(args, command: str) -> int:
     f_in, rounds = args.f_in, args.rounds
+    # argparse's float takes "nan" and "inf"; a config file's number cannot be either
+    if f_in is not None and not math.isfinite(f_in):
+        raise ConfigError(f"--f-in: expected a finite number, got {f_in}")
     resolved = {}
     if args.config is None and (
         args.t_del is not None or args.protocol or args.fidelity_model

@@ -29,7 +29,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -357,7 +356,10 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
     The manifest rides along as a '#' comment line above the header. Each
     block of _CSV_BLOCK rows is formatted by one % on a repeated row format
     and written out at once, and a float column is cast to float64 a block
-    at a time; the whole text is joined only to be returned. Within a block,
+    at a time; the whole text is joined only to be returned. The block's
+    values go to % row by row in one flat list: each of its n value columns
+    is slice-assigned into every n-th slot, so no tuple is built per row.
+    Within a block,
     a float column that is one run of equal cells, or in which at least half
     of the cells repeat the one above, formats each run once, and one of
     whole numbers below 1e9 goes as ints; each cell still prints what %.9g
@@ -388,6 +390,10 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
                     block.append(cells)
             row = ",".join(specs) + "\n"
             n_block = min(_CSV_BLOCK, n_rows - start)
-            parts.append(row * n_block % tuple(chain.from_iterable(zip(*block))))
+            # the cells row by row: column j fills every len(block)-th slot
+            flat = [None] * (n_block * len(block))
+            for j, column in enumerate(block):
+                flat[j::len(block)] = column
+            parts.append(row * n_block % tuple(flat))
             handle.write(parts[-1])
     return "".join(parts)

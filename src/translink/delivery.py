@@ -16,6 +16,10 @@ d = exp(-t_rep/T_coh),
     F_del = 0.5 + (F_her - 0.5) * e^(-rem/T_coh) * S(K),  rem = t_del - K t_rep
 
 which avoids the overflowing e^(+k t_rep/T_coh) prefix sums for large grids.
+On a long grid r^k and d^k underflow. Where k log2(base) < -1100 the exact
+power is below 2^-1100, far under the 2^-1075 below which a double rounds
+to +0.0, so _power writes the 0 itself instead of sending the point
+through pow's slow underflow path. Its results equal np.power's bit for bit.
 """
 
 from __future__ import annotations
@@ -80,6 +84,35 @@ class DeliveryCurve:
     f_del: np.ndarray
 
 
+# Below 2**-1075 a power rounds to +0.0. Where k log2(base) < -1100, 25
+# binades under that, _power writes the 0 itself: numpy's pow takes a slow
+# underflow path there, 100-150 ns an element against about 6 ns.
+_UNDERFLOW_LOG2 = -1100.0
+# Arrays smaller than this go straight to pow: their underflow costs less
+# than the mask's own handful of numpy calls, which the optimum's bisection
+# would pay at every step.
+_POWER_MASK_MIN = 64
+
+
+def _power(base, k: np.ndarray) -> np.ndarray:
+    """np.power(base, k, dtype=float), bit for bit, k an array of the result's shape.
+
+    Where k log2(base) < -1100 the exact power is below 2**-1100, so it is
+    +0.0 without calling pow; base = 0 gives log2 = -inf and so 0, base = 1
+    stays live. The mask is built in the output buffer, which the live
+    entries then overwrite with pow.
+    """
+    if k.size < _POWER_MASK_MIN:
+        return np.power(base, k, dtype=float)
+    # log2(0) = -inf; times k = 0 it is NaN, which stays live
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.multiply(np.log2(base), k, dtype=float)
+    live = out >= _UNDERFLOW_LOG2
+    np.power(base, k, out=out, where=live, dtype=float)
+    np.copyto(out, 0.0, where=np.logical_not(live, out=live))
+    return out
+
+
 def _success_decay(q, k: np.ndarray, d: float):
     """Vectorized p_success and decay-weighted success mass S at round counts k.
 
@@ -88,11 +121,11 @@ def _success_decay(q, k: np.ndarray, d: float):
     or one per entry of k.
     """
     r = 1.0 - q
-    rk = np.power(r, k, dtype=float)
+    rk = _power(r, k)
     # core = (r^k - d^k)/(r - d), built in place: the optimum evaluates a
     # block of 6 rounds per width, and every full-size temporary adds to its
     # peak memory
-    core = rk - np.power(d, k, dtype=float)
+    core = rk - _power(d, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         core /= r - d
     # degenerate limit (r^k - d^k)/(r - d) -> k * m^(k-1) where |r - d| < 1e-9,

@@ -567,6 +567,21 @@ def test_distill_empty_config_path_fails_to_open(tmp_path, capsys, override):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_distill_non_finite_f_in_is_config_error(tmp_path, capsys, value):
+    """A non-finite --f-in is rejected like a NaN or inf in a config file."""
+    out_dir = tmp_path / "out"
+    code, out, err = _run(
+        capsys, "distill", f"--f-in={value}", "--rounds", "2", "--out", str(out_dir)
+    )
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert "expected a finite number" in payload["message"]
+    assert not out_dir.exists()
+
+
 def test_distill_domain_error_exit_2(tmp_path, capsys):
     code, _, err = _run(
         capsys, "distill", "--f-in", "0.4", "--rounds", "2", "--out", str(tmp_path)

@@ -445,6 +445,34 @@ def test_emit_csv_matches_per_cell_oracle(tmp_path_factory, rows):
     _check_against_oracle(tmp_path_factory.mktemp("csv"), columns)
 
 
+@pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_emit_csv_blocks_of_literals_only(tmp_path, n_rows):
+    """Every float column is one run within each block, so each block's row
+    format is all literals and its % takes an empty tuple."""
+    def runs(*values):
+        return np.repeat(values, BLOCK)[:n_rows]
+
+    text = _check_against_oracle(tmp_path, {
+        "a": runs(1 / 3, 2.5, 7.0),
+        "b": runs(-0.0, math.nan, 0.0),
+        "c": runs(math.inf, 1e-300, -2.0),
+    })
+    assert text.count("\n") == n_rows + 2
+
+
+@pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_emit_csv_one_varying_column(tmp_path, n_rows):
+    """One column varies and the others are literals: each block's cells
+    are that column's alone."""
+    rng = np.random.default_rng(n_rows)
+    text = _check_against_oracle(tmp_path, {
+        "flat": np.full(n_rows, 0.5),
+        "v": rng.standard_normal(n_rows),
+        "zero": np.zeros(n_rows),
+    })
+    assert text.count("\n") == n_rows + 2
+
+
 # What run-heavy columns are drawn from: both zeros, NaNs of two bit
 # patterns, infinities, whole numbers at and inside the 1e9 edge of the
 # whole-number path, and fractions.

@@ -37,6 +37,7 @@ from translink import (
     preset,
     resolve,
 )
+from translink import delivery
 from translink.params import MAX_TRANSDUCERS_PER_MODULE
 
 
@@ -620,3 +621,49 @@ def test_p_her_override_bounds():
     # exactly 1.0 is a legal (if optimistic) reference value
     m = delivered_fidelity(resolve(_ex1(), 1.0))
     assert m.p_success == 1.0
+
+
+# Bases of r^k and d^k at the ends of [0, 1]: 0 (q = 1 or d = 0), 1, the
+# smallest subnormal and the largest double below 1.
+POWER_BASES = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+
+
+def _rounds_near_cut(base, n, data):
+    """First of n consecutive round counts >= 1 around the k at which
+    k log2(base) crosses -1100, _power's cut, give or take 10%."""
+    log2 = math.log2(base) if base > 0.0 else -math.inf
+    cut = -1100.0 / log2 if log2 < 0.0 else 1.0
+    start = math.floor(min(cut * data.draw(st.floats(0.9, 1.1)), 2.0**53)) - n // 2
+    return min(max(start, 1), 2**53 - n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_power_matches_numpy_bit_for_bit(data):
+    """_power against np.power on the two shapes that the models pass it:
+    a 1-D float grid of rounds with one base, and a window of 6 int64
+    rounds per lane with one base per lane or one for all. The sizes, up
+    to 300 and 240, straddle the one below which _power calls pow directly."""
+    assert 6 < delivery._POWER_MASK_MIN < 240
+
+    def draw_base():
+        return data.draw(
+            st.sampled_from(POWER_BASES)
+            | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        )
+
+    if data.draw(st.booleans(), label="grid"):
+        base = draw_base()
+        n = data.draw(st.integers(1, 300))
+        k = _rounds_near_cut(base, n, data) + np.arange(n, dtype=float)
+    else:
+        lanes = data.draw(st.integers(1, 40))
+        per_lane = data.draw(st.booleans(), label="base per lane")
+        bases = [draw_base() for _ in range(lanes)] if per_lane else [draw_base()] * lanes
+        starts = [_rounds_near_cut(b, 6, data) for b in bases]
+        k = np.array(starts, dtype=np.int64)[:, None] + np.arange(6)
+        base = np.array(bases)[:, None] if per_lane else bases[0]
+    want = np.power(base, k, dtype=float)
+    got = delivery._power(base, k)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
