@@ -359,11 +359,10 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
     at a time; the whole text is joined only to be returned. The block's
     values go to % row by row in one flat list: each of its n value columns
     is slice-assigned into every n-th slot, so no tuple is built per row.
-    Within a block,
-    a float column that is one run of equal cells, or in which at least half
-    of the cells repeat the one above, formats each run once, and one of
-    whole numbers below 1e9 goes as ints; each cell still prints what %.9g
-    prints (see _float_cells).
+    Within a block, a float column that is one run of equal cells, or in
+    which at least half of the cells repeat the one above, formats each run
+    once, and one of whole numbers below 1e9 goes as ints; each cell still
+    prints what %.9g prints (see _float_cells).
     """
     arrays = [np.asarray(column) for column in columns.values()]
     n_rows = len(arrays[0])
@@ -390,7 +389,6 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
                     block.append(cells)
             row = ",".join(specs) + "\n"
             n_block = min(_CSV_BLOCK, n_rows - start)
-            # the cells row by row: column j fills every len(block)-th slot
             flat = [None] * (n_block * len(block))
             for j, column in enumerate(block):
                 flat[j::len(block)] = column

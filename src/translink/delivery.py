@@ -84,9 +84,8 @@ class DeliveryCurve:
     f_del: np.ndarray
 
 
-# Below 2**-1075 a power rounds to +0.0. Where k log2(base) < -1100, 25
-# binades under that, _power writes the 0 itself: numpy's pow takes a slow
-# underflow path there, 100-150 ns an element against about 6 ns.
+# Past this k log2(base) the power is +0.0 (see _power). numpy's pow would
+# get there by a slow underflow path, 100-150 ns an element against about 6.
 _UNDERFLOW_LOG2 = -1100.0
 # Arrays smaller than this go straight to pow: their underflow costs less
 # than the mask's own handful of numpy calls, which the optimum's bisection
@@ -97,15 +96,15 @@ _POWER_MASK_MIN = 64
 def _power(base, k: np.ndarray) -> np.ndarray:
     """np.power(base, k, dtype=float), bit for bit, k an array of the result's shape.
 
-    Where k log2(base) < -1100 the exact power is below 2**-1100, so it is
-    +0.0 without calling pow; base = 0 gives log2 = -inf and so 0, base = 1
+    Where k log2(base) < -1100 the exact power is below 2**-1100, 25 binades
+    under the 2**-1075 below which a double rounds to +0.0, so it is +0.0
+    without calling pow; base = 0 gives log2 = -inf and so 0, base = 1
     stays live. The mask is built in the output buffer, which the live
     entries then overwrite with pow.
     """
     if k.size < _POWER_MASK_MIN:
         return np.power(base, k, dtype=float)
-    # log2(0) = -inf; times k = 0 it is NaN, which stays live
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):  # log2(0) = -inf
         out = np.multiply(np.log2(base), k, dtype=float)
     live = out >= _UNDERFLOW_LOG2
     np.power(base, k, out=out, where=live, dtype=float)
