@@ -1,11 +1,16 @@
 """Command-line front end.
 
-Subcommands: analyze, simulate, plan, tradeoff, distill, presets. Every
-command reads a JSON config (see config_io), writes its artifacts into
---out (default: current directory) and echoes the primary JSON document to
-stdout. Errors print one JSON object to stderr; exit codes: 0 success,
-1 configuration error or an artifact that cannot be written, 2 model-domain
-error.
+Subcommands: analyze, simulate, plan, tradeoff, distill, presets. One runner
+does what they share. It reads the JSON config (see config_io) when --config
+is given: presets takes none and distill's is optional. It applies the link
+overrides, resolves the link and builds the run manifest. Each command then
+only computes and hands its artifacts to the runner in order, which writes
+each atomically into --out (default: current directory). Once the command
+returns, the runner echoes the first, primary artifact to stdout. A rejected
+input writes nothing. A negative value after a space (`--f-in -1e5`, `--t-del
+-inf`) reads as `--f-in=-1e5` does. Errors print one JSON object to stderr;
+exit codes: 0 success, 1 configuration error or an artifact that cannot be
+written, 2 model-domain error.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import gc
 import json
 import math
 import os
+import re
 import shlex
 import sys
 from dataclasses import asdict, fields, replace
@@ -88,9 +94,22 @@ _FIDELITY_MODELS = {
     "linear": FidelityModel.LINEAR_SUM,
 }
 
+# Every negative number that float() reads. argparse's own matcher knows only
+# -5 and -.5, and takes -1e5, -inf or -nan after a space for an option.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ConfigError (exit code 1)."""
+    """argparse that reports usage problems as ConfigError (exit code 1).
+
+    Each parser, subparsers included, reads any negative number as a value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise ConfigError(message)
@@ -104,14 +123,22 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=True, help="JSON config file")
+    def subcommand(func, help, config=True, t_del=True):
+        """The subcommand that func runs. Its --config is required (True),
+        optional (False) or absent with the link overrides (None)."""
+        p = sub.add_parser(func.__name__.removeprefix("_cmd_"), help=help)
+        p.set_defaults(func=func)
         p.add_argument("--out", default=".", help="artifact output directory")
-
-    def link_overrides(p, t_del=True):
+        if config is None:
+            return p
+        p.add_argument(
+            "--config", required=config,
+            help="JSON config file" if config else "JSON config file; the link "
+            "overrides need one",
+        )
         if t_del:
             p.add_argument(
-                "--t-del", dest="t_del", type=float, metavar="MICROSECONDS",
+                "--t-del", type=float, metavar="MICROSECONDS",
                 help="override policy t_del_us",
             )
         p.add_argument(
@@ -119,26 +146,17 @@ def _build_parser() -> _Parser:
             help="override the protocol basis/pump",
         )
         p.add_argument(
-            "--fidelity-model", dest="fidelity_model",
-            choices=sorted(_FIDELITY_MODELS),
+            "--fidelity-model", choices=sorted(_FIDELITY_MODELS),
             help="override the heralded-fidelity model",
         )
+        return p
 
-    analyze = sub.add_parser(
-        "analyze", help="link metrics, delivery curve and infidelity breakdown"
+    analyze = subcommand(
+        _cmd_analyze, "link metrics, delivery curve and infidelity breakdown"
     )
-    common(analyze)
-    link_overrides(analyze)
-    analyze.add_argument(
-        "--k-max", dest="k_max", type=int, help="delivery-curve grid length"
-    )
-    analyze.set_defaults(func=_cmd_analyze)
+    analyze.add_argument("--k-max", type=int, help="delivery-curve grid length")
 
-    simulate = sub.add_parser(
-        "simulate", help="Monte Carlo trials of the delivery protocol"
-    )
-    common(simulate)
-    link_overrides(simulate)
+    simulate = subcommand(_cmd_simulate, "Monte Carlo trials of the delivery protocol")
     simulate.add_argument("--trials", type=int, default=100_000)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
@@ -147,76 +165,50 @@ def _build_parser() -> _Parser:
         "pays only on large runs. Results are byte-identical for any value",
     )
     simulate.add_argument(
-        "--keep-trials", dest="keep_trials", action="store_true",
+        "--keep-trials", action="store_true",
         help="also write per-trial rows (trials.csv)",
     )
-    simulate.set_defaults(func=_cmd_simulate)
 
-    plan = sub.add_parser(
-        "plan", help="lattice-surgery resource plan for a module architecture"
+    plan = subcommand(
+        _cmd_plan, "lattice-surgery resource plan for a module architecture"
     )
-    common(plan)
-    link_overrides(plan)
     plan.add_argument(
-        "--circuit-budget", dest="circuit_budget", type=int,
-        default=DEFAULT_CIRCUIT_BUDGET,
+        "--circuit-budget", type=int, default=DEFAULT_CIRCUIT_BUDGET,
         help="circuit executions available to the cutting comparison",
     )
     plan.add_argument(
-        "--code-distance", dest="code_distance", type=int,
+        "--code-distance", type=int,
         help="also report the graph-state pipe width for this code distance",
     )
-    plan.set_defaults(func=_cmd_plan)
 
-    tradeoff = sub.add_parser(
-        "tradeoff", help="Pareto surface of links vs rate vs fidelity"
-    )
-    common(tradeoff)
     # each width searches its own t_del, so tradeoff takes no --t-del
-    link_overrides(tradeoff, t_del=False)
+    tradeoff = subcommand(
+        _cmd_tradeoff, "Pareto surface of links vs rate vs fidelity", t_del=False
+    )
     tradeoff.add_argument("--format", choices=("csv", "json"), default="csv")
-    tradeoff.add_argument(
-        "--k-max", dest="k_max", type=int, help="last round of the per-width search"
-    )
-    tradeoff.set_defaults(func=_cmd_tradeoff)
+    tradeoff.add_argument("--k-max", type=int, help="last round of the per-width search")
 
-    distill = sub.add_parser(
-        "distill", help="nested entanglement distillation of a link's output"
+    distill = subcommand(
+        _cmd_distill, "nested entanglement distillation of a link's output",
+        config=False,
     )
     distill.add_argument(
-        "--config", help="JSON config file; the link overrides need one"
-    )
-    distill.add_argument("--out", default=".", help="artifact output directory")
-    link_overrides(distill)
-    distill.add_argument(
-        "--mode", choices=("calibrated", "recurrence"), default="calibrated"
+        "--mode", choices=[m.value for m in DistillMode], default="calibrated"
     )
     distill.add_argument(
-        "--f-in", dest="f_in", type=float,
+        "--f-in", type=float,
         help="input fidelity (default: the link's delivered fidelity)",
     )
     distill.add_argument(
         "--rounds", type=int,
         help="distillation rounds (default: the policy's distill_rounds)",
     )
-    distill.set_defaults(func=_cmd_distill)
 
-    presets = sub.add_parser("presets", help="list built-in parameter presets")
-    presets.add_argument("--out", default=".", help="artifact output directory")
-    presets.set_defaults(func=_cmd_presets)
+    subcommand(_cmd_presets, "list built-in parameter presets", config=None)
     return parser
 
 
-def _require_link(parsed: ParsedConfig) -> LinkConfig:
-    if parsed.link is None:
-        raise ConfigError(
-            "config has no link sections (transducer/qubit/protocol/policy)"
-        )
-    return parsed.link
-
-
-def _apply_overrides(parsed: ParsedConfig, args) -> ParsedConfig:
-    link = _require_link(parsed)
+def _apply_overrides(link: LinkConfig, args) -> LinkConfig:
     protocol = link.protocol
     if getattr(args, "protocol", None):
         basis, pump = _PROTOCOL_NAMES[args.protocol]
@@ -232,7 +224,7 @@ def _apply_overrides(parsed: ParsedConfig, args) -> ParsedConfig:
     if getattr(args, "fidelity_model", None):
         policy = replace(policy, fidelity_model=_FIDELITY_MODELS[args.fidelity_model])
     if protocol is link.protocol and policy is link.policy:
-        return parsed
+        return link
     link = replace(link, protocol=protocol, policy=policy)
     violations = validate(link)
     if violations:
@@ -240,7 +232,58 @@ def _apply_overrides(parsed: ParsedConfig, args) -> ParsedConfig:
             "overrides produce an invalid link config: " + "; ".join(violations),
             violations,
         )
-    return replace(parsed, link=link)
+    return link
+
+
+def _run(args, command: str) -> int:
+    """Run one subcommand: everything but its own computation happens here.
+
+    The handler args.func(args, parsed, link, emit) gets the parsed config
+    (None without --config) and its resolved link (None when the handler
+    reads no link), and passes each artifact to emit(name, data): a JSON
+    payload for a .json name, CSV columns for a .csv one. Only the first
+    artifact's text is kept, for stdout.
+    """
+    parsed = link = None
+    if getattr(args, "config", None) is not None:
+        parsed = parse_config(args.config)
+        if parsed.link is None:
+            raise ConfigError(
+                "config has no link sections (transducer/qubit/protocol/policy)"
+            )
+        parsed = replace(parsed, link=_apply_overrides(parsed.link, args))
+        if args.command in ("plan", "tradeoff") and parsed.architecture is None:
+            raise ConfigError(
+                f"{args.command} requires an architecture section in the config"
+            )
+        # distill given --f-in reads nothing of the link's analytics
+        if getattr(args, "f_in", None) is None:
+            link = resolve(parsed.link, parsed.p_her_reference)
+    elif any(getattr(args, k, None) is not None
+             for k in ("t_del", "protocol", "fidelity_model")):
+        raise ConfigError(
+            f"{args.command}'s --t-del, --protocol and --fidelity-model need --config"
+        )
+    manifest = build_manifest(
+        command, resolved_config(parsed) if parsed else {},
+        seed=getattr(args, "seed", None),
+    )
+    primary = []
+
+    def emit(name: str, data: dict) -> None:
+        write = emit_json if name.endswith(".json") else emit_csv
+        text = write(os.path.join(args.out, name), data, manifest)
+        if not primary:
+            primary.append(text)
+
+    args.func(args, parsed, link, emit)
+    sys.stdout.write(primary[0])
+    return 0
+
+
+def _columns(cls, column) -> dict:
+    """CSV columns named after dataclass cls's fields, in order: column(name)."""
+    return {f.name: column(f.name) for f in fields(cls)}
 
 
 def _discrepancy_report(link: Link, reference: float | None) -> dict | None:
@@ -259,11 +302,7 @@ def _discrepancy_report(link: Link, reference: float | None) -> dict | None:
     }
 
 
-def _cmd_analyze(args, command: str) -> int:
-    parsed = _apply_overrides(parse_config(args.config), args)
-    link = resolve(parsed.link, parsed.p_her_reference)
-    manifest = build_manifest(command, resolved_config(parsed))
-
+def _cmd_analyze(args, parsed: ParsedConfig, link: Link, emit) -> None:
     payload = {
         "metrics": delivered_fidelity(link),
         "infidelity_breakdown": infidelity_breakdown(link),
@@ -271,41 +310,27 @@ def _cmd_analyze(args, command: str) -> int:
     }
     # before any write, so that a rejected --k-max leaves no artifact behind
     curve = delivery_curve(link, k_max=args.k_max)
-    text = emit_json(os.path.join(args.out, "metrics.json"), payload, manifest)
-    emit_csv(
-        os.path.join(args.out, "delivery_curve.csv"),
-        {f.name: getattr(curve, f.name) for f in fields(curve)},
-        manifest,
-    )
+    emit("metrics.json", payload)
+    emit("delivery_curve.csv", _columns(curve, lambda name: getattr(curve, name)))
     t_grid, comps = infidelity_breakdown_curve(link, curve)
     del curve  # frees p_success and f_del, which the breakdown has used
     comps["total_infidelity"] = comps.pop("total")
-    emit_csv(
-        os.path.join(args.out, "infidelity_breakdown.csv"),
-        {"t_del_us": t_grid, **comps},
-        manifest,
-    )
-    sys.stdout.write(text)
-    return 0
+    emit("infidelity_breakdown.csv", {"t_del_us": t_grid, **comps})
 
 
-def _cmd_simulate(args, command: str) -> int:
-    parsed = _apply_overrides(parse_config(args.config), args)
-    link = resolve(parsed.link, parsed.p_her_reference)
-    manifest = build_manifest(command, resolved_config(parsed), seed=args.seed)
+def _cmd_simulate(args, parsed: ParsedConfig, link: Link, emit) -> None:
     stats = run_trials(
         link, args.trials, args.seed, n_jobs=args.jobs, keep_trials=args.keep_trials
     )
     analytic = delivered_fidelity(link)
-    payload = {
+    emit("mcstats.json", {
         "mcstats": stats.to_dict(),
         "analytic": {
             "p_success": analytic.p_success,
             "f_del": analytic.f_del,
             "f_her": analytic.f_her,
         },
-    }
-    text = emit_json(os.path.join(args.out, "mcstats.json"), payload, manifest)
+    })
     if args.keep_trials:
         cols = stats.trials
         # timed-out trials (round 0, channel -1) leave both cells empty; object
@@ -314,94 +339,60 @@ def _cmd_simulate(args, command: str) -> int:
         herald_round = cols.herald_round.astype(object)
         winning_channel = cols.winning_channel.astype(object)
         herald_round[timed_out] = winning_channel[timed_out] = ""
-        emit_csv(
-            os.path.join(args.out, "trials.csv"),
-            {
-                "trial": np.arange(len(cols)),
-                "herald_round": herald_round,
-                "winning_channel": winning_channel,
-                "tau_us": cols.tau_us,
-                "f_del": cols.f_del,
-            },
-            manifest,
-        )
-    sys.stdout.write(text)
-    return 0
+        emit("trials.csv", {
+            "trial": np.arange(len(cols)),
+            "herald_round": herald_round,
+            "winning_channel": winning_channel,
+            "tau_us": cols.tau_us,
+            "f_del": cols.f_del,
+        })
 
 
-def _cmd_plan(args, command: str) -> int:
-    parsed = _apply_overrides(parse_config(args.config), args)
-    if parsed.architecture is None:
-        raise ConfigError("plan requires an architecture section in the config")
-    link = resolve(parsed.link, parsed.p_her_reference)
+def _cmd_plan(args, parsed: ParsedConfig, link: Link, emit) -> None:
     report = lattice_surgery_plan(parsed.architecture, link)
-    cryostat = cryostat_budget_check(
-        report.links_required, report.transducers_per_link
-    )
-    cut = circuit_cut_comparison(
-        1.0 - report.fidelity_at_t_del, args.circuit_budget
-    )
-    payload = {
+    emit("plan.json", {
         "plan": report,
-        "cryostat": cryostat,
-        "circuit_cut": cut,
+        "cryostat": cryostat_budget_check(
+            report.links_required, report.transducers_per_link
+        ),
+        "circuit_cut": circuit_cut_comparison(
+            1.0 - report.fidelity_at_t_del, args.circuit_budget
+        ),
         "graph_state_pipe_width": (
             graph_state_pipe_width(args.code_distance)
             if args.code_distance is not None
             else None
         ),
-    }
-    manifest = build_manifest(command, resolved_config(parsed))
-    text = emit_json(os.path.join(args.out, "plan.json"), payload, manifest)
-    sys.stdout.write(text)
-    return 0
+    })
 
 
-def _cmd_tradeoff(args, command: str) -> int:
-    parsed = _apply_overrides(parse_config(args.config), args)
-    if parsed.architecture is None:
-        raise ConfigError("tradeoff requires an architecture section in the config")
-    link = resolve(parsed.link, parsed.p_her_reference)
+def _cmd_tradeoff(args, parsed: ParsedConfig, link: Link, emit) -> None:
     points = tradeoff_surface(
         parsed.architecture.transducer_budget, link, k_max=args.k_max
     )
-    manifest = build_manifest(command, resolved_config(parsed))
-    path = os.path.join(args.out, "tradeoff." + args.format)
     if args.format == "json":
-        text = emit_json(path, {"tradeoff": points}, manifest)
+        emit("tradeoff.json", {"tradeoff": points})
     else:
-        columns = {
-            f.name: [getattr(p, f.name) for p in points] for f in fields(TradeoffPoint)
-        }
-        text = emit_csv(path, columns, manifest)
-    sys.stdout.write(text)
-    return 0
+        emit("tradeoff.csv", _columns(
+            TradeoffPoint, lambda name: [getattr(p, name) for p in points]
+        ))
 
 
-def _cmd_distill(args, command: str) -> int:
+def _cmd_distill(args, parsed: ParsedConfig | None, link: Link | None, emit) -> None:
     f_in, rounds = args.f_in, args.rounds
     # argparse's float takes "nan" and "inf"; a config file's number cannot be either
     if f_in is not None and not math.isfinite(f_in):
         raise ConfigError(f"--f-in: expected a finite number, got {f_in}")
-    resolved = {}
-    if args.config is None and (
-        args.t_del is not None or args.protocol or args.fidelity_model
-    ):
-        raise ConfigError("distill's --t-del, --protocol and --fidelity-model need --config")
-    if args.config is not None:
-        parsed = _apply_overrides(parse_config(args.config), args)
-        resolved = resolved_config(parsed)
-        if f_in is None:
-            link = resolve(parsed.link, parsed.p_her_reference)
-            f_in = delivered_fidelity(link).f_del
-        if rounds is None:
-            rounds = parsed.link.policy.distill_rounds
+    if link is not None:  # resolved only when --config is given and --f-in is not
+        f_in = delivered_fidelity(link).f_del
+    if rounds is None and parsed is not None:
+        rounds = parsed.link.policy.distill_rounds
     if f_in is None or rounds is None:
         raise ConfigError("distill needs --config or both --f-in and --rounds")
-    mode = DistillMode.CALIBRATED if args.mode == "calibrated" else DistillMode.RECURRENCE
+    mode = DistillMode(args.mode)
     result = nested_distill(f_in, rounds, mode)
     ladder, recurrence = result.ladder, mode is DistillMode.RECURRENCE
-    block = {
+    emit("distill.json", {"distill": {
         "mode": args.mode,
         "f_in": f_in,
         "rounds": rounds,
@@ -412,26 +403,18 @@ def _cmd_distill(args, command: str) -> int:
         "round_success_probabilities": (
             [o.success_probability for o in ladder] if recurrence else None
         ),
-    }
-    manifest = build_manifest(command, resolved)
-    text = emit_json(os.path.join(args.out, "distill.json"), {"distill": block}, manifest)
-    sys.stdout.write(text)
-    return 0
+    }})
 
 
-def _cmd_presets(args, command: str) -> int:
-    payload = {
+def _cmd_presets(args, parsed, link, emit) -> None:
+    emit("presets.json", {
         "transducers": {
             name: {**asdict(t), "eta_tot": t.eta_tot}
             for name, t in TRANSDUCER_PRESETS.items()
         },
         "qubits": QUBIT_PRESETS,
         "devices": DEVICE_PRESETS,
-    }
-    manifest = build_manifest(command, {})
-    text = emit_json(os.path.join(args.out, "presets.json"), payload, manifest)
-    sys.stdout.write(text)
-    return 0
+    })
 
 
 def _emit_error(exc: Exception) -> None:
@@ -452,7 +435,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, "translink " + shlex.join(argv))
+        return _run(args, "translink " + shlex.join(argv))
     except (ConfigError, OSError) as exc:  # OSError: an unwritable --out
         _emit_error(exc)
         return 1

