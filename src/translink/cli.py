@@ -46,7 +46,7 @@ from .delivery import (
 )
 from .distillation import DistillMode, nested_distill
 from .errors import ConfigError, ModelDomainError, SchemaError
-from .mcsim import run_trials
+from .mcsim import TrialColumns, run_trials
 from .params import (
     ALPHA_PROTOCOL,
     DEVICE_PRESETS,
@@ -161,8 +161,10 @@ def _build_parser() -> _Parser:
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
         "--jobs", type=int, default=1,
-        help="threads drawing the trials; the reduction runs on one, so this "
-        "pays only on large runs. Results are byte-identical for any value",
+        help="threads drawing the trials, the calling one included; each draws "
+        "65536-trial spans, so there are never more threads than spans. The "
+        "reduction runs on one, so this pays only on large runs. Results are "
+        "byte-identical for any value",
     )
     simulate.add_argument(
         "--keep-trials", action="store_true",
@@ -332,20 +334,53 @@ def _cmd_simulate(args, parsed: ParsedConfig, link: Link, emit) -> None:
         },
     })
     if args.keep_trials:
-        cols = stats.trials
-        # timed-out trials (round 0, channel -1) leave both cells empty; object
-        # columns hold them in a fraction of a numpy string array's memory
-        timed_out = cols.winning_channel < 0
-        herald_round = cols.herald_round.astype(object)
-        winning_channel = cols.winning_channel.astype(object)
-        herald_round[timed_out] = winning_channel[timed_out] = ""
-        emit("trials.csv", {
-            "trial": np.arange(len(cols)),
-            "herald_round": herald_round,
-            "winning_channel": winning_channel,
-            "tau_us": cols.tau_us,
-            "f_del": cols.f_del,
-        })
+        emit("trials.csv", _trial_columns(stats.trials, link.config.policy.n_parallel))
+
+
+def _trial_columns(cols: TrialColumns, n_channels: int) -> dict:
+    """trials.csv's columns, with each herald round's cells encoded once.
+
+    Every trial of a herald round holds the same round, tau and f_del bits,
+    and with one channel the same channel too, so those cells form one
+    emit_csv group: a table with a row for each round that occurs, taken
+    from one of its trials, and a code for each trial. A timed-out trial
+    (round 0, channel -1) leaves its round and channel cells empty. With
+    N > 1 the channel is a group of its own, keyed by channel + 1.
+    """
+    rounds = cols.herald_round
+    # a dense map from round to code, never longer than K + 1; kept trials
+    # number at most MAX_TRIAL_DUMP, so int32 holds any trial or code
+    slot = np.full(rounds.max() + 1, -1, dtype=np.int32)
+    slot[rounds] = np.arange(len(rounds), dtype=np.int32)
+    occurs = np.flatnonzero(slot >= 0)
+    pick = slot[occurs]  # one trial of each round that occurs
+    slot[occurs] = np.arange(len(occurs), dtype=np.int32)
+    codes = slot[rounds]
+
+    def blank_timeouts(column):
+        cells = column[pick].astype(object)
+        cells[occurs == 0] = ""
+        return cells
+
+    trial = np.arange(len(cols))
+    if n_channels == 1:
+        return {
+            "trial": trial,
+            ("herald_round", "winning_channel", "tau_us", "f_del"): (codes, (
+                blank_timeouts(rounds),
+                blank_timeouts(cols.winning_channel),
+                cols.tau_us[pick],
+                cols.f_del[pick],
+            )),
+        }
+    return {
+        "trial": trial,
+        ("herald_round",): (codes, (blank_timeouts(rounds),)),
+        ("winning_channel",): (
+            cols.winning_channel + 1, (np.array(["", *range(n_channels)], dtype=object),)
+        ),
+        ("tau_us", "f_del"): (codes, (cols.tau_us[pick], cols.f_del[pick])),
+    }
 
 
 def _cmd_plan(args, parsed: ParsedConfig, link: Link, emit) -> None:

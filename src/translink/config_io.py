@@ -347,51 +347,88 @@ def _float_cells(block: np.ndarray) -> tuple[str, list | None]:
     return "%.9g", block.tolist()
 
 
+def _format_rows(columns: list) -> str:
+    """The CSV lines of equal-length column slices, formatted by one %.
+
+    A floating slice goes through _float_cells as float64, any other is
+    written with %s. The row format repeats once per row, and the values go
+    to % in one flat list: each of the n value columns is slice-assigned
+    into every n-th slot, so no tuple is built per row.
+    """
+    specs, values = [], []
+    for cells in columns:
+        if cells.dtype.kind == "f":
+            spec, cells = _float_cells(np.ascontiguousarray(cells, dtype=np.float64))
+        else:
+            spec, cells = "%s", cells.tolist()
+        specs.append(spec)
+        if cells is not None:
+            values.append(cells)
+    n_rows = len(columns[0])
+    flat = [None] * (n_rows * len(values))
+    for j, column in enumerate(values):
+        flat[j::len(values)] = column
+    return (",".join(specs) + "\n") * n_rows % tuple(flat)
+
+
+def _table_texts(names: tuple, table) -> np.ndarray:
+    """Each row of a group's table as the text of its cells, in an object array."""
+    table = [np.asarray(column) for column in table]
+    if len(table) != len(names):
+        raise ValueError(f"group {names} has {len(table)} table columns")
+    n_rows = len(table[0])
+    texts = "".join(
+        _format_rows([column[start:start + _CSV_BLOCK] for column in table])
+        for start in range(0, n_rows, _CSV_BLOCK)
+    ).split("\n")[:-1]
+    if len(texts) != n_rows:
+        raise ValueError(f"group {names}: a table cell holds a newline")
+    return np.array(texts, dtype=object)
+
+
 def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
     """Write a CSV artifact of named, equal-length columns.
 
     `columns` maps each header name to its column, in order. A floating
     column is written at 9 significant digits (%.9g), any other with %s:
     integers in decimal, and an object column may hold "" for an empty cell.
+    A key may also be a tuple of adjacent header names, a dictionary-encoded
+    group: its value is (codes, table), where `table` holds one column per
+    name and row i takes the cells of table row codes[i]. Each table row is
+    formatted once, by the same rules, and its text is gathered by code.
     The manifest rides along as a '#' comment line above the header. Each
-    block of _CSV_BLOCK rows is formatted by one % on a repeated row format
-    and written out at once, and a float column is cast to float64 a block
-    at a time; the whole text is joined only to be returned. The block's
-    values go to % row by row in one flat list: each of its n value columns
-    is slice-assigned into every n-th slot, so no tuple is built per row.
-    Within a block, a float column that is one run of equal cells, or in
-    which at least half of the cells repeat the one above, formats each run
-    once, and one of whole numbers below 1e9 goes as ints; each cell still
-    prints what %.9g prints (see _float_cells).
+    block of _CSV_BLOCK rows is formatted by one % (see _format_rows) and
+    written out at once, and a float column is cast to float64 a block at a
+    time; the whole text is joined only to be returned. Within a block, a
+    float column that is one run of equal cells, or in which at least half
+    of the cells repeat the one above, formats each run once, and one of
+    whole numbers below 1e9 goes as ints; each cell still prints what %.9g
+    prints (see _float_cells).
     """
-    arrays = [np.asarray(column) for column in columns.values()]
-    n_rows = len(arrays[0])
-    if any(len(a) != n_rows for a in arrays):
+    names, sources = [], []  # sources: (values, codes into them or None)
+    for key, column in columns.items():
+        if isinstance(key, tuple):
+            codes, table = column
+            names += key
+            sources.append((_table_texts(key, table), np.asarray(codes)))
+        else:
+            names.append(key)
+            sources.append((np.asarray(column), None))
+    lengths = {len(values if codes is None else codes) for values, codes in sources}
+    if len(lengths) > 1:
         raise ValueError("CSV columns differ in length")
+    n_rows = lengths.pop()
     parts = [
         "# manifest: " + json.dumps(_nine_digits(manifest)) + "\n",
-        ",".join(columns) + "\n",
+        ",".join(names) + "\n",
     ]
     with _atomic_writer(path) as handle:
         handle.write(parts[0] + parts[1])
         for start in range(0, n_rows, _CSV_BLOCK):
-            specs, block = [], []
-            for a in arrays:
-                cells = a[start:start + _CSV_BLOCK]
-                if a.dtype.kind == "f":
-                    spec, cells = _float_cells(
-                        np.ascontiguousarray(cells, dtype=np.float64)
-                    )
-                else:
-                    spec, cells = "%s", cells.tolist()
-                specs.append(spec)
-                if cells is not None:
-                    block.append(cells)
-            row = ",".join(specs) + "\n"
-            n_block = min(_CSV_BLOCK, n_rows - start)
-            flat = [None] * (n_block * len(block))
-            for j, column in enumerate(block):
-                flat[j::len(block)] = column
-            parts.append(row * n_block % tuple(flat))
+            stop = start + _CSV_BLOCK
+            parts.append(_format_rows([
+                values[start:stop] if codes is None else values[codes[start:stop]]
+                for values, codes in sources
+            ]))
             handle.write(parts[-1])
     return "".join(parts)

@@ -17,6 +17,7 @@ fully-populated per-trial arrays, keeping aggregation order-independent.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,9 +26,10 @@ from .delivery import Link
 from .errors import ConfigError
 
 MAX_TRIAL_DUMP = 1_000_000
-# The per-trial arrays are allocated up front: about 34 bytes a trial at
-# peak, so `simulate` peaks near 0.36 GB at the cap (max RSS 356 MB on ex1
-# and ex2, 362 MB on ex3 with --jobs 2, at 10^7 trials on a 2-vCPU Xeon).
+# The per-trial arrays are allocated up front: about 24 bytes a trial at
+# peak, so `simulate` peaks near 0.26 GB at the cap (max RSS 259-261 MB on
+# ex1-ex3 at --jobs 1 and 2, against 30 MB at one trial; 10^7 trials on a
+# 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6).
 MAX_TRIALS = 10_000_000
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -251,13 +253,25 @@ def run_trials(
             )
 
     spans = [(lo, min(lo + _CHUNK, n_trials)) for lo in range(0, n_trials, _CHUNK)]
-    if n_jobs == 1:
-        for span in spans:
-            sample(span)
-    else:
-        # imported here: it pulls in logging, which a one-job run never needs
-        from concurrent.futures import ThreadPoolExecutor
+    todo, errors = iter(spans), []
 
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            list(pool.map(sample, spans))
+    def work():
+        """Sample spans until none is left; under the GIL, next() on the shared
+        list iterator hands each span to one thread."""
+        try:
+            for span in todo:
+                sample(span)
+        except BaseException as exc:
+            errors.append(exc)
+
+    # the calling thread is one of the workers, so one job starts no thread,
+    # and no thread starts without a span to draw
+    threads = [threading.Thread(target=work) for _ in range(min(n_jobs, len(spans)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return _summarize(link, rounds, chans, seed)

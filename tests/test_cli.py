@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: artifacts, stdout/stderr contracts, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grid_oracle import grid_min_time_to_fidelity
 from translink import cli
@@ -182,6 +185,90 @@ def test_simulate_matches_library(tmp_path, capsys):
     assert len(lines) == 2 + 2000
     no_herald = [ln for ln in lines[2:] if ",,," in ln]
     assert len(no_herald) == stats.n_no_herald
+
+
+def _trials_csv_oracle(config: str, trials: int, seed: int) -> str:
+    """trials.csv below its manifest line, one cell at a time from the library.
+
+    The run takes one job: the command's rows must not depend on --jobs.
+    """
+    parsed = parse_config(config)
+    link = resolve(parsed.link, parsed.p_her_reference)
+    cols = run_trials(link, trials, seed, keep_trials=True).trials
+    lines = ["trial,herald_round,winning_channel,tau_us,f_del\n"]
+    for trial, (rnd, chan, tau, f_del) in enumerate(zip(
+        cols.herald_round.tolist(), cols.winning_channel.tolist(),
+        cols.tau_us.tolist(), cols.f_del.tolist(),
+    )):
+        rnd, chan = ("", "") if rnd == 0 else ("%d" % rnd, "%d" % chan)
+        lines.append("%d,%s,%s,%.9g,%.9g\n" % (trial, rnd, chan, tau, f_del))
+    return "".join(lines)
+
+
+def _simulated_trials_csv(out, config: str, trials: int, seed: int, jobs: int) -> str:
+    """The trials.csv that `simulate --keep-trials` writes, below its manifest line."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([
+            "simulate", "--config", config, "--out", str(out), "--trials", str(trials),
+            "--seed", str(seed), "--jobs", str(jobs), "--keep-trials",
+        ])
+    assert code == 0
+    return (Path(out) / "trials.csv").read_text().split("\n", 1)[1]
+
+
+def _assert_same_lines(got: str, want: str) -> None:
+    """got == want, reported at the first differing line: diffing two texts of
+    10^4 lines each would take the assertion minutes."""
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (got_line, want_line) in enumerate(zip(got, want)):
+        assert got_line == want_line, f"line {i}"
+    assert len(got) == len(want)
+
+
+def _config_file(path, base: str, p_her_reference=None, **policy) -> str:
+    cfg = json.loads(Path(base).read_text())
+    cfg["policy"].update(policy)
+    if p_her_reference is not None:
+        cfg["p_her_reference"] = p_her_reference
+    Path(path).write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", [
+    # N = 20 over two 65536-trial spans, at one and two jobs
+    (EX3, {}, 70_000, 1),
+    (EX3, {}, 70_000, 2),
+    # every trial heralds in round 1
+    (EX1, {"p_her_reference": 1.0}, 5000, 1),
+    (EX3, {"p_her_reference": 1.0}, 5000, 2),
+    # one channel, with about a third of the trials timed out
+    (EX1, {"p_her_reference": 0.005}, 9000, 1),
+    # the 10^7-round cap: a few thousand trials over sparse rounds
+    (EX1, {"p_her_reference": 1e-7, "t_del_us": 1e7}, 2000, 2),
+], ids=["ex3-j1", "ex3-j2", "p1-ex1", "p1-ex3-j2", "timeouts", "round-cap"])
+def test_trials_csv_matches_per_row_oracle(tmp_path, case):
+    base, changes, trials, jobs = case
+    config = _config_file(tmp_path / "cfg.json", base, **changes)
+    got = _simulated_trials_csv(tmp_path / "out", config, trials, 21, jobs)
+    _assert_same_lines(got, _trials_csv_oracle(config, trials, 21))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    base=st.sampled_from([EX1, EX3]),
+    n_parallel=st.integers(1, 40),
+    reference=st.sampled_from([None, 1.0, 0.02, 1e-3]),
+    trials=st.integers(1, 9000),
+    seed=st.integers(0, 2**64 - 1),
+    jobs=st.sampled_from([1, 2]),
+)
+def test_trials_csv_matches_oracle_property(
+    tmp_path_factory, base, n_parallel, reference, trials, seed, jobs
+):
+    tmp = tmp_path_factory.mktemp("trials")
+    config = _config_file(tmp / "cfg.json", base, reference, n_parallel=n_parallel)
+    got = _simulated_trials_csv(tmp / "out", config, trials, seed, jobs)
+    _assert_same_lines(got, _trials_csv_oracle(config, trials, seed))
 
 
 def test_simulate_deterministic_across_jobs(tmp_path, capsys):

@@ -526,6 +526,95 @@ def test_emit_csv_runs_match_per_cell_oracle(tmp_path_factory, n_rows, specs, ma
     _check_against_oracle(tmp_path_factory.mktemp("csv"), columns)
 
 
+def _ungrouped(columns):
+    """The columns with each dictionary-encoded group written out in full."""
+    plain = {}
+    for key, column in columns.items():
+        if isinstance(key, tuple):
+            codes, table = column
+            for name, values in zip(key, table):
+                plain[name] = np.asarray(values)[np.asarray(codes, dtype=np.intp)]
+        else:
+            plain[key] = column
+    return plain
+
+
+def _check_groups_against_oracle(tmp_path, columns):
+    """emit_csv with groups writes the oracle's text for the written-out columns."""
+    manifest = build_manifest("cmd", {"x": 1 / 3})
+    path = tmp_path / "out.csv"
+    text = emit_csv(path, columns, manifest)
+    assert path.read_text() == text
+    assert text == _oracle_csv(_ungrouped(columns), text.splitlines()[0])
+    return text
+
+
+def test_emit_csv_group_format(tmp_path):
+    codes = np.array([1, 0, 1, 2, 1])
+    text = _check_groups_against_oracle(tmp_path, {
+        "trial": np.arange(5),
+        ("r", "c", "f"): (codes, (
+            np.array(["", 1, 4], dtype=object),
+            np.array(["", 0, 0], dtype=object),
+            np.array([0.5, 1 / 3, 0.25]),
+        )),
+        ("g",): (codes[::-1], (np.array([7, 8, 9]),)),
+    })
+    assert text.splitlines()[1:] == [
+        "trial,r,c,f,g",
+        "0,1,0,0.333333333,8",
+        "1,,,0.5,9",
+        "2,1,0,0.333333333,8",
+        "3,4,0,0.25,7",
+        "4,1,0,0.333333333,8",
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_rows=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1]) | st.integers(0, 3 * BLOCK),
+    table_rows=st.integers(1, 2 * BLOCK + 1),
+    kinds=st.lists(st.lists(st.sampled_from("fio"), min_size=1, max_size=3),
+                   min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_emit_csv_groups_match_per_cell_oracle(tmp_path_factory, n_rows, table_rows, kinds, seed):
+    """Groups of float, int and object table columns between plain columns."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(SPECIAL_FLOATS + [0.5, -7.0, 1e9])
+
+    def column(kind, n):
+        if kind == "f":
+            return np.where(rng.random(n) < 0.5, rng.standard_normal(n),
+                            pool[rng.integers(0, len(pool), n)])
+        ints = rng.integers(-(2**62), 2**62, n)
+        if kind == "i":
+            return ints
+        cells = ints.astype(object)
+        cells[rng.random(n) < 0.3] = ""
+        return cells
+
+    columns = {"trial": np.arange(n_rows)}
+    for j, group in enumerate(kinds):
+        names = tuple(f"g{j}{kind}{k}" for k, kind in enumerate(group))
+        table = tuple(column(kind, table_rows) for kind in group)
+        columns[names] = (rng.integers(0, table_rows, n_rows), table)
+        columns[f"p{j}"] = column(group[0], n_rows)
+    _check_groups_against_oracle(tmp_path_factory.mktemp("csv"), columns)
+
+
+def test_emit_csv_group_errors(tmp_path):
+    manifest = build_manifest("cmd", {})
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="differ in length"):
+        emit_csv(path, {"a": [1, 2], ("b",): ([0, 0, 0], ([5],))}, manifest)
+    with pytest.raises(ValueError, match="table columns"):
+        emit_csv(path, {("a", "b"): ([0], ([1.0],))}, manifest)
+    with pytest.raises(ValueError, match="newline"):
+        emit_csv(path, {("a",): ([0, 1], (np.array(["x", "y\nz"], dtype=object),))}, manifest)
+    assert not path.exists()
+
+
 def test_emit_failure_leaves_no_artifact(tmp_path, monkeypatch):
     manifest = build_manifest("cmd", {})
     target = tmp_path / "artifact.json"

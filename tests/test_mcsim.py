@@ -1,6 +1,7 @@
 """Counter-based Monte Carlo: determinism, statistics, and analytic agreement."""
 
 import math
+import threading
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -285,6 +286,50 @@ def test_chunking_does_not_change_results(monkeypatch):
     base = run_trials(link, 3000, seed=8, keep_trials=True)
     monkeypatch.setattr(mcsim, "_CHUNK", 7)
     assert run_trials(link, 3000, seed=8, keep_trials=True) == base
+
+
+def test_worker_exception_reaches_caller(monkeypatch):
+    """A span that fails on a worker thread raises in the caller."""
+
+    class SpanFailed(Exception):
+        pass
+
+    herald_rounds = mcsim._herald_rounds
+    worker_ran = threading.Event()
+
+    def fail_off_main_thread(*args):
+        if threading.current_thread() is threading.main_thread():
+            worker_ran.wait(timeout=10)  # leaves a span for the worker
+            return herald_rounds(*args)
+        worker_ran.set()
+        raise SpanFailed("span failed")
+
+    monkeypatch.setattr(mcsim, "_CHUNK", 10)
+    monkeypatch.setattr(mcsim, "_herald_rounds", fail_off_main_thread)
+    # were the failure lost, no reduction would read the span it left unset
+    monkeypatch.setattr(mcsim, "_summarize", lambda *args: None)
+    with pytest.raises(SpanFailed):
+        run_trials(resolve(_ex1()), 40, seed=1, n_jobs=2)
+    assert worker_ran.is_set()
+
+
+def test_jobs_start_no_more_threads_than_spans(monkeypatch):
+    """--jobs has no upper bound: 10^6 jobs over 3 spans make at most 3 threads."""
+    made = []
+
+    class CountedThread(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            if len(made) > 3:  # fails before a fourth thread can start
+                raise AssertionError("more threads than spans")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mcsim, "_CHUNK", 10)
+    link = resolve(_ex3())
+    base = run_trials(link, 30, seed=2, keep_trials=True)
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    assert run_trials(link, 30, seed=2, n_jobs=10**6, keep_trials=True) == base
+    assert 1 <= len(made) <= 3
 
 
 def test_trial_prefix_independent_of_n_trials():
