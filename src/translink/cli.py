@@ -56,7 +56,6 @@ from .params import (
     LinkConfig,
     PhotonBasis,
     PumpMode,
-    validate,
 )
 from .planner import (
     TradeoffPoint,
@@ -211,8 +210,9 @@ def _build_parser() -> _Parser:
 
 
 def _apply_overrides(link: LinkConfig, args) -> LinkConfig:
+    """The link with the command's overrides; resolve checks the result."""
     protocol = link.protocol
-    if getattr(args, "protocol", None):
+    if args.protocol:
         basis, pump = _PROTOCOL_NAMES[args.protocol]
         protocol = replace(
             protocol,
@@ -223,18 +223,9 @@ def _apply_overrides(link: LinkConfig, args) -> LinkConfig:
     policy = link.policy
     if getattr(args, "t_del", None) is not None:
         policy = replace(policy, t_del_us=args.t_del)
-    if getattr(args, "fidelity_model", None):
+    if args.fidelity_model:
         policy = replace(policy, fidelity_model=_FIDELITY_MODELS[args.fidelity_model])
-    if protocol is link.protocol and policy is link.policy:
-        return link
-    link = replace(link, protocol=protocol, policy=policy)
-    violations = validate(link)
-    if violations:
-        raise ConfigError(
-            "overrides produce an invalid link config: " + "; ".join(violations),
-            violations,
-        )
-    return link
+    return replace(link, protocol=protocol, policy=policy)
 
 
 def _run(args, command: str) -> int:
@@ -244,7 +235,9 @@ def _run(args, command: str) -> int:
     (None without --config) and its resolved link (None when the handler
     reads no link), and passes each artifact to emit(name, data): a JSON
     payload for a .json name, CSV columns for a .csv one. Only the first
-    artifact's text is kept, for stdout.
+    artifact's text is kept, for stdout. The link overrides change only a
+    link that is resolved, and resolve checks it; where none is (no
+    --config, or distill given --f-in), they are refused.
     """
     parsed = link = None
     if getattr(args, "config", None) is not None:
@@ -261,10 +254,11 @@ def _run(args, command: str) -> int:
         # distill given --f-in reads nothing of the link's analytics
         if getattr(args, "f_in", None) is None:
             link = resolve(parsed.link, parsed.p_her_reference)
-    elif any(getattr(args, k, None) is not None
-             for k in ("t_del", "protocol", "fidelity_model")):
+    if link is None and any(getattr(args, k, None) is not None
+                            for k in ("t_del", "protocol", "fidelity_model")):
         raise ConfigError(
             f"{args.command}'s --t-del, --protocol and --fidelity-model need --config"
+            + (" and no --f-in" if parsed else "")
         )
     manifest = build_manifest(
         command, resolved_config(parsed) if parsed else {},

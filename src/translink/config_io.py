@@ -42,6 +42,7 @@ from .params import (
     StorageQubitParams,
     TransducerParams,
     preset,
+    raise_violations,
     schema,
     validate,
     validate_architecture,
@@ -194,22 +195,14 @@ def parse_config_data(data) -> ParsedConfig:
             for name, cls in _LINK_SECTIONS.items()
             if name in obj
         })
-        violations = validate(link)
-        if violations:
-            raise ConfigError(
-                "invalid link config: " + "; ".join(violations), violations
-            )
+        raise_violations("link config", validate(link))
 
     architecture = None
     if "architecture" in obj:
         architecture = _parse_section(
             ArchitectureSpec, obj["architecture"], "/architecture"
         )
-        violations = validate_architecture(architecture)
-        if violations:
-            raise ConfigError(
-                "invalid architecture spec: " + "; ".join(violations), violations
-            )
+        raise_violations("architecture spec", validate_architecture(architecture))
 
     reference = None
     if "p_her_reference" in obj:

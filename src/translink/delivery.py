@@ -35,7 +35,7 @@ from .errors import (
     NoOptimumError,
     UnattainableError,
 )
-from .params import MAX_GRID_POINTS, LinkConfig, LinkMetrics, validate
+from .params import MAX_GRID_POINTS, LinkConfig, LinkMetrics, raise_violations, validate
 from .protocols import ProtocolAnalytics, analyze_protocol, heralded_fidelity
 
 
@@ -62,9 +62,7 @@ def resolve(config: LinkConfig, p_her_reference: float | None = None) -> Link:
     replaces the formula value in every model; the infidelities and f_her
     are unaffected.
     """
-    violations = validate(config)
-    if violations:
-        raise ConfigError("invalid link config: " + "; ".join(violations), violations)
+    raise_violations("link config", validate(config))
     formula = analyze_protocol(config.transducer, config.protocol, config.memory)
     f_her = heralded_fidelity(formula, config.policy.fidelity_model)
     p_her = formula.p_her

@@ -16,7 +16,7 @@ import typing
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
-from .errors import PresetNotFoundError
+from .errors import ConfigError, PresetNotFoundError
 
 # Hard cap on policy.t_del_us in rounds and on analyze's delivery-curve grid,
 # which holds a few float arrays of this length.
@@ -430,3 +430,9 @@ def validate(config: LinkConfig) -> list[str]:
 def validate_architecture(spec: ArchitectureSpec) -> list[str]:
     """Violations of an ArchitectureSpec's declared field ranges."""
     return field_violations(spec, "architecture")
+
+
+def raise_violations(what: str, violations: list[str]) -> None:
+    """Raise ConfigError("invalid <what>: v1; v2", violations) unless there are none."""
+    if violations:
+        raise ConfigError(f"invalid {what}: " + "; ".join(violations), violations)

@@ -24,7 +24,12 @@ from .delivery import (
 )
 from .distillation import calibrated_distill
 from .errors import ConfigError
-from .params import MAX_TRANSDUCERS_PER_MODULE, ArchitectureSpec, validate_architecture
+from .params import (
+    MAX_TRANSDUCERS_PER_MODULE,
+    ArchitectureSpec,
+    raise_violations,
+    validate_architecture,
+)
 
 # Link error (1 - f_del) below which lattice surgery across the link is
 # believed to sit under the surface-code threshold.
@@ -84,26 +89,59 @@ def _limiting_factor(total: int, budget: int, qubit_cap: int) -> tuple:
     return utilization <= 1.0, name
 
 
+def _distilled(f_del: float, rounds: int) -> float:
+    """f_del after `rounds` calibrated distillation rounds.
+
+    Zero rounds, and an f_del at or below 1/2, which no round raises, leave
+    it as it is without calling the map.
+    """
+    return calibrated_distill(f_del, rounds) if rounds > 0 and f_del > 0.5 else f_del
+
+
+def _undistilled_target(target: float, rounds: int) -> float:
+    """The least f_del that `rounds` calibrated rounds carry to target or above.
+
+    Starts from the calibrated map's inverse, 1 - (1 - target) 10^(rounds/4);
+    at or below 1/2 any distillable f_del will do. The inverse and the map
+    need not round-trip in float, so the forward map confirms it, a float
+    step at a time. The map does not decrease, so f_del reaches the result
+    exactly when its distilled value reaches target.
+    """
+    if rounds == 0:
+        return target
+    f = max(1.0 - (1.0 - target) * 10.0 ** (rounds / 4.0), math.nextafter(0.5, 1.0))
+    while _distilled(f, rounds) < target:
+        f = math.nextafter(f, 1.0)
+    while _distilled(math.nextafter(f, 0.0), rounds) >= target:
+        f = math.nextafter(f, 0.0)
+    return f
+
+
 def lattice_surgery_plan(spec: ArchitectureSpec, link: Link) -> PlanReport:
     """Resource tally for clock-rate lattice surgery across module boundaries.
 
     Every edge qubit of the square patch needs its own link, and each link
     must deliver one pair per clock cycle. A link that natively delivers in
     t_del is sped up by parallelization alone, so the per-link channel count
-    is n_parallel * ceil(t_del / clock) * 2**distill_rounds. Raises
-    UnattainableError (via min_time_to_fidelity) when the target fidelity is
-    out of reach at any delivery time.
+    is n_parallel * ceil(t_del / clock) * 2**distill_rounds. Those rounds
+    are credited too: the fidelity fields hold the delivered pair after
+    distill_rounds calibrated rounds (see _distilled), and min_t_del_us is
+    the first delivery time whose distilled f_del reaches the target.
+    Raises UnattainableError (via min_time_to_fidelity, whose message names
+    the f_del that the rounds need) when that is out of reach at any
+    delivery time.
     """
-    violations = validate_architecture(spec)
-    if violations:
-        raise ConfigError("invalid architecture spec: " + "; ".join(violations), violations)
-    metrics = delivered_fidelity(link)
-    min_t_del = min_time_to_fidelity(link, spec.target_fidelity)
-
+    raise_violations("architecture spec", validate_architecture(spec))
     policy = link.config.policy
+    rounds = policy.distill_rounds
+    f_del = _distilled(delivered_fidelity(link).f_del, rounds)
+    min_t_del = min_time_to_fidelity(
+        link, _undistilled_target(spec.target_fidelity, rounds)
+    )
+
     t_del = policy.t_del_us
     speedup = t_del / spec.clock_cycle_us
-    per_link = policy.n_parallel * math.ceil(speedup - 1e-9) * 2**policy.distill_rounds
+    per_link = policy.n_parallel * math.ceil(speedup - 1e-9) * 2**rounds
     links = edge_qubit_count(spec.qubits_per_processor)
     total = links * per_link
     feasible, factor = _limiting_factor(
@@ -119,18 +157,17 @@ def lattice_surgery_plan(spec: ArchitectureSpec, link: Link) -> PlanReport:
         speedup=speedup,
         t_del_us=t_del,
         min_t_del_us=min_t_del,
-        fidelity_at_t_del=metrics.f_del,
-        fidelity_met=metrics.f_del + 1e-12 >= spec.target_fidelity,
-        link_error_below_threshold=(1.0 - metrics.f_del)
-        < LATTICE_SURGERY_LINK_ERROR_THRESHOLD,
+        fidelity_at_t_del=f_del,
+        fidelity_met=f_del + 1e-12 >= spec.target_fidelity,
+        link_error_below_threshold=(1.0 - f_del) < LATTICE_SURGERY_LINK_ERROR_THRESHOLD,
     )
 
 
 @dataclass(frozen=True)
 class CircuitCutComparison:
-    gamma_quantum: float | None  # None when quantum links are free (gamma <= 1)
+    gamma_quantum: float
     gamma_classical: float
-    k_quantum: int | None  # None = unbounded at this budget
+    k_quantum: int | None  # None = unbounded: quantum links are free (gamma <= 1)
     k_classical: int
     advantage: bool
 
@@ -152,22 +189,12 @@ def circuit_cut_comparison(infidelity: float, circuit_budget: int) -> CircuitCut
         raise ConfigError("infidelity out of [0, 1)")
     if circuit_budget < 1:
         raise ConfigError("circuit_budget must be >= 1")
-    k_classical = _k_max(circuit_budget, GAMMA_CLASSICAL)
-    log_gamma_q = _GAMMA_Q_SLOPE * infidelity + _GAMMA_Q_OFFSET
-    gamma_quantum = 10.0**log_gamma_q
-    if gamma_quantum <= 1.0:
-        return CircuitCutComparison(
-            gamma_quantum=gamma_quantum,
-            gamma_classical=GAMMA_CLASSICAL,
-            k_quantum=None,
-            k_classical=k_classical,
-            advantage=True,
-        )
+    gamma_quantum = 10.0 ** (_GAMMA_Q_SLOPE * infidelity + _GAMMA_Q_OFFSET)
     return CircuitCutComparison(
         gamma_quantum=gamma_quantum,
         gamma_classical=GAMMA_CLASSICAL,
-        k_quantum=_k_max(circuit_budget, gamma_quantum),
-        k_classical=k_classical,
+        k_quantum=_k_max(circuit_budget, gamma_quantum) if gamma_quantum > 1.0 else None,
+        k_classical=_k_max(circuit_budget, GAMMA_CLASSICAL),
         advantage=infidelity < CIRCUIT_CUT_BREAK_EVEN_INFIDELITY,
     )
 
@@ -281,11 +308,7 @@ def tradeoff_surface(budget: int, link: Link, k_max: int | None = None) -> tuple
             n_links = budget // (n_parallel * 2**rounds)
             if n_links < 1:
                 break
-            f_del = (
-                calibrated_distill(f_star, rounds)
-                if rounds > 0 and f_star > 0.5
-                else f_star
-            )
+            f_del = _distilled(f_star, rounds)
             cand = (n_links, 1.0 / t_star, f_del, n_parallel, rounds, t_star)
             # widths and rounds ascend, so the first witness is the cheapest
             unique.setdefault(cand[:3], cand)

@@ -18,12 +18,15 @@ from hypothesis import given, settings, strategies as st
 from grid_oracle import grid_min_time_to_fidelity
 from translink import cli
 from translink import (
+    ArchitectureSpec,
+    ConfigError,
     DeliveryPolicy,
     LinkConfig,
     PhotonBasis,
     ProtocolSpec,
     PumpMode,
     delivered_fidelity,
+    lattice_surgery_plan,
     parse_config,
     preset,
     resolve,
@@ -423,6 +426,99 @@ def test_plan_unattainable_target_exit_2(tmp_path, capsys):
     assert "best f_del" in payload["message"]
 
 
+def test_plan_credits_distill_rounds(tmp_path, capsys):
+    """Two calibrated rounds lift the lattice link's 0.8964 past a target of
+    0.95 that no delivery time reaches undistilled."""
+    cfg = json.loads(Path(LATTICE).read_text())
+    cfg["policy"]["distill_rounds"] = 2
+    cfg["architecture"]["target_fidelity"] = 0.95
+    path = tmp_path / "d2.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "plan", "--config", str(path), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    plan = doc["plan"]
+    assert plan["transducers_per_link"] == 1200
+    assert plan["fidelity_at_t_del"] == 0.967254295
+    assert plan["fidelity_met"] is True
+    assert plan["link_error_below_threshold"] is True
+    assert plan["min_t_del_us"] == 5.0
+    # the cutting comparison reads the distilled link too: 0.0327 < 0.05 is free
+    assert doc["circuit_cut"]["k_quantum"] is None
+
+
+def _violations_of(capsys, tmp_path, argv):
+    """(message, violations) of a rejected command, which writes nothing."""
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, *argv, "--out", str(out_dir))
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert not out_dir.exists()
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    return payload["message"], payload["violations"]
+
+
+def _bad_lattice(tmp_path, section, **values):
+    cfg = json.loads(Path(LATTICE).read_text())
+    cfg[section].update(values)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _plan_error(spec):
+    with pytest.raises(ConfigError) as err:
+        lattice_surgery_plan(spec, resolve(parse_config(LATTICE).link))
+    return str(err.value), err.value.violations
+
+
+@pytest.mark.parametrize("what, violations, rejected", [
+    pytest.param(
+        "link config",
+        ["policy.n_parallel must be >= 1",
+         "policy.t_del_us must be >= transducer.t_rep_us"],
+        lambda capsys, tmp_path: _violations_of(capsys, tmp_path, [
+            "plan", "--config",
+            _bad_lattice(tmp_path, "policy", t_del_us=0.5, n_parallel=0),
+        ]),
+        id="link-in-config",
+    ),
+    pytest.param(
+        "link config",
+        ["policy.t_del_us is NaN", "policy.t_del_us must be >= transducer.t_rep_us"],
+        lambda capsys, tmp_path: _violations_of(
+            capsys, tmp_path, ["analyze", "--config", EX1, "--t-del", "nan"]
+        ),
+        id="override",
+    ),
+    pytest.param(
+        "architecture spec",
+        ["architecture.clock_cycle_us must be > 0",
+         "architecture.target_fidelity out of (0.5, 1)"],
+        lambda capsys, tmp_path: _violations_of(capsys, tmp_path, [
+            "plan", "--config",
+            _bad_lattice(tmp_path, "architecture", clock_cycle_us=0,
+                         target_fidelity=1.5),
+        ]),
+        id="architecture-in-config",
+    ),
+    pytest.param(
+        "architecture spec",
+        ["architecture.qubits_per_processor must be >= 1",
+         "architecture.target_fidelity out of (0.5, 1)"],
+        lambda capsys, tmp_path: _plan_error(ArchitectureSpec(0, 1.0, 10_000, 0.5)),
+        id="lattice_surgery_plan",
+    ),
+])
+def test_violation_lists_reach_the_error_the_same_way(
+    tmp_path, capsys, what, violations, rejected
+):
+    """Each list of violations becomes "invalid <what>: v1; v2" with the list."""
+    message, got = rejected(capsys, tmp_path)
+    assert got == violations
+    assert message == f"invalid {what}: " + "; ".join(violations)
+
+
 def _tradeoff_config(tmp_path, budget=16):
     cfg = {
         "transducer": "preset:transducer2",
@@ -630,17 +726,20 @@ def test_distill_requires_inputs(tmp_path, capsys):
     "override", [["--t-del", "nan"], ["--protocol", "2p-tms"], ["--fidelity-model", "linear"]]
 )
 def test_distill_link_overrides_need_config(tmp_path, capsys, override):
+    """The overrides change only a link that distill resolves: none without
+    --config, and none with --f-in, which distill reads instead of the link."""
     out_dir = tmp_path / "out"
-    code, out, err = _run(
-        capsys, "distill", "--f-in", "0.9", "--rounds", "2", *override,
-        "--out", str(out_dir),
-    )
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1
-    payload = json.loads(err)
-    assert payload["error"] == "ConfigError"
-    assert "need --config" in payload["message"]
-    assert not out_dir.exists()
+    for config in ([], ["--config", EX1]):
+        code, out, err = _run(
+            capsys, "distill", *config, "--f-in", "0.9", "--rounds", "2", *override,
+            "--out", str(out_dir),
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert "need --config" in payload["message"]
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("override", [[], ["--t-del", "5"]])

@@ -31,6 +31,11 @@ ex2's d = 0.9996 never underflows within 2x10^5 rounds, so
 `qubits_communication`, which always equalled `total_transducers`. The
 stdout and `plan.json` of the code before that change, with that key's line
 deleted, hash to the new constant.
+
+`plan-lattice-distill2` was taken when `plan` began to credit the
+distillation rounds that it charges for: two calibrated rounds lift the
+lattice link past a 0.95 target, which the code before that change found
+unattainable (exit 2).
 """
 
 import hashlib
@@ -61,6 +66,7 @@ COMMANDS = {
         "--jobs", "2",
     ],
     "plan-lattice": ["plan", "--config", "lattice.json", "--code-distance", "7"],
+    "plan-lattice-distill2": ["plan", "--config", "lattice_distill2.json"],
     "tradeoff-csv": ["tradeoff", "--config", "lattice64.json", "--format", "csv"],
     "tradeoff-json": ["tradeoff", "--config", "lattice64.json", "--format", "json"],
     "distill-config": [
@@ -88,6 +94,8 @@ GOLDEN = {
         "d87fdb3df9a41e790154f738a4a4e9a8186ef4c766eab8f2d91a4e0fa83c858f",
     "plan-lattice":
         "00447cd3d049bba93c82bb887d4ca323145f73c577d1808858b592eeb392148f",
+    "plan-lattice-distill2":
+        "9561028e8bc0aa3918e468aba9daff10d0b07a2879f28ab9c441d184aa12f267",
     "tradeoff-csv":
         "a8e582949ebb3c70e9c25392c473fbb3e926f04f62921714cbd66361b2640b0b",
     "tradeoff-json":
@@ -108,6 +116,10 @@ def workdir(tmp_path, monkeypatch):
     small = json.loads((EXAMPLES / "lattice.json").read_text())
     small["architecture"]["transducer_budget"] = 64
     (tmp_path / "lattice64.json").write_text(json.dumps(small))
+    distilled = json.loads((EXAMPLES / "lattice.json").read_text())
+    distilled["policy"]["distill_rounds"] = 2
+    distilled["architecture"]["target_fidelity"] = 0.95
+    (tmp_path / "lattice_distill2.json").write_text(json.dumps(distilled))
     monkeypatch.chdir(tmp_path)
     return tmp_path
 

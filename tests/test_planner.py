@@ -24,6 +24,7 @@ from translink import (
     UnattainableError,
     calibrated_distill,
     circuit_cut_comparison,
+    delivered_fidelity,
     cryostat_budget_check,
     edge_qubit_count,
     graph_state_pipe_width,
@@ -34,6 +35,7 @@ from translink import (
     tradeoff_surface,
     validate_architecture,
 )
+from grid_oracle import grid_f_del, grid_k_max
 from translink.params import MAX_TRANSDUCER_BUDGET, MAX_TRANSDUCERS_PER_MODULE
 from translink.planner import _pareto_front
 
@@ -166,6 +168,41 @@ def test_lattice_plan_distill_rounds_multiply_channels():
     spec = ArchitectureSpec(1000, 1.0, 10_000, 0.89)
     plan = lattice_surgery_plan(spec, resolve(cfg))
     assert plan.transducers_per_link == 300 * 4
+
+
+def _distilled_by_hand(f_del, rounds):
+    return calibrated_distill(f_del, rounds) if rounds > 0 and f_del > 0.5 else f_del
+
+
+@pytest.mark.parametrize("rounds", range(5))
+def test_lattice_plan_distilled_min_t_del_matches_grid_oracle(rounds):
+    """min_t_del_us is the first grid round whose distilled f_del reaches the
+    target, and the fidelity fields hold the distilled f_del at t_del.
+
+    The targets include each distilled grid value of the rise and the float
+    just above it, where the map's inverse and the map itself can disagree
+    in the last bit.
+    """
+    cfg = _parallel_link()
+    cfg = replace(cfg, policy=replace(cfg.policy, distill_rounds=rounds))
+    link = resolve(cfg)
+    t_grid, f_grid = grid_f_del(cfg, grid_k_max(cfg))
+    distilled = np.array([_distilled_by_hand(f, rounds) for f in f_grid.tolist()])
+    targets = {*np.linspace(0.501, 0.999, 50).tolist()}
+    for value in distilled[:40].tolist():
+        targets |= {value, math.nextafter(value, 1.0)}
+    for target in sorted(t for t in targets if 0.5 < t < 1.0):
+        spec = ArchitectureSpec(1000, 1.0, 10_000, target)
+        hits = np.flatnonzero(distilled >= target)
+        if hits.size == 0:
+            with pytest.raises(UnattainableError):
+                lattice_surgery_plan(spec, link)
+            continue
+        plan = lattice_surgery_plan(spec, link)
+        assert plan.min_t_del_us == t_grid[hits[0]], target
+        f_del = _distilled_by_hand(delivered_fidelity(link).f_del, rounds)
+        assert plan.fidelity_at_t_del == f_del
+        assert plan.fidelity_met is (f_del + 1e-12 >= target)
 
 
 def test_lattice_plan_fractional_clock_rounds_up():
