@@ -242,10 +242,6 @@ def _run(args, command: str) -> int:
     parsed = link = None
     if getattr(args, "config", None) is not None:
         parsed = parse_config(args.config)
-        if parsed.link is None:
-            raise ConfigError(
-                "config has no link sections (transducer/qubit/protocol/policy)"
-            )
         parsed = replace(parsed, link=_apply_overrides(parsed.link, args))
         if args.command in ("plan", "tradeoff") and parsed.architecture is None:
             raise ConfigError(

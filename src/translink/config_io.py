@@ -1,17 +1,18 @@
 """JSON config ingestion and artifact emission.
 
-The config file is a single JSON object with sections
+The config file is a single JSON object: a LinkConfig plus two keys,
 
-    transducer, qubit, protocol, policy   (a link; all four together)
-    memory                                 (optional, with the link)
+    transducer, qubit, protocol, policy   (the link; required in every config)
+    memory                                 (optional)
     architecture                           (optional; required for planning)
     p_her_reference                        (optional externally quoted p_her)
 
 The transducer and qubit sections accept "preset:<name>" strings in place
-of objects. A section's keys, their types, defaults and ranges are the
-fields declared on its dataclass (see params.schema). Parsing is strict:
-unknown keys are rejected with a JSON-pointer path, and no invalid file
-produces a partially usable object.
+of objects. The link's sections are the fields of LinkConfig, and a
+section's keys, their types, defaults and ranges are the fields declared
+on its dataclass (see params.schema). Parsing is strict: unknown keys are
+rejected with a JSON-pointer path, missing ones are all named in one error,
+and no invalid file produces a partially usable object.
 
 Every emitted artifact embeds a RunManifest (tool version, command line,
 fully resolved config, seed, timestamp); the resolved config parses back to
@@ -27,7 +28,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, is_dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,10 +36,7 @@ import numpy as np
 from .errors import ConfigError, SchemaError
 from .params import (
     ArchitectureSpec,
-    DeliveryPolicy,
     LinkConfig,
-    MemoryParams,
-    ProtocolSpec,
     StorageQubitParams,
     TransducerParams,
     preset,
@@ -53,24 +51,13 @@ TOOL_VERSION = "0.1.0"
 _PRESET_PREFIX = "preset:"
 # The sections that accept "preset:<name>", and what their presets are.
 _PRESET_KINDS = {TransducerParams: "transducer", StorageQubitParams: "storage qubit"}
-# The link's sections in the order that they are parsed and written back:
-# memory comes before policy, unlike in LinkConfig.
-_LINK_SECTIONS = {
-    "transducer": TransducerParams,
-    "qubit": StorageQubitParams,
-    "protocol": ProtocolSpec,
-    "memory": MemoryParams,
-    "policy": DeliveryPolicy,
-}
-_REQUIRED_SECTIONS = tuple(f.name for f in fields(LinkConfig) if f.default is MISSING)
-_TOP_KEYS = set(_LINK_SECTIONS) | {"architecture", "p_her_reference"}
 
 
 @dataclass(frozen=True)
 class ParsedConfig:
-    """Everything a single config file can define."""
+    """Everything a single config file can define; every config has a link."""
 
-    link: LinkConfig | None
+    link: LinkConfig
     architecture: ArchitectureSpec | None
     p_her_reference: float | None
 
@@ -118,7 +105,10 @@ def _expect_number(value, pointer: str) -> float:
 
 
 def _parse_value(kind, value, pointer: str):
-    """One JSON value as a field of declared type float, int, str or an Enum."""
+    """One JSON value as a field of declared type float, int, str, an Enum or
+    a section dataclass."""
+    if is_dataclass(kind):
+        return _parse_section(kind, value, pointer)
     if kind is float:
         return _expect_number(value, pointer)
     if kind is int:
@@ -139,10 +129,10 @@ def _parse_value(kind, value, pointer: str):
 def _parse_section(cls, value, pointer: str):
     """Build the section dataclass `cls` from its JSON value, strictly.
 
-    The keys are the declared fields: an unknown key, or a missing one whose
-    field has no default, is a SchemaError, and each value must have its
-    field's type. The
-    sections in _PRESET_KINDS also take a "preset:<name>" string.
+    The keys are the declared fields: an unknown key is a SchemaError, as
+    are the missing keys whose fields have no default, all named in one,
+    and each value must have its field's type. The sections in _PRESET_KINDS
+    also take a "preset:<name>" string. The root's `pointer` is "".
     """
     if cls in _PRESET_KINDS and isinstance(value, str):
         if not value.startswith(_PRESET_PREFIX):
@@ -152,15 +142,17 @@ def _parse_section(cls, value, pointer: str):
         if not isinstance(found, cls):
             raise SchemaError(pointer, f"preset {name!r} is not a {_PRESET_KINDS[cls]}")
         return found
-    obj = _expect_object(value, pointer)
+    obj = _expect_object(value, pointer or "/")
     declared = schema(cls)
     names = {f.name for f, _, _ in declared}
     for key in obj:
         if key not in names:
             raise SchemaError(f"{pointer}/{key}", "unknown key")
-    for f, _, _ in declared:
-        if f.default is MISSING and f.name not in obj:
-            raise SchemaError(pointer, f"missing required key {f.name!r}")
+    missing = [repr(f.name) for f, _, _ in declared
+               if f.default is MISSING and f.name not in obj]
+    if missing:
+        keys = "key" if len(missing) == 1 else "keys"
+        raise SchemaError(pointer or "/", f"missing required {keys} {', '.join(missing)}")
     return cls(**{
         f.name: _parse_value(kind, obj[f.name], f"{pointer}/{f.name}")
         for f, kind, _ in declared
@@ -171,31 +163,11 @@ def _parse_section(cls, value, pointer: str):
 def parse_config_data(data) -> ParsedConfig:
     """Validate a decoded JSON document and build the typed configuration."""
     obj = _expect_object(data, "/")
-    for key in obj:
-        if key not in _TOP_KEYS:
-            raise SchemaError(f"/{key}", "unknown key")
-    present = [k for k in _REQUIRED_SECTIONS if k in obj]
-    if present and len(present) < len(_REQUIRED_SECTIONS):
-        missing = [k for k in _REQUIRED_SECTIONS if k not in obj]
-        raise SchemaError(
-            "/", "incomplete link config; missing: " + ", ".join(missing)
-        )
-    if "memory" in obj and not present:
-        raise SchemaError("/memory", "memory requires a link config")
-    if not present and "architecture" not in obj:
-        raise SchemaError(
-            "/", "config must define a link (transducer/qubit/protocol/policy) "
-            "or an architecture section"
-        )
-
-    link = None
-    if present:
-        link = LinkConfig(**{
-            name: _parse_section(cls, obj[name], f"/{name}")
-            for name, cls in _LINK_SECTIONS.items()
-            if name in obj
-        })
-        raise_violations("link config", validate(link))
+    link = _parse_section(LinkConfig, {
+        key: value for key, value in obj.items()
+        if key not in ("architecture", "p_her_reference")
+    }, "")
+    raise_violations("link config", validate(link))
 
     architecture = None
     if "architecture" in obj:
@@ -232,23 +204,23 @@ def parse_config(path) -> ParsedConfig:
 
 
 def _section_doc(section) -> dict:
-    """A section's fields in declared order, Enums by value, unset ones dropped."""
+    """A section's fields in declared order, Enums by value, sections as
+    their docs, unset ones dropped."""
     doc = {}
     for f, _, _ in schema(type(section)):
         value = getattr(section, f.name)
+        if isinstance(value, Enum):
+            value = value.value
+        elif is_dataclass(value):
+            value = _section_doc(value)
         if value is not None:
-            doc[f.name] = value.value if isinstance(value, Enum) else value
+            doc[f.name] = value
     return doc
 
 
 def resolved_config(parsed: ParsedConfig) -> dict:
     """Materialize every default into a plain dict that parses back equal."""
-    doc: dict = {}
-    if parsed.link is not None:
-        for name in _LINK_SECTIONS:
-            section = getattr(parsed.link, name)
-            if section is not None:
-                doc[name] = _section_doc(section)
+    doc = _section_doc(parsed.link)
     if parsed.architecture is not None:
         doc["architecture"] = _section_doc(parsed.architecture)
     if parsed.p_her_reference is not None:

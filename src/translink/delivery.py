@@ -89,6 +89,9 @@ _UNDERFLOW_LOG2 = -1100.0
 # than the mask's own handful of numpy calls, which the optimum's bisection
 # would pay at every step.
 _POWER_MASK_MIN = 64
+# Where |r - d| is below this, S takes its degenerate limit q k m^(k-1),
+# m = (r + d)/2, in place of the cancelling difference quotient.
+_DEGENERATE_GAP = 1e-9
 
 
 def _power(base, k: np.ndarray) -> np.ndarray:
@@ -125,9 +128,9 @@ def _success_decay(q, k: np.ndarray, d: float):
     core = rk - _power(d, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         core /= r - d
-    # degenerate limit (r^k - d^k)/(r - d) -> k * m^(k-1) where |r - d| < 1e-9,
-    # evaluated only when some entry is degenerate
-    degenerate = np.abs(r - d) < 1e-9
+    # degenerate limit (r^k - d^k)/(r - d) -> k * m^(k-1), evaluated only
+    # when some entry is degenerate
+    degenerate = np.abs(r - d) < _DEGENERATE_GAP
     if np.any(degenerate):
         m = 0.5 * (r + d)
         np.copyto(core, k * np.power(m, k - 1, dtype=float), where=degenerate)
@@ -314,7 +317,7 @@ def _peak_rounds(r: np.ndarray, d: float) -> np.ndarray:
     peak = np.where((r == 0.0) | (d == 0.0), 1.0, peak)
     # no decay, or q below float resolution: S = q (1 - d^k)/(1 - d) rises
     peak = np.where((r == 1.0) | (d == 1.0), np.inf, peak)
-    return np.where(np.abs(r - d) < 1e-9, degenerate, peak)
+    return np.where(np.abs(r - d) < _DEGENERATE_GAP, degenerate, peak)
 
 
 def _first_reaching(f_del_at, q, floor, low, k, f):

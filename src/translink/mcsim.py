@@ -99,22 +99,16 @@ class MCStats:
     mean_f_del: float
     std_error: float
     p_success: float
+    n_no_herald: int
     herald_rounds: tuple  # the rounds at which some trial heralded, ascending
     herald_histogram: tuple  # count of heralds at each of herald_rounds
-    n_no_herald: int
     trials: TrialColumns | None = None  # only when requested
 
     def to_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "mean_f_del": self.mean_f_del,
-            "std_error": self.std_error,
-            "p_success": self.p_success,
-            "n_no_herald": self.n_no_herald,
-            "herald_rounds": list(self.herald_rounds),
-            "herald_histogram": list(self.herald_histogram),
-        }
+        """Every field but trials, in order, with tuples as lists."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        del doc["trials"]
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
 
 def _herald_rounds(u, p_her, n_channels, k_rounds) -> np.ndarray:

@@ -179,13 +179,17 @@ class DeliveryPolicy:
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Full description of one inter-module entanglement link."""
+    """Full description of one inter-module entanglement link.
+
+    Its fields are a config file's link sections, in the order in which
+    they are parsed, validated and written back.
+    """
 
     transducer: TransducerParams
     qubit: StorageQubitParams
     protocol: ProtocolSpec
+    memory: MemoryParams | None = field(default=None, kw_only=True)
     policy: DeliveryPolicy
-    memory: MemoryParams | None = None
 
 
 class Architecture(Enum):

@@ -374,7 +374,10 @@ def test_config_without_link_exits_1(tmp_path, capsys, command):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1
-    assert "no link sections" in json.loads(err)["message"]
+    error = json.loads(err)
+    assert (error["error"], error["pointer"]) == ("SchemaError", "/")
+    assert all(name in error["message"]
+               for name in ("transducer", "qubit", "protocol", "policy"))
     assert not out_dir.exists()
 
 

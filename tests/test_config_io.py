@@ -232,7 +232,51 @@ def test_memory_requires_link():
     }
     with pytest.raises(SchemaError) as err:
         parse_config_data(data)
-    assert err.value.pointer == "/memory"
+    assert err.value.pointer == "/"
+    assert "transducer" in str(err.value)
+
+
+def test_missing_keys_named_in_one_error():
+    data = _base_data()
+    data["transducer"] = {"eta_mw": 0.8, "p_mo": 0.01, "eta_det": 0.5}
+    with pytest.raises(SchemaError) as err:
+        parse_config_data(data)
+    assert err.value.pointer == "/transducer"
+    assert str(err.value).endswith("missing required keys 'n_th', 't_rep_us'")
+
+
+def test_resolved_config_follows_link_field_order():
+    # given in the reverse order, written back in LinkConfig's field order
+    data = {
+        "p_her_reference": 0.01,
+        "architecture": {
+            "qubits_per_processor": 500,
+            "clock_cycle_us": 2.0,
+            "transducer_budget": 2000,
+            "target_fidelity": 0.8,
+        },
+        "policy": {"t_del_us": 40.0},
+        "memory": {"kind": "catch_release", "eta_mem": 0.8, "lifetime_us": 500.0},
+        "protocol": {"basis": "two_photon", "pump": "tms"},
+        "qubit": "preset:qubit1",
+        "transducer": "preset:transducer1",
+    }
+    assert list(resolved_config(parse_config_data(data))) == [
+        "transducer", "qubit", "protocol", "memory", "policy",
+        "architecture", "p_her_reference",
+    ]
+
+
+def test_link_violations_in_section_order():
+    data = _base_data()
+    data["protocol"] = {"basis": "two_photon", "pump": "upconversion"}
+    data["policy"] = {"t_del_us": 88.0, "n_parallel": 0}
+    data["memory"] = {"kind": "spin_cavity", "eta_mem": 2.0, "lifetime_us": 100.0}
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(data)
+    assert err.value.violations == [
+        "memory.eta_mem out of [0, 1]", "policy.n_parallel must be >= 1"
+    ]
 
 
 def test_empty_config_rejected():
