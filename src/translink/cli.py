@@ -2,15 +2,16 @@
 
 Subcommands: analyze, simulate, plan, tradeoff, distill, presets. One runner
 does what they share. It reads the JSON config (see config_io) when --config
-is given: presets takes none and distill's is optional. It applies the link
-overrides, resolves the link and builds the run manifest. Each command then
-only computes and hands its artifacts to the runner in order, which writes
-each atomically into --out (default: current directory). Once the command
-returns, the runner echoes the first, primary artifact to stdout. A rejected
-input writes nothing. A negative value after a space (`--f-in -1e5`, `--t-del
--inf`) reads as `--f-in=-1e5` does. Errors print one JSON object to stderr;
-exit codes: 0 success, 1 configuration error or an artifact that cannot be
-written, 2 model-domain error.
+is given: presets takes none, and distill takes one or, in its place, --f-in
+with --rounds. It applies the link overrides, resolves the link and builds
+the run manifest. Each command then only computes and hands its artifacts
+to the runner in order, which writes each atomically into --out (default:
+current directory). Once the command returns, the runner echoes the first,
+primary artifact to stdout. A rejected input writes nothing. A negative
+value after a space (`--f-in -1e5`, `--t-del -inf`) reads as `--f-in=-1e5`
+does. Errors print one JSON object to stderr; exit codes: 0 success, 1
+configuration error or an artifact that cannot be written, 2 model-domain
+error.
 """
 
 from __future__ import annotations
@@ -124,17 +125,25 @@ def _build_parser() -> _Parser:
 
     def subcommand(func, help, config=True, t_del=True):
         """The subcommand that func runs. Its --config is required (True),
-        optional (False) or absent with the link overrides (None)."""
+        optional (False) or absent with the link overrides (None). An
+        optional --config is distill's, and --f-in, an input fidelity in
+        place of the config's link, excludes it."""
         p = sub.add_parser(func.__name__.removeprefix("_cmd_"), help=help)
         p.set_defaults(func=func)
         p.add_argument("--out", default=".", help="artifact output directory")
         if config is None:
             return p
-        p.add_argument(
+        source = p if config else p.add_mutually_exclusive_group()
+        source.add_argument(
             "--config", required=config,
             help="JSON config file" if config else "JSON config file; the link "
             "overrides need one",
         )
+        if not config:
+            source.add_argument(
+                "--f-in", type=float,
+                help="input fidelity in place of a config's link; needs --rounds",
+            )
         if t_del:
             p.add_argument(
                 "--t-del", type=float, metavar="MICROSECONDS",
@@ -197,10 +206,6 @@ def _build_parser() -> _Parser:
         "--mode", choices=[m.value for m in DistillMode], default="calibrated"
     )
     distill.add_argument(
-        "--f-in", type=float,
-        help="input fidelity (default: the link's delivered fidelity)",
-    )
-    distill.add_argument(
         "--rounds", type=int,
         help="distillation rounds (default: the policy's distill_rounds)",
     )
@@ -232,12 +237,12 @@ def _run(args, command: str) -> int:
     """Run one subcommand: everything but its own computation happens here.
 
     The handler args.func(args, parsed, link, emit) gets the parsed config
-    (None without --config) and its resolved link (None when the handler
-    reads no link), and passes each artifact to emit(name, data): a JSON
-    payload for a .json name, CSV columns for a .csv one. Only the first
-    artifact's text is kept, for stdout. The link overrides change only a
-    link that is resolved, and resolve checks it; where none is (no
-    --config, or distill given --f-in), they are refused.
+    and its resolved link (both None without --config), and passes each
+    artifact to emit(name, data): a JSON payload for a .json name, CSV
+    columns for a .csv one. Only the first artifact's text is kept, for
+    stdout. The link overrides change the config's link before it is
+    resolved, and resolve checks the result; without --config they are
+    refused.
     """
     parsed = link = None
     if getattr(args, "config", None) is not None:
@@ -247,14 +252,11 @@ def _run(args, command: str) -> int:
             raise ConfigError(
                 f"{args.command} requires an architecture section in the config"
             )
-        # distill given --f-in reads nothing of the link's analytics
-        if getattr(args, "f_in", None) is None:
-            link = resolve(parsed.link, parsed.p_her_reference)
-    if link is None and any(getattr(args, k, None) is not None
-                            for k in ("t_del", "protocol", "fidelity_model")):
+        link = resolve(parsed.link)
+    elif any(getattr(args, k, None) is not None
+             for k in ("t_del", "protocol", "fidelity_model")):
         raise ConfigError(
             f"{args.command}'s --t-del, --protocol and --fidelity-model need --config"
-            + (" and no --f-in" if parsed else "")
         )
     manifest = build_manifest(
         command, resolved_config(parsed) if parsed else {},
@@ -278,8 +280,9 @@ def _columns(cls, column) -> dict:
     return {f.name: column(f.name) for f in fields(cls)}
 
 
-def _discrepancy_report(link: Link, reference: float | None) -> dict | None:
-    """Compare the formula herald probability against an external reference."""
+def _discrepancy_report(link: Link) -> dict | None:
+    """Compare the formula herald probability against the config's reference."""
+    reference = link.config.p_her_reference
     if reference is None:
         return None
     formula = link.formula.p_her
@@ -298,7 +301,7 @@ def _cmd_analyze(args, parsed: ParsedConfig, link: Link, emit) -> None:
     payload = {
         "metrics": delivered_fidelity(link),
         "infidelity_breakdown": infidelity_breakdown(link),
-        "p_her_discrepancy": _discrepancy_report(link, parsed.p_her_reference),
+        "p_her_discrepancy": _discrepancy_report(link),
     }
     # before any write, so that a rejected --k-max leaves no artifact behind
     curve = delivery_curve(link, k_max=args.k_max)
@@ -405,13 +408,12 @@ def _cmd_tradeoff(args, parsed: ParsedConfig, link: Link, emit) -> None:
 
 def _cmd_distill(args, parsed: ParsedConfig | None, link: Link | None, emit) -> None:
     f_in, rounds = args.f_in, args.rounds
-    # argparse's float takes "nan" and "inf"; a config file's number cannot be either
-    if f_in is not None and not math.isfinite(f_in):
-        raise ConfigError(f"--f-in: expected a finite number, got {f_in}")
-    if link is not None:  # resolved only when --config is given and --f-in is not
+    if link is not None:  # --config, which excludes --f-in
         f_in = delivered_fidelity(link).f_del
-    if rounds is None and parsed is not None:
-        rounds = parsed.link.policy.distill_rounds
+        rounds = link.config.policy.distill_rounds if rounds is None else rounds
+    # argparse's float takes "nan" and "inf"; a config file's number cannot be either
+    elif f_in is not None and not math.isfinite(f_in):
+        raise ConfigError(f"--f-in: expected a finite number, got {f_in}")
     if f_in is None or rounds is None:
         raise ConfigError("distill needs --config or both --f-in and --rounds")
     mode = DistillMode(args.mode)

@@ -1,16 +1,16 @@
 """JSON config ingestion and artifact emission.
 
-The config file is a single JSON object: a LinkConfig plus two keys,
+The config file is a single JSON object: a LinkConfig plus one key,
 
     transducer, qubit, protocol, policy   (the link; required in every config)
     memory                                 (optional)
-    architecture                           (optional; required for planning)
     p_her_reference                        (optional externally quoted p_her)
+    architecture                           (optional; required for planning)
 
 The transducer and qubit sections accept "preset:<name>" strings in place
-of objects. The link's sections are the fields of LinkConfig, and a
-section's keys, their types, defaults and ranges are the fields declared
-on its dataclass (see params.schema). Parsing is strict: unknown keys are
+of objects. The link's keys are the fields of LinkConfig, and a section's
+keys, their types, defaults and ranges are the fields declared on its
+dataclass (see params.schema). Parsing is strict: unknown keys are
 rejected with a JSON-pointer path, missing ones are all named in one error,
 and no invalid file produces a partially usable object.
 
@@ -55,11 +55,11 @@ _PRESET_KINDS = {TransducerParams: "transducer", StorageQubitParams: "storage qu
 
 @dataclass(frozen=True)
 class ParsedConfig:
-    """Everything a single config file can define; every config has a link."""
+    """Everything a single config file can define: a link, p_her_reference
+    included, and an optional architecture."""
 
     link: LinkConfig
     architecture: ArchitectureSpec | None
-    p_her_reference: float | None
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,9 @@ def _parse_section(cls, value, pointer: str):
 def parse_config_data(data) -> ParsedConfig:
     """Validate a decoded JSON document and build the typed configuration."""
     obj = _expect_object(data, "/")
-    link = _parse_section(LinkConfig, {
-        key: value for key, value in obj.items()
-        if key not in ("architecture", "p_her_reference")
-    }, "")
+    link = _parse_section(
+        LinkConfig, {key: value for key, value in obj.items() if key != "architecture"}, ""
+    )
     raise_violations("link config", validate(link))
 
     architecture = None
@@ -175,13 +174,7 @@ def parse_config_data(data) -> ParsedConfig:
             ArchitectureSpec, obj["architecture"], "/architecture"
         )
         raise_violations("architecture spec", validate_architecture(architecture))
-
-    reference = None
-    if "p_her_reference" in obj:
-        reference = _expect_number(obj["p_her_reference"], "/p_her_reference")
-        if not 0.0 < reference <= 1.0:
-            raise SchemaError("/p_her_reference", "out of (0, 1]")
-    return ParsedConfig(link=link, architecture=architecture, p_her_reference=reference)
+    return ParsedConfig(link=link, architecture=architecture)
 
 
 def parse_config(path) -> ParsedConfig:
@@ -223,8 +216,6 @@ def resolved_config(parsed: ParsedConfig) -> dict:
     doc = _section_doc(parsed.link)
     if parsed.architecture is not None:
         doc["architecture"] = _section_doc(parsed.architecture)
-    if parsed.p_her_reference is not None:
-        doc["p_her_reference"] = parsed.p_her_reference
     return doc
 
 

@@ -45,7 +45,7 @@ class Link:
 
     formula holds the closed-form protocol analytics. p_her is the herald
     probability per attempt and channel that the models use: the formula
-    value, or the external reference that replaced it. f_her is the
+    value, or config.p_her_reference where that replaces it. f_her is the
     heralded fidelity under the policy's fidelity model.
     """
 
@@ -55,21 +55,16 @@ class Link:
     f_her: float
 
 
-def resolve(config: LinkConfig, p_her_reference: float | None = None) -> Link:
+def resolve(config: LinkConfig) -> Link:
     """Validate a link and evaluate its protocol analytics, once.
 
-    A p_her_reference, an externally quoted herald probability in (0, 1],
-    replaces the formula value in every model; the infidelities and f_her
-    are unaffected.
+    The config's p_her_reference, when set, replaces the formula value in
+    every model; the infidelities and f_her are unaffected.
     """
     raise_violations("link config", validate(config))
     formula = analyze_protocol(config.transducer, config.protocol, config.memory)
     f_her = heralded_fidelity(formula, config.policy.fidelity_model)
-    p_her = formula.p_her
-    if p_her_reference is not None:
-        if not 0.0 < p_her_reference <= 1.0:
-            raise ConfigError("p_her reference out of (0, 1]")
-        p_her = p_her_reference
+    p_her = formula.p_her if config.p_her_reference is None else config.p_her_reference
     return Link(config=config, formula=formula, p_her=p_her, f_her=f_her)
 
 

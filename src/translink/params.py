@@ -13,7 +13,7 @@ import functools
 import math
 import operator
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 
 from .errors import ConfigError, PresetNotFoundError
@@ -181,8 +181,11 @@ class DeliveryPolicy:
 class LinkConfig:
     """Full description of one inter-module entanglement link.
 
-    Its fields are a config file's link sections, in the order in which
-    they are parsed, validated and written back.
+    Its fields are a config file's link keys, in the order in which they
+    are parsed, validated and written back. p_her_reference, an externally
+    quoted herald probability, replaces the formula value in every model
+    (see delivery.resolve), so the config alone determines the resolved
+    link.
     """
 
     transducer: TransducerParams
@@ -190,6 +193,9 @@ class LinkConfig:
     protocol: ProtocolSpec
     memory: MemoryParams | None = field(default=None, kw_only=True)
     policy: DeliveryPolicy
+    p_her_reference: float | None = bounded(
+        lambda p: 0.0 < p <= 1.0, "out of (0, 1]", default=None, kw_only=True
+    )
 
 
 class Architecture(Enum):
@@ -331,7 +337,9 @@ def schema(cls) -> tuple:
 def field_violations(section, prefix: str) -> list[str]:
     """Violations of the ranges and types declared on one section's fields.
 
-    Unset optional fields are skipped. A float field that holds NaN is
+    A field is named `prefix.field`, or `field` when prefix is "" (the
+    root), and a section-valued field's own fields are checked under its
+    name. Unset optional fields are skipped. A float field that holds NaN is
     reported as such, since the range text alone would not name the cause.
     A field declared int must hold an integer: a Python int or a numpy
     integer (anything `operator.index` accepts), but not a bool, and not a
@@ -342,10 +350,13 @@ def field_violations(section, prefix: str) -> list[str]:
     v: list[str] = []
     for f, kind, optional in schema(type(section)):
         value = getattr(section, f.name)
+        name = f"{prefix}.{f.name}" if prefix else f.name
         if optional and value is None:
             continue
+        if is_dataclass(value):  # a section: no range, int, float or Enum of its own
+            v += field_violations(value, name)
         for holds, text in f.metadata.get("range", ()):
-            _require(v, f"{prefix}.{f.name} {text}", lambda: holds(value))
+            _require(v, f"{name} {text}", lambda: holds(value))
         if kind is int:
             try:
                 operator.index(value)
@@ -353,15 +364,15 @@ def field_violations(section, prefix: str) -> list[str]:
             except TypeError:
                 integral = False
             if not integral:
-                v.append(f"{prefix}.{f.name} is not an integer")
+                v.append(f"{name} is not an integer")
         if kind is float:
             try:
                 if math.isnan(value):
-                    v.append(f"{prefix}.{f.name} is NaN")
+                    v.append(f"{name} is NaN")
             except TypeError:
-                v.append(f"{prefix}.{f.name} is not a number")
+                v.append(f"{name} is not a number")
         if issubclass(kind, Enum) and not isinstance(value, kind):
-            v.append(f"{prefix}.{f.name} is not a {kind.__name__}")
+            v.append(f"{name} is not a {kind.__name__}")
     return v
 
 
@@ -369,14 +380,10 @@ def validate(config: LinkConfig) -> list[str]:
     """Check every invariant of a LinkConfig; returns a list of violations.
 
     Total: never raises for any finite input. An empty list means the
-    config is valid. The declared field ranges come first, section by
-    section, then the rules that tie fields together.
+    config is valid. The declared field ranges come first, in field order,
+    then the rules that tie fields together.
     """
-    v: list[str] = []
-    for f in fields(config):
-        section = getattr(config, f.name)
-        if section is not None:
-            v += field_violations(section, f.name)
+    v = field_violations(config, "")
 
     t, p, pol, m = config.transducer, config.protocol, config.policy, config.memory
     if (p.basis, p.pump) == ALPHA_PROTOCOL:

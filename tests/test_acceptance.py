@@ -110,7 +110,7 @@ def test_criterion_1_example1_reproduction():
 
 def test_criterion_2_example2_reproduction(tmp_path, capsys):
     with _verdict(2, "example-2 memory link + flagged herald discrepancy"):
-        m = delivered_fidelity(resolve(_example2(), 0.03))
+        m = delivered_fidelity(resolve(replace(_example2(), p_her_reference=0.03)))
         assert m.f_del == pytest.approx(0.91, abs=0.02)
         # the formula herald probability deviates from the quoted 0.03
         # by more than the flag threshold but stays within 25%
@@ -174,12 +174,12 @@ def test_criterion_5_mc_analytic_equivalence():
             (_example3(), None, 1 - (1 - 0.02) ** 20, 15),
         ]
         for cfg, ref, q, k_rounds in cases:
-            m = delivered_fidelity(resolve(cfg, ref))
+            m = delivered_fidelity(resolve(replace(cfg, p_her_reference=ref)))
             lo = binom.ppf(0.00135, N_TRIALS, m.p_success)
             hi = binom.ppf(1 - 0.00135, N_TRIALS, m.p_success)
             passed = 0
             for seed in range(N_SEEDS):
-                s = run_trials(resolve(cfg, ref), N_TRIALS, seed)
+                s = run_trials(resolve(replace(cfg, p_her_reference=ref)), N_TRIALS, seed)
                 mean_ok = abs(s.mean_f_del - m.f_del) <= 3 * s.std_error
                 successes = N_TRIALS - s.n_no_herald
                 if mean_ok and lo <= successes <= hi:
@@ -187,7 +187,7 @@ def test_criterion_5_mc_analytic_equivalence():
             assert passed >= 99, f"only {passed}/100 seeds within 3 SE"
 
             # herald-round distribution vs the truncated geometric law
-            s = run_trials(resolve(cfg, ref), N_TRIALS, seed=0)
+            s = run_trials(resolve(replace(cfg, p_her_reference=ref)), N_TRIALS, seed=0)
             expected = [
                 N_TRIALS * (1 - q) ** (k - 1) * q for k in range(1, k_rounds + 1)
             ]

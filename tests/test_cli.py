@@ -196,7 +196,7 @@ def _trials_csv_oracle(config: str, trials: int, seed: int) -> str:
     The run takes one job: the command's rows must not depend on --jobs.
     """
     parsed = parse_config(config)
-    link = resolve(parsed.link, parsed.p_her_reference)
+    link = resolve(parsed.link)
     cols = run_trials(link, trials, seed, keep_trials=True).trials
     lines = ["trial,herald_round,winning_channel,tau_us,f_del\n"]
     for trial, (rnd, chan, tau, f_del) in enumerate(zip(
@@ -729,10 +729,12 @@ def test_distill_requires_inputs(tmp_path, capsys):
     "override", [["--t-del", "nan"], ["--protocol", "2p-tms"], ["--fidelity-model", "linear"]]
 )
 def test_distill_link_overrides_need_config(tmp_path, capsys, override):
-    """The overrides change only a link that distill resolves: none without
-    --config, and none with --f-in, which distill reads instead of the link."""
+    """The overrides change only a link that distill resolves, so they need
+    --config; and --config with --f-in, which would replace the link's
+    fidelity, is refused whatever else is given."""
     out_dir = tmp_path / "out"
-    for config in ([], ["--config", EX1]):
+    for config, refusal in (([], ["need --config"]),
+                            (["--config", EX1], ["--f-in", "--config"])):
         code, out, err = _run(
             capsys, "distill", *config, "--f-in", "0.9", "--rounds", "2", *override,
             "--out", str(out_dir),
@@ -741,7 +743,7 @@ def test_distill_link_overrides_need_config(tmp_path, capsys, override):
         assert err.count("\n") == 1
         payload = json.loads(err)
         assert payload["error"] == "ConfigError"
-        assert "need --config" in payload["message"]
+        assert all(text in payload["message"] for text in refusal)
         assert not out_dir.exists()
 
 
@@ -750,7 +752,7 @@ def test_distill_empty_config_path_fails_to_open(tmp_path, capsys, override):
     """An empty --config is a path like any other, with or without overrides."""
     out_dir = tmp_path / "out"
     code, out, err = _run(
-        capsys, "distill", "--config", "", "--f-in", "0.9", "--rounds", "2",
+        capsys, "distill", "--config", "", "--rounds", "2",
         *override, "--out", str(out_dir),
     )
     assert (code, out) == (1, "")
@@ -825,13 +827,15 @@ def test_model_domain_error_carries_offending_sum(tmp_path, capsys):
         "protocol": {"basis": "one_photon", "pump": "upconversion", "alpha": 0.05},
         "policy": {"t_del_us": 50.0},
     }))
-    # distill given --f-in reads none of the link's analytics, so it still runs
-    code, out, err = _run(
-        capsys, "distill", "--config", str(cfg), "--f-in", "0.9", "--rounds", "2",
+    # distill given a config resolves its link, as analyze does
+    code, _, err = _run(
+        capsys, "distill", "--config", str(cfg), "--rounds", "2",
         "--out", str(tmp_path / "distill"),
     )
-    assert (code, err) == (0, "")
-    assert json.loads(out)["distill"]["f_in"] == 0.9
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ModelDomainError"
+    assert payload["offending_sum"] == pytest.approx(1.3, rel=1e-9)
     code, _, err = _run(capsys, "analyze", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 2
     payload = json.loads(err)

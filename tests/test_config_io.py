@@ -31,6 +31,7 @@ from translink import (
     emit_json,
     parse_config,
     parse_config_data,
+    resolve,
     resolved_config,
 )
 from translink import config_io
@@ -56,11 +57,13 @@ def test_parse_shipped_examples():
     assert p1.link.protocol.pump is PumpMode.TMS
     assert p1.link.policy.t_del_us == 88.0
     assert p1.architecture is None
-    assert p1.p_her_reference is None
+    assert p1.link.p_her_reference is None
 
     p2 = parse_config(ROOT / "examples/ex2.json")
     assert p2.link.memory.kind is MemoryKind.SPIN_CAVITY
-    assert p2.p_her_reference == 0.03
+    assert p2.link.p_her_reference == 0.03
+    # the link alone resolves to the reference, not the formula's 0.02375
+    assert resolve(p2.link).p_her == 0.03
 
     p3 = parse_config(ROOT / "examples/ex3.json")
     assert p3.link.protocol.p_mo_override == 0.02
@@ -78,7 +81,7 @@ def test_readme_configuration_sample_parses():
     parsed = parse_config_data(json.loads(sample))
     assert parsed.link.memory.kind is MemoryKind.SPIN_CAVITY
     assert parsed.architecture is not None
-    assert parsed.p_her_reference == 0.03
+    assert parsed.link.p_her_reference == 0.03
 
 
 def test_readme_names_every_config_field():
@@ -263,7 +266,7 @@ def test_resolved_config_follows_link_field_order():
     }
     assert list(resolved_config(parse_config_data(data))) == [
         "transducer", "qubit", "protocol", "memory", "policy",
-        "architecture", "p_her_reference",
+        "p_her_reference", "architecture",
     ]
 
 
@@ -286,11 +289,17 @@ def test_empty_config_rejected():
 
 
 def test_p_her_reference_bounds():
-    for bad in (0.0, -0.5, 1.0001, "0.5", True):
+    # a number out of range breaks the link's declared range, as any field's does
+    for bad in (0.0, -0.5, 1.0001):
+        with pytest.raises(ConfigError) as err:
+            parse_config_data({**_base_data(), "p_her_reference": bad})
+        assert not isinstance(err.value, SchemaError)
+        assert err.value.violations == ["p_her_reference out of (0, 1]"]
+    for bad in ("0.5", True):
         with pytest.raises(SchemaError):
             parse_config_data({**_base_data(), "p_her_reference": bad})
     ok = parse_config_data({**_base_data(), "p_her_reference": 1.0})
-    assert ok.p_her_reference == 1.0
+    assert ok.link.p_her_reference == 1.0
 
 
 def test_type_strictness():

@@ -443,7 +443,9 @@ def test_optimal_width_argument_shapes():
     ids=["ex1-3-408", "ex2-ref-18"],
 )
 def test_optimal_at_ulp_sensitive_widths(cfg, p_her, widths):
-    t_del, f_del = optimal_delivery_time(resolve(cfg, p_her), n_parallel=np.array(widths))
+    t_del, f_del = optimal_delivery_time(
+        resolve(replace(cfg, p_her_reference=p_her)), n_parallel=np.array(widths)
+    )
     got = list(zip(t_del.tolist(), f_del.tolist()))
     assert got == [
         grid_optimal_delivery_time(_width(cfg, n), p_her=p_her) for n in widths
@@ -604,7 +606,7 @@ def test_infinite_coherence_needs_explicit_grid():
 
 
 def test_p_her_override_replaces_formula_value():
-    m = delivered_fidelity(resolve(_ex2(), 0.03))
+    m = delivered_fidelity(resolve(replace(_ex2(), p_her_reference=0.03)))
     assert m.p_her == pytest.approx(0.03, rel=1e-12)
     assert m.eta_link == pytest.approx(75.0, rel=1e-12)
     assert m.p_success == pytest.approx(0.999994887, abs=5e-10)
@@ -617,9 +619,9 @@ def test_p_her_override_replaces_formula_value():
 def test_p_her_override_bounds():
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ConfigError):
-            delivered_fidelity(resolve(_ex1(), bad))
+            delivered_fidelity(resolve(replace(_ex1(), p_her_reference=bad)))
     # exactly 1.0 is a legal (if optimistic) reference value
-    m = delivered_fidelity(resolve(_ex1(), 1.0))
+    m = delivered_fidelity(resolve(replace(_ex1(), p_her_reference=1.0)))
     assert m.p_success == 1.0
 
 

@@ -64,7 +64,7 @@ def _ex2():
         memory=MemoryParams(MemoryKind.SPIN_CAVITY, eta_mem=1.0, lifetime_us=1000.0),
         policy=DeliveryPolicy(t_del_us=400.0),
     )
-    return resolve(cfg, 0.03)
+    return resolve(replace(cfg, p_her_reference=0.03))
 
 
 def test_reference_run_regression():
@@ -106,7 +106,7 @@ def _mc_links(draw):
         ),
     )
     reference = draw(st.none() | st.just(1.0) | st.floats(1e-4, 0.6))
-    link = resolve(cfg, reference)
+    link = resolve(replace(cfg, p_her_reference=reference))
     f_her = draw(st.none() | st.floats(0.25, 0.5) | st.floats(0.5, 1.0))
     return link if f_her is None else replace(link, f_her=f_her)
 
@@ -226,7 +226,8 @@ def test_inversion_edge_cases():
     assert rounds.tolist() == [0] * 4 and chans.tolist() == [-1] * 4
     rounds, chans = _invert(zero, zero, 1e-18, 1, 88)
     assert rounds.tolist() == [1] * 4 and chans.tolist() == [0] * 4
-    out = run_trials(resolve(_ex1(), 1e-18), 10_000, seed=4, keep_trials=True)
+    link = resolve(replace(_ex1(), p_her_reference=1e-18))
+    out = run_trials(link, 10_000, seed=4, keep_trials=True)
     assert out.p_success == 0.0 and out.mean_f_del == 0.5
     assert (out.trials.winning_channel == -1).all()
 
@@ -251,7 +252,7 @@ def test_inversion_edge_cases():
 
 def test_full_round_span_runs():
     """A link at the 10^7-round cap costs the same two draws per trial."""
-    link = resolve(_ex1(10_000_000.0), 1e-7)
+    link = resolve(replace(_ex1(10_000_000.0), p_her_reference=1e-7))
     out = run_trials(link, 2000, seed=9, n_jobs=2, keep_trials=True)
     # the histogram holds only the rounds that heralded, ascending
     heralded = out.trials.herald_round[out.trials.herald_round > 0]
@@ -421,7 +422,8 @@ def test_zero_herald_probability():
 def test_certain_herald_via_override():
     cfg = _ex1(10.0)
     m = delivered_fidelity(resolve(cfg))
-    out = run_trials(resolve(cfg, 1.0), 200, seed=2, keep_trials=True)
+    link = resolve(replace(cfg, p_her_reference=1.0))
+    out = run_trials(link, 200, seed=2, keep_trials=True)
     assert out.p_success == 1.0
     assert out.herald_rounds == (1,) and out.herald_histogram == (200,)
     want = 0.5 + (m.f_her - 0.5) * math.exp(-9.0 / 200.0)

@@ -244,6 +244,12 @@ def test_validate_names_every_nan_float_field(section):
         assert f"{section}.{name} is NaN" in validate(bad)
 
 
+def test_validate_names_a_nan_p_her_reference():
+    """The link's own float field is named without a section prefix."""
+    bad = replace(_link(), p_her_reference=math.nan)
+    assert "p_her_reference is NaN" in validate(bad)
+
+
 SECTIONS = ["transducer", "qubit", "protocol", "policy", "memory", "architecture"]
 
 

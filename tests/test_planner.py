@@ -202,7 +202,31 @@ def test_lattice_plan_distilled_min_t_del_matches_grid_oracle(rounds):
         assert plan.min_t_del_us == t_grid[hits[0]], target
         f_del = _distilled_by_hand(delivered_fidelity(link).f_del, rounds)
         assert plan.fidelity_at_t_del == f_del
-        assert plan.fidelity_met is (f_del + 1e-12 >= target)
+        assert plan.fidelity_met is (f_del >= target)
+
+
+@pytest.mark.parametrize("rounds", [0, 2])
+def test_lattice_plan_fidelity_met_iff_min_t_del_reached(rounds):
+    """Up to the optimum, f_del rises round by round, so at a t_del on the
+    round grid the verdict and the search agree: fidelity_met holds exactly
+    when min_t_del_us <= t_del_us. The targets sit at each grid value, one
+    float above it and 5e-13 above it."""
+    cfg = _parallel_link()
+    cfg = replace(cfg, policy=replace(cfg.policy, distill_rounds=rounds))
+    t_opt, _ = optimal_delivery_time(resolve(cfg))
+    for t_del in np.arange(1.0, t_opt + 1.0).tolist():  # t_rep is 1 us
+        link = resolve(replace(cfg, policy=replace(cfg.policy, t_del_us=t_del)))
+        f_del = _distilled_by_hand(delivered_fidelity(link).f_del, rounds)
+        for target in (f_del, math.nextafter(f_del, 1.0), f_del + 5e-13):
+            if not 0.5 < target < 1.0:
+                continue
+            spec = ArchitectureSpec(1000, 1.0, 10_000, target)
+            if t_del == t_opt and target > f_del:
+                with pytest.raises(UnattainableError):
+                    lattice_surgery_plan(spec, link)
+                continue
+            plan = lattice_surgery_plan(spec, link)
+            assert plan.fidelity_met is (plan.min_t_del_us <= t_del), (t_del, target)
 
 
 def test_lattice_plan_fractional_clock_rounds_up():
@@ -210,6 +234,26 @@ def test_lattice_plan_fractional_clock_rounds_up():
     plan = lattice_surgery_plan(spec, resolve(_parallel_link()))
     assert plan.speedup == pytest.approx(7.5)
     assert plan.transducers_per_link == 20 * 8
+
+
+@pytest.mark.parametrize(
+    "t_del, clock, per_link",
+    [(3.0000000005, 1.0, 4), (0.9, 0.3, 3), (0.7, 0.1, 7), (15.0, 2.0, 8)],
+)
+def test_lattice_plan_channels_cover_the_spelled_quotient(t_del, clock, per_link):
+    """One pair per clock takes ceil(t_del / clock) channels of the decimals
+    given: a fraction above a whole number is never dropped, and a float
+    quotient's last-bit error (0.9 / 0.3, 0.7 / 0.1) adds no channel."""
+    cfg = LinkConfig(
+        transducer=replace(preset("transducer2"), t_rep_us=0.1),
+        qubit=preset("qubit1"),
+        protocol=PARALLEL_PROTOCOL,
+        policy=DeliveryPolicy(t_del_us=t_del),
+    )
+    spec = ArchitectureSpec(1000, clock, 10_000, 0.51)
+    plan = lattice_surgery_plan(spec, resolve(cfg))
+    assert plan.transducers_per_link == per_link
+    assert plan.speedup == t_del / clock
 
 
 def test_lattice_plan_unattainable_target():
