@@ -3,15 +3,16 @@
 Subcommands: analyze, simulate, plan, tradeoff, distill, presets. One runner
 does what they share. It reads the JSON config (see config_io) when --config
 is given: presets takes none, and distill takes one or, in its place, --f-in
-with --rounds. It applies the link overrides, resolves the link and builds
-the run manifest. Each command then only computes and hands its artifacts
-to the runner in order, which writes each atomically into --out (default:
-current directory). Once the command returns, the runner echoes the first,
-primary artifact to stdout. A rejected input writes nothing. A negative
-value after a space (`--f-in -1e5`, `--t-del -inf`) reads as `--f-in=-1e5`
-does. Errors print one JSON object to stderr; exit codes: 0 success, 1
-configuration error or an artifact that cannot be written, 2 model-domain
-error.
+with --rounds. Every link value comes from that file: the runner resolves
+its link and builds the run manifest, whose resolved_config is the file
+with its defaults filled in. Each command then only computes and hands its
+artifacts to the runner in order, which writes each atomically into --out
+(default: current directory). Once the command returns, the runner echoes
+the first, primary artifact to stdout. A rejected input writes nothing. A
+negative value after a space (`--f-in -1e5`, `--f-in -inf`) reads as
+`--f-in=-1e5` does. Errors print one JSON object to stderr; exit codes: 0
+success, 1 configuration error or an artifact that cannot be written, 2
+model-domain error, a result that overflows a float included.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 import re
 import shlex
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -48,16 +49,7 @@ from .delivery import (
 from .distillation import DistillMode, nested_distill
 from .errors import ConfigError, ModelDomainError, SchemaError
 from .mcsim import TrialColumns, run_trials
-from .params import (
-    ALPHA_PROTOCOL,
-    DEVICE_PRESETS,
-    QUBIT_PRESETS,
-    TRANSDUCER_PRESETS,
-    FidelityModel,
-    LinkConfig,
-    PhotonBasis,
-    PumpMode,
-)
+from .params import DEVICE_PRESETS, QUBIT_PRESETS, TRANSDUCER_PRESETS
 from .planner import (
     TradeoffPoint,
     circuit_cut_comparison,
@@ -82,17 +74,6 @@ atexit.register(gc.freeze)
 P_HER_FLAG_REL_TOL = 0.01
 
 DEFAULT_CIRCUIT_BUDGET = 100_000
-
-_PROTOCOL_NAMES = {
-    "1p-upconv": (PhotonBasis.ONE_PHOTON, PumpMode.UPCONVERSION),
-    "1p-tms": (PhotonBasis.ONE_PHOTON, PumpMode.TMS),
-    "2p-upconv": (PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION),
-    "2p-tms": (PhotonBasis.TWO_PHOTON, PumpMode.TMS),
-}
-_FIDELITY_MODELS = {
-    "thermal-half": FidelityModel.THERMAL_HALF,
-    "linear": FidelityModel.LINEAR_SUM,
-}
 
 # Every negative number that float() reads. argparse's own matcher knows only
 # -5 and -.5, and takes -1e5, -inf or -nan after a space for an option.
@@ -123,40 +104,23 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
-    def subcommand(func, help, config=True, t_del=True):
+    def subcommand(func, help, config=True):
         """The subcommand that func runs. Its --config is required (True),
-        optional (False) or absent with the link overrides (None). An
-        optional --config is distill's, and --f-in, an input fidelity in
-        place of the config's link, excludes it."""
+        optional (False) or absent (None). An optional --config is
+        distill's, and --f-in, an input fidelity in place of the config's
+        link, excludes it."""
         p = sub.add_parser(func.__name__.removeprefix("_cmd_"), help=help)
         p.set_defaults(func=func)
         p.add_argument("--out", default=".", help="artifact output directory")
         if config is None:
             return p
         source = p if config else p.add_mutually_exclusive_group()
-        source.add_argument(
-            "--config", required=config,
-            help="JSON config file" if config else "JSON config file; the link "
-            "overrides need one",
-        )
+        source.add_argument("--config", required=config, help="JSON config file")
         if not config:
             source.add_argument(
                 "--f-in", type=float,
                 help="input fidelity in place of a config's link; needs --rounds",
             )
-        if t_del:
-            p.add_argument(
-                "--t-del", type=float, metavar="MICROSECONDS",
-                help="override policy t_del_us",
-            )
-        p.add_argument(
-            "--protocol", choices=sorted(_PROTOCOL_NAMES),
-            help="override the protocol basis/pump",
-        )
-        p.add_argument(
-            "--fidelity-model", choices=sorted(_FIDELITY_MODELS),
-            help="override the heralded-fidelity model",
-        )
         return p
 
     analyze = subcommand(
@@ -191,10 +155,7 @@ def _build_parser() -> _Parser:
         help="also report the graph-state pipe width for this code distance",
     )
 
-    # each width searches its own t_del, so tradeoff takes no --t-del
-    tradeoff = subcommand(
-        _cmd_tradeoff, "Pareto surface of links vs rate vs fidelity", t_del=False
-    )
+    tradeoff = subcommand(_cmd_tradeoff, "Pareto surface of links vs rate vs fidelity")
     tradeoff.add_argument("--format", choices=("csv", "json"), default="csv")
     tradeoff.add_argument("--k-max", type=int, help="last round of the per-width search")
 
@@ -214,25 +175,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_overrides(link: LinkConfig, args) -> LinkConfig:
-    """The link with the command's overrides; resolve checks the result."""
-    protocol = link.protocol
-    if args.protocol:
-        basis, pump = _PROTOCOL_NAMES[args.protocol]
-        protocol = replace(
-            protocol,
-            basis=basis,
-            pump=pump,
-            alpha=protocol.alpha if (basis, pump) == ALPHA_PROTOCOL else None,
-        )
-    policy = link.policy
-    if getattr(args, "t_del", None) is not None:
-        policy = replace(policy, t_del_us=args.t_del)
-    if args.fidelity_model:
-        policy = replace(policy, fidelity_model=_FIDELITY_MODELS[args.fidelity_model])
-    return replace(link, protocol=protocol, policy=policy)
-
-
 def _run(args, command: str) -> int:
     """Run one subcommand: everything but its own computation happens here.
 
@@ -240,24 +182,17 @@ def _run(args, command: str) -> int:
     and its resolved link (both None without --config), and passes each
     artifact to emit(name, data): a JSON payload for a .json name, CSV
     columns for a .csv one. Only the first artifact's text is kept, for
-    stdout. The link overrides change the config's link before it is
-    resolved, and resolve checks the result; without --config they are
-    refused.
+    stdout. The steps: parse the config, resolve its link, build the
+    manifest and run the handler.
     """
     parsed = link = None
     if getattr(args, "config", None) is not None:
         parsed = parse_config(args.config)
-        parsed = replace(parsed, link=_apply_overrides(parsed.link, args))
         if args.command in ("plan", "tradeoff") and parsed.architecture is None:
             raise ConfigError(
                 f"{args.command} requires an architecture section in the config"
             )
         link = resolve(parsed.link)
-    elif any(getattr(args, k, None) is not None
-             for k in ("t_del", "protocol", "fidelity_model")):
-        raise ConfigError(
-            f"{args.command}'s --t-del, --protocol and --fidelity-model need --config"
-        )
     manifest = build_manifest(
         command, resolved_config(parsed) if parsed else {},
         seed=getattr(args, "seed", None),

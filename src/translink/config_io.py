@@ -17,7 +17,9 @@ and no invalid file produces a partially usable object.
 Every emitted artifact embeds a RunManifest (tool version, command line,
 fully resolved config, seed, timestamp); the resolved config parses back to
 the identical configuration. Floats are serialized with 9 significant
-digits; files are written to a temp name and renamed so failures never leave
+digits. JSON is strict (RFC 8259), so a non-finite float in a JSON artifact
+or manifest line is a ModelDomainError, while a CSV cell writes inf or nan.
+Files are written to a temp name and renamed so failures never leave
 partial artifacts, and they get the mode that the umask gives a new file.
 """
 
@@ -33,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, ModelDomainError, SchemaError
 from .params import (
     ArchitectureSpec,
     LinkConfig,
@@ -182,13 +184,13 @@ def parse_config(path) -> ParsedConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not text.strip():
         raise SchemaError("/", "empty config file")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an integer longer than int() reads
         raise SchemaError("/", f"invalid JSON: {exc}") from exc
     return parse_config_data(data)
 
@@ -243,6 +245,31 @@ def _nine_digits(obj):
     return obj
 
 
+def _non_finite(obj, pointer: str = ""):
+    """The JSON pointers of the non-finite floats in a _nine_digits tree."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        yield pointer
+    elif isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _non_finite(value, f"{pointer}/{key}")
+
+
+def _json_text(obj, path, **dumps_kwargs) -> str:
+    """obj as strict JSON at 9 digits; a non-finite float raises
+    ModelDomainError naming the artifact at `path` and the float's key."""
+    doc = _nine_digits(obj)
+    try:
+        return json.dumps(doc, allow_nan=False, **dumps_kwargs)
+    except ValueError:
+        pointer = next(_non_finite(doc), None)
+        if pointer is None:  # not a float: an int with more digits than str() prints
+            raise
+        raise ModelDomainError(
+            f"{os.path.basename(path)}: {pointer} is not finite, "
+            "and JSON has no Infinity or NaN"
+        ) from None
+
+
 @contextmanager
 def _atomic_writer(path):
     """A text handle on a new sibling of `path`, renamed onto it on success.
@@ -269,7 +296,7 @@ def emit_json(path, payload: dict, manifest: RunManifest) -> str:
     """Write a JSON artifact with the manifest as its first key."""
     doc = {"manifest": manifest}
     doc.update(payload)
-    text = json.dumps(_nine_digits(doc), indent=2) + "\n"
+    text = _json_text(doc, path, indent=2) + "\n"
     with _atomic_writer(path) as handle:
         handle.write(text)
     return text
@@ -375,7 +402,7 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
         raise ValueError("CSV columns differ in length")
     n_rows = lengths.pop()
     parts = [
-        "# manifest: " + json.dumps(_nine_digits(manifest)) + "\n",
+        "# manifest: " + _json_text(manifest, path) + "\n",
         ",".join(names) + "\n",
     ]
     with _atomic_writer(path) as handle:

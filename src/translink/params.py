@@ -47,8 +47,13 @@ def unit_interval(**kwargs):
     return bounded(lambda x: 0.0 <= x <= 1.0, "out of [0, 1]", **kwargs)
 
 
-def positive(**kwargs):
-    return bounded(lambda x: x > 0, "must be > 0", **kwargs)
+def positive(finite: bool = False, **kwargs):
+    """A number > 0 and, when finite is set, not inf; each bound has its own
+    violation text. A NaN is reported by field_violations as such."""
+    checks = ((lambda x: x > 0, "must be > 0"),)
+    if finite:
+        checks += ((lambda x: x != math.inf, "must be finite"),)
+    return field(metadata={"range": checks}, **kwargs)
 
 
 def at_least_one(at_most: int | None = None, **kwargs):
@@ -207,7 +212,7 @@ class ArchitectureSpec:
     """Module-level planning inputs."""
 
     qubits_per_processor: int = at_least_one()
-    clock_cycle_us: float = positive()
+    clock_cycle_us: float = positive(finite=True)
     transducer_budget: int = at_least_one(at_most=MAX_TRANSDUCER_BUDGET)
     target_fidelity: float = bounded(lambda f: 0.5 < f < 1, "out of (0.5, 1)")
     architecture: Architecture = Architecture.LATTICE_SURGERY

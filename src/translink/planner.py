@@ -79,14 +79,18 @@ def _limiting_factor(total: int, budget: int, qubit_cap: int) -> tuple:
     """Feasibility verdict plus the constraint with the least slack.
 
     Each transducer needs its own communication qubit, so `total` counts both.
+    Every constraint caps the same total, so the one with the highest
+    utilization is the smallest cap (the first of equal ones), and the plan
+    is feasible when the total is at most that cap. Both are exact integer
+    comparisons, which no size overflows.
     """
     constraints = [
-        ("transducer budget", total / budget),
-        ("module channel ceiling", total / MAX_TRANSDUCERS_PER_MODULE),
-        ("communication qubits", total / qubit_cap),
+        ("transducer budget", budget),
+        ("module channel ceiling", MAX_TRANSDUCERS_PER_MODULE),
+        ("communication qubits", qubit_cap),
     ]
-    name, utilization = max(constraints, key=lambda item: item[1])
-    return utilization <= 1.0, name
+    name, cap = min(constraints, key=lambda item: item[1])
+    return total <= cap, name
 
 
 def _distilled(f_del: float, rounds: int) -> float:

@@ -54,6 +54,15 @@ def _strip_manifest(doc: dict) -> dict:
     return doc
 
 
+def _edited_config(tmp_path, base, section, **values) -> str:
+    """The path of a copy of config `base` with `values` set in `section`."""
+    cfg = json.loads(Path(base).read_text())
+    cfg[section].update(values)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 def test_analyze_reference_link(tmp_path, capsys):
     code, out, err = _run(
         capsys, "analyze", "--config", EX1, "--out", str(tmp_path)
@@ -115,17 +124,20 @@ def test_analyze_reports_reference_discrepancy(tmp_path, capsys):
 
 
 def test_analyze_fidelity_model_override(tmp_path, capsys):
+    """A copy of ex1 whose policy overrides the thermal-half default."""
+    config = _edited_config(tmp_path, EX1, "policy", fidelity_model="linear_sum")
     code, out, _ = _run(
-        capsys, "analyze", "--config", EX1, "--out", str(tmp_path),
-        "--fidelity-model", "linear",
+        capsys, "analyze", "--config", config, "--out", str(tmp_path / "out")
     )
     assert code == 0
     assert json.loads(out)["metrics"]["f_her"] == pytest.approx(0.664)
 
 
 def test_analyze_t_del_override(tmp_path, capsys):
+    """A copy of ex1 that overrides its t_del_us of 88."""
+    config = _edited_config(tmp_path, EX1, "policy", t_del_us=44)
     code, out, _ = _run(
-        capsys, "analyze", "--config", EX1, "--out", str(tmp_path), "--t-del", "44",
+        capsys, "analyze", "--config", config, "--out", str(tmp_path / "out")
     )
     assert code == 0
     doc = json.loads(out)
@@ -133,34 +145,18 @@ def test_analyze_t_del_override(tmp_path, capsys):
     assert doc["metrics"]["p_success"] == pytest.approx(1 - 0.99**44, rel=1e-8)
 
 
-def test_protocol_override_drops_alpha(tmp_path, capsys):
-    cfg = {
-        "transducer": "preset:transducer1",
-        "qubit": "preset:qubit1",
-        "protocol": {"basis": "one_photon", "pump": "upconversion", "alpha": 0.1},
-        "policy": {"t_del_us": 50.0},
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code, out, _ = _run(
-        capsys, "analyze", "--config", str(path), "--out", str(tmp_path),
-        "--protocol", "2p-tms",
-    )
-    assert code == 0
-    resolved = json.loads(out)["manifest"]["resolved_config"]
-    assert resolved["protocol"]["basis"] == "two_photon"
-    assert "alpha" not in resolved["protocol"]
-
-
-def test_protocol_override_requiring_alpha_fails(tmp_path, capsys):
-    code, _, err = _run(
-        capsys, "analyze", "--config", EX1, "--out", str(tmp_path),
-        "--protocol", "1p-upconv",
-    )
-    assert code == 1
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_non_finite_t_del_in_config_exits_1(tmp_path, capsys, literal):
+    text = Path(EX1).read_text().replace("88.0", literal)
+    assert literal in text
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "analyze", "--config", str(config), "--out", str(out_dir))
+    assert (code, out, err.count("\n")) == (1, "", 1)
     payload = json.loads(err)
-    assert payload["error"] == "ConfigError"
-    assert any("alpha" in v for v in payload["violations"])
+    assert (payload["error"], payload["pointer"]) == ("SchemaError", "/policy/t_del_us")
+    assert not out_dir.exists()
 
 
 def test_simulate_matches_library(tmp_path, capsys):
@@ -461,14 +457,6 @@ def _violations_of(capsys, tmp_path, argv):
     return payload["message"], payload["violations"]
 
 
-def _bad_lattice(tmp_path, section, **values):
-    cfg = json.loads(Path(LATTICE).read_text())
-    cfg[section].update(values)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
-    return str(path)
-
-
 def _plan_error(spec):
     with pytest.raises(ConfigError) as err:
         lattice_surgery_plan(spec, resolve(parse_config(LATTICE).link))
@@ -482,17 +470,9 @@ def _plan_error(spec):
          "policy.t_del_us must be >= transducer.t_rep_us"],
         lambda capsys, tmp_path: _violations_of(capsys, tmp_path, [
             "plan", "--config",
-            _bad_lattice(tmp_path, "policy", t_del_us=0.5, n_parallel=0),
+            _edited_config(tmp_path, LATTICE, "policy", t_del_us=0.5, n_parallel=0),
         ]),
         id="link-in-config",
-    ),
-    pytest.param(
-        "link config",
-        ["policy.t_del_us is NaN", "policy.t_del_us must be >= transducer.t_rep_us"],
-        lambda capsys, tmp_path: _violations_of(
-            capsys, tmp_path, ["analyze", "--config", EX1, "--t-del", "nan"]
-        ),
-        id="override",
     ),
     pytest.param(
         "architecture spec",
@@ -500,8 +480,8 @@ def _plan_error(spec):
          "architecture.target_fidelity out of (0.5, 1)"],
         lambda capsys, tmp_path: _violations_of(capsys, tmp_path, [
             "plan", "--config",
-            _bad_lattice(tmp_path, "architecture", clock_cycle_us=0,
-                         target_fidelity=1.5),
+            _edited_config(tmp_path, LATTICE, "architecture", clock_cycle_us=0,
+                           target_fidelity=1.5),
         ]),
         id="architecture-in-config",
     ),
@@ -522,7 +502,7 @@ def test_violation_lists_reach_the_error_the_same_way(
     assert message == f"invalid {what}: " + "; ".join(violations)
 
 
-def _tradeoff_config(tmp_path, budget=16):
+def _tradeoff_config(tmp_path, budget=16, **policy):
     cfg = {
         "transducer": "preset:transducer2",
         "qubit": "preset:qubit1",
@@ -535,6 +515,7 @@ def _tradeoff_config(tmp_path, budget=16):
             "target_fidelity": 0.89,
         },
     }
+    cfg["policy"].update(policy)
     path = tmp_path / "tradeoff.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -665,25 +646,32 @@ def test_plan_and_tradeoff_honour_p_her_reference(tmp_path, capsys):
 
 
 def test_tradeoff_fidelity_model_override(tmp_path, capsys):
+    """A config whose policy overrides the thermal-half default."""
     path = str(_tradeoff_config(tmp_path))
     thermal = _tradeoff_rows(capsys, tmp_path / "thermal", "--config", path)
-    linear = _tradeoff_rows(
-        capsys, tmp_path / "linear", "--config", path, "--fidelity-model", "linear"
-    )
+    path = str(_tradeoff_config(tmp_path, fidelity_model="linear_sum"))
+    linear = _tradeoff_rows(capsys, tmp_path / "linear", "--config", path)
     assert linear[0]["n_links"] == thermal[0]["n_links"] == 16
     assert linear[0]["f_del"] < thermal[0]["f_del"]
 
 
-def test_tradeoff_has_no_t_del(tmp_path, capsys):
-    """Each width searches its own t_del, so tradeoff refuses the override."""
+@pytest.mark.parametrize("flag", [["--t-del", "5"], ["--protocol", "2p-tms"],
+                                  ["--fidelity-model", "linear"]],
+                         ids=["t-del", "protocol", "fidelity-model"])
+@pytest.mark.parametrize("command, config", [
+    ("analyze", EX1), ("simulate", EX1), ("plan", LATTICE), ("tradeoff", LATTICE),
+    ("distill", EX1),
+], ids=["analyze", "simulate", "plan", "tradeoff", "distill"])
+def test_removed_link_overrides_are_usage_errors(tmp_path, capsys, command, config, flag):
+    """Every link value comes from the config file: no flag sets one."""
     out_dir = tmp_path / "out"
     code, out, err = _run(
-        capsys, "tradeoff", "--config", str(_tradeoff_config(tmp_path)),
-        "--t-del", "15", "--out", str(out_dir),
+        capsys, command, "--config", config, *flag, "--out", str(out_dir)
     )
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "ConfigError"
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert flag[0] in payload["message"]
     assert not out_dir.exists()
 
 
@@ -725,35 +713,27 @@ def test_distill_requires_inputs(tmp_path, capsys):
     assert "rounds" in json.loads(err)["message"]
 
 
-@pytest.mark.parametrize(
-    "override", [["--t-del", "nan"], ["--protocol", "2p-tms"], ["--fidelity-model", "linear"]]
-)
-def test_distill_link_overrides_need_config(tmp_path, capsys, override):
-    """The overrides change only a link that distill resolves, so they need
-    --config; and --config with --f-in, which would replace the link's
-    fidelity, is refused whatever else is given."""
-    out_dir = tmp_path / "out"
-    for config, refusal in (([], ["need --config"]),
-                            (["--config", EX1], ["--f-in", "--config"])):
-        code, out, err = _run(
-            capsys, "distill", *config, "--f-in", "0.9", "--rounds", "2", *override,
-            "--out", str(out_dir),
-        )
-        assert (code, out) == (1, "")
-        assert err.count("\n") == 1
-        payload = json.loads(err)
-        assert payload["error"] == "ConfigError"
-        assert all(text in payload["message"] for text in refusal)
-        assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("override", [[], ["--t-del", "5"]])
-def test_distill_empty_config_path_fails_to_open(tmp_path, capsys, override):
-    """An empty --config is a path like any other, with or without overrides."""
+def test_distill_config_excludes_f_in(tmp_path, capsys):
+    """--f-in would replace the fidelity of the config's link, so the pair is
+    refused."""
     out_dir = tmp_path / "out"
     code, out, err = _run(
-        capsys, "distill", "--config", "", "--rounds", "2",
-        *override, "--out", str(out_dir),
+        capsys, "distill", "--config", EX1, "--f-in", "0.9", "--rounds", "2",
+        "--out", str(out_dir),
+    )
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert "--f-in" in payload["message"] and "--config" in payload["message"]
+    assert not out_dir.exists()
+
+
+def test_distill_empty_config_path_fails_to_open(tmp_path, capsys):
+    """An empty --config is a path like any other."""
+    out_dir = tmp_path / "out"
+    code, out, err = _run(
+        capsys, "distill", "--config", "", "--rounds", "2", "--out", str(out_dir)
     )
     assert (code, out) == (1, "")
     assert err.count("\n") == 1
@@ -843,6 +823,34 @@ def test_model_domain_error_carries_offending_sum(tmp_path, capsys):
     assert payload["offending_sum"] == pytest.approx(1.3, rel=1e-9)
 
 
+@pytest.mark.parametrize("command, base, sections, artifact, key", [
+    ("plan", LATTICE, {"architecture": {"qubits_per_processor": 1000,
+                                        "clock_cycle_us": 1e-310,
+                                        "transducer_budget": 10000,
+                                        "target_fidelity": 0.89}},
+     "plan.json", "/plan/speedup"),
+    # a link capacity of 1e308 * 0.01 / 1e-3
+    ("analyze", EX1, {"transducer": {**vars(preset("transducer1")), "t_rep_us": 1e-3},
+                      "qubit": {"t_coh_us": 1e308}, "policy": {"t_del_us": 0.088}},
+     "metrics.json", "/metrics/eta_link"),
+], ids=["plan-speedup", "analyze-eta_link"])
+def test_result_beyond_the_float_range_exits_2(tmp_path, capsys, command, base, sections,
+                                                artifact, key):
+    """A JSON artifact holds no Infinity: a result that overflows is a
+    model-domain error that names the artifact and the key, and nothing is
+    written."""
+    cfg = {**json.loads(Path(base).read_text()), **sections}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, command, "--config", str(config), "--out", str(out_dir))
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    payload = json.loads(err)
+    assert payload["error"] == "ModelDomainError"
+    assert payload["message"].startswith(f"{artifact}: {key} is not finite")
+    assert not out_dir.exists()
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert _run(capsys, "frobnicate")[0] == 1
     assert _run(capsys, "analyze")[0] == 1  # --config is required
@@ -856,14 +864,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     [
         ["analyze", "--config", EX1, "--k-max", "0"],
         ["analyze", "--config", EX1, "--k-max", "-5"],
-        ["analyze", "--config", EX1, "--t-del", "inf"],
         ["simulate", "--config", EX1, "--trials", "100", "--jobs", "0"],
         ["simulate", "--config", EX1, "--trials", "100", "--jobs", "-3"],
         ["simulate", "--config", EX1, "--trials", "100", "--seed", "-1"],
         ["simulate", "--config", EX1, "--trials", "100", "--seed", str(2**64)],
         ["simulate", "--config", EX1, "--trials", str(10**15)],
     ],
-    ids=["k-max-0", "k-max-neg", "t-del-inf", "jobs-0", "jobs-neg", "seed-neg",
+    ids=["k-max-0", "k-max-neg", "jobs-0", "jobs-neg", "seed-neg",
          "seed-2**64", "trials-10**15"],
 )
 def test_out_of_range_flags_exit_1(tmp_path, capsys, argv):
@@ -879,9 +886,8 @@ def test_out_of_range_flags_exit_1(tmp_path, capsys, argv):
     "argv, flag, expected",
     [
         (["distill", "--rounds", "2"], "--f-in", (2, "ModelDomainError")),
-        (["analyze", "--config", EX1], "--t-del", (1, "ConfigError")),
     ],
-    ids=["f-in", "t-del"],
+    ids=["f-in"],
 )
 def test_negative_exponent_after_a_space(tmp_path, capsys, argv, flag, expected):
     """-1e5 after a space is the value that --flag=-1e5 gives, not a missing one."""

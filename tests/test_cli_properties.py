@@ -2,10 +2,11 @@
 
 Inputs are argv over all six subcommands, run on the shipped examples (with
 their presets written out) after at most one numeric field was set to an
-extreme value. On exit 0 stderr is empty and stdout is the text of the
-command's primary artifact; otherwise stdout is empty, stderr is exactly one
-JSON line with `error` and `message`, and --out holds no file. A Python
-traceback fails the test.
+extreme value (an explicit example may set several). On exit 0 stderr is
+empty and stdout is the text of the command's primary artifact, which is
+strict JSON (no Infinity or NaN) when it is JSON; otherwise stdout is empty,
+stderr is exactly one JSON line with `error` and `message`, and --out holds
+no file. A Python traceback fails the test.
 """
 
 import contextlib
@@ -22,7 +23,7 @@ from translink.params import MAX_TRANSDUCER_BUDGET
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
-EXTREMES = [0, -1, math.nan, math.inf, -math.inf, 1e308, 10**30, 1e-300]
+EXTREMES = [0, -1, math.nan, math.inf, -math.inf, 1e308, 10**30, 1e-300, 5e-324, 10**700]
 
 
 def _expanded(name: str) -> dict:
@@ -66,30 +67,18 @@ def _flags(*parts):
     return st.tuples(*parts).map(lambda chosen: [a for part in chosen for a in part])
 
 
-# tradeoff takes the protocol overrides but no --t-del
-_PROTOCOL_OVERRIDES = (
-    _flag("--protocol", ["1p-upconv", "1p-tms", "2p-upconv", "2p-tms"]),
-    _flag("--fidelity-model", ["thermal-half", "linear"]),
-)
-_OVERRIDES = (_flag("--t-del", FLOATS), *_PROTOCOL_OVERRIDES)
 FLAGS = {
-    "analyze": _flags(*_OVERRIDES, _flag("--k-max", INTS)),
+    "analyze": _flags(_flag("--k-max", INTS)),
     "simulate": _flags(
-        *_OVERRIDES,
         # --trials is always given: its default of 10^5 is too slow here
         st.sampled_from(["-1", "0", "1", "500", "2000"]).map(lambda n: ["--trials", n]),
         _flag("--seed", INTS),
         _flag("--jobs", ["-1", "0", "1", "2"]),
         st.sampled_from([[], ["--keep-trials"]]),
     ),
-    "plan": _flags(
-        *_OVERRIDES, _flag("--circuit-budget", INTS), _flag("--code-distance", INTS)
-    ),
-    "tradeoff": _flags(
-        *_PROTOCOL_OVERRIDES, _flag("--format", ["csv", "json"]), _flag("--k-max", INTS)
-    ),
+    "plan": _flags(_flag("--circuit-budget", INTS), _flag("--code-distance", INTS)),
+    "tradeoff": _flags(_flag("--format", ["csv", "json"]), _flag("--k-max", INTS)),
     "distill": _flags(
-        *_OVERRIDES,
         _flag("--mode", ["calibrated", "recurrence"]),
         _flag("--f-in", FLOATS),
         _flag("--rounds", INTS + [str(10**20)]),
@@ -100,7 +89,7 @@ FLAGS = {
 
 @st.composite
 def cli_cases(draw):
-    """(example or None, (field path, value) or None, argv without --config/--out)."""
+    """(example or None, {field path: value} or None, argv without --config/--out)."""
     command = draw(st.sampled_from(sorted(FLAGS)))
     examples = st.sampled_from(sorted(BASES))
     if command == "presets":
@@ -115,7 +104,7 @@ def cli_cases(draw):
             st.none()
             | st.tuples(
                 st.sampled_from(_numeric_fields(BASES[name])), st.sampled_from(EXTREMES)
-            )
+            ).map(lambda edit: dict([edit]))
         )
     return name, mutation, [command, *draw(FLAGS[command])]
 
@@ -140,8 +129,7 @@ def _primary(argv) -> str:
 def _run(directory: Path, name, mutation, argv) -> tuple:
     if name is not None:
         cfg = json.loads(json.dumps(BASES[name]))
-        if mutation is not None:
-            path, value = mutation
+        for path, value in (mutation or {}).items():
             *sections, key = path
             target = cfg
             for section in sections:
@@ -156,35 +144,46 @@ def _run(directory: Path, name, mutation, argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+def _reject_constant(name):
+    raise AssertionError(f"{name} in a JSON artifact")
+
+
 SIMULATE_9 = ["simulate", "--trials", "9"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=cli_cases())
 # the inputs that ended in a traceback before they were bounded
-@example(case=("ex1", None, ["analyze", "--t-del", "1e308"]))
-@example(case=("lattice", None, ["plan", "--t-del", "1e308"]))
-@example(case=("ex1", None, ["simulate", "--t-del", "1e308", "--trials", "100"]))
-@example(case=("ex1", (("transducer", "t_rep_us"), 1e-300), ["analyze"]))
-@example(case=("ex1", (("transducer", "t_rep_us"), 1e-300), SIMULATE_9))
-@example(case=("ex3", (("policy", "n_parallel"), 10**30), SIMULATE_9))
-@example(case=("ex1", (("qubit", "t_coh_us"), 1e308), ["analyze"]))
-@example(case=("ex2", (("transducer", "eta_mw"), 0), ["analyze"]))
+@example(case=("ex1", {("policy", "t_del_us"): 1e308}, ["analyze"]))
+@example(case=("lattice", {("policy", "t_del_us"): 1e308}, ["plan"]))
+@example(case=("ex1", {("policy", "t_del_us"): 1e308}, ["simulate", "--trials", "100"]))
+@example(case=("ex1", {("transducer", "t_rep_us"): 1e-300}, ["analyze"]))
+@example(case=("ex1", {("transducer", "t_rep_us"): 1e-300}, SIMULATE_9))
+@example(case=("ex3", {("policy", "n_parallel"): 10**30}, SIMULATE_9))
+@example(case=("ex1", {("qubit", "t_coh_us"): 1e308}, ["analyze"]))
+@example(case=("ex2", {("transducer", "eta_mw"): 0}, ["analyze"]))
 @example(case=(None, None, ["distill", "--mode", "recurrence", "--f-in", "0.9",
                             "--rounds", "2000"]))
 @example(case=(None, None, ["distill", "--f-in", "0.9", "--rounds", str(10**20)]))
 # one example for each of the remaining extreme values
-@example(case=("ex3", (("policy", "t_del_us"), math.nan), ["analyze"]))
-@example(case=("ex2", (("memory", "lifetime_us"), -1), SIMULATE_9))
-@example(case=("lattice", (("architecture", "clock_cycle_us"), math.inf), ["plan"]))
-@example(case=("ex2", (("p_her_reference",), -math.inf), ["analyze"]))
-@example(case=("lattice", (("architecture", "qubits_per_processor"), 10**30), ["plan"]))
-@example(case=("lattice", (("qubit", "t_coh_us"), 1e308), ["tradeoff"]))
+@example(case=("ex3", {("policy", "t_del_us"): math.nan}, ["analyze"]))
+@example(case=("ex2", {("memory", "lifetime_us"): -1}, SIMULATE_9))
+@example(case=("lattice", {("architecture", "clock_cycle_us"): math.inf}, ["plan"]))
+@example(case=("ex2", {("p_her_reference",): -math.inf}, ["analyze"]))
+@example(case=("lattice", {("architecture", "qubits_per_processor"): 10**30}, ["plan"]))
+@example(case=("lattice", {("qubit", "t_coh_us"): 1e308}, ["tradeoff"]))
 # tradeoff works on at most 10^4 widths at once, so it runs at any budget
-@example(case=("lattice", (("architecture", "transducer_budget"), MAX_TRANSDUCER_BUDGET),
+@example(case=("lattice", {("architecture", "transducer_budget"): MAX_TRANSDUCER_BUDGET},
                ["tradeoff"]))
 # an integer literal beyond the float range
-@example(case=("ex1", (("policy", "t_del_us"), 10**400), ["analyze"]))
+@example(case=("ex1", {("policy", "t_del_us"): 10**400}, ["analyze"]))
+# results that overflow a float: a plan's utilizations and speedup at a
+# 1e-310 us clock, its utilizations at 10^700 qubits, and a link capacity of
+# 1e308 * 0.01 / 1e-3
+@example(case=("lattice", {("architecture", "clock_cycle_us"): 1e-310}, ["plan"]))
+@example(case=("lattice", {("architecture", "qubits_per_processor"): 10**700}, ["plan"]))
+@example(case=("ex1", {("transducer", "t_rep_us"): 1e-3, ("qubit", "t_coh_us"): 1e308,
+                       ("policy", "t_del_us"): 0.088}, ["analyze"]))
 def test_every_input_exits_0_1_or_2(tmp_path_factory, case):
     directory = tmp_path_factory.mktemp("cli")
     code, out, err = _run(directory, *case)
@@ -193,6 +192,8 @@ def test_every_input_exits_0_1_or_2(tmp_path_factory, case):
         assert err == ""
         primary = directory / "out" / _primary(case[2])
         assert out == primary.read_text(encoding="utf-8")
+        if primary.suffix == ".json":
+            json.loads(out, parse_constant=_reject_constant)
     else:
         assert out == ""
         assert not any(p.is_file() for p in (directory / "out").rglob("*"))

@@ -18,6 +18,7 @@ from translink import (
     DeliveryPolicy,
     FidelityModel,
     MemoryKind,
+    ModelDomainError,
     MemoryParams,
     PhotonBasis,
     ProtocolSpec,
@@ -362,6 +363,20 @@ def test_parse_config_file_errors(tmp_path):
     with pytest.raises(SchemaError):
         parse_config(toplevel)
 
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"transducer": "preset:transducer\xff"}')
+    with pytest.raises(ConfigError) as err:
+        parse_config(latin1)
+    assert "cannot read" in str(err.value)
+
+    # more digits than int() reads from a string
+    long_int = tmp_path / "long_int.json"
+    digits = "1" + "0" * 5000
+    long_int.write_text(json.dumps(_base_data())[:-1] + f', "p_her_reference": {digits}}}')
+    with pytest.raises(SchemaError) as err:
+        parse_config(long_int)
+    assert "invalid JSON" in str(err.value)
+
 
 def test_config_file_round_trip_via_emit(tmp_path):
     parsed = parse_config(ROOT / "examples/ex2.json")
@@ -394,6 +409,19 @@ def test_emit_json_rounds_floats(tmp_path):
     assert doc["n"] == 3
     assert doc["manifest"]["resolved_config"]["pi"] == 3.14159265
     assert list(doc)[0] == "manifest"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.inf)],
+                         ids=["inf", "-inf", "nan", "numpy-inf"])
+def test_emit_json_refuses_non_finite_floats(tmp_path, value):
+    """JSON has no Infinity or NaN: the key is named and nothing is written."""
+    payload = {"plan": {"speedup": 1.0, "rows": [0.5, value]}, "flag": True}
+    with pytest.raises(ModelDomainError) as err:
+        emit_json(tmp_path / "plan.json", payload, build_manifest("cmd", {}))
+    assert str(err.value).startswith("plan.json: /plan/rows/1 is not finite")
+    with pytest.raises(ModelDomainError, match="^out.csv: /resolved_config/x is"):
+        emit_csv(tmp_path / "out.csv", {"x": [value]}, build_manifest("cmd", {"x": value}))
+    assert list(tmp_path.iterdir()) == []
 
 
 # Rows per formatting block in emit_csv; the lengths below straddle it.

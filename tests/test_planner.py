@@ -4,10 +4,11 @@ import hashlib
 import math
 import time
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from translink import (
     Architecture,
@@ -33,11 +34,12 @@ from translink import (
     preset,
     resolve,
     tradeoff_surface,
+    validate,
     validate_architecture,
 )
 from grid_oracle import grid_f_del, grid_k_max
 from translink.params import MAX_TRANSDUCER_BUDGET, MAX_TRANSDUCERS_PER_MODULE
-from translink.planner import _pareto_front
+from translink.planner import _limiting_factor, _pareto_front
 
 PARALLEL_PROTOCOL = ProtocolSpec(
     PhotonBasis.ONE_PHOTON, PumpMode.TMS, p_mo_override=0.02
@@ -91,6 +93,17 @@ def test_validate_architecture_messages():
     assert validate_architecture(good) == []
 
 
+def test_clock_cycle_must_be_finite():
+    """An infinite clock has its own violation; a storage qubit's infinite
+    coherence time stays valid."""
+    spec = ArchitectureSpec(1000, math.inf, 10_000, 0.89)
+    assert validate_architecture(spec) == ["architecture.clock_cycle_us must be finite"]
+    with pytest.raises(ConfigError, match="clock_cycle_us must be finite"):
+        lattice_surgery_plan(spec, resolve(_parallel_link()))
+    forever = replace(_parallel_link(), qubit=replace(preset("qubit1"), t_coh_us=math.inf))
+    assert validate(forever) == []
+
+
 @pytest.mark.parametrize(
     "bad", [None, "x", math.nan, math.inf, -math.inf], ids=repr
 )
@@ -100,8 +113,7 @@ def test_validate_architecture_is_total(bad):
                  "target_fidelity"):
         v = validate_architecture(replace(good, **{name: bad}))
         assert all(isinstance(line, str) for line in v)
-        if bad is not math.inf:
-            assert any(line.startswith(f"architecture.{name} ") for line in v)
+        assert any(line.startswith(f"architecture.{name} ") for line in v)
 
 
 def test_lattice_plan_parallel_link():
@@ -156,6 +168,41 @@ def test_lattice_plan_limiting_factor_ceiling():
     assert plan.total_transducers == 300_000
     assert plan.feasible is False
     assert plan.limiting_factor == "module channel ceiling"
+
+
+@pytest.mark.parametrize("spec, factor", [
+    # 15 us / 1e-310 us: more clock cycles, and channels, than a float holds
+    (ArchitectureSpec(1000, 1e-310, 10_000, 0.89), "communication qubits"),
+    # 10^350 links of 300 channels
+    (ArchitectureSpec(10**700, 1.0, 10_000, 0.89), "transducer budget"),
+], ids=["subnormal-clock", "10**700-qubits"])
+def test_lattice_plan_beyond_the_float_range(spec, factor):
+    plan = lattice_surgery_plan(spec, resolve(_parallel_link()))
+    cycles = math.ceil(Fraction("15.0") / Fraction(repr(spec.clock_cycle_us)))
+    assert plan.transducers_per_link == 20 * cycles
+    assert plan.links_required == edge_qubit_count(spec.qubits_per_processor)
+    assert plan.total_transducers == plan.links_required * plan.transducers_per_link
+    assert (plan.feasible, plan.limiting_factor) == (False, factor)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(total=10_000, budget=10_000, qubit_cap=10_000)
+@example(total=10_001, budget=10**9, qubit_cap=10**30)
+@given(
+    total=st.integers(1, 10**20),
+    budget=st.integers(1, MAX_TRANSDUCER_BUDGET),
+    qubit_cap=st.integers(1, 10**30),
+)
+def test_limiting_factor_matches_float_utilizations(total, budget, qubit_cap):
+    """Wherever the float utilizations are finite, the exact comparison
+    gives their verdict and factor: the first of the largest."""
+    constraints = [
+        ("transducer budget", total / budget),
+        ("module channel ceiling", total / MAX_TRANSDUCERS_PER_MODULE),
+        ("communication qubits", total / qubit_cap),
+    ]
+    name, utilization = max(constraints, key=lambda item: item[1])
+    assert _limiting_factor(total, budget, qubit_cap) == (utilization <= 1.0, name)
 
 
 def test_lattice_plan_distill_rounds_multiply_channels():
