@@ -118,8 +118,8 @@ def _success_decay(q, k: np.ndarray, d: float):
     r = 1.0 - q
     rk = _power(r, k)
     # core = (r^k - d^k)/(r - d), built in place: the optimum evaluates a
-    # block of 6 rounds per width, and every full-size temporary adds to its
-    # peak memory
+    # block of 6 rounds per distinct q, and every full-size temporary adds
+    # to its peak memory
     core = rk - _power(d, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         core /= r - d
@@ -334,12 +334,12 @@ def _first_reaching(f_del_at, q, floor, low, k, f):
         low[lanes] = np.where(hit, low[lanes], mid + 1)
 
 
-def _optimum(link: Link, k_max: int | None, widths):
-    """(f_del_at, q, k*, f*): per width, the first argmax k* of f_del(k) =
-    f_del_at(q, k) on [1, k_max], and f* = f_del(k*). See optimal_delivery_time.
+def _optimum(link: Link, k_max: int | None, q: np.ndarray, d: float):
+    """(f_del_at, k*, f*): per herald probability of q, the first argmax k* of
+    f_del(k) = f_del_at(q, k) on [1, k_max], and f* = f_del(k*). See
+    optimal_delivery_time.
     """
     k_max = _checked_k_max(_search_k_max(link.config, k_max))
-    q, d = _herald_and_decay(link, widths)
     gain = max(link.f_her - 0.5, 0.0)
 
     def f_del_at(q, k):
@@ -359,7 +359,7 @@ def _optimum(link: Link, k_max: int | None, widths):
     # that reaches the same value
     low = np.where(best == 0, 1, k_best)
     _first_reaching(f_del_at, q, f_best.copy(), low, k_best, f_best)
-    return f_del_at, q, k_best, f_best
+    return f_del_at, k_best, f_best
 
 
 def optimal_delivery_time(
@@ -374,7 +374,10 @@ def optimal_delivery_time(
     Returns (t_del, f_del) as floats at the policy's n_parallel. Given
     n_parallel, an array of widths, it returns the two arrays of the link
     at each of those widths instead, all found in one pass of array
-    operations; an int n_parallel gives floats again.
+    operations; an int n_parallel gives floats again. The optimum depends
+    on the width only through q, so that pass solves each distinct q once
+    and scatters its optimum back to every width that has it: past a few
+    thousand channels q rounds to 1.0, and every wider width shares it.
 
     f_del(k) = 1/2 + (f_her - 1/2) S(k) with S(k) = q (r^k - d^k)/(r - d), which
     rises to one peak at the real k* of _peak_rounds and falls after it. So
@@ -394,17 +397,21 @@ def optimal_delivery_time(
     exactly 1.0 from k = 54 on, with q near 1e-10 the float rise can end
     well before k*, and for f_her <= 1/2 f_del is flat at 1/2 (the answer
     is k = 1). _first_reaching bisects the non-decreasing values left of
-    the window for the first such k. Cost: six points per width, plus at
-    most log2(k_max) + 1 in that case, instead of a k_max-point grid.
+    the window for the first such k. Cost: six points per distinct q, plus
+    at most log2(k_max) + 1 in that case, instead of a k_max-point grid.
     """
     if link.p_her <= 0.0:
         raise NoOptimumError("p_her = 0: no herald can ever arrive")
     widths = np.asarray(link.config.policy.n_parallel if n_parallel is None else n_parallel)
-    _, _, k_best, f_best = _optimum(link, k_max, widths)
+    q, d = _herald_and_decay(link, widths)
     t_rep = link.config.transducer.t_rep_us
     if widths.ndim == 0:
+        _, k_best, f_best = _optimum(link, k_max, q, d)
         return float(k_best[0] * t_rep), float(f_best[0])
-    return (k_best * t_rep).reshape(widths.shape), f_best.reshape(widths.shape)
+    # k_max, d and the gain are the same at every width
+    q, where = np.unique(q, return_inverse=True)
+    _, k_best, f_best = _optimum(link, k_max, q, d)
+    return (k_best[where] * t_rep).reshape(widths.shape), f_best[where].reshape(widths.shape)
 
 
 def min_time_to_fidelity(link: Link, target: float, k_max: int | None = None) -> float:
@@ -417,7 +424,8 @@ def min_time_to_fidelity(link: Link, target: float, k_max: int | None = None) ->
     """
     if not (0.5 < target < 1.0):
         raise ModelDomainError(f"target fidelity {target} outside (0.5, 1)")
-    f_del_at, q, k_best, f_best = _optimum(link, k_max, link.config.policy.n_parallel)
+    q, d = _herald_and_decay(link, link.config.policy.n_parallel)
+    f_del_at, k_best, f_best = _optimum(link, k_max, q, d)
     if f_best[0] < target:
         raise UnattainableError(
             f"target fidelity {target} unattainable: best f_del is {f_best[0]:.6f}"

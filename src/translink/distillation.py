@@ -75,14 +75,23 @@ class NestedDistillResult:
     ladder: tuple[DistillationOutcome, ...]  # recurrence rounds; () when calibrated
 
 
-def calibrated_distill(f_in: float, rounds: int) -> float:
-    """Order-of-magnitude calibration: each 4 rounds divide infidelity by 10."""
-    if not f_in > 0.5:
+def calibrated_distill(f_in, rounds: int):
+    """Order-of-magnitude calibration: each 4 rounds divide infidelity by 10.
+
+    f_in is a float, or a numpy array of them, which gives the array of
+    results, each entry with the float operations of a call on it alone.
+    An array is checked at its extremes; 1.0, a valid f_in, stands in for
+    those of an empty one.
+    """
+    lowest, highest = (
+        (f_in.min(initial=1.0), f_in.max(initial=1.0)) if hasattr(f_in, "min") else (f_in, f_in)
+    )
+    if not lowest > 0.5:
         raise ModelDomainError(
-            f"f_in {f_in} is at or below 0.5, under the distillable threshold"
+            f"f_in {lowest} is at or below 0.5, under the distillable threshold"
         )
-    if f_in > 1.0:
-        raise ModelDomainError(f"f_in {f_in} above 1")
+    if highest > 1.0:
+        raise ModelDomainError(f"f_in {highest} above 1")
     if rounds < 0:
         raise ConfigError("rounds must be >= 0")
     return 1.0 - (1.0 - f_in) * 10.0 ** (-rounds / 4.0)

@@ -289,6 +289,19 @@ def _pareto_front(candidates) -> list:
     return front
 
 
+def _first_of_each(*keys) -> np.ndarray:
+    """Index of the first entry of each distinct tuple of keys, tuples ascending.
+
+    The first key is the primary one. The sort is stable, so the first
+    entry of equal tuples is the one with the smallest index.
+    """
+    order = np.lexsort(keys[::-1])
+    ranked = [key[order] for key in keys]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any([key[1:] != key[:-1] for key in ranked], axis=0)
+    return order[first]
+
+
 def tradeoff_surface(budget: int, link: Link, k_max: int | None = None) -> tuple:
     """Pareto-optimal (n_links, rate, f_del) points for a channel budget.
 
@@ -303,24 +316,35 @@ def tradeoff_surface(budget: int, link: Link, k_max: int | None = None) -> tuple
     simultaneous maximization of all three axes, sorted by descending
     n_links, then rate, then fidelity.
 
-    Candidates with equal objective triples keep the cheapest witness (the
-    smallest n_parallel, then rounds); _pareto_front then filters the C
-    candidates, at most 5 W of them for W widths, in O(C log C). The optimal
-    delivery times of all W widths come from one optimal_delivery_time call.
+    The optimal delivery times of all W widths come from one
+    optimal_delivery_time call. Only the narrowest width of each distinct
+    optimum (t*, f*) makes candidates: a wider link with the same optimum
+    has the same rate and f at every round count and no more links, so its
+    point is dominated or a costlier witness of the same triple. The C
+    candidates, at most 5 of them for each distinct optimum, are built as
+    arrays with the float operations of _distilled. One stable lexsort
+    orders them and keeps the cheapest witness of equal triples (the
+    smallest n_parallel, then rounds); _pareto_front filters the rest in
+    O(C log C).
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     widths = np.arange(1, min(budget, MAX_TRANSDUCERS_PER_MODULE) + 1)
     t_stars, f_stars = optimal_delivery_time(link, k_max, n_parallel=widths)
-    unique: dict = {}
-    optima = zip(t_stars.tolist(), f_stars.tolist())
-    for n_parallel, (t_star, f_star) in enumerate(optima, start=1):
-        for rounds in range(TRADEOFF_MAX_DISTILL_ROUNDS + 1):
-            n_links = budget // (n_parallel * 2**rounds)
-            if n_links < 1:
-                break
-            f_del = _distilled(f_star, rounds)
-            cand = (n_links, 1.0 / t_star, f_del, n_parallel, rounds, t_star)
-            # widths and rounds ascend, so the first witness is the cheapest
-            unique.setdefault(cand[:3], cand)
-    return tuple(TradeoffPoint(*c) for c in _pareto_front(unique.values()))
+    narrowest = np.sort(_first_of_each(t_stars, f_stars))
+    n_parallel, t_star, f_star = widths[narrowest], t_stars[narrowest], f_stars[narrowest]
+    # a row per width, ascending, and a column per round count
+    rounds = np.arange(TRADEOFF_MAX_DISTILL_ROUNDS + 1)
+    n_links = budget // (n_parallel[:, None] * 2**rounds)
+    f_del = np.repeat(f_star[:, None], rounds.size, axis=1)
+    up = f_star > 0.5  # no round raises an f_del at or below 1/2
+    for r in rounds[1:].tolist():
+        f_del[up, r] = calibrated_distill(f_star[up], r)
+    fits = n_links >= 1
+    row, col = np.nonzero(fits)
+    cands = (n_links[fits], 1.0 / t_star[row], f_del[fits], n_parallel[row], col, t_star[row])
+    # descending triples; the candidates ascend in (width, rounds), so the
+    # first of equal triples is the cheapest witness
+    kept = _first_of_each(-cands[0], -cands[1], -cands[2])
+    front = _pareto_front(zip(*(c[kept].tolist() for c in cands)))
+    return tuple(TradeoffPoint(*c) for c in front)

@@ -655,6 +655,22 @@ def test_tradeoff_fidelity_model_override(tmp_path, capsys):
     assert linear[0]["f_del"] < thermal[0]["f_del"]
 
 
+def test_tradeoff_ignores_the_policy_delivery_settings(tmp_path, capsys):
+    """tradeoff sweeps widths, distillation rounds and delivery times itself,
+    so the policy's distill_rounds, t_del_us and n_parallel leave
+    tradeoff.csv below its manifest line byte for byte as it is."""
+    bodies = set()
+    for i, policy in enumerate([
+        {"distill_rounds": 0}, {"distill_rounds": 4}, {"t_del_us": 150.0, "n_parallel": 1},
+    ]):
+        path = _edited_config(tmp_path, LATTICE, "policy", **policy)
+        out_dir = tmp_path / f"out{i}"
+        code, _, err = _run(capsys, "tradeoff", "--config", path, "--out", str(out_dir))
+        assert (code, err) == (0, "")
+        bodies.add((out_dir / "tradeoff.csv").read_bytes().split(b"\n", 1)[1])
+    assert len(bodies) == 1
+
+
 @pytest.mark.parametrize("flag", [["--t-del", "5"], ["--protocol", "2p-tms"],
                                   ["--fidelity-model", "linear"]],
                          ids=["t-del", "protocol", "fidelity-model"])

@@ -435,6 +435,18 @@ def test_optimal_width_argument_shapes():
     assert (t_del[0, 1], f_del[0, 1]) == at_5
 
 
+def test_optimal_scatters_each_distinct_q_to_its_widths():
+    """On the lattice link q rounds to 1.0 from width 1853 on, so 3000 widths
+    have fewer distinct q than widths. Shuffled and repeated widths in one
+    call get, bit for bit, the optimum of a call at each width alone."""
+    link = resolve(_ex3())
+    rng = np.random.default_rng(3)
+    widths = rng.permutation(np.concatenate([np.arange(1, 3001), rng.integers(1, 3001, 1000)]))
+    t_del, f_del = optimal_delivery_time(link, n_parallel=widths)
+    alone = {n: optimal_delivery_time(link, n_parallel=n) for n in set(widths.tolist())}
+    assert list(zip(t_del.tolist(), f_del.tolist())) == [alone[n] for n in widths.tolist()]
+
+
 # Widths at which numpy's power and Python's ** give q values one ulp apart,
 # and the optimum moves with that ulp; the ex2 link's reference p_her is 0.03.
 @pytest.mark.parametrize(

@@ -15,13 +15,16 @@ from translink import (
     ArchitectureSpec,
     ConfigError,
     DeliveryPolicy,
+    FidelityModel,
     GAMMA_CLASSICAL,
     LinkConfig,
     MemoryKind,
     MemoryParams,
+    ModelDomainError,
     PhotonBasis,
     ProtocolSpec,
     PumpMode,
+    StorageQubitParams,
     UnattainableError,
     calibrated_distill,
     circuit_cut_comparison,
@@ -376,9 +379,16 @@ def test_cryostat_envelopes():
         cryostat_budget_check(0, 5)
 
 
-def _brute_force_surface(budget, k_max=400):
+def _dominance(objs):
+    """Matrix whose entry (a, b) says that objective row b dominates row a; O(n^2)."""
+    objs = np.asarray(objs, dtype=np.float64).reshape(-1, 3)
+    ge = (objs[None, :, :] >= objs[:, None, :]).all(axis=2)
+    gt = (objs[None, :, :] > objs[:, None, :]).any(axis=2)
+    return ge & gt
+
+
+def _brute_force_surface(cfg, budget, k_max=400):
     """Re-enumerate every allocation and drop dominated points, O(n^2)."""
-    t2, q1 = preset("transducer2"), preset("qubit1")
     per_width = {}
     cands = []
     for n in range(1, budget + 1):
@@ -387,12 +397,7 @@ def _brute_force_surface(budget, k_max=400):
             if n_links < 1:
                 continue
             if n not in per_width:
-                probe = LinkConfig(
-                    transducer=t2,
-                    qubit=q1,
-                    protocol=PARALLEL_PROTOCOL,
-                    policy=DeliveryPolicy(t_del_us=1.0, n_parallel=n),
-                )
+                probe = replace(cfg, policy=replace(cfg.policy, n_parallel=n))
                 per_width[n] = optimal_delivery_time(resolve(probe), k_max=k_max)
             t_star, f_star = per_width[n]
             f = calibrated_distill(f_star, rounds) if rounds and f_star > 0.5 else f_star
@@ -401,26 +406,75 @@ def _brute_force_surface(budget, k_max=400):
     for cand in sorted(cands, key=lambda c: (c[3], c[4])):
         unique.setdefault(cand[:3], cand)
     cands = list(unique.values())
-    front = [
-        c
-        for c in cands
-        if not any(
-            all(d[i] >= c[i] for i in range(3)) and any(d[i] > c[i] for i in range(3))
-            for d in cands
-        )
-    ]
+    dominated = _dominance([c[:3] for c in cands]).any(axis=1)
+    front = [c for c, beaten in zip(cands, dominated) if not beaten]
     front.sort(key=lambda c: (-c[0], -c[1], -c[2]))
     return front
+
+
+def _rows(points):
+    return [
+        (p.n_links, p.rate_per_us, p.f_del, p.n_parallel, p.distill_rounds, p.t_del_us)
+        for p in points
+    ]
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13, 16, 21, 40, 64])
 def test_tradeoff_matches_brute_force(budget):
     got = tradeoff_surface(budget, resolve(_parallel_link()), k_max=400)
-    got_rows = [
-        (p.n_links, p.rate_per_us, p.f_del, p.n_parallel, p.distill_rounds, p.t_del_us)
-        for p in got
-    ]
-    assert got_rows == _brute_force_surface(budget)
+    assert _rows(got) == _brute_force_surface(_parallel_link(), budget)
+
+
+# (basis, pump, memory kind) of the links that validate
+_LINK_KINDS = [
+    (PhotonBasis.ONE_PHOTON, PumpMode.UPCONVERSION, None),
+    (PhotonBasis.ONE_PHOTON, PumpMode.TMS, None),
+    (PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION, None),
+    (PhotonBasis.TWO_PHOTON, PumpMode.UPCONVERSION, MemoryKind.SPIN_CAVITY),
+    (PhotonBasis.TWO_PHOTON, PumpMode.TMS, None),
+    (PhotonBasis.TWO_PHOTON, PumpMode.TMS, MemoryKind.CATCH_RELEASE),
+]
+
+
+@st.composite
+def _tradeoff_links(draw):
+    """A link whose herald probability per channel reaches 0.9, so that
+    q = 1 - (1 - p_her)^N rounds to 1.0 within a few dozen channels, or is
+    1, so that every width has the same optimum."""
+    basis, pump, kind = draw(st.sampled_from(_LINK_KINDS))
+    one_up = (basis, pump) == (PhotonBasis.ONE_PHOTON, PumpMode.UPCONVERSION)
+    transducer = draw(st.sampled_from([preset("transducer1"), preset("transducer2")]))
+    memory = None
+    if kind is not None:
+        memory = MemoryParams(
+            kind, eta_mem=draw(st.floats(0.05, 1.0)), lifetime_us=draw(st.floats(50.0, 5000.0))
+        )
+    return LinkConfig(
+        transducer=transducer,
+        qubit=StorageQubitParams(t_coh_us=draw(st.floats(1.0, 1000.0))),
+        protocol=ProtocolSpec(
+            basis, pump, alpha=draw(st.floats(0.001, 0.5)) if one_up else None
+        ),
+        memory=memory,
+        policy=DeliveryPolicy(
+            t_del_us=transducer.t_rep_us,
+            fidelity_model=draw(st.sampled_from(FidelityModel)),
+        ),
+        p_her_reference=draw(st.none() | st.floats(1e-4, 0.9) | st.just(1.0)),
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_tradeoff_links(), st.integers(1, 300), st.integers(1, 400))
+def test_tradeoff_matches_brute_force_on_drawn_links(cfg, budget, k_max):
+    """Wide links share the narrow ones' optimum once q saturates; keeping
+    only the narrowest width of each optimum must not change the surface."""
+    try:
+        link = resolve(cfg)
+    except ModelDomainError:  # no heralded-state model for this link
+        return
+    got = tradeoff_surface(budget, link, k_max=k_max)
+    assert _rows(got) == _brute_force_surface(cfg, budget, k_max)
 
 
 def test_tradeoff_reference_rows():
@@ -461,10 +515,7 @@ def test_tradeoff_points_not_dominated_pairwise():
 
 def _dominated_pairs(objs):
     """Count ordered pairs (a, b) where b dominates a; O(n^2) with numpy."""
-    objs = np.asarray(objs, dtype=np.float64)
-    ge = (objs[None, :, :] >= objs[:, None, :]).all(axis=2)
-    gt = (objs[None, :, :] > objs[:, None, :]).any(axis=2)
-    return int((ge & gt).sum())
+    return int(_dominance(objs).sum())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
