@@ -134,9 +134,9 @@ def _build_parser() -> _Parser:
     simulate.add_argument(
         "--jobs", type=int, default=1,
         help="threads drawing the trials, the calling one included; each draws "
-        "65536-trial spans, so there are never more threads than spans. The "
-        "reduction runs on one, so this pays only on large runs. Results are "
-        "byte-identical for any value",
+        "65536-trial spans, so there are never more threads than spans, and "
+        "counts their herald rounds. Only the merge of those counts runs on "
+        "one. Results are byte-identical for any value",
     )
     simulate.add_argument(
         "--keep-trials", action="store_true",
@@ -252,17 +252,23 @@ def _cmd_simulate(args, parsed: ParsedConfig, link: Link, emit) -> None:
     stats = run_trials(
         link, args.trials, args.seed, n_jobs=args.jobs, keep_trials=args.keep_trials
     )
+    trials = (
+        _trial_columns(stats.trials, link.config.policy.n_parallel)
+        if args.keep_trials else None
+    )
+    mcstats = stats.to_dict()
+    del stats  # frees the per-trial arrays before any artifact is formatted
     analytic = delivered_fidelity(link)
     emit("mcstats.json", {
-        "mcstats": stats.to_dict(),
+        "mcstats": mcstats,
         "analytic": {
             "p_success": analytic.p_success,
             "f_del": analytic.f_del,
             "f_her": analytic.f_her,
         },
     })
-    if args.keep_trials:
-        emit("trials.csv", _trial_columns(stats.trials, link.config.policy.n_parallel))
+    if trials is not None:
+        emit("trials.csv", trials)
 
 
 def _trial_columns(cols: TrialColumns, n_channels: int) -> dict:

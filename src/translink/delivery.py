@@ -374,10 +374,11 @@ def optimal_delivery_time(
     Returns (t_del, f_del) as floats at the policy's n_parallel. Given
     n_parallel, an array of widths, it returns the two arrays of the link
     at each of those widths instead, all found in one pass of array
-    operations; an int n_parallel gives floats again. The optimum depends
-    on the width only through q, so that pass solves each distinct q once
-    and scatters its optimum back to every width that has it: past a few
-    thousand channels q rounds to 1.0, and every wider width shares it.
+    operations; an int n_parallel gives floats again. A width that is not an
+    integer >= 1 raises ConfigError. The optimum depends on the width only
+    through q, so that pass solves each distinct q once and scatters its
+    optimum back to every width that has it: past a few thousand channels q
+    rounds to 1.0, and every wider width shares it.
 
     f_del(k) = 1/2 + (f_her - 1/2) S(k) with S(k) = q (r^k - d^k)/(r - d), which
     rises to one peak at the real k* of _peak_rounds and falls after it. So
@@ -403,6 +404,8 @@ def optimal_delivery_time(
     if link.p_her <= 0.0:
         raise NoOptimumError("p_her = 0: no herald can ever arrive")
     widths = np.asarray(link.config.policy.n_parallel if n_parallel is None else n_parallel)
+    if widths.dtype.kind not in "iu" or (widths < 1).any():
+        raise ConfigError("n_parallel: every width must be an integer >= 1")
     q, d = _herald_and_decay(link, widths)
     t_rep = link.config.transducer.t_rep_us
     if widths.ndim == 0:

@@ -8,10 +8,17 @@ second its winning channel, both by inverting their distribution functions,
 so a trial costs O(1) whatever the round and channel counts. Only the
 per-trial dump reads the channel, so the second uniform is drawn only for
 kept trials with N > 1 channels; a skipped draw moves no other value, and
-one channel wins every herald without a draw. Storage time and delivered
-fidelity depend on a trial only through its herald round, so they are
-evaluated once per round and gathered. Reductions only ever see the same
-fully-populated per-trial arrays, keeping aggregation order-independent.
+one channel wins every herald without a draw.
+
+Storage time and delivered fidelity depend on a trial only through its
+herald round. So each worker thread counts the herald rounds of the spans
+it draws into a histogram, dense over 0..K when K is small next to a span
+and sorted and sparse otherwise, and no per-trial array exists unless the
+trials are kept. The histograms merge exactly, f_del is evaluated once per
+distinct round, and the mean and standard error are correctly rounded from
+exact integer sums over the histogram. Every statistic is therefore the
+same for any job count, span size or keep_trials; kept trials gather their
+storage time and f_del from the per-round tables.
 """
 
 from __future__ import annotations
@@ -26,10 +33,12 @@ from .delivery import Link
 from .errors import ConfigError
 
 MAX_TRIAL_DUMP = 1_000_000
-# The per-trial arrays are allocated up front: about 24 bytes a trial at
-# peak, so `simulate` peaks near 0.26 GB at the cap (max RSS 259-261 MB on
-# ex1-ex3 at --jobs 1 and 2, against 30 MB at one trial; 10^7 trials on a
-# 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6).
+# The cap bounds time, not memory: without kept trials no per-trial array
+# exists, and each worker holds one span's draws and a histogram with at
+# most one entry per distinct herald round. At the cap `simulate` reaches a
+# max RSS of 32 MB at --jobs 1 and 34 MB at --jobs 2 on ex1-ex3, against
+# 30 MB at one trial, and takes 0.29-0.33 s and 0.22-0.27 s (10^7 trials
+# on a 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6).
 MAX_TRIALS = 10_000_000
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -152,59 +161,73 @@ def _winning_channels(u, rounds, p_her, n_channels) -> np.ndarray:
     return np.where(heralded, chans, -1.0).astype(np.int64)
 
 
-def _summarize(link: Link, rounds, chans, seed) -> MCStats:
-    """Reduce per-trial herald rounds (0: none) to MCStats.
+def _merge(hists):
+    """One (rounds, counts) histogram from several, exactly: the distinct
+    rounds ascending and the counts summed. Histograms that share one dense
+    0..K rounds array add their counts."""
+    rounds, counts = zip(*hists)
+    if all(r is rounds[0] for r in rounds):
+        return rounds[0], sum(counts)
+    rounds, at = np.unique(np.concatenate(rounds), return_inverse=True)
+    # float weights add the counts exactly: they total at most MAX_TRIALS
+    return rounds, np.bincount(at, np.concatenate(counts)).astype(np.int64)
 
-    Each heralded state decays in storage from its herald round until t_del;
-    trials with no herald deliver the fidelity-1/2 fallback. Storage time
-    and f_del are evaluated once for each round 0..max(rounds), element for
-    element the same float operations that a per-trial evaluation runs, and
-    gathered into the per-trial arrays. `chans` is None unless the trials
-    are kept.
+
+def _moments(f_del, counts, n) -> tuple:
+    """Mean and standard error of the f_del of n trials, of which counts[i]
+    deliver f_del[i].
+
+    Both are correctly rounded from exact integer sums, so they do not
+    depend on how the trials were counted. Each f_del lies in [1/2, 1], so
+    m = f_del * 2**53 is an integer below 2**54. Its three 18-bit pieces
+    keep every partial sum of counts * piece * piece below n * 2**36, inside
+    int64 for n < 2**27 trials. SE is the square root of the correctly
+    rounded s^2 / n, s^2 the sample variance.
     """
-    t = link.config.transducer
-    pol = link.config.policy
-    n_trials = len(rounds)
-    counts = np.bincount(rounds)
-    # tau at each round, then the decay, then f_del, in one buffer
-    f_del = np.multiply(np.arange(len(counts)), t.t_rep_us, dtype=float)
-    np.subtract(pol.t_del_us, f_del, out=f_del)
-    f_del[0] = 0.0  # round 0: no herald, nothing stored
-    tau = f_del[rounds] if chans is not None else None
-    # the decay; an infinite t_coh gives exp(-0.0) = 1 exactly
-    np.negative(f_del, out=f_del)
-    np.divide(f_del, link.config.qubit.t_coh_us, out=f_del)
-    np.exp(f_del, out=f_del)
-    np.multiply(max(link.f_her - 0.5, 0.0), f_del, out=f_del)
-    np.add(0.5, f_del, out=f_del)
-    f_del[0] = 0.5
-    f_del = f_del[rounds]
+    m = (f_del * 2.0**53).astype(np.int64)
+    pieces = [(m >> shift) & 0x3FFFF for shift in (0, 18, 36)]
+    weighted = [counts * piece for piece in pieces]
+    s1 = sum(int(w.sum()) << 18 * i for i, w in enumerate(weighted))
+    s2 = sum(int(np.dot(w, piece)) << 18 * (i + j)
+             for i, w in enumerate(weighted) for j, piece in enumerate(pieces))
+    se2 = (n * s2 - s1 * s1) / (n * n * (n - 1) << 106) if n > 1 else 0.0
+    return s1 / (n << 53), math.sqrt(se2)
 
-    mean = float(np.mean(f_del))
-    std_error = (
-        float(np.std(f_del, ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
-    )
-    herald_rounds = np.flatnonzero(counts[1:]) + 1
-    n_no_herald = int(counts[0])
+
+def _summarize(link: Link, hist, seed, rounds=None, chans=None) -> MCStats:
+    """Reduce a histogram of herald rounds (0: none) to MCStats.
+
+    hist is (rounds, counts): the distinct rounds, ascending, and the trials
+    at each. Each heralded state decays in storage from its herald round
+    until t_del; trials with no herald deliver the fidelity-1/2 fallback.
+    Storage time and f_del are evaluated once for each of those rounds,
+    element for element the same float operations that a per-trial
+    evaluation runs. Kept trials (`rounds` and `chans`, per trial) gather
+    their storage time and f_del from those tables.
+    """
+    values, counts = hist
+    n_trials = int(counts.sum())
+    c = link.config
+    missed = values == 0  # no herald, nothing stored
+    tau = np.where(missed, 0.0, c.policy.t_del_us - values * c.transducer.t_rep_us)
+    # the decay; an infinite t_coh gives exp(-0.0) = 1 exactly
+    decay = np.exp(-tau / c.qubit.t_coh_us)
+    f_del = np.where(missed, 0.5, 0.5 + max(link.f_her - 0.5, 0.0) * decay)
+    heralded = (counts > 0) & ~missed
+    n_no_herald = int(counts[missed].sum())
+    # kept trials gather from the tables; a dense one holds round r at index r
+    dense = rounds is None or len(values) > values[-1]
+    at = rounds if dense else np.searchsorted(values, rounds)
     return MCStats(
-        n_trials=n_trials,
-        seed=seed,
-        mean_f_del=mean,
-        std_error=std_error,
-        p_success=(n_trials - n_no_herald) / n_trials,
-        herald_rounds=tuple(herald_rounds.tolist()),
-        herald_histogram=tuple(counts[herald_rounds].tolist()),
-        n_no_herald=n_no_herald,
-        trials=TrialColumns(rounds, chans, tau, f_del) if chans is not None else None,
+        n_trials, seed, *_moments(f_del, counts, n_trials),
+        (n_trials - n_no_herald) / n_trials, n_no_herald,
+        *(tuple(column[heralded].tolist()) for column in (values, counts)),
+        None if rounds is None else TrialColumns(rounds, chans, tau[at], f_del[at]),
     )
 
 
 def run_trials(
-    link: Link,
-    n_trials: int,
-    seed: int,
-    n_jobs: int = 1,
-    keep_trials: bool = False,
+    link: Link, n_trials: int, seed: int, n_jobs: int = 1, keep_trials: bool = False
 ) -> MCStats:
     """Simulate n_trials independent delivery attempts of the resolved link.
 
@@ -216,11 +239,10 @@ def run_trials(
     a run do not depend on n_trials. Trial t reads its herald round at
     stream position 2t; its winning channel, at 2t + 1, is drawn only when
     keep_trials is set and N > 1, which leaves every other value unchanged.
+    The statistics come from the herald-round histogram either way.
     """
-    if n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
-    if n_trials > MAX_TRIALS:
-        raise ConfigError(f"n_trials must be <= {MAX_TRIALS}")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ConfigError(f"n_trials must be in [1, {MAX_TRIALS}]")
     if n_jobs < 1:
         raise ConfigError("n_jobs must be >= 1")
     _check_seed(seed)
@@ -230,31 +252,42 @@ def run_trials(
     pol = link.config.policy
     n_channels = pol.n_parallel
     k_rounds = math.floor(pol.t_del_us / link.config.transducer.t_rep_us)
-    rounds = np.empty(n_trials, dtype=np.int64)
-    chans = np.empty(n_trials, dtype=np.int64) if keep_trials else None
+    # the kept trials' herald rounds and winning channels
+    rounds, chans = np.empty((2, n_trials), dtype=np.int64) if keep_trials else (None, None)
     draw_chans = keep_trials and n_channels > 1
+    # K + 1 bins cost no more than a span's draws: count densely, else sort
+    dense = np.arange(k_rounds + 1) if k_rounds < min(_CHUNK, n_trials) else None
 
-    def sample(span):
-        """Fill herald round, and the channel if kept, for trials [lo, hi)."""
-        lo, hi = span
+    def count(lo, hi):
+        """Histogram of the herald rounds of trials [lo, hi), kept if asked."""
         step = 1 if draw_chans else 2  # both positions of each trial, or 2t only
         u = _uniforms(seed, np.arange(2 * lo, 2 * hi, step, dtype=np.uint64))
         u_round, u_chan = (u[0::2], u[1::2]) if draw_chans else (u, None)
-        rounds[lo:hi] = _herald_rounds(u_round, link.p_her, n_channels, k_rounds)
+        drawn = _herald_rounds(u_round, link.p_her, n_channels, k_rounds)
         if keep_trials:
-            chans[lo:hi] = _winning_channels(
-                u_chan, rounds[lo:hi], link.p_her, n_channels
-            )
+            rounds[lo:hi] = drawn
+            chans[lo:hi] = _winning_channels(u_chan, drawn, link.p_her, n_channels)
+        if dense is None:
+            return np.unique(drawn, return_counts=True)
+        return dense, np.bincount(drawn, minlength=len(dense))
 
     spans = [(lo, min(lo + _CHUNK, n_trials)) for lo in range(0, n_trials, _CHUNK)]
-    todo, errors = iter(spans), []
+    todo, hists, errors = iter(spans), [], []
 
     def work():
-        """Sample spans until none is left; under the GIL, next() on the shared
-        list iterator hands each span to one thread."""
+        """Count spans until none is left, then hand in this thread's
+        histogram; under the GIL, next() on the shared list iterator hands
+        each span to one thread."""
         try:
+            parts = []
             for span in todo:
-                sample(span)
+                parts.append(count(*span))
+                # merged once the unmerged parts hold as many entries as
+                # the merged one: a merge sorts at most twice what it takes
+                # in, and a thread holds at most twice its histogram and a span
+                if sum(len(c) for _, c in parts[1:]) >= len(parts[0][1]):
+                    parts = [_merge(parts)]
+            hists.extend(parts)
         except BaseException as exc:
             errors.append(exc)
 
@@ -268,4 +301,4 @@ def run_trials(
         thread.join()
     if errors:
         raise errors[0]
-    return _summarize(link, rounds, chans, seed)
+    return _summarize(link, _merge(hists), seed, rounds, chans)

@@ -11,8 +11,10 @@ trial law.
 skipped the draws that no output reads: it draws both uniforms of every
 trial, at stream positions 2t and 2t + 1, from its own copy of the
 splitmix64 hash, and evaluates herald rounds, storage time and f_del trial
-by trial with the expressions that the library used then. The library must
-match it bit for bit.
+by trial with the expressions that the library used then. It reduces its own
+per-trial f_del to the mean and standard error with exact Python integer
+sums, by the library's definition of both, where the library reduces a
+herald-round histogram. The library must match it bit for bit.
 
 `run_distill_trials` samples the pair consumption of nested recurrence
 distillation, to cross-check the closed-form `pairs_expected` of
@@ -99,7 +101,8 @@ def run_trials(link, n_trials: int, seed: int, n_jobs: int = 1,
             _simulate_chunk(
                 lo, hi, seed, link.p_her, n_channels, k_rounds, rounds, chans
             )
-    return _summarize(link, rounds, chans if keep_trials else None, seed)
+    hist = np.unique(rounds, return_counts=True)
+    return _summarize(link, hist, seed, *((rounds, chans) if keep_trials else ()))
 
 
 def _splitmix_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
@@ -129,10 +132,29 @@ def _invert(u_round, u_chan, p_her, n_channels, k_rounds) -> tuple:
     return rounds, chans
 
 
+def _exact_moments(f_del) -> tuple:
+    """Mean and standard error of per-trial f_del values, from exact sums.
+
+    Every f_del is at least 1/2, so f * 2**53 is an integer; the sums of
+    those integers and of their squares are exact Python ints. The mean is
+    their correctly rounded quotient, and the standard error the square
+    root of the correctly rounded s^2 / n, s^2 the sample variance.
+    """
+    scaled = (f_del * 2.0**53).tolist()
+    assert all(x.is_integer() for x in scaled)
+    ints = [int(x) for x in scaled]
+    n, s1, s2 = len(ints), sum(ints), sum(x * x for x in ints)
+    mean = s1 / (n << 53)
+    if n == 1:
+        return mean, 0.0
+    return mean, math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1) << 106))
+
+
 def run_two_draw_trials(link, n_trials: int, seed: int) -> MCStats:
     """Two draws per trial and a per-trial f_del; the trials are always kept.
 
-    The histogram comes from np.unique, not the library's bincount.
+    The histogram comes from np.unique of the per-trial rounds, and the
+    mean and standard error from the per-trial f_del.
     """
     t = link.config.transducer
     pol = link.config.policy
@@ -155,13 +177,12 @@ def run_two_draw_trials(link, n_trials: int, seed: int) -> MCStats:
 
     n_success = int(np.count_nonzero(heralded))
     herald_rounds, herald_histogram = np.unique(rounds[heralded], return_counts=True)
+    mean_f_del, std_error = _exact_moments(f_del)
     return MCStats(
         n_trials=n_trials,
         seed=seed,
-        mean_f_del=float(np.mean(f_del)),
-        std_error=(
-            float(np.std(f_del, ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
-        ),
+        mean_f_del=mean_f_del,
+        std_error=std_error,
         p_success=n_success / n_trials,
         herald_rounds=tuple(herald_rounds.tolist()),
         herald_histogram=tuple(herald_histogram.tolist()),

@@ -435,6 +435,21 @@ def test_optimal_width_argument_shapes():
     assert (t_del[0, 1], f_del[0, 1]) == at_5
 
 
+def test_optimal_refuses_widths_that_are_not_whole_channels():
+    """A width below 1, a float or a bool is not a channel count: ConfigError.
+    Unchecked, a width of 0 has q = 0 and a negative one a negative q. Any
+    integer dtype is a count."""
+    link = resolve(_ex3())
+    for bad in (0, -1, 2.0, True, np.array([-3, 1.5]), np.array([1, 0]), np.array([2.0, 3.0])):
+        with pytest.raises(ConfigError, match="integer >= 1"):
+            optimal_delivery_time(link, n_parallel=bad)
+    widths = np.array([1, 2, 3], dtype=np.uint8)
+    t_del, f_del = optimal_delivery_time(link, n_parallel=widths)
+    assert [(t, f) for t, f in zip(t_del.tolist(), f_del.tolist())] == [
+        optimal_delivery_time(link, n_parallel=n) for n in (1, 2, 3)
+    ]
+
+
 def test_optimal_scatters_each_distinct_q_to_its_widths():
     """On the lattice link q rounds to 1.0 from width 1853 on, so 3000 widths
     have fewer distinct q than widths. Shuffled and repeated widths in one

@@ -1,7 +1,9 @@
 """Counter-based Monte Carlo: determinism, statistics, and analytic agreement."""
 
 import math
+import sys
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -143,6 +145,43 @@ def test_matches_two_draw_oracle(link, n_trials, seed, keep_trials, n_jobs, chun
         # bit patterns, so that -0.0 and 0.0 differ
         got_bits, want_bits = (getattr(s.trials, f.name).view(np.uint64) for s in (got, want))
         assert np.array_equal(got_bits, want_bits)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    link=_mc_links(),
+    n_trials=st.integers(1, 3000),
+    seed=st.integers(0, 2**64 - 1),
+    keep_trials=st.booleans(),
+    n_jobs=st.sampled_from([1, 2, 3]),
+    chunk=st.sampled_from([7, 256, 65536]),
+)
+def test_stats_do_not_depend_on_how_trials_are_counted(
+    link, n_trials, seed, keep_trials, n_jobs, chunk
+):
+    """Kept or not, on any number of threads and in spans of any size (dense
+    or sparse histograms, merged in any order), every field but the kept
+    trials is equal to a one-thread run that keeps none."""
+    want = run_trials(link, n_trials, seed)
+    with mock.patch.object(mcsim, "_CHUNK", chunk):
+        got = run_trials(link, n_trials, seed, n_jobs=n_jobs, keep_trials=keep_trials)
+    assert (got.trials is not None) == keep_trials
+    assert replace(got, trials=None) == want
+
+
+@pytest.mark.parametrize("keep_trials", [False, True])
+def test_round_cap_memory_follows_the_trials(keep_trials):
+    """At the 10^7-round cap, 2000 trials count only the rounds that occur:
+    no array spans the K + 1 rounds, which as int64 counts alone is 80 MB."""
+    link = resolve(replace(_ex1(10_000_000.0), p_her_reference=1e-7))
+    tracemalloc.start()
+    try:
+        out = run_trials(link, 2000, seed=9, n_jobs=2, keep_trials=keep_trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert len(out.herald_rounds) > 1000
 
 
 def _dense(stats_out, k_rounds):
@@ -312,6 +351,31 @@ def test_worker_exception_reaches_caller(monkeypatch):
     with pytest.raises(SpanFailed):
         run_trials(resolve(_ex1()), 40, seed=1, n_jobs=2)
     assert worker_ran.is_set()
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex3"])
+def test_many_threads_lose_no_count(monkeypatch, name):
+    """Eight jobs on fewer cores, switching threads every microsecond, over
+    sparse (ex2, K = 400) and dense (ex3, K = 15) histograms of 64-trial
+    spans: a span counted twice or lost, or a merge that drops a thread's
+    histogram, changes the herald counts."""
+    link = {"ex2": _ex2(), "ex3": resolve(_ex3())}[name]
+    monkeypatch.setattr(mcsim, "_CHUNK", 64)
+    want = run_trials(link, 20_000, seed=4)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: got.append(run_trials(link, 20_000, seed=4, n_jobs=8))
+        )
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == [want]
+    assert sum(want.herald_histogram) + want.n_no_herald == 20_000
 
 
 def test_jobs_start_no_more_threads_than_spans(monkeypatch):
