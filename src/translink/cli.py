@@ -12,7 +12,10 @@ the first, primary artifact to stdout. A rejected input writes nothing. A
 negative value after a space (`--f-in -1e5`, `--f-in -inf`) reads as
 `--f-in=-1e5` does. Errors print one JSON object to stderr; exit codes: 0
 success, 1 configuration error or an artifact that cannot be written, 2
-model-domain error, a result that overflows a float included.
+model-domain error, a result that overflows a float included. A process
+that loads numpy through this module runs only the threads that simulate
+--jobs starts: numpy's OpenBLAS is capped at one thread, unless the user
+sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -28,7 +31,20 @@ import shlex
 import sys
 from dataclasses import asdict, fields
 
-import numpy as np
+# numpy's OpenBLAS starts a worker thread per extra CPU when numpy loads, and
+# each busy-waits for work; no command calls a float BLAS routine. Where the
+# user sets none of OpenBLAS's thread variables, this caps the pool at the
+# one calling thread and removes the variable again, so os.environ and any
+# child see the environment unchanged. numpy loaded earlier keeps its pool.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_cap_blas = not any(var in os.environ for var in _BLAS_THREAD_VARS)
+if _cap_blas:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _cap_blas:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .config_io import (
     ParsedConfig,
@@ -282,14 +298,20 @@ def _trial_columns(cols: TrialColumns, n_channels: int) -> dict:
     N > 1 the channel is a group of its own, keyed by channel + 1.
     """
     rounds = cols.herald_round
-    # a dense map from round to code, never longer than K + 1; kept trials
-    # number at most MAX_TRIAL_DUMP, so int32 holds any trial or code
-    slot = np.full(rounds.max() + 1, -1, dtype=np.int32)
-    slot[rounds] = np.arange(len(rounds), dtype=np.int32)
-    occurs = np.flatnonzero(slot >= 0)
-    pick = slot[occurs]  # one trial of each round that occurs
-    slot[occurs] = np.arange(len(occurs), dtype=np.int32)
-    codes = slot[rounds]
+    if rounds.max() > len(rounds):
+        # rounds sparser than the trials (up to the 10^7-round cap): a sort,
+        # whose memory follows the trials
+        occurs, pick, codes = np.unique(rounds, return_index=True, return_inverse=True)
+    else:
+        # a dense int32 map from round to code, no longer than the trials + 1
+        # (kept trials number at most MAX_TRIAL_DUMP); the sort's int64
+        # temporaries would raise a 2x10^5-trial keep's peak RSS by 3.4 MB
+        slot = np.full(rounds.max() + 1, -1, dtype=np.int32)
+        slot[rounds] = np.arange(len(rounds), dtype=np.int32)
+        occurs = np.flatnonzero(slot >= 0)
+        pick = slot[occurs]  # one trial of each round that occurs
+        slot[occurs] = np.arange(len(occurs), dtype=np.int32)
+        codes = slot[rounds]
 
     def blank_timeouts(column):
         cells = column[pick].astype(object)

@@ -10,8 +10,10 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -969,3 +971,79 @@ def test_simulate_as_a_process(tmp_path, capsys, monkeypatch):
     assert _run(capsys, *argv)[0] == 0
     local = (local_dir / "out" / "mcstats.json").read_bytes()
     assert _CREATED.sub(b"", artifact) == _CREATED.sub(b"", local)
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Imports the modules named on the command line, in order, then prints the
+# process's task (thread) count and the BLAS thread variables it sees.
+_TASK_PROBE = (
+    "import json, os, sys\n"
+    "for name in sys.argv[1:]: __import__(name)\n"
+    "print(json.dumps([len(os.listdir('/proc/self/task')), {k: os.environ[k] for k in "
+    + repr(_BLAS_THREAD_VARS) + " if k in os.environ}]))"
+)
+_NEEDS_TASKS = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
+    reason="counts threads in /proc/self/task, with 2 or more CPUs",
+)
+
+
+def _tasks_after(*modules, **blas_env):
+    """(task count, BLAS thread variables) of a fresh interpreter that imported
+    `modules`, started with none of the BLAS thread variables but `blas_env`."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env.update(blas_env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _TASK_PROBE, *modules], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return tuple(json.loads(done.stdout))
+
+
+@_NEEDS_TASKS
+def test_bare_numpy_starts_a_blas_pool():
+    """The control: numpy's own import starts BLAS workers beside the main
+    thread, which the tests below expect the CLI to avoid."""
+    build = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+    blas = build.get("blas", {}).get("name") or ""  # numpy >= 1.26 records it
+    if "openblas" not in blas.lower():
+        pytest.skip(f"no threaded BLAS known: numpy's is {blas!r}")
+    tasks, seen = _tasks_after("numpy")
+    assert tasks > 1
+    assert seen == {}
+
+
+@_NEEDS_TASKS
+def test_cli_import_runs_one_thread_and_leaves_the_environment():
+    assert _tasks_after("translink.cli") == (1, {})
+
+
+@_NEEDS_TASKS
+def test_cli_import_keeps_a_users_blas_setting():
+    want = _tasks_after("numpy", OPENBLAS_NUM_THREADS="2")
+    assert want[1] == {"OPENBLAS_NUM_THREADS": "2"}
+    assert _tasks_after("translink.cli", OPENBLAS_NUM_THREADS="2") == want
+
+
+@_NEEDS_TASKS
+def test_cli_import_after_numpy_changes_nothing():
+    assert _tasks_after("numpy", "translink.cli") == _tasks_after("numpy")
+
+
+def test_trial_columns_memory_follows_the_kept_trials(tmp_path):
+    """At the 10^7-round cap, trials.csv's columns for 2000 kept trials hold
+    no map over the rounds, which as int32 alone is 40 MB."""
+    config = _config_file(tmp_path / "cfg.json", EX1, p_her_reference=1e-7, t_del_us=1e7)
+    cols = run_trials(resolve(parse_config(config).link), 2000, 21, keep_trials=True).trials
+    assert cols.herald_round.max() > 10**6
+    tracemalloc.start()
+    try:
+        cli._trial_columns(cols, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
