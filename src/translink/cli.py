@@ -12,10 +12,12 @@ the first, primary artifact to stdout. A rejected input writes nothing. A
 negative value after a space (`--f-in -1e5`, `--f-in -inf`) reads as
 `--f-in=-1e5` does. Errors print one JSON object to stderr; exit codes: 0
 success, 1 configuration error or an artifact that cannot be written, 2
-model-domain error, a result that overflows a float included. A process
-that loads numpy through this module runs only the threads that simulate
---jobs starts: numpy's OpenBLAS is capped at one thread, unless the user
-sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS.
+model-domain error, a result that overflows a float included. Where this
+module is imported before numpy, numpy loads at the first array a command
+builds: presets, distill --f-in and a usage or config error never load it.
+Where it loads, the process runs only the threads that simulate --jobs
+starts: numpy's OpenBLAS is capped at one thread, unless the user sets
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -33,19 +36,44 @@ from dataclasses import asdict, fields
 
 # numpy's OpenBLAS starts a worker thread per extra CPU when numpy loads, and
 # each busy-waits for work; no command calls a float BLAS routine. Where the
-# user sets none of OpenBLAS's thread variables, this caps the pool at the
-# one calling thread and removes the variable again, so os.environ and any
-# child see the environment unchanged. numpy loaded earlier keeps its pool.
+# user sets none of OpenBLAS's thread variables, numpy's load caps the pool at
+# the one calling thread and removes the variable again, so os.environ and
+# any child see the environment unchanged. numpy loaded earlier keeps its pool.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_cap_blas = not any(var in os.environ for var in _BLAS_THREAD_VARS)
-if _cap_blas:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-try:
-    import numpy as np
-finally:
-    if _cap_blas:
-        del os.environ["OPENBLAS_NUM_THREADS"]
 
+
+class _CappedLoader:
+    """numpy's own loader, run with OpenBLAS capped as above."""
+
+    def __init__(self, loader):
+        self.loader = loader
+
+    def create_module(self, spec):
+        return self.loader.create_module(spec)
+
+    def exec_module(self, module):
+        # the loaded module keeps numpy's own loader, resource reader included
+        module.__spec__.loader = module.__loader__ = self.loader
+        cap = not any(var in os.environ for var in _BLAS_THREAD_VARS)
+        if cap:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            self.loader.exec_module(module)
+        finally:
+            if cap:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+# A command that builds no array (presets, distill --f-in, a usage or config
+# error) would spend about half its run importing numpy. So numpy goes into
+# sys.modules as a deferred module, which loads, capped, at the first
+# attribute that a command reads; the array modules bind it through _numpy.
+if "numpy" not in sys.modules and (_spec := importlib.util.find_spec("numpy")):
+    _spec.loader = importlib.util.LazyLoader(_CappedLoader(_spec.loader))
+    sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules["numpy"])
+
+from ._numpy import np
 from .config_io import (
     ParsedConfig,
     build_manifest,

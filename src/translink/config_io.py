@@ -33,8 +33,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, is_dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError, ModelDomainError, SchemaError
 from .params import (
     ArchitectureSpec,
@@ -229,19 +228,28 @@ _CSV_BLOCK = 4096
 
 
 def _nine_digits(obj):
-    """Round every float in a JSON-like tree, dataclasses included, to 9 digits."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (np.floating, float)):
+    """Round every float in a JSON-like tree, dataclasses included, to 9 digits.
+
+    Plain Python types are checked before numpy's scalar types, whose first
+    read would load a deferred numpy (see _numpy). A list or tuple of ints
+    alone, such as a herald-round histogram, is returned as it is, without a
+    call per element: json writes a tuple as an array, and a copy would only
+    raise the peak memory.
+    """
+    if isinstance(obj, float):
         return float(format(float(obj), ".9g"))
-    if isinstance(obj, np.integer):
-        return int(obj)
+    if obj is None or isinstance(obj, (int, str)):  # bools are ints
+        return obj
     if isinstance(obj, dict):
         return {k: _nine_digits(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is int for v in obj):
+            return obj
         return [_nine_digits(v) for v in obj]
     if is_dataclass(obj):
         return _nine_digits(asdict(obj))
+    if isinstance(obj, (np.floating, np.integer)):
+        return _nine_digits(obj.item())
     return obj
 
 

@@ -27,8 +27,7 @@ import math
 import threading
 from dataclasses import dataclass, fields
 
-import numpy as np
-
+from ._numpy import np
 from .delivery import Link
 from .errors import ConfigError
 
@@ -41,9 +40,11 @@ MAX_TRIAL_DUMP = 1_000_000
 # on a 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6).
 MAX_TRIALS = 10_000_000
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+# splitmix64's constants, made uint64 where the hash uses them: a module-level
+# numpy scalar would load numpy at import (see _numpy)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _CHUNK = 65536
 
 
@@ -54,14 +55,14 @@ def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         z = counters + np.uint64(1)
-        z *= _GOLDEN
+        z *= np.uint64(_GOLDEN)
         z += np.uint64(seed)
         shifted = z >> np.uint64(30)
         z ^= shifted
-        z *= _MIX1
+        z *= np.uint64(_MIX1)
         np.right_shift(z, np.uint64(27), out=shifted)
         z ^= shifted
-        z *= _MIX2
+        z *= np.uint64(_MIX2)
         np.right_shift(z, np.uint64(31), out=shifted)
         z ^= shifted
         z >>= np.uint64(11)
@@ -291,6 +292,10 @@ def run_trials(
         except BaseException as exc:
             errors.append(exc)
 
+    # a deferred numpy (see _numpy) loads here, in the calling thread: Python
+    # 3.10 and 3.11's lazy loader has no lock, so two workers that read it
+    # first at once would see it half built
+    np.ndarray
     # the calling thread is one of the workers, so one job starts no thread,
     # and no thread starts without a span to draw
     threads = [threading.Thread(target=work) for _ in range(min(n_jobs, len(spans)) - 1)]

@@ -14,8 +14,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .delivery import (
     Link,
     delivered_fidelity,
@@ -183,9 +182,31 @@ class CircuitCutComparison:
     advantage: bool
 
 
-def _k_max(budget: int, gamma: float) -> int:
-    # small epsilon so exact powers of gamma are not floored away
-    return int(math.floor(math.log(budget) / math.log(gamma) + 1e-9))
+def _k_quantum(budget: int, exponent) -> int:
+    """The largest k with 10^(k * exponent) <= budget, for a Fraction exponent > 0.
+
+    log10(budget) is a whole number where budget is a power of 10, and the
+    quotient is then taken exactly. Anywhere else it is irrational, and so is
+    its quotient by the exponent: a correctly rounded log10 to enough digits
+    places it strictly between two whole numbers. 50 digits settle almost
+    every budget. One next to a power of gamma, such as isqrt(10^101) at
+    gamma 10^0.5, needs about as many digits as it has, and the digits grow
+    until the count is settled.
+    """
+    from decimal import Context, Decimal
+    from fractions import Fraction
+
+    digits = Decimal(budget).adjusted()  # floor(log10(budget))
+    if budget == 10**digits:
+        return math.floor(digits / exponent)
+    prec = 50
+    while True:
+        log10 = Fraction(Context(prec=prec).log10(budget))
+        slack = log10 / 10 ** (prec - 1)  # above a correctly rounded result's error
+        low, high = (math.floor((log10 + s) / exponent) for s in (-slack, slack))
+        if low == high:
+            return low
+        prec = max(2 * prec, digits + 60)
 
 
 def circuit_cut_comparison(infidelity: float, circuit_budget: int) -> CircuitCutComparison:
@@ -194,18 +215,32 @@ def circuit_cut_comparison(infidelity: float, circuit_budget: int) -> CircuitCut
     Replacing k links classically costs gamma_classical^k circuit executions;
     imperfect quantum links cost gamma_quantum(infidelity)^k. Both gammas come
     from a calibrated log-linear model (see module constants), so the quantum
-    side wins exactly when infidelity < 0.30.
+    side wins exactly when infidelity < 0.30. Each k is the largest with
+    gamma^k <= budget, exactly. Classically that is 10^k <= budget^2, one less
+    than the square's digit count. On the quantum side log10(gamma_q) is taken
+    between the spelled decimals (the repr) of the infidelity and the
+    constants, and k_quantum is None where that is not above 0 (see
+    _k_quantum).
     """
+    # here, not at the top: decimal costs every other command 1.5 ms (see
+    # lattice_surgery_plan)
+    from decimal import Decimal
+    from fractions import Fraction
+
     if not 0.0 <= infidelity < 1.0:
         raise ConfigError("infidelity out of [0, 1)")
     if circuit_budget < 1:
         raise ConfigError("circuit_budget must be >= 1")
+    budget = int(circuit_budget)  # Decimal takes no numpy integer
     gamma_quantum = 10.0 ** (_GAMMA_Q_SLOPE * infidelity + _GAMMA_Q_OFFSET)
+    # float() first: a numpy float's repr spells its type
+    exponent = (Fraction(repr(_GAMMA_Q_SLOPE)) * Fraction(repr(float(infidelity)))
+                + Fraction(repr(_GAMMA_Q_OFFSET)))
     return CircuitCutComparison(
         gamma_quantum=gamma_quantum,
         gamma_classical=GAMMA_CLASSICAL,
-        k_quantum=_k_max(circuit_budget, gamma_quantum) if gamma_quantum > 1.0 else None,
-        k_classical=_k_max(circuit_budget, GAMMA_CLASSICAL),
+        k_quantum=_k_quantum(budget, exponent) if exponent > 0 else None,
+        k_classical=Decimal(budget * budget).adjusted(),
         advantage=infidelity < CIRCUIT_CUT_BREAK_EVEN_INFIDELITY,
     )
 

@@ -974,11 +974,15 @@ def test_simulate_as_a_process(tmp_path, capsys, monkeypatch):
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# Imports the modules named on the command line, in order, then prints the
-# process's task (thread) count and the BLAS thread variables it sees.
+# Imports the modules named on the command line, in order, and loads numpy:
+# a numpy that translink.cli deferred loads through cli's own binding, at the
+# first attribute read. Then prints the process's task (thread) count and the
+# BLAS thread variables it sees.
 _TASK_PROBE = (
     "import json, os, sys\n"
     "for name in sys.argv[1:]: __import__(name)\n"
+    "if 'translink.cli' in sys.modules: sys.modules['translink.cli'].np.ndarray\n"
+    "assert 'numpy._core' in sys.modules\n"
     "print(json.dumps([len(os.listdir('/proc/self/task')), {k: os.environ[k] for k in "
     + repr(_BLAS_THREAD_VARS) + " if k in os.environ}]))"
 )
@@ -988,16 +992,23 @@ _NEEDS_TASKS = pytest.mark.skipif(
 )
 
 
-def _tasks_after(*modules, **blas_env):
-    """(task count, BLAS thread variables) of a fresh interpreter that imported
-    `modules`, started with none of the BLAS thread variables but `blas_env`."""
+def _fresh_env(**blas_env) -> dict:
+    """The environment of a fresh interpreter that imports src/: this one's,
+    with none of the BLAS thread variables but `blas_env`."""
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     env.update(blas_env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _tasks_after(*modules, **blas_env):
+    """(task count, BLAS thread variables) of a fresh interpreter that imported
+    `modules` and loaded numpy, started with none of the BLAS thread variables
+    but `blas_env`."""
     done = subprocess.run(
-        [sys.executable, "-c", _TASK_PROBE, *modules], env=env,
+        [sys.executable, "-c", _TASK_PROBE, *modules], env=_fresh_env(**blas_env),
         capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, "")
@@ -1032,6 +1043,119 @@ def test_cli_import_keeps_a_users_blas_setting():
 @_NEEDS_TASKS
 def test_cli_import_after_numpy_changes_nothing():
     assert _tasks_after("numpy", "translink.cli") == _tasks_after("numpy")
+
+
+# `translink` in a fresh interpreter. At exit, --help's included, it writes to
+# the file named first whether numpy ran (numpy._core is loaded), its task
+# count, and whether OPENBLAS_NUM_THREADS is set.
+_LOAD_SHIM = (
+    "import atexit, json, os, sys\n"
+    "def report():\n"
+    "    tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else ()\n"
+    "    with open(sys.argv[1], 'w') as f:\n"
+    "        json.dump(['numpy._core' in sys.modules, len(tasks),\n"
+    "                   'OPENBLAS_NUM_THREADS' in os.environ], f)\n"
+    "atexit.register(report)\n"
+    "from translink.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+
+def _fresh_run(tmp_path, argv):
+    """(exit code, stdout, stderr, numpy ran, task count, OPENBLAS_NUM_THREADS
+    set) of `translink argv` in a fresh interpreter, started in tmp_path with
+    none of the BLAS thread variables."""
+    report = tmp_path / "report.json"
+    done = subprocess.run(
+        [sys.executable, "-c", _LOAD_SHIM, str(report), *argv],
+        cwd=tmp_path, env=_fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    return (done.returncode, done.stdout, done.stderr, *json.loads(report.read_text()))
+
+
+def _in_process(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main(argv), --help's SystemExit included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["presets"], 0),
+    (["distill", "--f-in", "0.91", "--rounds", "4"], 0),
+    (["--help"], 0),
+    (["presets", "--no-such-flag"], 1),
+    (["analyze", "--config", "unknown_key.json"], 1),
+], ids=["presets", "distill-f-in", "help", "unknown-flag", "schema-error"])
+def test_commands_without_arrays_never_run_numpy(tmp_path, capsys, monkeypatch, argv, code):
+    """A command that builds no array exits as it does in process, with the
+    same stdout and stderr, and never executes numpy."""
+    monkeypatch.setenv("COLUMNS", "80")  # --help's width, here and in the child
+    monkeypatch.chdir(tmp_path)
+    cfg = json.loads(Path(EX1).read_text())
+    cfg["policy"]["no_such_key"] = 1
+    (tmp_path / "unknown_key.json").write_text(json.dumps(cfg))
+    fresh_code, out, err, numpy_ran, _, _ = _fresh_run(tmp_path, [*argv, "--out", "out"])
+    local_code, local_out, local_err = _in_process(capsys, [*argv, "--out", "out"])
+    assert not numpy_ran
+    assert fresh_code == local_code == code
+    assert _CREATED.sub(b"", out.encode()) == _CREATED.sub(b"", local_out.encode())
+    assert err == local_err
+    if code:
+        assert json.loads(err)["error"] in ("ConfigError", "SchemaError")
+
+
+@pytest.mark.parametrize("argv, artifact", [
+    (["analyze", "--config", EX1], "metrics.json"),
+    (["simulate", "--config", EX1, "--trials", "1000"], "mcstats.json"),
+    (["distill", "--config", EX1], "distill.json"),
+], ids=["analyze", "simulate", "distill-config"])
+def test_commands_with_arrays_run_numpy_capped(tmp_path, argv, artifact):
+    """A command that builds arrays loads numpy, with OpenBLAS capped at the
+    calling thread and the environment left as it was."""
+    code, out, err, numpy_ran, tasks, blas_var_left = _fresh_run(
+        tmp_path, [*argv, "--out", "out"]
+    )
+    assert (code, err) == (0, "")
+    assert out == (tmp_path / "out" / artifact).read_text()
+    assert numpy_ran
+    assert not blas_var_left
+    if Path("/proc/self/task").is_dir():
+        assert tasks == 1
+
+
+# `translink` in a fresh interpreter that writes to the file named first, at
+# exit, whether numpy had loaded at each thread start
+_THREAD_SHIM = (
+    "import atexit, json, sys, threading\n"
+    "loaded_at_start = []\n"
+    "start = threading.Thread.start\n"
+    "def recorded(self):\n"
+    "    loaded_at_start.append('numpy._core' in sys.modules)\n"
+    "    start(self)\n"
+    "threading.Thread.start = recorded\n"
+    "atexit.register(lambda: open(sys.argv[1], 'w').write(json.dumps(loaded_at_start)))\n"
+    "from translink.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+
+def test_simulate_loads_numpy_before_its_workers(tmp_path):
+    """At the round cap, with no --keep-trials, run_trials builds no array
+    before its spans, so a deferred numpy would first load in two workers at
+    once; Python 3.10 and 3.11's lazy loader has no lock, and one of them
+    would read a half-built numpy. The calling thread loads it first."""
+    config = _config_file(tmp_path / "cfg.json", EX1, p_her_reference=1e-7, t_del_us=1e7)
+    report = tmp_path / "report.json"
+    argv = ["simulate", "--config", config, "--trials", "131072", "--jobs", "2"]
+    done = subprocess.run(
+        [sys.executable, "-c", _THREAD_SHIM, str(report), *argv, "--out", "out"],
+        cwd=tmp_path, env=_fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(report.read_text()) == [True]
+    assert done.stdout == (tmp_path / "out" / "mcstats.json").read_text()
 
 
 def test_trial_columns_memory_follows_the_kept_trials(tmp_path):

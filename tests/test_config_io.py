@@ -411,6 +411,24 @@ def test_emit_json_rounds_floats(tmp_path):
     assert list(doc)[0] == "manifest"
 
 
+def test_emit_json_scalars_and_int_lists(tmp_path):
+    """numpy scalars write as their Python values at 9 digits; a list or tuple
+    of ints alone writes as an array, and one with a bool or a float in it
+    goes cell by cell."""
+    payload = {
+        "f32": np.float32(0.1), "f64": np.float64(1 / 3), "i64": np.int64(-7),
+        "ints": (3, 1, 2**70), "flags": [True, 0], "mixed": [1, 2.123456789012],
+    }
+    text = emit_json(tmp_path / "out.json", payload, build_manifest("cmd", {}))
+    doc = json.loads(text)
+    del doc["manifest"]
+    assert doc == {
+        "f32": 0.100000001, "f64": 0.333333333, "i64": -7,
+        "ints": [3, 1, 2**70], "flags": [True, 0], "mixed": [1, 2.12345679],
+    }
+    assert '"flags": [\n    true,\n    0\n  ]' in text
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.inf)],
                          ids=["inf", "-inf", "nan", "numpy-inf"])
 def test_emit_json_refuses_non_finite_floats(tmp_path, value):

@@ -4,6 +4,7 @@ import hashlib
 import math
 import time
 from dataclasses import astuple, replace
+from decimal import Context
 from fractions import Fraction
 
 import numpy as np
@@ -350,6 +351,50 @@ def test_circuit_cut_budget_and_domain():
             circuit_cut_comparison(bad, 100)
     with pytest.raises(ConfigError):
         circuit_cut_comparison(0.1, 0)
+    # numpy scalars count as the Python numbers they hold
+    assert circuit_cut_comparison(np.float64(0.1), np.int64(10**5)).k_quantum == 50
+    single = np.float32(0.1)
+    assert circuit_cut_comparison(single, 10**5).k_quantum == 49
+    assert circuit_cut_comparison(float(single), 10**5).k_quantum == 49
+
+
+# budgets next to 10^(n/2): powers of gamma_c and of gamma_q at x = 0.3 and 0.8
+_HALF_POWER_NEIGHBOURS = st.builds(
+    lambda n, offset: max(math.isqrt(10**n) + offset, 1), st.integers(0, 240), st.integers(-1, 1)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    budget=st.integers(1, 10**18) | _HALF_POWER_NEIGHBOURS,
+    infidelity=st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(
+        [0.05, 0.1, 0.15, 0.2, 0.3, 0.55, 0.8]
+    ),
+)
+@example(budget=999_999_999, infidelity=0.05)  # k_classical 17, not 18
+@example(budget=99_999_999_999, infidelity=0.05)  # 21, not 22
+@example(budget=10**6, infidelity=0.2)  # gamma_q^20 = 10^6 exactly
+@example(budget=10**6 - 1, infidelity=0.2)
+@example(budget=math.isqrt(10**101), infidelity=0.3)  # 100 each, not 101
+@example(budget=10**100 + 1, infidelity=0.3)
+@example(budget=10**5, infidelity=0.05000000000000001)  # gamma_q is 1.0 as a float
+def test_circuit_cut_counts_are_exact(budget, infidelity):
+    """gamma^k <= budget < gamma^(k+1), with gamma_c^2 = 10 and log10(gamma_q)
+    = e = 2x - 0.1 at the spelled decimal of x. Where e = p/q is a fraction
+    with q <= 10, in integers: 10^(kp) <= budget^q. Elsewhere against a
+    200-digit log10(budget)."""
+    c = circuit_cut_comparison(infidelity, budget)
+    assert 10**c.k_classical <= budget * budget < 10 ** (c.k_classical + 1)
+    e = 2 * Fraction(repr(infidelity)) - Fraction(1, 10)
+    assert (c.k_quantum is None) == (e <= 0)
+    if c.k_quantum is None:
+        return
+    k, p, q = c.k_quantum, e.numerator, e.denominator
+    if q <= 10:
+        assert 10 ** (k * p) <= budget**q < 10 ** ((k + 1) * p)
+    else:
+        log10 = Fraction(Context(prec=200).log10(budget))
+        assert k * e <= log10 < (k + 1) * e
 
 
 def test_graph_state_pipe_width():
