@@ -30,7 +30,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, is_dataclass
+from dataclasses import MISSING, asdict, is_dataclass
 from enum import Enum
 
 from ._numpy import np
@@ -38,6 +38,7 @@ from .errors import ConfigError, ModelDomainError, SchemaError
 from .params import (
     ArchitectureSpec,
     LinkConfig,
+    Record,
     StorageQubitParams,
     TransducerParams,
     preset,
@@ -54,8 +55,7 @@ _PRESET_PREFIX = "preset:"
 _PRESET_KINDS = {TransducerParams: "transducer", StorageQubitParams: "storage qubit"}
 
 
-@dataclass(frozen=True)
-class ParsedConfig:
+class ParsedConfig(Record):
     """Everything a single config file can define: a link, p_her_reference
     included, and an optional architecture."""
 
@@ -63,8 +63,7 @@ class ParsedConfig:
     architecture: ArchitectureSpec | None
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Record):
     """Reproducibility record embedded in every artifact."""
 
     tool_version: str

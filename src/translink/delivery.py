@@ -25,7 +25,6 @@ through pow's slow underflow path. Its results equal np.power's bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
 from .errors import (
@@ -34,12 +33,18 @@ from .errors import (
     NoOptimumError,
     UnattainableError,
 )
-from .params import MAX_GRID_POINTS, LinkConfig, LinkMetrics, raise_violations, validate
+from .params import (
+    MAX_GRID_POINTS,
+    LinkConfig,
+    LinkMetrics,
+    Record,
+    raise_violations,
+    validate,
+)
 from .protocols import ProtocolAnalytics, analyze_protocol, heralded_fidelity
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(Record):
     """A link resolved once for every model that runs it.
 
     formula holds the closed-form protocol analytics. p_her is the herald
@@ -67,8 +72,7 @@ def resolve(config: LinkConfig) -> Link:
     return Link(config=config, formula=formula, p_her=p_her, f_her=f_her)
 
 
-@dataclass(frozen=True)
-class DeliveryCurve:
+class DeliveryCurve(Record):
     """f_del and p_success on the grid t_del = k * t_rep, k = 1..K."""
 
     t_del_us: np.ndarray

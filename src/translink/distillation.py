@@ -15,11 +15,10 @@ the target Phi+.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError, DegenerateInputError, ModelDomainError
-from .params import MAX_DISTILL_ROUNDS
+from .params import MAX_DISTILL_ROUNDS, Record
 
 SUM_TOLERANCE = 1e-12
 
@@ -29,8 +28,7 @@ class DistillMode(Enum):
     RECURRENCE = "recurrence"
 
 
-@dataclass(frozen=True)
-class BellDiagonalState:
+class BellDiagonalState(Record):
     """Two-qubit state diagonal in the Bell basis (Phi+, Phi-, Psi+, Psi-)."""
 
     p1: float
@@ -61,14 +59,17 @@ class BellDiagonalState:
         return (self.p1, self.p2, self.p3, self.p4)
 
 
-@dataclass(frozen=True)
-class DistillationOutcome:
+class DistillationOutcome(Record):
+    """One recurrence round: the kept pair's state and the round's success
+    probability."""
+
     state: BellDiagonalState
     success_probability: float
 
 
-@dataclass(frozen=True)
-class NestedDistillResult:
+class NestedDistillResult(Record):
+    """Nested distillation of 2^rounds pairs down to one."""
+
     f_out: float
     pairs_nominal: int  # 2^rounds
     pairs_expected: float  # includes retries after failed rounds

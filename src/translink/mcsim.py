@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from ._numpy import np
 from .delivery import Link
 from .errors import ConfigError
+from .params import Record
 
 MAX_TRIAL_DUMP = 1_000_000
 # The cap bounds time, not memory: without kept trials no per-trial array
@@ -77,8 +78,7 @@ def _check_seed(seed: int) -> None:
         raise ConfigError("seed out of [0, 2**64)")
 
 
-@dataclass(frozen=True, eq=False)
-class TrialColumns:
+class TrialColumns(Record):
     """Per-trial results, one equal-length numpy array per field.
 
     A trial with no herald has herald_round 0, winning_channel -1,
@@ -102,8 +102,9 @@ class TrialColumns:
         )
 
 
-@dataclass(frozen=True)
-class MCStats:
+class MCStats(Record):
+    """Statistics of one Monte Carlo run, from its herald-round histogram."""
+
     n_trials: int
     seed: int
     mean_f_del: float

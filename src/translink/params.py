@@ -1,7 +1,8 @@
 """Parameter types and built-in presets for microwave-to-optics entanglement links.
 
 All times are microseconds (field names carry the unit), efficiencies and
-probabilities are unitless in [0, 1]. Types are frozen dataclasses: values
+probabilities are unitless in [0, 1]. Types are records: frozen dataclasses
+built on `Record`, which every record class of the package shares. Values
 are immutable after construction and safe to share between threads. A
 field's range is declared on the field (see `bounded`); validate and the
 config parser read the declarations through `schema`.
@@ -10,10 +11,11 @@ config parser read the declarations through `schema`.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import operator
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass
 from enum import Enum
 
 from .errors import ConfigError, PresetNotFoundError
@@ -32,6 +34,80 @@ MAX_DISTILL_ROUNDS = 10
 # Upper bound on a transducer budget: 10^5 modules, each at the per-module
 # channel ceiling.
 MAX_TRANSDUCER_BUDGET = 1_000_000_000
+
+
+class Record:
+    """Base of the package's records: frozen dataclasses that share their methods.
+
+    A subclass is made a dataclass with no generated methods, so fields(),
+    asdict, replace, __match_args__ and schema work on it as on any other.
+    Its __init__, repr, ==, hash and frozen attributes are the ones below,
+    which behave as @dataclass(frozen=True) would generate them for that
+    class, but are compiled once for every record rather than once a class
+    at each import. A field may set only a default, kw_only and metadata.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(cls, init=False, repr=False, eq=False)
+        declared = fields(cls)
+        if any(not f.init or not f.repr or not f.compare or f.hash is not None
+               or f.default_factory is not MISSING for f in declared):
+            raise TypeError(f"{cls.__name__}: a record field sets only a default, "
+                            "kw_only and metadata")
+        names = tuple(f.name for f in declared)
+        # dataclass order: positional fields, then the keyword-only ones
+        ordered = sorted(declared, key=lambda f: f.kw_only)
+        positional = tuple(f.name for f in ordered if not f.kw_only)
+        # every field in declared order, at its default or MISSING
+        template = {f.name: f.default for f in declared}
+        required = frozenset(f.name for f in declared if f.default is MISSING)
+        arity = len(names) if positional == names else -1  # for the all-positional path
+        cls.__spec = (positional, template, required, arity, hasattr(cls, "__post_init__"))
+        # the fields' values as a tuple (attrgetter gives one name's bare value)
+        get = operator.attrgetter(*names)
+        cls.__key = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+        param = inspect.Parameter
+        cls.__signature__ = inspect.Signature([
+            param(f.name, param.KEYWORD_ONLY if f.kw_only else param.POSITIONAL_OR_KEYWORD,
+                  default=param.empty if f.default is MISSING else f.default,
+                  annotation=f.type)
+            for f in ordered
+        ], return_annotation=None)
+
+    def __init__(self, *args, **kwargs):
+        positional, template, required, arity, post_init = self.__spec
+        if kwargs or len(args) != arity:
+            given = dict(zip(positional, args), **kwargs) if args else kwargs
+            values = {**template, **given}  # an unknown keyword adds a key
+            if (len(values) != len(template) or len(given) != len(args) + len(kwargs)
+                    or not given.keys() >= required):
+                # too many positional, a duplicate or unknown keyword, a missing field
+                self.__signature__.bind(*args, **kwargs)  # raises the TypeError that says which
+        else:
+            values = zip(template, args)
+        self.__dict__.update(values)  # one call, not a setattr per field
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        template = self.__spec[1]  # its keys are the fields, in order
+        pairs = zip(template, self.__key(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__key(self) == other.__key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__key(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def bounded(holds, text: str, **kwargs):
@@ -108,8 +184,7 @@ class FidelityModel(Enum):
         return 0.5 if self is FidelityModel.THERMAL_HALF else 1.0
 
 
-@dataclass(frozen=True)
-class TransducerParams:
+class TransducerParams(Record):
     """One transducer channel: efficiencies, added noise and attempt timing."""
 
     name: str = field(default="custom", kw_only=True)
@@ -125,8 +200,7 @@ class TransducerParams:
         return self.eta_mw * self.p_mo * self.eta_det
 
 
-@dataclass(frozen=True)
-class StorageQubitParams:
+class StorageQubitParams(Record):
     """Storage qubit holding the heralded pair until delivery.
 
     t_coh_us is the decay constant of the stored pair's fidelity toward 1/2:
@@ -137,8 +211,7 @@ class StorageQubitParams:
     t_coh_us: float = positive()
 
 
-@dataclass(frozen=True)
-class MemoryParams:
+class MemoryParams(Record):
     """Optical memory used to boost the heralding probability."""
 
     kind: MemoryKind
@@ -146,8 +219,7 @@ class MemoryParams:
     lifetime_us: float = positive()  # upper bound on t_del
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(Record):
     """Which heralding protocol runs on the link.
 
     alpha is the qubit emission probability, required exactly for the
@@ -167,8 +239,7 @@ class ProtocolSpec:
         return transducer.p_mo
 
 
-@dataclass(frozen=True)
-class DeliveryPolicy:
+class DeliveryPolicy(Record):
     """On-demand delivery settings for one link."""
 
     t_del_us: float  # fixed delivery time / timeout
@@ -182,8 +253,7 @@ class DeliveryPolicy:
     fidelity_model: FidelityModel = FidelityModel.THERMAL_HALF
 
 
-@dataclass(frozen=True)
-class LinkConfig:
+class LinkConfig(Record):
     """Full description of one inter-module entanglement link.
 
     Its fields are a config file's link keys, in the order in which they
@@ -207,8 +277,7 @@ class Architecture(Enum):
     LATTICE_SURGERY = "lattice_surgery"
 
 
-@dataclass(frozen=True)
-class ArchitectureSpec:
+class ArchitectureSpec(Record):
     """Module-level planning inputs."""
 
     qubits_per_processor: int = at_least_one()
@@ -218,8 +287,7 @@ class ArchitectureSpec:
     architecture: Architecture = Architecture.LATTICE_SURGERY
 
 
-@dataclass(frozen=True)
-class LinkMetrics:
+class LinkMetrics(Record):
     """Derived link analytics at the policy's delivery time."""
 
     p_her: float  # herald probability per attempt, single channel
@@ -231,8 +299,7 @@ class LinkMetrics:
     f_del: float  # delivered fidelity at t_del
 
 
-@dataclass(frozen=True)
-class DeviceSummary:
+class DeviceSummary(Record):
     """Informational survey row for a demonstrated transducer device.
 
     These lack the eta_mw/p_mo/eta_det split, so they cannot drive the

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from ._numpy import np
 from .delivery import (
@@ -26,6 +25,7 @@ from .errors import ConfigError
 from .params import (
     MAX_TRANSDUCERS_PER_MODULE,
     ArchitectureSpec,
+    Record,
     raise_violations,
     validate_architecture,
 )
@@ -50,8 +50,9 @@ CIRCUIT_CUT_BREAK_EVEN_INFIDELITY = 0.3
 
 TRADEOFF_MAX_DISTILL_ROUNDS = 4
 
-@dataclass(frozen=True)
-class PlanReport:
+class PlanReport(Record):
+    """lattice_surgery_plan's resource tally for one architecture and link."""
+
     architecture: str
     links_required: int
     transducers_per_link: int
@@ -173,8 +174,9 @@ def lattice_surgery_plan(spec: ArchitectureSpec, link: Link) -> PlanReport:
     )
 
 
-@dataclass(frozen=True)
-class CircuitCutComparison:
+class CircuitCutComparison(Record):
+    """circuit_cut_comparison's link counts, quantum against classical."""
+
     gamma_quantum: float
     gamma_classical: float
     k_quantum: int | None  # None = unbounded: quantum links are free (gamma <= 1)
@@ -252,8 +254,9 @@ def graph_state_pipe_width(code_distance: int) -> int:
     return code_distance
 
 
-@dataclass(frozen=True)
-class CryostatCheck:
+class CryostatCheck(Record):
+    """A (links, channels per link) pair against the per-cryostat envelopes."""
+
     links: int
     transducers_per_link: int
     total_channels: int
@@ -282,8 +285,10 @@ def cryostat_budget_check(links: int, transducers_per_link: int) -> CryostatChec
     )
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+class TradeoffPoint(Record):
+    """One Pareto-optimal point of tradeoff_surface, with the link width,
+    distillation rounds and delivery time that reach it."""
+
     n_links: int
     rate_per_us: float  # 1 / optimal t_del
     f_del: float

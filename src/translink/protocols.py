@@ -20,8 +20,6 @@ inputs, never resummed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConfigError, DivisionDomainError, ModelDomainError
 from .params import (
     ALPHA_PROTOCOL,
@@ -32,12 +30,12 @@ from .params import (
     PhotonBasis,
     ProtocolSpec,
     PumpMode,
+    Record,
     TransducerParams,
 )
 
 
-@dataclass(frozen=True)
-class ProtocolAnalytics:
+class ProtocolAnalytics(Record):
     """Per-attempt herald probability and infidelity components of a protocol."""
 
     p_her: float
