@@ -200,6 +200,11 @@ def _build_parser() -> _Parser:
     )
 
     tradeoff = subcommand(_cmd_tradeoff, "Pareto surface of links vs rate vs fidelity")
+    tradeoff.description = (
+        "Of the policy only fidelity_model shapes the surface, which sweeps widths, rounds "
+        "0-4 and delivery times itself: t_del_us, n_parallel and distill_rounds are only "
+        "validated."
+    )
     tradeoff.add_argument("--format", choices=("csv", "json"), default="csv")
     tradeoff.add_argument("--k-max", type=int, help="last round of the per-width search")
 

@@ -7,19 +7,23 @@ If no herald arrives within K = floor(t_del/t_rep) rounds, a classical
 anti-correlated pair of fidelity exactly 1/2 is delivered instead, so
 delivery itself always succeeds (p_del = 1).
 
-Closed form used throughout: with q = 1-(1-p_her)^N, r = 1-q and
-d = exp(-t_rep/T_coh),
+One evaluator, in log space, serves every model. In a round no channel
+heralds with probability e^a, a = N log1p(-p_herald), and a stored state
+keeps e^b of its excess fidelity, b = -t_rep/T_coh. Then
 
-    p_success(K) = 1 - r^K
-    S(K) = sum_{k=1..K} r^(k-1) q e^(-(K-k) t_rep/T_coh)
-         = q (r^K - d^K) / (r - d)          (r != d)
-    F_del = 0.5 + (F_her - 0.5) * e^(-rem/T_coh) * S(K),  rem = t_del - K t_rep
+    q            = -expm1(a)
+    p_success(k) = -expm1(k a)
+    S(k)         = sum_{j=1..k} e^((j-1) a) q e^((k-j) b)
+                 = q e^((k-1) m) expm1(k x) / expm1(x),  m = max(a, b), x = -|a - b|
+    F_del        = 0.5 + (F_her - 0.5) * e^(-rem/T_coh) * S(K),  rem = t_del - K t_rep
 
-which avoids the overflowing e^(+k t_rep/T_coh) prefix sums for large grids.
-On a long grid r^k and d^k underflow. Where k log2(base) < -1100 the exact
-power is below 2^-1100, far under the 2^-1075 below which a double rounds
-to +0.0, so _power writes the 0 itself instead of sending the point
-through pow's slow underflow path. Its results equal np.power's bit for bit.
+and S peaks at the real round count k* = log1p((b - a)/a) / (a - b), with
+the limit -1/a at a = b. No power of a base near 1 is formed and no two
+nearly equal terms are subtracted, so each quantity keeps its relative
+precision for any p_her in (0, 1] and any T_coh (Goldberg, ACM Comput.
+Surv. 23, 1991; Higham, Accuracy and Stability of Numerical Algorithms,
+2002, ch. 1, on (e^x - 1)/x). Every point, a single one too, goes through
+numpy: its exp and expm1 need not equal the math module's to the last bit.
 """
 
 from __future__ import annotations
@@ -80,84 +84,56 @@ class DeliveryCurve(Record):
     f_del: np.ndarray
 
 
-# Past this k log2(base) the power is +0.0 (see _power). numpy's pow would
-# get there by a slow underflow path, 100-150 ns an element against about 6.
-_UNDERFLOW_LOG2 = -1100.0
-# Arrays smaller than this go straight to pow: their underflow costs less
-# than the mask's own handful of numpy calls, which the optimum's bisection
-# would pay at every step.
-_POWER_MASK_MIN = 64
-# Where |r - d| is below this, S takes its degenerate limit q k m^(k-1),
-# m = (r + d)/2, in place of the cancelling difference quotient.
-_DEGENERATE_GAP = 1e-9
+# a and b are floored here, so that -inf (p_her = 1, or a T_coh so short
+# that t_rep/T_coh overflows) stays a number: (k - 1) m is 0 at k = 1 and x
+# is never inf - inf. Below -746 every exp is 0 and every expm1 -1, so no
+# value moves.
+_FLOOR = -1e4
+# x is clamped to [_X_SAT, _X_TOP]. From -40 down expm1 is -1 to the last
+# bit, so the floor moves no value. At the top, x = 0 (a = b) becomes the
+# smallest subnormal, where expm1(k x) = k x exactly and the ratio is k,
+# its limit.
+_X_SAT = -40.0
+_X_TOP = -5e-324
+# Below this exponent exp is under 3.3e-308, into the subnormals, where numpy
+# takes a slow path: 3 to 10 ns an element against about 1. S is then
+# within 3e-308 k of 0, and is written as 0 without calling exp.
+_EXP_MIN = -708.0
 
 
-def _power(base, k: np.ndarray) -> np.ndarray:
-    """np.power(base, k, dtype=float), bit for bit, k an array of the result's shape.
+def _law(link: Link, widths) -> tuple:
+    """(a, b, law): the evaluator's inputs at each width of `widths`, an int
+    or an array.
 
-    Where k log2(base) < -1100 the exact power is below 2**-1100, 25 binades
-    under the 2**-1075 below which a double rounds to +0.0, so it is +0.0
-    without calling pow; base = 0 gives log2 = -inf and so 0, base = 1
-    stays live. The mask is built in the output buffer, which the live
-    entries then overwrite with pow.
-    """
-    if k.size < _POWER_MASK_MIN:
-        return np.power(base, k, dtype=float)
-    with np.errstate(divide="ignore"):  # log2(0) = -inf
-        out = np.multiply(np.log2(base), k, dtype=float)
-    live = out >= _UNDERFLOW_LOG2
-    np.power(base, k, out=out, where=live, dtype=float)
-    np.copyto(out, 0.0, where=np.logical_not(live, out=live))
-    return out
-
-
-def _success_decay(q, k: np.ndarray, d: float):
-    """Vectorized p_success and decay-weighted success mass S at round counts k.
-
-    S is the sum over herald rounds of P(herald at round j) times the decay
-    factor accumulated from round j to round k. q is one herald probability,
-    or one per entry of k.
-    """
-    r = 1.0 - q
-    rk = _power(r, k)
-    # core = (r^k - d^k)/(r - d), built in place: the optimum evaluates a
-    # block of 6 rounds per distinct q, and every full-size temporary adds
-    # to its peak memory
-    core = rk - _power(d, k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        core /= r - d
-    # degenerate limit (r^k - d^k)/(r - d) -> k * m^(k-1), evaluated only
-    # when some entry is degenerate
-    degenerate = np.abs(r - d) < _DEGENERATE_GAP
-    if np.any(degenerate):
-        m = 0.5 * (r + d)
-        np.copyto(core, k * np.power(m, k - 1, dtype=float), where=degenerate)
-    return 1.0 - rk, q * core
-
-
-def _f_del(q, d: float, gain: float, k: np.ndarray, rem_decay: float = 1.0):
-    """(p_success, f_del) after k rounds, k an array, gain = max(f_her - 1/2, 0).
-
-    rem_decay is the storage decay between the last round and t_del. The
-    grid points have none, and gain * 1.0 is exact, so a grid point and a
-    delivery time on it give the same float.
-    """
-    p_success, s = _success_decay(q, k, d)
-    return p_success, 0.5 + gain * rem_decay * s
-
-
-def _herald_and_decay(link: Link, widths):
-    """Per-round herald probability q and storage decay d = exp(-t_rep/T_coh).
-
-    q = 1 - (1 - p_her)^n over n channels, one entry per width of `widths`
-    (an int or an array). Each is taken with Python's float **, not numpy's
-    power, whose last bit can differ and move the optimum. An infinite
-    T_coh gives d = exp(-0.0) = 1 exactly.
+    a = N log1p(-p_her) has the shape of widths and b = -t_rep/T_coh is a
+    float, both floored at _FLOOR; an infinite T_coh gives b = -0.0. law
+    stacks the rows (q, m, x, expm1(x)) that S reads, a column per width.
     """
     c = link.config
-    d = math.exp(-c.transducer.t_rep_us / c.qubit.t_coh_us)
-    miss = 1.0 - link.p_her
-    return np.array([1.0 - miss**n for n in np.ravel(widths).tolist()]), d
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf
+        a = np.maximum(np.multiply(widths, np.log1p(-link.p_her), dtype=float), _FLOOR)
+    b = max(-c.transducer.t_rep_us / c.qubit.t_coh_us, _FLOOR)
+    x = np.minimum(np.maximum(-np.abs(a - b), _X_SAT), _X_TOP)
+    return a, b, np.array([-np.expm1(a), np.maximum(a, b), x, np.expm1(x)])
+
+
+def _decay_mass(law: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """S at round counts k, broadcast against the columns of law.
+
+    S is the sum over herald rounds of P(herald at round j) times the decay
+    factor accumulated from round j to round k. S(1) = q exactly.
+    """
+    q, m, x, expm1_x = law
+    # k has the shape of the result, so S is built in place in two buffers
+    exponent = np.subtract(k, 1.0)
+    exponent *= m
+    s = np.zeros_like(exponent)
+    np.exp(exponent, out=s, where=exponent >= _EXP_MIN)
+    ratio = np.expm1(np.multiply(k, x, out=exponent), out=exponent)
+    ratio /= expm1_x
+    s *= ratio
+    s *= q
+    return s
 
 
 def _whole(x: float, rounding) -> int | float:
@@ -196,57 +172,67 @@ def _search_k_max(config: LinkConfig, k_max: int | None) -> int | float:
     return k_max
 
 
+def _at_policy(link: Link) -> tuple:
+    """(p_success, s, f_del) at the policy's t_del, each an array of one.
+
+    The state decays over the K = floor(t_del/t_rep) rounds of the grid and
+    then for the rest of t_del, so s = e^(-rem/T_coh) S(K). At a t_del on
+    the grid that factor is exp(-0.0) = 1, and the point equals the grid's
+    to the last bit.
+    """
+    c = link.config
+    t_rep, t_del = c.transducer.t_rep_us, c.policy.t_del_us
+    # validate's t_del >= t_rep makes k_rounds >= 1
+    k_rounds = math.floor(t_del / t_rep)
+    k = np.array([k_rounds], dtype=float)
+    a, _, law = _law(link, c.policy.n_parallel)
+    s = np.exp(-(t_del - k_rounds * t_rep) / c.qubit.t_coh_us) * _decay_mass(law, k)
+    return -np.expm1(k * a), s, 0.5 + max(link.f_her - 0.5, 0.0) * s
+
+
 def delivered_fidelity(link: Link) -> LinkMetrics:
     """Full link analytics at the policy's delivery time.
 
     p_her and eta_link refer to a single channel; p_success and f_del account
-    for the policy's n_parallel channels racing for the first herald. The
-    state decays over the K = floor(t_del/t_rep) rounds of the grid and
-    then for the rest of t_del. A heralded state below the fallback
-    fidelity 1/2 would never be preferred over it, so f_her < 1/2 gives
-    f_del = 1/2.
+    for the policy's n_parallel channels racing for the first herald. A
+    heralded state below the fallback fidelity 1/2 would never be preferred
+    over it, so f_her < 1/2 gives f_del = 1/2.
     """
     c = link.config
-    t_rep = c.transducer.t_rep_us
-    t_del = c.policy.t_del_us
-    # validate's t_del >= t_rep makes k_rounds >= 1
-    k_rounds = math.floor(t_del / t_rep)
-    q, d = _herald_and_decay(link, c.policy.n_parallel)
-    rem_decay = math.exp(-(t_del - k_rounds * t_rep) / c.qubit.t_coh_us)
-    p_success, f_del = _f_del(
-        q, d, max(link.f_her - 0.5, 0.0), np.asarray([k_rounds], dtype=float), rem_decay
-    )
+    p_success, _, f_del = _at_policy(link)
     return LinkMetrics(
         p_her=link.p_her,
         i_prot=link.formula.i_prot,
         i_th=link.formula.i_th,
         f_her=link.f_her,
-        eta_link=c.qubit.t_coh_us * link.p_her / t_rep,
+        eta_link=c.qubit.t_coh_us * link.p_her / c.transducer.t_rep_us,
         p_success=float(p_success[0]),
         f_del=float(f_del[0]),
     )
 
 
-def _breakdown(link: Link, p_success: np.ndarray, f_del: np.ndarray) -> dict:
-    """Split 1 - f_del into its four sources at each (p_success, f_del) point.
+def _breakdown(link: Link, p_success: np.ndarray, s: np.ndarray, f_del: np.ndarray) -> dict:
+    """Split 1 - f_del into its four sources at each point of the evaluator.
 
-    protocol + thermal make up the heralded-state infidelity; decoherence is
-    the decay of heralded states while stored; fallback is the mass of trials
-    that time out and deliver the classical pair. Components sum to 1 - f_del
-    exactly (for f_her < 0.5 the heralded terms are rescaled onto the 0.5
-    fallback budget so the identity still holds).
+    s is the decay-weighted success mass there, f_del = 1/2 + (f_her - 1/2) s.
+    protocol + thermal make up the heralded-state infidelity; decoherence,
+    (f_her - 1/2)(p_success - s), is the decay of heralded states while
+    stored, exactly 0 at t_del = t_rep; fallback, (f_her - 1/2)(1 -
+    p_success), is the mass of trials that time out and deliver the
+    classical pair. Components sum to 1 - f_del up to rounding (for f_her <
+    0.5 the heralded terms are rescaled onto the 0.5 fallback budget so the
+    identity still holds).
     """
     f_her, i_prot = link.f_her, link.formula.i_prot
     i_th = link.formula.i_th * link.config.policy.fidelity_model.thermal_weight
-    if f_her >= 0.5:
-        # recover S from f_del rather than recomputing the sum
-        s = (f_del - 0.5) / (f_her - 0.5) if f_her > 0.5 else np.zeros_like(f_del)
+    if f_her > 0.5:
         decoherence = (f_her - 0.5) * (p_success - s)
         fallback = (f_her - 0.5) * (1.0 - p_success)
     else:
+        decoherence = fallback = np.zeros_like(f_del)
+    if f_her < 0.5:
         scale = 0.5 / (i_prot + i_th)
         i_prot, i_th = i_prot * scale, i_th * scale
-        decoherence = fallback = np.zeros_like(f_del)
     return {
         "protocol": np.broadcast_to(np.float64(i_prot), f_del.shape),
         "thermal": np.broadcast_to(np.float64(i_th), f_del.shape),
@@ -261,8 +247,7 @@ def infidelity_breakdown(link: Link) -> dict:
 
     The breakdown of infidelity_breakdown_curve, at the one delivery point.
     """
-    m = delivered_fidelity(link)
-    parts = _breakdown(link, np.asarray([m.p_success]), np.asarray([m.f_del]))
+    parts = _breakdown(link, *_at_policy(link))
     return {name: float(value[0]) for name, value in parts.items()}
 
 
@@ -281,9 +266,9 @@ def delivery_curve(link: Link, k_max: int | None = None) -> DeliveryCurve:
         # time needs no more than this grid
         k_max = min(_search_k_max(c, None), max(1000, 2 * k_policy))
     k = np.arange(1, _checked_k_max(k_max, MAX_GRID_POINTS) + 1, dtype=float)
-    q, d = _herald_and_decay(link, c.policy.n_parallel)
-    p_success, f_del = _f_del(q, d, max(link.f_her - 0.5, 0.0), k)
-    return DeliveryCurve(k * c.transducer.t_rep_us, p_success, f_del)
+    a, _, law = _law(link, c.policy.n_parallel)
+    f_del = 0.5 + max(link.f_her - 0.5, 0.0) * _decay_mass(law, k)
+    return DeliveryCurve(k * c.transducer.t_rep_us, -np.expm1(k * a), f_del)
 
 
 def infidelity_breakdown_curve(
@@ -292,37 +277,33 @@ def infidelity_breakdown_curve(
     """infidelity_breakdown evaluated along a delivery_curve of the link.
 
     Returns (t_del_us grid, dict of component arrays keyed like
-    infidelity_breakdown). Component arrays sum to `total` exactly. The
-    constant `protocol` and `thermal` components are read-only broadcast
-    views of one value; copy them before writing into them.
+    infidelity_breakdown). Component arrays sum to `total` up to rounding.
+    The decay-weighted success mass S comes from the evaluator again, on
+    the curve's rounds k = 1..K, not from f_del. The constant `protocol`
+    and `thermal` components are read-only broadcast views of one value;
+    copy them before writing into them.
     """
-    return curve.t_del_us, _breakdown(link, curve.p_success, curve.f_del)
+    k = np.arange(1, curve.t_del_us.size + 1, dtype=float)
+    s = _decay_mass(_law(link, link.config.policy.n_parallel)[2], k)
+    return curve.t_del_us, _breakdown(link, curve.p_success, s, curve.f_del)
 
 
-def _peak_rounds(r: np.ndarray, d: float) -> np.ndarray:
-    """Real round count k at which S(k) = q (r^k - d^k)/(r - d) peaks, r = 1 - q.
+def _peak_rounds(a: np.ndarray, b: float) -> np.ndarray:
+    """Real round count k* at which S(k) peaks, one per entry of a.
 
-    dS/dk = 0 where r^k ln r = d^k ln d, so k* = ln(ln d / ln r) / ln(r/d).
-    Gives inf where S never turns down and 1 where it falls from the start.
+    dS/dk = 0 where e^(k (a - b)) = b/a, so k* = log1p((b - a)/a)/(a - b),
+    and -1/a where a = b. It is inf where S never turns down (b = -0.0, or
+    p_her = 0) and at most 1 where S falls from the start.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        peak = np.log(np.log(d) / np.log(r)) / np.log(r / d)
-        # the degenerate branch of _success_decay, S = q k m^(k-1)
-        m = 0.5 * (r + d)
-        degenerate = np.where(m > 0.0, -1.0 / np.log(m), 1.0)
-    degenerate = np.where(m >= 1.0, np.inf, degenerate)
-    # every round heralds, or a stored state is lost within one round
-    peak = np.where((r == 0.0) | (d == 0.0), 1.0, peak)
-    # no decay, or q below float resolution: S = q (1 - d^k)/(1 - d) rises
-    peak = np.where((r == 1.0) | (d == 1.0), np.inf, peak)
-    return np.where(np.abs(r - d) < _DEGENERATE_GAP, degenerate, peak)
+    with np.errstate(all="ignore"):  # b/a overflows where a is subnormal
+        return np.where(a == b, -1.0 / a, np.log1p((b - a) / a) / (a - b))
 
 
-def _first_reaching(f_del_at, q, floor, low, k, f):
+def _first_reaching(f_del_at, law, floor, low, k, f):
     """Move each lane's k down to the first round in [low, k] whose f_del reaches floor.
 
-    A lane is one entry of q. f_del must not decrease on [low, k] and must
-    reach floor at k, where it is f; k and f are updated in place. All
+    A lane is one column of law. f_del must not decrease on [low, k] and
+    must reach floor at k, where it is f; k and f are updated in place. All
     lanes bisect in lockstep, log2(k) + 1 steps at most.
     """
     while True:
@@ -330,38 +311,38 @@ def _first_reaching(f_del_at, q, floor, low, k, f):
         if lanes.size == 0:
             return
         mid = (low[lanes] + k[lanes]) // 2
-        values = f_del_at(q[lanes], mid)
+        values = f_del_at(law[:, lanes], mid)
         hit = values >= floor[lanes]
         k[lanes] = np.where(hit, mid, k[lanes])
         f[lanes] = np.where(hit, values, f[lanes])
         low[lanes] = np.where(hit, low[lanes], mid + 1)
 
 
-def _optimum(link: Link, k_max: int | None, q: np.ndarray, d: float):
-    """(f_del_at, k*, f*): per herald probability of q, the first argmax k* of
-    f_del(k) = f_del_at(q, k) on [1, k_max], and f* = f_del(k*). See
-    optimal_delivery_time.
+def _optimum(link: Link, k_max: int | None, a: np.ndarray, b: float, law: np.ndarray):
+    """(f_del_at, k*, f*): per column of law, with a its entry of a, the first
+    argmax k* of f_del(k) = f_del_at(law, k) on [1, k_max], and f* =
+    f_del(k*). See optimal_delivery_time.
     """
     k_max = _checked_k_max(_search_k_max(link.config, k_max))
     gain = max(link.f_her - 0.5, 0.0)
 
-    def f_del_at(q, k):
-        return _f_del(q, d, gain, k)[1]
+    def f_del_at(law, k):
+        return 0.5 + gain * _decay_mass(law, k)
 
-    peak = np.clip(_peak_rounds(1.0 - q, d), 1.0, float(k_max))
+    peak = np.clip(_peak_rounds(a, b), 1.0, float(k_max))
     lo = np.maximum(np.floor(peak) - 2, 1).astype(np.int64)
     hi = np.minimum(np.ceil(peak) + 2, k_max).astype(np.int64)
     # the window lo..hi, at most 6 rounds, as one block; its first maximum
     window = lo[:, None] + np.arange(6)
-    values = f_del_at(q[:, None], window)
+    values = f_del_at(law[:, :, None], window)
     values[window > hi[:, None]] = -np.inf
     best = np.argmax(values, axis=1)
-    rows = np.arange(len(q))
+    rows = np.arange(len(a))
     k_best, f_best = window[rows, best], values[rows, best]
     # where the window's left end is best, bisect [1, lo] for the first k
     # that reaches the same value
     low = np.where(best == 0, 1, k_best)
-    _first_reaching(f_del_at, q, f_best.copy(), low, k_best, f_best)
+    _first_reaching(f_del_at, law, f_best.copy(), low, k_best, f_best)
     return f_del_at, k_best, f_best
 
 
@@ -378,46 +359,46 @@ def optimal_delivery_time(
     n_parallel, an array of widths, it returns the two arrays of the link
     at each of those widths instead, all found in one pass of array
     operations; an int n_parallel gives floats again. A width that is not an
-    integer >= 1 raises ConfigError. The optimum depends on the width only
-    through q, so that pass solves each distinct q once and scatters its
-    optimum back to every width that has it: past a few thousand channels q
-    rounds to 1.0, and every wider width shares it.
+    integer >= 1 raises ConfigError. The evaluator reads a width only
+    through q, m and the clamped x, so that pass solves each run of
+    ascending widths with one (q, m, x) once and scatters its optimum back
+    to every width of the run: wide links share q = 1 and m = b, and their
+    x reaches its clamp.
 
-    f_del(k) = 1/2 + (f_her - 1/2) S(k) with S(k) = q (r^k - d^k)/(r - d), which
-    rises to one peak at the real k* of _peak_rounds and falls after it. So
-    f_del is evaluated, exactly as delivery_curve evaluates it, only at the
-    integers from floor(k*) - 2 to ceil(k*) + 2, with k* clipped to
-    [1, k_max]. q = 1 - (1 - p_her)^N is taken with Python's float ** for
-    each width, as delivery_curve takes it, not with numpy's power, whose
-    last bit can differ and move the optimum. Special cases, all masked
-    per width:
-
-    - q = 1 (r = 0) or d = 0: S falls from k = 1.
-    - |r - d| < 1e-9: S = q k m^(k-1) with m = (r + d)/2 peaks at -1/ln m.
-    - d = 1 (infinite T_coh) or r = 1: S never falls, so k* = k_max.
+    f_del(k) = 1/2 + (f_her - 1/2) S(k) rises to one peak at the real k* of
+    _peak_rounds and falls after it. So f_del is evaluated, exactly as
+    delivery_curve evaluates it, only at the integers from floor(k*) - 2 to
+    ceil(k*) + 2, with k* clipped to [1, k_max]. No decay (infinite T_coh)
+    gives k* = inf, and so k_max; q = 1 or a T_coh far below t_rep give a
+    k* at most 1.
 
     When the best point of that window is its left end, f_del may have
-    reached the same float value at smaller k: with d = 1, 1 - 0.5^k is
+    reached the same float value at smaller k: with no decay, 1 - 0.5^k is
     exactly 1.0 from k = 54 on, with q near 1e-10 the float rise can end
     well before k*, and for f_her <= 1/2 f_del is flat at 1/2 (the answer
     is k = 1). _first_reaching bisects the non-decreasing values left of
-    the window for the first such k. Cost: six points per distinct q, plus
-    at most log2(k_max) + 1 in that case, instead of a k_max-point grid.
+    the window for the first such k. Cost: six points per distinct lane,
+    plus at most log2(k_max) + 1 in that case, instead of a k_max-point
+    grid.
     """
     if link.p_her <= 0.0:
         raise NoOptimumError("p_her = 0: no herald can ever arrive")
     widths = np.asarray(link.config.policy.n_parallel if n_parallel is None else n_parallel)
     if widths.dtype.kind not in "iu" or (widths < 1).any():
         raise ConfigError("n_parallel: every width must be an integer >= 1")
-    q, d = _herald_and_decay(link, widths)
     t_rep = link.config.transducer.t_rep_us
     if widths.ndim == 0:
-        _, k_best, f_best = _optimum(link, k_max, q, d)
+        _, k_best, f_best = _optimum(link, k_max, *_law(link, widths.reshape(1)))
         return float(k_best[0] * t_rep), float(f_best[0])
-    # k_max, d and the gain are the same at every width
-    q, where = np.unique(q, return_inverse=True)
-    _, k_best, f_best = _optimum(link, k_max, q, d)
-    return (k_best[where] * t_rep).reshape(widths.shape), f_best[where].reshape(widths.shape)
+    # k_max, b and the gain are the same at every width. Ascending widths
+    # that share (q, m, x) share the evaluator's values, and so the optimum
+    n, where = np.unique(widths, return_inverse=True)
+    a, b, law = _law(link, n)
+    first = np.ones(n.size, dtype=bool)
+    first[1:] = (law[:3, 1:] != law[:3, :-1]).any(axis=0)
+    _, k_best, f_best = _optimum(link, k_max, a[first], b, law[:, first])
+    lane = (np.cumsum(first) - 1)[where]
+    return (k_best[lane] * t_rep).reshape(widths.shape), f_best[lane].reshape(widths.shape)
 
 
 def min_time_to_fidelity(link: Link, target: float, k_max: int | None = None) -> float:
@@ -430,11 +411,11 @@ def min_time_to_fidelity(link: Link, target: float, k_max: int | None = None) ->
     """
     if not (0.5 < target < 1.0):
         raise ModelDomainError(f"target fidelity {target} outside (0.5, 1)")
-    q, d = _herald_and_decay(link, link.config.policy.n_parallel)
-    f_del_at, k_best, f_best = _optimum(link, k_max, q, d)
+    a, b, law = _law(link, np.reshape(link.config.policy.n_parallel, -1))
+    f_del_at, k_best, f_best = _optimum(link, k_max, a, b, law)
     if f_best[0] < target:
         raise UnattainableError(
             f"target fidelity {target} unattainable: best f_del is {f_best[0]:.6f}"
         )
-    _first_reaching(f_del_at, q, np.asarray([target]), np.ones_like(k_best), k_best, f_best)
+    _first_reaching(f_del_at, law, np.asarray([target]), np.ones_like(k_best), k_best, f_best)
     return float(k_best[0] * link.config.transducer.t_rep_us)

@@ -2,16 +2,17 @@
 
 Evaluates f_del at every k = 1..k_max and takes the first argmax, or the
 first k that reaches a target fidelity, the way translink searched before
-it located the optimum in closed form and bisected for the target. The grid
-arithmetic is written out here, in the same order as the library's, so the
-searches must match it bit for bit.
+it located the optimum in closed form and bisected for the target. The
+grid is the library's own evaluator, delivery_curve, so the searches must
+match it bit for bit; tests/mp_oracle.py checks that evaluator's digits.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from translink import analyze_protocol, heralded_fidelity
+from translink import delivery_curve, resolve
 
 
 def grid_k_max(config, k_max=None):
@@ -31,22 +32,10 @@ def grid_f_del(config, k_max, p_her=None):
     p_her, when given, replaces the formula's herald probability, as a
     p_her reference does in the library.
     """
-    analytics = analyze_protocol(config.transducer, config.protocol, config.memory)
-    f_her = heralded_fidelity(analytics, config.policy.fidelity_model)
-    t_rep = config.transducer.t_rep_us
-    t_coh = config.qubit.t_coh_us
-    if p_her is None:
-        p_her = analytics.p_her
-    q = 1.0 - (1.0 - p_her) ** config.policy.n_parallel
-    d = math.exp(-t_rep / t_coh) if not math.isinf(t_coh) else 1.0
-    r = 1.0 - q
-    k = np.arange(1, k_max + 1, dtype=float)
-    if abs(r - d) < 1e-9:
-        m = 0.5 * (r + d)
-        core = k * np.power(m, k - 1, dtype=float)
-    else:
-        core = (np.power(r, k, dtype=float) - np.power(d, k, dtype=float)) / (r - d)
-    return k * t_rep, 0.5 + max(f_her - 0.5, 0.0) * (q * core)
+    if p_her is not None:
+        config = replace(config, p_her_reference=p_her)
+    curve = delivery_curve(resolve(config), k_max)
+    return curve.t_del_us, curve.f_del
 
 
 def grid_optimal_delivery_time(config, k_max=None, p_her=None):

@@ -1,11 +1,12 @@
 """Timeout-window delivery statistics against a literal per-round oracle."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grid_oracle import (
     grid_f_del,
@@ -13,6 +14,7 @@ from grid_oracle import (
     grid_min_time_to_fidelity,
     grid_optimal_delivery_time,
 )
+from mp_oracle import mp_peak, mp_point, rel_error
 from translink import (
     ConfigError,
     DeliveryPolicy,
@@ -451,32 +453,16 @@ def test_optimal_refuses_widths_that_are_not_whole_channels():
 
 
 def test_optimal_scatters_each_distinct_q_to_its_widths():
-    """On the lattice link q rounds to 1.0 from width 1853 on, so 3000 widths
-    have fewer distinct q than widths. Shuffled and repeated widths in one
-    call get, bit for bit, the optimum of a call at each width alone."""
+    """On the lattice link q rounds to 1.0 and x reaches its clamp at wide
+    widths, so 3000 widths have fewer distinct (q, m, x) lanes than widths.
+    Shuffled and repeated widths in one call get, bit for bit, the optimum
+    of a call at each width alone."""
     link = resolve(_ex3())
     rng = np.random.default_rng(3)
     widths = rng.permutation(np.concatenate([np.arange(1, 3001), rng.integers(1, 3001, 1000)]))
     t_del, f_del = optimal_delivery_time(link, n_parallel=widths)
     alone = {n: optimal_delivery_time(link, n_parallel=n) for n in set(widths.tolist())}
     assert list(zip(t_del.tolist(), f_del.tolist())) == [alone[n] for n in widths.tolist()]
-
-
-# Widths at which numpy's power and Python's ** give q values one ulp apart,
-# and the optimum moves with that ulp; the ex2 link's reference p_her is 0.03.
-@pytest.mark.parametrize(
-    "cfg,p_her,widths",
-    [(_ex1(), None, [3, 408]), (_ex2(), 0.03, [18])],
-    ids=["ex1-3-408", "ex2-ref-18"],
-)
-def test_optimal_at_ulp_sensitive_widths(cfg, p_her, widths):
-    t_del, f_del = optimal_delivery_time(
-        resolve(replace(cfg, p_her_reference=p_her)), n_parallel=np.array(widths)
-    )
-    got = list(zip(t_del.tolist(), f_del.tolist()))
-    assert got == [
-        grid_optimal_delivery_time(_width(cfg, n), p_her=p_her) for n in widths
-    ]
 
 
 def _special_cases():
@@ -505,12 +491,13 @@ def _special_cases():
                    n_parallel=20, p_mo_override=0.02),
             2000, 90.0, id="infinite-coherence",
         ),
-        # q ~ 1e-10, d = 1/2: f_del is flat in floats from k = 22 to past the
-        # real peak near 33, so the first maximum is left of the window
+        # q ~ 1e-10, d = 1/2: f_del is flat in floats from k = 21 to past the
+        # real peak near 33, so the first maximum is left of the window; 21
+        # is also the first maximum of the exact values rounded to doubles
         pytest.param(
             _probe(TransducerParams(1.0, 2.8e-5, 0.5, 0.001, 1.0, name="weak"),
                    StorageQubitParams(t_coh_us=1.0 / math.log(2.0)), TWO_UP),
-            100, 22.0, id="float-plateau-before-peak",
+            100, 21.0, id="float-plateau-before-peak",
         ),
         # the unclipped optimum is 138 us
         pytest.param(ex1_link, 50, 50.0, id="clipped-by-k-max"),
@@ -652,47 +639,120 @@ def test_p_her_override_bounds():
     assert m.p_success == 1.0
 
 
-# Bases of r^k and d^k at the ends of [0, 1]: 0 (q = 1 or d = 0), 1, the
-# smallest subnormal and the largest double below 1.
-POWER_BASES = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+def _ex1_at(p_her=None, t_coh=200.0, n_parallel=1, t_del=88.0):
+    """ex1 (t_rep = 1 us) with the given storage time, width, delivery time
+    and herald probability per channel (None: the formula's)."""
+    cfg = _ex1()
+    return replace(
+        cfg,
+        qubit=StorageQubitParams(t_coh_us=t_coh),
+        policy=DeliveryPolicy(t_del_us=t_del, n_parallel=n_parallel),
+        p_her_reference=p_her,
+    )
 
 
-def _rounds_near_cut(base, n, data):
-    """First of n consecutive round counts >= 1 around the k at which
-    k log2(base) crosses -1100, _power's cut, give or take 10%."""
-    log2 = math.log2(base) if base > 0.0 else -math.inf
-    cut = -1100.0 / log2 if log2 < 0.0 else 1.0
-    start = math.floor(min(cut * data.draw(st.floats(0.9, 1.1)), 2.0**53)) - n // 2
-    return min(max(start, 1), 2**53 - n)
+@st.composite
+def _mp_cases(draw):
+    """(config, k, k_max) of ex1 with a drawn herald law and storage time.
+
+    Half the links have |r - d| from 1e-12 to 1e-6, where the difference
+    quotient of S cancels: T_coh is drawn and p_her set from r = d +- gap.
+    The others draw p_her from 1e-12 to 0.5, or 1e-300, on their own.
+    T_coh is at most 1e9 us and N at most 1e4. k keeps (k - 1) |max(a, b)|
+    within 700, where S is a normal double.
+    """
+    n = draw(st.integers(1, 10) | st.integers(1, MAX_TRANSDUCERS_PER_MODULE))
+    t_coh = draw(_log10_uniform(0, 9))
+    if draw(st.booleans(), label="near r = d"):
+        d = math.exp(-1.0 / t_coh)
+        gap = draw(_log10_uniform(-12, -6))
+        r = d + gap if d + gap < 1.0 and draw(st.booleans()) else d - gap
+        p_her = -math.expm1(math.log(r) / n)
+    else:
+        p_her = draw(st.just(1e-300) | _log10_uniform(-12, math.log10(0.5)))
+    m = max(n * math.log1p(-p_her), -1.0 / t_coh)
+    k = draw(st.integers(1, min(10**7 - 1, 1 + math.floor(700.0 / -m))))
+    return _ex1_at(p_her, t_coh, n, t_del=k + draw(st.floats(0.0, 0.99))), k
+
+
+def _a_equals_b():
+    """ex1 at p_her 0.01 with the T_coh at which b = -t_rep/T_coh equals
+    a = log1p(-p_her) exactly, so x = 0 and S takes its limit."""
+    a = float(np.log1p(-0.01))
+    assert -1.0 / (-1.0 / a) == a
+    return _ex1_at(0.01, -1.0 / a)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_power_matches_numpy_bit_for_bit(data):
-    """_power against np.power on the two shapes that the models pass it:
-    a 1-D float grid of rounds with one base, and a window of 6 int64
-    rounds per lane with one base per lane or one for all. The sizes, up
-    to 300 and 240, straddle the one below which _power calls pow directly."""
-    assert 6 < delivery._POWER_MASK_MIN < 240
+@given(case=_mp_cases(), k_max=st.integers(1, 2000))
+@example(case=(_a_equals_b(), 88), k_max=200)
+def test_evaluator_matches_mpmath(case, k_max):
+    """p_success, S and f_del within 1e-12 of mpmath at 200 bits; the peak
+    within one round of mpmath's real argmax; decoherence exactly 0 at
+    t_del = t_rep; and the search equals the first argmax of the
+    evaluator's own grid. The explicit example has a = b exactly."""
+    cfg, k = case
+    link = resolve(cfg)
+    n, t_coh, t_del = cfg.policy.n_parallel, cfg.qubit.t_coh_us, cfg.policy.t_del_us
+    want_p, want_s, want_f = mp_point(link.p_her, n, 1.0, t_coh, link.f_her, k, t_del - k)
+    m = delivered_fidelity(link)
+    a, b, law = delivery._law(link, np.array([n]))
+    s = delivery._decay_mass(law, np.array([float(k)]))[0]
+    assert rel_error(m.p_success, want_p) <= 1e-12
+    assert rel_error(s, want_s) <= 1e-12
+    assert rel_error(m.f_del, want_f) <= 1e-12
+    assert abs(delivery._peak_rounds(a, b)[0] - mp_peak(link.p_her, n, 1.0, t_coh)) <= 1.0
+    first = _ex1_at(cfg.p_her_reference, t_coh, n, t_del=1.0)
+    assert infidelity_breakdown(resolve(first))["decoherence"] == 0.0
+    _, parts = infidelity_breakdown_curve(link, delivery_curve(link, k_max))
+    assert parts["decoherence"][0] == 0.0
+    assert optimal_delivery_time(link, k_max) == grid_optimal_delivery_time(cfg, k_max)
 
-    def draw_base():
-        return data.draw(
-            st.sampled_from(POWER_BASES)
-            | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-        )
 
-    if data.draw(st.booleans(), label="grid"):
-        base = draw_base()
-        n = data.draw(st.integers(1, 300))
-        k = _rounds_near_cut(base, n, data) + np.arange(n, dtype=float)
-    else:
-        lanes = data.draw(st.integers(1, 40))
-        per_lane = data.draw(st.booleans(), label="base per lane")
-        bases = [draw_base() for _ in range(lanes)] if per_lane else [draw_base()] * lanes
-        starts = [_rounds_near_cut(b, 6, data) for b in bases]
-        k = np.array(starts, dtype=np.int64)[:, None] + np.arange(6)
-        base = np.array(bases)[:, None] if per_lane else bases[0]
-    want = np.power(base, k, dtype=float)
-    got = delivery._power(base, k)
-    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+CORNERS = [
+    pytest.param(_ex1_at(p_her, t_coh), id=f"t_coh={t_coh}-p_her={p_her}")
+    for t_coh in (5e-324, 1e-300, 1e300, math.inf)
+    for p_her in (None, 1.0, 1e-300, 5e-324)
+] + [pytest.param(_a_equals_b(), id="a-equals-b")]
+
+
+@pytest.mark.parametrize("cfg", CORNERS)
+def test_every_delivery_function_at_the_extremes(cfg):
+    """Storage times from the smallest subnormal to inf and herald
+    probabilities from 1 down to the smallest subnormal: no warning, every
+    value finite (eta_link is T_coh p_her / t_rep, inf at an infinite
+    T_coh), f_del in [1/2, 1], p_success in [0, 1], and the components sum
+    to the total."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        link = resolve(cfg)
+        m = delivered_fidelity(link)
+        point = infidelity_breakdown(link)
+        curve = delivery_curve(link, k_max=200)
+        _, parts = infidelity_breakdown_curve(link, curve)
+        best = optimal_delivery_time(link, k_max=10**6)
+        at_widths = optimal_delivery_time(link, 10**6, n_parallel=np.array([1, 2, 5000]))
+        try:
+            reached = [min_time_to_fidelity(link, 0.55, k_max=10**6)]
+        except UnattainableError:
+            reached = []
+    values = [m.p_success, m.f_del, *point.values(), *best, *reached]
+    values += [v for part in parts.values() for v in part.tolist()]
+    values += [curve.p_success, curve.f_del, *at_widths]
+    assert all(np.isfinite(v).all() for v in values)
+    for p_success, f_del in [(m.p_success, m.f_del), (curve.p_success, curve.f_del)]:
+        assert (0.0 <= np.min(p_success)) and (np.max(p_success) <= 1.0)
+        assert (0.5 <= np.min(f_del)) and (np.max(f_del) <= 1.0)
+    for bd in (point, parts):
+        total = bd["protocol"] + bd["thermal"] + bd["decoherence"] + bd["fallback"]
+        np.testing.assert_allclose(total, bd["total"], rtol=1e-10)
+    assert parts["decoherence"][0] == 0.0
+
+
+def test_tiny_herald_probability_keeps_its_digits():
+    """At p_her 1e-300, 1 - p_her is 1.0, and a model that forms it prints
+    p_success 0.0; the exact value at ex1's 88 rounds is 8.8e-299."""
+    link = resolve(_ex1_at(1e-300))
+    want = mp_point(1e-300, 1, 1.0, 200.0, link.f_her, 88)[0]
+    assert rel_error(delivered_fidelity(link).p_success, want) <= 1e-12
+    assert delivered_fidelity(link).p_success == pytest.approx(8.8e-299, rel=1e-12)

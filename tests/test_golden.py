@@ -27,6 +27,13 @@ grid reaches both zero tails, r^k from k = 1844 and d^k from k = 149026;
 ex2's d = 0.9996 never underflows within 2x10^5 rounds, so
 `analyze-ex2-k200000` pins only the r^k one.
 
+The five `analyze` constants were retaken when the delivery model moved to
+log space and the breakdown began to read S from the evaluator instead of
+recovering it from f_del. Their one changed cell is row one's
+`decoherence` in `infidelity_breakdown.csv`, which became `0`: at
+t_del = t_rep nothing is stored, and the recovery printed rounding noise
+of about 5e-17 there. Every other byte is as it was.
+
 `plan-lattice` was retaken when the plan report lost
 `qubits_communication`, which always equalled `total_transducers`. The
 stdout and `plan.json` of the code before that change, with that key's line
@@ -79,15 +86,15 @@ COMMANDS = {
 
 GOLDEN = {
     "analyze-ex1":
-        "66ea287cd76fcbee91897d27ad0541745c9b89b9776b9ffcc270bf294a9c4ad7",
+        "ac6ba1b8d89dfaaf3d255e65490cdd6550a228a454094524c7be01f69fa136f5",
     "analyze-ex2":
-        "773253593601062003ce3f1aa01ee87b5f8aba3b0359a26ebadada5ed46f691e",
+        "007da35123cdceda591f6b1525b9e843ec42183353a3a14a318982816fe32823",
     "analyze-ex3":
-        "448bcc667fe561ef3b36dcdc8f30e50037f6a16601903ae2a0c0bf0045bdbdd9",
+        "a0a67f0805ac8fbff49183cc72de46fdcc91dd6781442e796275c42c999f2c0d",
     "analyze-ex2-k200000":
-        "272a7022521bd68df3e696f2cfef9e4ad7536f910c423df5fef586f7574c2dc1",
+        "29e88d099560c3593182569d7ad71484b6f8e49da2f8c59bb936c84ef1f050ae",
     "analyze-ex3-k200000":
-        "f270ce078f365ba92c402b913e25dbdb0a7192ac4196c9af96468fb27b8d8f87",
+        "b1874f03e30e7d7eeddbf8e28c833221347debee59bfdb7dbf6863d6281b422c",
     "simulate-ex1-keep":
         "889abeef26a3867fea48880b77bac1e3a3b8f4a8c36112a43c24465864074bf0",
     "simulate-ex3-jobs2":
