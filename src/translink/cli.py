@@ -321,54 +321,38 @@ def _cmd_simulate(args, parsed: ParsedConfig, link: Link, emit) -> None:
 
 
 def _trial_columns(cols: TrialColumns, n_channels: int) -> dict:
-    """trials.csv's columns, with each herald round's cells encoded once.
+    """trials.csv's columns: the kept trials' round codes and table, as one
+    emit_csv group.
 
     Every trial of a herald round holds the same round, tau and f_del bits,
-    and with one channel the same channel too, so those cells form one
-    emit_csv group: a table with a row for each round that occurs, taken
-    from one of its trials, and a code for each trial. A timed-out trial
+    and with one channel the same channel too, so those cells come from the
+    trial's row of the per-round table, formatted once. A timed-out trial
     (round 0, channel -1) leaves its round and channel cells empty. With
     N > 1 the channel is a group of its own, keyed by channel + 1.
     """
-    rounds = cols.herald_round
-    if rounds.max() > len(rounds):
-        # rounds sparser than the trials (up to the 10^7-round cap): a sort,
-        # whose memory follows the trials
-        occurs, pick, codes = np.unique(rounds, return_index=True, return_inverse=True)
-    else:
-        # a dense int32 map from round to code, no longer than the trials + 1
-        # (kept trials number at most MAX_TRIAL_DUMP); the sort's int64
-        # temporaries would raise a 2x10^5-trial keep's peak RSS by 3.4 MB
-        slot = np.full(rounds.max() + 1, -1, dtype=np.int32)
-        slot[rounds] = np.arange(len(rounds), dtype=np.int32)
-        occurs = np.flatnonzero(slot >= 0)
-        pick = slot[occurs]  # one trial of each round that occurs
-        slot[occurs] = np.arange(len(occurs), dtype=np.int32)
-        codes = slot[rounds]
+    timed_out = cols.herald_round == 0
 
     def blank_timeouts(column):
-        cells = column[pick].astype(object)
-        cells[occurs == 0] = ""
+        cells = column.astype(object)
+        cells[timed_out] = ""
         return cells
 
-    trial = np.arange(len(cols))
+    trial, rounds = np.arange(len(cols)), blank_timeouts(cols.herald_round)
     if n_channels == 1:
         return {
             "trial": trial,
-            ("herald_round", "winning_channel", "tau_us", "f_del"): (codes, (
-                blank_timeouts(rounds),
-                blank_timeouts(cols.winning_channel),
-                cols.tau_us[pick],
-                cols.f_del[pick],
+            ("herald_round", "winning_channel", "tau_us", "f_del"): (cols.code, (
+                rounds, blank_timeouts(np.zeros_like(cols.herald_round)),
+                cols.tau_us, cols.f_del,
             )),
         }
     return {
         "trial": trial,
-        ("herald_round",): (codes, (blank_timeouts(rounds),)),
+        ("herald_round",): (cols.code, (rounds,)),
         ("winning_channel",): (
             cols.winning_channel + 1, (np.array(["", *range(n_channels)], dtype=object),)
         ),
-        ("tau_us", "f_del"): (codes, (cols.tau_us[pick], cols.f_del[pick])),
+        ("tau_us", "f_del"): (cols.code, (cols.tau_us, cols.f_del)),
     }
 
 

@@ -136,11 +136,6 @@ def _decay_mass(law: np.ndarray, k: np.ndarray) -> np.ndarray:
     return s
 
 
-def _whole(x: float, rounding) -> int | float:
-    """rounding(x) as an int; an infinite x, past any grid, stays a float."""
-    return rounding(x) if math.isfinite(x) else x
-
-
 def _checked_k_max(k_max, limit: int = 2**53) -> int:
     """k_max, checked against limit: by default 2**53, the last round count a
     float holds exactly."""
@@ -151,24 +146,22 @@ def _checked_k_max(k_max, limit: int = 2**53) -> int:
     return k_max
 
 
-def _search_k_max(config: LinkConfig, k_max: int | None) -> int | float:
-    """Last round of the searches: k_max, by default ten coherence times.
+def _search_k_max(config: LinkConfig, k_max: int | None) -> int:
+    """Last round of the searches: k_max, by default ten coherence times,
+    at most 2**53 (see _checked_k_max), so any T_coh, an infinite one too,
+    has a range.
 
     An attached memory caps it, given or not, at its lifetime in rounds: a
     stored pair cannot be delivered later than that. It is not yet checked,
     so that delivery_curve can cap it to its grid first.
     """
     t = config.transducer
-    t_coh = config.qubit.t_coh_us
     if k_max is None:
-        if math.isinf(t_coh):
-            raise ConfigError(
-                "t_coh is infinite: the search range is unbounded, pass k_max explicitly"
-            )
-        k_max = _whole(10.0 * t_coh / t.t_rep_us, math.ceil)
+        k_max = math.ceil(min(10.0 * config.qubit.t_coh_us / t.t_rep_us, 2**53))
     if config.memory is not None:
         lifetime_rounds = config.memory.lifetime_us / t.t_rep_us
-        k_max = min(k_max, _whole(lifetime_rounds, math.floor))
+        if lifetime_rounds < k_max:  # an infinite lifetime caps nothing
+            k_max = math.floor(lifetime_rounds)
     return k_max
 
 
@@ -268,7 +261,9 @@ def delivery_curve(link: Link, k_max: int | None = None) -> DeliveryCurve:
     k = np.arange(1, _checked_k_max(k_max, MAX_GRID_POINTS) + 1, dtype=float)
     a, _, law = _law(link, c.policy.n_parallel)
     f_del = 0.5 + max(link.f_her - 0.5, 0.0) * _decay_mass(law, k)
-    return DeliveryCurve(k * c.transducer.t_rep_us, -np.expm1(k * a), f_del)
+    with np.errstate(over="ignore"):  # past the float range, a t_rep near it gives inf
+        t_del = k * c.transducer.t_rep_us
+    return DeliveryCurve(t_del, -np.expm1(k * a), f_del)
 
 
 def infidelity_breakdown_curve(
@@ -389,7 +384,7 @@ def optimal_delivery_time(
     t_rep = link.config.transducer.t_rep_us
     if widths.ndim == 0:
         _, k_best, f_best = _optimum(link, k_max, *_law(link, widths.reshape(1)))
-        return float(k_best[0] * t_rep), float(f_best[0])
+        return float(k_best[0]) * t_rep, float(f_best[0])
     # k_max, b and the gain are the same at every width. Ascending widths
     # that share (q, m, x) share the evaluator's values, and so the optimum
     n, where = np.unique(widths, return_inverse=True)
@@ -398,7 +393,9 @@ def optimal_delivery_time(
     first[1:] = (law[:3, 1:] != law[:3, :-1]).any(axis=0)
     _, k_best, f_best = _optimum(link, k_max, a[first], b, law[:, first])
     lane = (np.cumsum(first) - 1)[where]
-    return (k_best[lane] * t_rep).reshape(widths.shape), f_best[lane].reshape(widths.shape)
+    with np.errstate(over="ignore"):  # past the float range, a t_rep near it gives inf
+        t_del = k_best[lane] * t_rep
+    return t_del.reshape(widths.shape), f_best[lane].reshape(widths.shape)
 
 
 def min_time_to_fidelity(link: Link, target: float, k_max: int | None = None) -> float:
@@ -418,4 +415,4 @@ def min_time_to_fidelity(link: Link, target: float, k_max: int | None = None) ->
             f"target fidelity {target} unattainable: best f_del is {f_best[0]:.6f}"
         )
     _first_reaching(f_del_at, law, np.asarray([target]), np.ones_like(k_best), k_best, f_best)
-    return float(k_best[0] * link.config.transducer.t_rep_us)
+    return float(k_best[0]) * link.config.transducer.t_rep_us

@@ -17,8 +17,9 @@ and sorted and sparse otherwise, and no per-trial array exists unless the
 trials are kept. The histograms merge exactly, f_del is evaluated once per
 distinct round, and the mean and standard error are correctly rounded from
 exact integer sums over the histogram. Every statistic is therefore the
-same for any job count, span size or keep_trials; kept trials gather their
-storage time and f_del from the per-round tables.
+same for any job count, span size or keep_trials. Kept trials stay coded by
+round: each holds its winning channel and a code, the index of its row in
+that per-round table of herald round, storage time and f_del.
 """
 
 from __future__ import annotations
@@ -35,10 +36,7 @@ from .params import Record
 MAX_TRIAL_DUMP = 1_000_000
 # The cap bounds time, not memory: without kept trials no per-trial array
 # exists, and each worker holds one span's draws and a histogram with at
-# most one entry per distinct herald round. At the cap `simulate` reaches a
-# max RSS of 32 MB at --jobs 1 and 34 MB at --jobs 2 on ex1-ex3, against
-# 30 MB at one trial, and takes 0.29-0.33 s and 0.22-0.27 s (10^7 trials
-# on a 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6).
+# most one entry per distinct herald round.
 MAX_TRIALS = 10_000_000
 
 # splitmix64's constants, made uint64 where the hash uses them: a module-level
@@ -79,19 +77,23 @@ def _check_seed(seed: int) -> None:
 
 
 class TrialColumns(Record):
-    """Per-trial results, one equal-length numpy array per field.
+    """Kept trials, coded by herald round: two per-trial arrays and a table.
 
-    A trial with no herald has herald_round 0, winning_channel -1,
-    tau_us 0.0 and the fidelity-1/2 fallback as f_del.
+    Trial i heralded at herald_round[code[i]] and waited tau_us[code[i]]
+    in storage before delivering f_del[code[i]]; the table has one row per
+    round of the run's histogram, so rows that no kept trial reads may
+    occur. A trial with no herald has a code whose round is 0, with tau_us
+    0.0 and the fidelity-1/2 fallback as f_del, and winning_channel -1.
     """
 
-    herald_round: np.ndarray  # int64, 1..K
-    winning_channel: np.ndarray  # int64, 0..N-1
-    tau_us: np.ndarray  # storage time before delivery
-    f_del: np.ndarray
+    code: np.ndarray  # int32, per trial: its row of the table
+    winning_channel: np.ndarray  # int64, per trial: 0..N-1
+    herald_round: np.ndarray  # int64, per row: 0..K
+    tau_us: np.ndarray  # per row: storage time before delivery
+    f_del: np.ndarray  # per row
 
     def __len__(self) -> int:
-        return len(self.f_del)
+        return len(self.code)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrialColumns):
@@ -136,7 +138,9 @@ def _herald_rounds(u, p_her, n_channels, k_rounds) -> np.ndarray:
     # rounds skipped before the herald, in float: it may exceed any int64
     skipped = np.negative(u)
     np.log1p(skipped, out=skipped)
-    skipped /= n_channels * math.log1p(-p_her)
+    # a subnormal p_her overflows the quotient to inf, which the cap at K takes
+    with np.errstate(over="ignore"):
+        skipped /= n_channels * math.log1p(-p_her)
     # skipped >= 0, so the cast floors it; capped at K first, so the cast is
     # safe and K + 1 is the first round past the timeout
     np.minimum(skipped, k_rounds, out=skipped)
@@ -204,27 +208,29 @@ def _summarize(link: Link, hist, seed, rounds=None, chans=None) -> MCStats:
     until t_del; trials with no herald deliver the fidelity-1/2 fallback.
     Storage time and f_del are evaluated once for each of those rounds,
     element for element the same float operations that a per-trial
-    evaluation runs. Kept trials (`rounds` and `chans`, per trial) gather
-    their storage time and f_del from those tables.
+    evaluation runs. Kept trials (`rounds` and `chans`, per trial) are
+    coded by their row of those tables.
     """
     values, counts = hist
     n_trials = int(counts.sum())
     c = link.config
     missed = values == 0  # no herald, nothing stored
     tau = np.where(missed, 0.0, c.policy.t_del_us - values * c.transducer.t_rep_us)
-    # the decay; an infinite t_coh gives exp(-0.0) = 1 exactly
-    decay = np.exp(-tau / c.qubit.t_coh_us)
+    # the decay; an infinite t_coh gives exp(-0.0) = 1 exactly, and a
+    # subnormal one overflows the exponent to -inf, whose exp is 0 exactly
+    with np.errstate(over="ignore"):
+        decay = np.exp(-tau / c.qubit.t_coh_us)
     f_del = np.where(missed, 0.5, 0.5 + max(link.f_her - 0.5, 0.0) * decay)
     heralded = (counts > 0) & ~missed
     n_no_herald = int(counts[missed].sum())
-    # kept trials gather from the tables; a dense one holds round r at index r
+    # a kept trial's code is its round's row; a dense table holds round r at row r
     dense = rounds is None or len(values) > values[-1]
-    at = rounds if dense else np.searchsorted(values, rounds)
+    at = rounds if dense else np.searchsorted(values, rounds).astype(np.int32)
     return MCStats(
         n_trials, seed, *_moments(f_del, counts, n_trials),
         (n_trials - n_no_herald) / n_trials, n_no_herald,
         *(tuple(column[heralded].tolist()) for column in (values, counts)),
-        None if rounds is None else TrialColumns(rounds, chans, tau[at], f_del[at]),
+        None if rounds is None else TrialColumns(at, chans, values, tau, f_del),
     )
 
 
@@ -254,8 +260,11 @@ def run_trials(
     pol = link.config.policy
     n_channels = pol.n_parallel
     k_rounds = math.floor(pol.t_del_us / link.config.transducer.t_rep_us)
-    # the kept trials' herald rounds and winning channels
-    rounds, chans = np.empty((2, n_trials), dtype=np.int64) if keep_trials else (None, None)
+    # the kept trials' herald rounds (K <= 10^7 fits int32) and winning
+    # channels, apart: the rounds become the codes, and must not hold the
+    # channels' memory alive with them
+    rounds = np.empty(n_trials, dtype=np.int32) if keep_trials else None
+    chans = np.empty(n_trials, dtype=np.int64) if keep_trials else None
     draw_chans = keep_trials and n_channels > 1
     # K + 1 bins cost no more than a span's draws: count densely, else sort
     dense = np.arange(k_rounds + 1) if k_rounds < min(_CHUNK, n_trials) else None

@@ -382,7 +382,10 @@ def tradeoff_surface(budget: int, link: Link, k_max: int | None = None) -> tuple
         f_del[up, r] = calibrated_distill(f_star[up], r)
     fits = n_links >= 1
     row, col = np.nonzero(fits)
-    cands = (n_links[fits], 1.0 / t_star[row], f_del[fits], n_parallel[row], col, t_star[row])
+    # a subnormal t* overflows its rate to inf, which a CSV cell writes as is
+    with np.errstate(over="ignore"):
+        rate = 1.0 / t_star[row]
+    cands = (n_links[fits], rate, f_del[fits], n_parallel[row], col, t_star[row])
     # descending triples; the candidates ascend in (width, rounds), so the
     # first of equal triples is the cheapest witness
     kept = _first_of_each(-cands[0], -cands[1], -cands[2])

@@ -4,8 +4,9 @@
 before it sampled each trial by inversion: one uniform per (trial, round,
 channel) at stream position (trial * K + round - 1) * N + channel, so a trial
 costs O(K N). It reproduces that engine's stream exactly and shares the
-library's reductions, so the two engines can be compared trial law against
-trial law.
+library's reduction of the histogram, and it returns its per-trial herald
+rounds and winning channels, so the two engines can be compared trial law
+against trial law.
 
 `run_two_draw_trials` is the inversion engine as it was before the library
 skipped the draws that no output reads: it draws both uniforms of every
@@ -14,7 +15,9 @@ splitmix64 hash, and evaluates herald rounds, storage time and f_del trial
 by trial with the expressions that the library used then. It reduces its own
 per-trial f_del to the mean and standard error with exact Python integer
 sums, by the library's definition of both, where the library reduces a
-herald-round histogram. The library must match it bit for bit.
+herald-round histogram. It returns its per-trial columns as they are, where
+the library codes kept trials by round. The library must match it bit for
+bit.
 
 `run_distill_trials` samples the pair consumption of nested recurrence
 distillation, to cross-check the closed-form `pairs_expected` of
@@ -33,7 +36,6 @@ from translink import ConfigError, DistillMode, nested_distill, recurrence_ladde
 from translink.mcsim import (
     MAX_TRIALS,
     MCStats,
-    TrialColumns,
     _check_seed,
     _summarize,
     _uniforms,
@@ -70,9 +72,11 @@ def _simulate_chunk(start, stop, seed, p_her, n_channels, k_rounds, rounds_out, 
     chan_out[start:stop] = chans_local
 
 
-def run_trials(link, n_trials: int, seed: int, n_jobs: int = 1,
-               keep_trials: bool = False) -> MCStats:
-    """The per-channel race over every round, reduced as the library does."""
+def run_trials(link, n_trials: int, seed: int, n_jobs: int = 1) -> tuple:
+    """The per-channel race over every round, reduced as the library does.
+
+    Returns (stats, herald rounds, winning channels), the last two per trial.
+    """
     if not 1 <= n_trials <= MAX_TRIALS or n_jobs < 1:
         raise ConfigError("n_trials or n_jobs out of range")
     _check_seed(seed)
@@ -102,7 +106,7 @@ def run_trials(link, n_trials: int, seed: int, n_jobs: int = 1,
                 lo, hi, seed, link.p_her, n_channels, k_rounds, rounds, chans
             )
     hist = np.unique(rounds, return_counts=True)
-    return _summarize(link, hist, seed, *((rounds, chans) if keep_trials else ()))
+    return _summarize(link, hist, seed), rounds, chans
 
 
 def _splitmix_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
@@ -150,11 +154,13 @@ def _exact_moments(f_del) -> tuple:
     return mean, math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1) << 106))
 
 
-def run_two_draw_trials(link, n_trials: int, seed: int) -> MCStats:
+def run_two_draw_trials(link, n_trials: int, seed: int) -> tuple:
     """Two draws per trial and a per-trial f_del; the trials are always kept.
 
     The histogram comes from np.unique of the per-trial rounds, and the
-    mean and standard error from the per-trial f_del.
+    mean and standard error from the per-trial f_del. Returns (stats, trials):
+    trials maps herald_round, winning_channel, tau_us and f_del to one array
+    each, a value per trial.
     """
     t = link.config.transducer
     pol = link.config.policy
@@ -178,7 +184,7 @@ def run_two_draw_trials(link, n_trials: int, seed: int) -> MCStats:
     n_success = int(np.count_nonzero(heralded))
     herald_rounds, herald_histogram = np.unique(rounds[heralded], return_counts=True)
     mean_f_del, std_error = _exact_moments(f_del)
-    return MCStats(
+    stats = MCStats(
         n_trials=n_trials,
         seed=seed,
         mean_f_del=mean_f_del,
@@ -187,8 +193,9 @@ def run_two_draw_trials(link, n_trials: int, seed: int) -> MCStats:
         herald_rounds=tuple(herald_rounds.tolist()),
         herald_histogram=tuple(herald_histogram.tolist()),
         n_no_herald=n_trials - n_success,
-        trials=TrialColumns(rounds, chans, tau, f_del),
     )
+    trials = {"herald_round": rounds, "winning_channel": chans, "tau_us": tau, "f_del": f_del}
+    return stats, trials
 
 
 @dataclass(frozen=True)

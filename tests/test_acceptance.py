@@ -305,7 +305,7 @@ def test_criterion_7_property_suites():
         # a state is delivered on every trial (success or fallback)
         out = run_trials(resolve(_example3()), 5000, seed=17, keep_trials=True)
         assert len(out.trials) == 5000
-        assert all(f_del >= 0.5 for f_del in out.trials.f_del.tolist())
+        assert all(f_del >= 0.5 for f_del in out.trials.f_del[out.trials.code].tolist())
         assert out.p_success + out.n_no_herald / 5000 == 1.0
 
         # Pareto frontier equals the brute-force dominance filter

@@ -29,6 +29,8 @@ from translink import (
     PumpMode,
     delivered_fidelity,
     lattice_surgery_plan,
+    min_time_to_fidelity,
+    optimal_delivery_time,
     parse_config,
     preset,
     resolve,
@@ -198,8 +200,8 @@ def _trials_csv_oracle(config: str, trials: int, seed: int) -> str:
     cols = run_trials(link, trials, seed, keep_trials=True).trials
     lines = ["trial,herald_round,winning_channel,tau_us,f_del\n"]
     for trial, (rnd, chan, tau, f_del) in enumerate(zip(
-        cols.herald_round.tolist(), cols.winning_channel.tolist(),
-        cols.tau_us.tolist(), cols.f_del.tolist(),
+        cols.herald_round[cols.code].tolist(), cols.winning_channel.tolist(),
+        cols.tau_us[cols.code].tolist(), cols.f_del[cols.code].tolist(),
     )):
         rnd, chan = ("", "") if rnd == 0 else ("%d" % rnd, "%d" % chan)
         lines.append("%d,%s,%s,%.9g,%.9g\n" % (trial, rnd, chan, tau, f_del))
@@ -618,6 +620,36 @@ def test_tradeoff_k_max_capped_at_memory_lifetime(tmp_path, capsys):
     )
     assert default == explicit
     assert [r["t_del_us"] for r in explicit] == [lifetime]
+
+
+def test_plan_and_tradeoff_run_at_any_coherence_time(tmp_path, capsys):
+    """Ten coherence times of 1e300 us are past any round count that a float
+    holds, so the default search range stops at 2**53 rounds; its optimum is
+    the one of 10^6 rounds. An explicit k_max past 2**53 is still refused."""
+    cfg = json.loads(Path(LATTICE).read_text())
+    cfg["qubit"] = {"t_coh_us": 1e300}
+    path = tmp_path / "long_coherence.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "plan", "--config", str(path), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["plan"]["min_t_del_us"] == 7.0
+    rows = _tradeoff_rows(capsys, tmp_path / "default", "--config", str(path))
+    assert len(rows) == 370
+    assert rows == _tradeoff_rows(
+        capsys, tmp_path / "explicit", "--config", str(path), "--k-max", "1000000"
+    )
+    link = resolve(parse_config(str(path)).link)
+    for k_max in (None, 10**6, 2**53):
+        assert optimal_delivery_time(link, k_max) == (90.0, 0.921975)
+        assert min_time_to_fidelity(link, 0.89, k_max) == 7.0
+    code, out, err = _run(
+        capsys, "tradeoff", "--config", str(path), "--k-max", str(2**53 + 1),
+        "--out", str(tmp_path / "refused"),
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == (
+        f"k_max of {2**53 + 1} rounds exceeds {2**53}; pass a smaller k_max"
+    )
 
 
 def test_plan_and_tradeoff_honour_p_her_reference(tmp_path, capsys):
@@ -1160,7 +1192,7 @@ def test_simulate_loads_numpy_before_its_workers(tmp_path):
 
 def test_trial_columns_memory_follows_the_kept_trials(tmp_path):
     """At the 10^7-round cap, trials.csv's columns for 2000 kept trials hold
-    no map over the rounds, which as int32 alone is 40 MB."""
+    no array over the rounds, which as int32 alone is 40 MB."""
     config = _config_file(tmp_path / "cfg.json", EX1, p_her_reference=1e-7, t_del_us=1e7)
     cols = run_trials(resolve(parse_config(config).link), 2000, 21, keep_trials=True).trials
     assert cols.herald_round.max() > 10**6

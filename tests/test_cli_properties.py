@@ -6,13 +6,15 @@ extreme value (an explicit example may set several). On exit 0 stderr is
 empty and stdout is the text of the command's primary artifact, which is
 strict JSON (no Infinity or NaN) when it is JSON; otherwise stdout is empty,
 stderr is exactly one JSON line with `error` and `message`, and --out holds
-no file. A Python traceback fails the test.
+no file. A warning counts as stderr text, as it would in a process of its
+own, and a Python traceback fails the test.
 """
 
 import contextlib
 import io
 import json
 import math
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -139,9 +141,12 @@ def _run(directory: Path, name, mutation, argv) -> tuple:
         config.write_text(json.dumps(cfg))
         argv = [argv[0], "--config", str(config), *argv[1:]]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.main([*argv, "--out", str(directory / "out")])
-    return code, out.getvalue(), err.getvalue()
+    shown = [warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught]
+    return code, out.getvalue(), err.getvalue() + "".join(shown)
 
 
 def _reject_constant(name):
@@ -185,12 +190,16 @@ SIMULATE_9 = ["simulate", "--trials", "9"]
 @example(case=("ex1", {("transducer", "t_rep_us"): 1e-3, ("qubit", "t_coh_us"): 1e308,
                        ("policy", "t_del_us"): 0.088}, ["analyze"]))
 def test_every_input_exits_0_1_or_2(tmp_path_factory, case):
-    directory = tmp_path_factory.mktemp("cli")
-    code, out, err = _run(directory, *case)
+    _check_run(tmp_path_factory.mktemp("cli"), *case)
+
+
+def _check_run(directory: Path, name, mutation, argv) -> None:
+    """Run one case and check the contract in the module docstring."""
+    code, out, err = _run(directory, name, mutation, argv)
     assert code in (0, 1, 2)
     if code == 0:
         assert err == ""
-        primary = directory / "out" / _primary(case[2])
+        primary = directory / "out" / _primary(argv)
         assert out == primary.read_text(encoding="utf-8")
         if primary.suffix == ".json":
             json.loads(out, parse_constant=_reject_constant)
@@ -200,3 +209,34 @@ def test_every_input_exits_0_1_or_2(tmp_path_factory, case):
         assert err.endswith("\n") and err.count("\n") == 1
         payload = json.loads(err)
         assert {"error", "message"} <= set(payload)
+
+
+LINK_EXTREMES = [5e-324, 1e-310, 1e-300, 1e-12, 0.5, 1, 1e12, 1e300, 1.7e308]
+LINK_FIELDS = [("qubit", "t_coh_us"), ("p_her_reference",), ("policy", "t_del_us"),
+               ("transducer", "t_rep_us")]
+# every subcommand, at sizes that keep a run to milliseconds
+SMALL_RUNS = [["analyze", "--k-max", "50"], ["simulate", "--trials", "50", "--keep-trials"],
+              ["plan"], ["tradeoff"], ["distill"], ["presets"]]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(values=st.tuples(*[st.sampled_from(LINK_EXTREMES)] * len(LINK_FIELDS)))
+# the inputs that printed numpy's overflow warning before it was silenced
+# where inf is the answer: a subnormal p_her (simulate's herald-round
+# quotient), a subnormal t_coh (simulate's decay exponent), a subnormal t_rep
+# (tradeoff's rate) and a t_rep near the float maximum (the t_del of
+# analyze's grid and of tradeoff's optimum)
+@example(values=(1e12, 5e-324, 1, 0.5))
+@example(values=(1e12, 1e-310, 1, 0.5))
+@example(values=(5e-324, 1e-12, 1, 0.5))
+@example(values=(5e-324, 1e-12, 5e-324, 5e-324))
+@example(values=(1e-300, 1e-12, 1.7e308, 1.7e308))
+@example(values=(1.7e308, 1e-12, 1e300, 1e300))
+def test_link_extremes_through_every_subcommand(tmp_path_factory, values):
+    """The lattice link with its coherence time, reference herald
+    probability, delivery time and repetition time all at extremes, through
+    every subcommand."""
+    mutation = dict(zip(LINK_FIELDS, values))
+    for argv in SMALL_RUNS:
+        name = None if argv[0] == "presets" else "lattice"
+        _check_run(tmp_path_factory.mktemp("cli"), name, mutation, argv)

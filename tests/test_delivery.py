@@ -604,15 +604,17 @@ def test_min_time_target_domain():
             min_time_to_fidelity(resolve(_ex1()), bad)
 
 
-def test_infinite_coherence_needs_explicit_grid():
+def test_infinite_coherence_gets_the_default_grid():
+    """Ten coherence times are infinite, so the default grid is the one that
+    covers 1000 points and twice t_del, and the searches stop at 2**53."""
     cfg = LinkConfig(
         transducer=preset("transducer1"),
         qubit=StorageQubitParams(t_coh_us=math.inf),
         protocol=ProtocolSpec(PhotonBasis.ONE_PHOTON, PumpMode.TMS),
         policy=DeliveryPolicy(t_del_us=88.0),
     )
-    with pytest.raises(ConfigError):
-        delivery_curve(resolve(cfg))
+    assert len(delivery_curve(resolve(cfg)).t_del_us) == 1000
+    assert optimal_delivery_time(resolve(cfg)) == optimal_delivery_time(resolve(cfg), 2**53)
     curve = delivery_curve(resolve(cfg), k_max=500)
     assert len(curve.t_del_us) == 500
     # without decay the fidelity only improves with patience

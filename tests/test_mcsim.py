@@ -4,7 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -27,7 +27,6 @@ from translink import (
     PumpMode,
     StorageQubitParams,
     TransducerParams,
-    TrialColumns,
     delivered_fidelity,
     nested_distill,
     preset,
@@ -71,7 +70,7 @@ def _ex2():
 
 def test_reference_run_regression():
     """The reference engine still draws the per-channel race stream."""
-    stats_out = mc_oracle.run_trials(resolve(_ex1()), 100_000, seed=7)
+    stats_out, _, _ = mc_oracle.run_trials(resolve(_ex1()), 100_000, seed=7)
     assert stats_out.mean_f_del == pytest.approx(0.604782184, abs=5e-10)
     assert stats_out.std_error == pytest.approx(0.000284380109, abs=5e-13)
     assert stats_out.p_success == pytest.approx(0.58508, abs=1e-12)
@@ -85,6 +84,12 @@ def test_library_stream_regression():
     assert stats_out.std_error == pytest.approx(0.000284214881, abs=5e-13)
     assert stats_out.p_success == pytest.approx(0.58534, abs=1e-12)
     assert stats_out.n_no_herald == 100_000 - round(0.58534 * 100_000)
+
+
+def _per_trial(cols):
+    """Kept trials' columns with a value per trial: the table's read at the codes."""
+    table = {name: getattr(cols, name)[cols.code] for name in ("herald_round", "tau_us", "f_del")}
+    return {"winning_channel": cols.winning_channel, **table}
 
 
 @st.composite
@@ -126,10 +131,10 @@ def test_matches_two_draw_oracle(link, n_trials, seed, keep_trials, n_jobs, chun
     """Skipped channel draws and per-round f_del change no bit of the output.
 
     The oracle draws both uniforms of every trial and evaluates f_del trial
-    by trial. Kept columns must match bit for bit; without kept trials, the
-    rounds are compared through the histogram.
+    by trial. Kept columns, read at each trial's code, must match bit for
+    bit; without kept trials, the rounds are compared through the histogram.
     """
-    want = mc_oracle.run_two_draw_trials(link, n_trials, seed)
+    want, want_trials = mc_oracle.run_two_draw_trials(link, n_trials, seed)
     with mock.patch.object(mcsim, "_CHUNK", chunk):
         got = run_trials(link, n_trials, seed, n_jobs=n_jobs, keep_trials=keep_trials)
     assert got.mean_f_del == want.mean_f_del
@@ -141,10 +146,10 @@ def test_matches_two_draw_oracle(link, n_trials, seed, keep_trials, n_jobs, chun
     if not keep_trials:
         assert got.trials is None
         return
-    for f in fields(TrialColumns):
+    got_trials = _per_trial(got.trials)
+    for name, column in want_trials.items():
         # bit patterns, so that -0.0 and 0.0 differ
-        got_bits, want_bits = (getattr(s.trials, f.name).view(np.uint64) for s in (got, want))
-        assert np.array_equal(got_bits, want_bits)
+        assert np.array_equal(got_trials[name].view(np.uint64), column.view(np.uint64))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -219,24 +224,22 @@ def test_engines_agree_in_distribution(name):
     link = {"ex1": resolve(_ex1()), "ex2": _ex2(), "ex3": resolve(_ex3())}[name]
     n = 100_000
     new = run_trials(link, n, seed=101, keep_trials=True)
-    ref = mc_oracle.run_trials(link, n, seed=202, keep_trials=True)
+    ref, *ref_trials = mc_oracle.run_trials(link, n, seed=202)
     k_rounds = {"ex1": 88, "ex2": 400, "ex3": 15}[name]
     rounds = [_dense(s, k_rounds) for s in (new, ref)]
     assert _homogeneity_pvalue(*rounds) > 0.001
     n_channels = link.config.policy.n_parallel
     if n_channels > 1:
-        chans = [
-            np.bincount(c[c >= 0], minlength=n_channels)
-            for c in (new.trials.winning_channel, ref.trials.winning_channel)
-        ]
+        new_trials = _per_trial(new.trials)
+        trials = [(new_trials["herald_round"], new_trials["winning_channel"]), ref_trials]
+        chans = [np.bincount(c[c >= 0], minlength=n_channels) for _, c in trials]
         assert _homogeneity_pvalue(*chans) > 0.001
         # the joint law too: the channel must not depend on the round
         cells = k_rounds * n_channels
         joint = []
-        for s in (new, ref):
-            hit = s.trials.herald_round > 0
-            key = (s.trials.herald_round[hit] - 1) * n_channels
-            joint.append(np.bincount(key + s.trials.winning_channel[hit], minlength=cells))
+        for r, c in trials:
+            hit = r > 0
+            joint.append(np.bincount((r[hit] - 1) * n_channels + c[hit], minlength=cells))
         assert _homogeneity_pvalue(*joint) > 0.001
 
 
@@ -294,13 +297,14 @@ def test_full_round_span_runs():
     link = resolve(replace(_ex1(10_000_000.0), p_her_reference=1e-7))
     out = run_trials(link, 2000, seed=9, n_jobs=2, keep_trials=True)
     # the histogram holds only the rounds that heralded, ascending
-    heralded = out.trials.herald_round[out.trials.herald_round > 0]
+    rounds = _per_trial(out.trials)["herald_round"]
+    heralded = rounds[rounds > 0]
     want_rounds, want_counts = np.unique(heralded, return_counts=True)
     assert out.herald_rounds == tuple(want_rounds.tolist())
     assert out.herald_histogram == tuple(want_counts.tolist())
     assert sum(out.herald_histogram) + out.n_no_herald == 2000
     assert len(out.trials) == 2000
-    assert out.trials.herald_round.max() <= 10_000_000
+    assert rounds.max() <= 10_000_000
 
 
 def test_agreement_with_closed_form():
@@ -321,11 +325,19 @@ def test_thread_count_does_not_change_results():
 
 
 def test_chunking_does_not_change_results(monkeypatch):
-    """Chunks shrink as channels grow; the counter stream ignores them."""
+    """Chunks shrink as channels grow; the counter stream ignores them.
+
+    A chunk below K counts the rounds sparsely, so the table may lose the
+    rows of rounds that no trial drew; each trial's values stay the same.
+    """
     link = resolve(_ex3())
     base = run_trials(link, 3000, seed=8, keep_trials=True)
     monkeypatch.setattr(mcsim, "_CHUNK", 7)
-    assert run_trials(link, 3000, seed=8, keep_trials=True) == base
+    other = run_trials(link, 3000, seed=8, keep_trials=True)
+    assert replace(other, trials=None) == replace(base, trials=None)
+    want = _per_trial(base.trials)
+    for name, column in _per_trial(other.trials).items():
+        assert np.array_equal(column, want[name])
 
 
 def test_worker_exception_reaches_caller(monkeypatch):
@@ -397,11 +409,30 @@ def test_jobs_start_no_more_threads_than_spans(monkeypatch):
     assert 1 <= len(made) <= 3
 
 
+@pytest.mark.parametrize("link", [
+    resolve(_ex3()),  # K = 15 next to 70000 trials: a dense table
+    resolve(replace(_ex1(), p_her_reference=0.005)),  # a third of the trials time out
+    resolve(replace(_ex1(10_000_000.0), p_her_reference=1e-7)),  # sparse rounds
+], ids=["ex3", "timeouts", "round-cap"])
+def test_codes_index_the_table(link):
+    """Each kept trial's code is a row of the table, whose rounds ascend and
+    do not repeat; one and two jobs give equal tables and codes."""
+    cols = run_trials(link, 70_000, seed=6, keep_trials=True).trials
+    assert cols.code.dtype == np.int32 and len(cols.code) == len(cols) == 70_000
+    n_rows = len(cols.herald_round)
+    assert len(cols.tau_us) == len(cols.f_del) == n_rows
+    assert 0 <= cols.code.min() and cols.code.max() < n_rows
+    assert (np.diff(cols.herald_round) > 0).all()
+    assert np.array_equal(cols.herald_round[cols.code] == 0, cols.winning_channel == -1)
+    assert run_trials(link, 70_000, seed=6, n_jobs=2, keep_trials=True).trials == cols
+
+
 def test_trial_prefix_independent_of_n_trials():
     short = run_trials(resolve(_ex1(20.0)), 500, seed=13, keep_trials=True)
     long = run_trials(resolve(_ex1(20.0)), 1500, seed=13, keep_trials=True)
-    for name in ("herald_round", "winning_channel", "tau_us", "f_del"):
-        assert np.array_equal(getattr(long.trials, name)[:500], getattr(short.trials, name))
+    want = _per_trial(short.trials)
+    for name, column in _per_trial(long.trials).items():
+        assert np.array_equal(column[:500], want[name])
 
 
 def test_histogram_matches_truncated_geometric():
@@ -435,11 +466,11 @@ def test_record_fields_recompute():
     cfg = _ex3()
     m = delivered_fidelity(resolve(cfg))
     out = run_trials(resolve(cfg), 4000, seed=21, keep_trials=True)
-    cols = out.trials
+    cols = _per_trial(out.trials)
     f_dels = []
     for herald_round, winning_channel, tau_us, f_del in zip(
-        cols.herald_round.tolist(), cols.winning_channel.tolist(),
-        cols.tau_us.tolist(), cols.f_del.tolist(),
+        cols["herald_round"].tolist(), cols["winning_channel"].tolist(),
+        cols["tau_us"].tolist(), cols["f_del"].tolist(),
     ):
         if herald_round == 0:
             assert winning_channel == -1
@@ -453,7 +484,7 @@ def test_record_fields_recompute():
             assert f_del == pytest.approx(want, rel=1e-12)
         f_dels.append(f_del)
     assert np.mean(f_dels) == pytest.approx(out.mean_f_del, rel=1e-12)
-    assert out.p_success == np.count_nonzero(cols.herald_round) / 4000
+    assert out.p_success == np.count_nonzero(cols["herald_round"]) / 4000
 
 
 def test_winning_channel_prefers_low_index():
