@@ -62,6 +62,17 @@ class Link(Record):
     p_her: float
     f_her: float
 
+    # properties, not fields, so that dataclasses.replace cannot leave them stale
+    @property
+    def k_rounds(self) -> int:
+        """K = floor(t_del/t_rep), the rounds in which a herald can arrive."""
+        return math.floor(self.config.policy.t_del_us / self.config.transducer.t_rep_us)
+
+    @property
+    def gain(self) -> float:
+        """max(f_her - 1/2, 0): what a herald adds to the fallback's fidelity 1/2."""
+        return max(self.f_her - 0.5, 0.0)
+
 
 def resolve(config: LinkConfig) -> Link:
     """Validate a link and evaluate its protocol analytics, once.
@@ -166,9 +177,9 @@ def _search_k_max(config: LinkConfig, k_max: int | None) -> int:
 
 
 def _at_policy(link: Link) -> tuple:
-    """(p_success, s, f_del) at the policy's t_del, each an array of one.
+    """(k a, p_success, s, f_del) at the policy's t_del, each an array of one.
 
-    The state decays over the K = floor(t_del/t_rep) rounds of the grid and
+    The state decays over the K = link.k_rounds rounds of the grid and
     then for the rest of t_del, so s = e^(-rem/T_coh) S(K). At a t_del on
     the grid that factor is exp(-0.0) = 1, and the point equals the grid's
     to the last bit.
@@ -176,11 +187,10 @@ def _at_policy(link: Link) -> tuple:
     c = link.config
     t_rep, t_del = c.transducer.t_rep_us, c.policy.t_del_us
     # validate's t_del >= t_rep makes k_rounds >= 1
-    k_rounds = math.floor(t_del / t_rep)
-    k = np.array([k_rounds], dtype=float)
+    k = np.array([link.k_rounds], dtype=float)
     a, _, law = _law(link, c.policy.n_parallel)
-    s = np.exp(-(t_del - k_rounds * t_rep) / c.qubit.t_coh_us) * _decay_mass(law, k)
-    return -np.expm1(k * a), s, 0.5 + max(link.f_her - 0.5, 0.0) * s
+    s = np.exp(-(t_del - link.k_rounds * t_rep) / c.qubit.t_coh_us) * _decay_mass(law, k)
+    return k * a, -np.expm1(k * a), s, 0.5 + link.gain * s
 
 
 def delivered_fidelity(link: Link) -> LinkMetrics:
@@ -192,7 +202,7 @@ def delivered_fidelity(link: Link) -> LinkMetrics:
     over it, so f_her < 1/2 gives f_del = 1/2.
     """
     c = link.config
-    p_success, _, f_del = _at_policy(link)
+    _, p_success, _, f_del = _at_policy(link)
     return LinkMetrics(
         p_her=link.p_her,
         i_prot=link.formula.i_prot,
@@ -204,26 +214,30 @@ def delivered_fidelity(link: Link) -> LinkMetrics:
     )
 
 
-def _breakdown(link: Link, p_success: np.ndarray, s: np.ndarray, f_del: np.ndarray) -> dict:
+def _breakdown(link: Link, ka, p_success, s, f_del) -> dict:
     """Split 1 - f_del into its four sources at each point of the evaluator.
 
-    s is the decay-weighted success mass there, f_del = 1/2 + (f_her - 1/2) s.
+    ka is k a there, the log of the chance r^k that no round of k heralds,
+    and s the decay-weighted success mass, f_del = 1/2 + gain s.
     protocol + thermal make up the heralded-state infidelity; decoherence,
-    (f_her - 1/2)(p_success - s), is the decay of heralded states while
-    stored, exactly 0 at t_del = t_rep; fallback, (f_her - 1/2)(1 -
-    p_success), is the mass of trials that time out and deliver the
-    classical pair. Components sum to 1 - f_del up to rounding (for f_her <
-    0.5 the heralded terms are rescaled onto the 0.5 fallback budget so the
-    identity still holds).
+    gain (p_success - s), is the decay of heralded states while stored,
+    exactly 0 at t_del = t_rep; fallback, gain r^k = gain e^(k a), is the
+    mass of trials that time out and deliver the classical pair. It is
+    formed from k a, not as gain (1 - p_success), whose 1 - p_success loses
+    every digit once r^k is near the rounding error of p_success. Components
+    sum to 1 - f_del up to rounding (for f_her < 0.5 the heralded terms are
+    rescaled onto the 0.5 fallback budget so the identity still holds).
     """
-    f_her, i_prot = link.f_her, link.formula.i_prot
+    gain, i_prot = link.gain, link.formula.i_prot
     i_th = link.formula.i_th * link.config.policy.fidelity_model.thermal_weight
-    if f_her > 0.5:
-        decoherence = (f_her - 0.5) * (p_success - s)
-        fallback = (f_her - 0.5) * (1.0 - p_success)
+    if gain > 0.0:
+        decoherence = gain * (p_success - s)
+        # below -746 exp is 0 to the last bit, and numpy's slow path there
+        # takes 10 ns or more an element; the 0 is written without it
+        fallback = gain * np.exp(ka, out=np.zeros_like(ka), where=ka >= -746.0)
     else:
         decoherence = fallback = np.zeros_like(f_del)
-    if f_her < 0.5:
+    if link.f_her < 0.5:
         scale = 0.5 / (i_prot + i_th)
         i_prot, i_th = i_prot * scale, i_th * scale
     return {
@@ -254,13 +268,12 @@ def delivery_curve(link: Link, k_max: int | None = None) -> DeliveryCurve:
     """
     c = link.config
     if k_max is None:
-        k_policy = math.floor(c.policy.t_del_us / c.transducer.t_rep_us)
         # the cap comes before the grid's check, so that a long coherence
         # time needs no more than this grid
-        k_max = min(_search_k_max(c, None), max(1000, 2 * k_policy))
+        k_max = min(_search_k_max(c, None), max(1000, 2 * link.k_rounds))
     k = np.arange(1, _checked_k_max(k_max, MAX_GRID_POINTS) + 1, dtype=float)
     a, _, law = _law(link, c.policy.n_parallel)
-    f_del = 0.5 + max(link.f_her - 0.5, 0.0) * _decay_mass(law, k)
+    f_del = 0.5 + link.gain * _decay_mass(law, k)
     with np.errstate(over="ignore"):  # past the float range, a t_rep near it gives inf
         t_del = k * c.transducer.t_rep_us
     return DeliveryCurve(t_del, -np.expm1(k * a), f_del)
@@ -279,8 +292,9 @@ def infidelity_breakdown_curve(
     copy them before writing into them.
     """
     k = np.arange(1, curve.t_del_us.size + 1, dtype=float)
-    s = _decay_mass(_law(link, link.config.policy.n_parallel)[2], k)
-    return curve.t_del_us, _breakdown(link, curve.p_success, s, curve.f_del)
+    a, _, law = _law(link, link.config.policy.n_parallel)
+    parts = _breakdown(link, k * a, curve.p_success, _decay_mass(law, k), curve.f_del)
+    return curve.t_del_us, parts
 
 
 def _peak_rounds(a: np.ndarray, b: float) -> np.ndarray:
@@ -319,10 +333,9 @@ def _optimum(link: Link, k_max: int | None, a: np.ndarray, b: float, law: np.nda
     f_del(k*). See optimal_delivery_time.
     """
     k_max = _checked_k_max(_search_k_max(link.config, k_max))
-    gain = max(link.f_her - 0.5, 0.0)
 
     def f_del_at(law, k):
-        return 0.5 + gain * _decay_mass(law, k)
+        return 0.5 + link.gain * _decay_mass(law, k)
 
     peak = np.clip(_peak_rounds(a, b), 1.0, float(k_max))
     lo = np.maximum(np.floor(peak) - 2, 1).astype(np.int64)

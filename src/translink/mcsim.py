@@ -20,6 +20,14 @@ exact integer sums over the histogram. Every statistic is therefore the
 same for any job count, span size or keep_trials. Kept trials stay coded by
 round: each holds its winning channel and a code, the index of its row in
 that per-round table of herald round, storage time and f_del.
+
+The draws read the link's law where the analytics read it: K and the gain
+from the Link, and the log-miss a = N log1p(-p_her) and the round's herald
+probability q from the delivery evaluator, floored as it floors them. So
+the two models read the same a and q on every CPU. The uniforms' own
+log1p(-u) is numpy's, whose last bit may differ between CPUs; that can
+move a herald round across an integer, with a chance of at most about
+K 10^-16 per trial.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import threading
 from dataclasses import fields
 
 from ._numpy import np
-from .delivery import Link
+from .delivery import Link, _law
 from .errors import ConfigError
 from .params import Record
 
@@ -124,23 +132,21 @@ class MCStats(Record):
         return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
 
-def _herald_rounds(u, p_her, n_channels, k_rounds) -> np.ndarray:
+def _herald_rounds(u, a, k_rounds) -> np.ndarray:
     """Herald round of each trial from its first uniform; 0 means no herald.
 
-    A round heralds with q = 1 - (1 - p)^N, so the herald round is
-    geometric: R = 1 + floor(log(1 - u) / (N log(1 - p))), and R > K means
-    no herald.
+    A round heralds with q = 1 - e^a, a = N log1p(-p), so the herald round
+    is geometric: R = 1 + floor(log1p(-u) / a), and R > K means no herald.
+    At p = 1 the floored a of -10^4 gives R = 1 for every u < 1.
     """
-    if p_her <= 0.0:
+    if a == 0.0:  # p = 0: no herald, and u = 0 would give 0/0
         return np.zeros(len(u), dtype=np.int64)
-    if p_her >= 1.0:
-        return np.ones(len(u), dtype=np.int64)
     # rounds skipped before the herald, in float: it may exceed any int64
     skipped = np.negative(u)
     np.log1p(skipped, out=skipped)
     # a subnormal p_her overflows the quotient to inf, which the cap at K takes
     with np.errstate(over="ignore"):
-        skipped /= n_channels * math.log1p(-p_her)
+        skipped /= a
     # skipped >= 0, so the cast floors it; capped at K first, so the cast is
     # safe and K + 1 is the first round past the timeout
     np.minimum(skipped, k_rounds, out=skipped)
@@ -150,19 +156,19 @@ def _herald_rounds(u, p_her, n_channels, k_rounds) -> np.ndarray:
     return rounds
 
 
-def _winning_channels(u, rounds, p_her, n_channels) -> np.ndarray:
+def _winning_channels(u, rounds, log_miss, q, n_channels) -> np.ndarray:
     """Winning channel of each trial from its second uniform; -1: no herald.
 
     Given a herald, the lowest channel that hit wins, with
-    P(j) = (1 - p)^j p / q, inverted as j = floor(log(1 - u q) / log(1 - p)),
-    clipped to N - 1 against rounding. With one channel, or p_her 0 or 1,
-    every herald goes to channel 0 and u is not read (it may be None).
+    P(j) = (1 - p)^j p / q, inverted as j = floor(log1p(-u q) / log_miss),
+    log_miss = log1p(-p), and clipped to N - 1 against rounding. At p = 1
+    the floored log_miss of -10^4 gives channel 0 for every u < 1. With one
+    channel every herald goes to channel 0, and with none (p = 0 gives none)
+    no channel is drawn; then u is not read (it may be None).
     """
     heralded = rounds > 0
-    if n_channels == 1 or not 0.0 < p_her < 1.0:
+    if n_channels == 1 or not heralded.any():
         return heralded.astype(np.int64) - 1
-    log_miss = math.log1p(-p_her)
-    q = -math.expm1(n_channels * log_miss)
     chans = np.minimum(np.floor(np.log1p(-u * q) / log_miss), n_channels - 1)
     return np.where(heralded, chans, -1.0).astype(np.int64)
 
@@ -220,7 +226,7 @@ def _summarize(link: Link, hist, seed, rounds=None, chans=None) -> MCStats:
     # subnormal one overflows the exponent to -inf, whose exp is 0 exactly
     with np.errstate(over="ignore"):
         decay = np.exp(-tau / c.qubit.t_coh_us)
-    f_del = np.where(missed, 0.5, 0.5 + max(link.f_her - 0.5, 0.0) * decay)
+    f_del = np.where(missed, 0.5, 0.5 + link.gain * decay)
     heralded = (counts > 0) & ~missed
     n_no_herald = int(counts[missed].sum())
     # a kept trial's code is its round's row; a dense table holds round r at row r
@@ -239,7 +245,7 @@ def run_trials(
 ) -> MCStats:
     """Simulate n_trials independent delivery attempts of the resolved link.
 
-    Per trial: up to K = floor(t_del/t_rep) rounds, each of the N parallel
+    Per trial: up to K = link.k_rounds rounds, each of the N parallel
     channels heralds independently with probability p_her; the first herald
     freezes the state into storage where it decays until t_del. Trials with
     no herald deliver the fidelity-1/2 fallback. Identical (link, n_trials,
@@ -257,9 +263,13 @@ def run_trials(
     if keep_trials and n_trials > MAX_TRIAL_DUMP:
         raise ConfigError(f"per-trial dump capped at {MAX_TRIAL_DUMP} rows")
 
-    pol = link.config.policy
-    n_channels = pol.n_parallel
-    k_rounds = math.floor(pol.t_del_us / link.config.transducer.t_rep_us)
+    n_channels, k_rounds = link.config.policy.n_parallel, link.k_rounds
+    # the evaluator's a at one channel and at N, and q at N. This call loads a
+    # deferred numpy (see _numpy) in the calling thread: Python 3.10 and
+    # 3.11's lazy loader has no lock, so two workers that read it first at
+    # once would see it half built
+    (log_miss, a), _, law = _law(link, [1, n_channels])
+    q = law[0, 1]
     # the kept trials' herald rounds (K <= 10^7 fits int32) and winning
     # channels, apart: the rounds become the codes, and must not hold the
     # channels' memory alive with them
@@ -274,10 +284,10 @@ def run_trials(
         step = 1 if draw_chans else 2  # both positions of each trial, or 2t only
         u = _uniforms(seed, np.arange(2 * lo, 2 * hi, step, dtype=np.uint64))
         u_round, u_chan = (u[0::2], u[1::2]) if draw_chans else (u, None)
-        drawn = _herald_rounds(u_round, link.p_her, n_channels, k_rounds)
+        drawn = _herald_rounds(u_round, a, k_rounds)
         if keep_trials:
             rounds[lo:hi] = drawn
-            chans[lo:hi] = _winning_channels(u_chan, drawn, link.p_her, n_channels)
+            chans[lo:hi] = _winning_channels(u_chan, drawn, log_miss, q, n_channels)
         if dense is None:
             return np.unique(drawn, return_counts=True)
         return dense, np.bincount(drawn, minlength=len(dense))
@@ -302,10 +312,6 @@ def run_trials(
         except BaseException as exc:
             errors.append(exc)
 
-    # a deferred numpy (see _numpy) loads here, in the calling thread: Python
-    # 3.10 and 3.11's lazy loader has no lock, so two workers that read it
-    # first at once would see it half built
-    np.ndarray
     # the calling thread is one of the workers, so one job starts no thread,
     # and no thread starts without a span to draw
     threads = [threading.Thread(target=work) for _ in range(min(n_jobs, len(spans)) - 1)]

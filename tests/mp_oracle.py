@@ -1,7 +1,8 @@
 """Arbitrary-precision oracle for the delivery model.
 
 Evaluates p_success, the decay-weighted success mass S, f_del and the real
-peak round count k* of one link in mpmath at 200 bits, from the same float
+peak round count k* of one link, and the fallback's share of 1 - f_del,
+in mpmath at 200 bits, from the same float
 inputs the library takes: the herald probability p_her per channel, the
 width N, t_rep, T_coh, f_her and the round count k. S is the textbook
 difference quotient q (r^k - d^k)/(r - d) with r = (1 - p_her)^N and
@@ -39,6 +40,14 @@ def mp_point(p_her, n, t_rep, t_coh, f_her, k, rem=0.0):
         gain = max(mpmath.mpf(f_her) - mpmath.mpf(0.5), 0)
         f_del = mpmath.mpf(0.5) + gain * mpmath.exp(-mpmath.mpf(rem) / t_coh) * s
         return -mpmath.expm1(k * a), s, f_del
+
+
+def mp_fallback(p_her, n, f_her, k):
+    """max(f_her - 1/2, 0) r^k as mpf: the timed-out share of 1 - f_del
+    after k rounds, with r^k = exp(k N log1p(-p_her))."""
+    with mpmath.workprec(PREC):
+        gain = max(mpmath.mpf(f_her) - mpmath.mpf(0.5), 0)
+        return gain * mpmath.exp(k * n * mpmath.log1p(-mpmath.mpf(p_her)))
 
 
 def mp_peak(p_her, n, t_rep, t_coh):

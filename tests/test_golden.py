@@ -34,6 +34,16 @@ recovering it from f_del. Their one changed cell is row one's
 t_del = t_rep nothing is stored, and the recovery printed rounding noise
 of about 5e-17 there. Every other byte is as it was.
 
+`analyze-ex2`, `analyze-ex3` and their two `--k-max 200000` constants were
+retaken again when the breakdown began to form `fallback` as gain r^k =
+gain e^(k a), from the evaluator's own a, instead of gain (1 - p_success).
+Only `fallback` cells of `infidelity_breakdown.csv` moved: 420 on ex2 (from
+k = 455) and 957 on ex3 (from k = 44) on the default grids, and 23847 and
+1798 on the 2x10^5-round ones. 1 - p_success had lost their digits once
+r^k fell below about 1e-7, and printed 0 below about 1e-16; ex3's row 1000
+went from `0` to `1.40216968e-176`. `analyze-ex1`, `metrics.json` and
+`delivery_curve.csv` did not move.
+
 `plan-lattice` was retaken when the plan report lost
 `qubits_communication`, which always equalled `total_transducers`. The
 stdout and `plan.json` of the code before that change, with that key's line
@@ -88,13 +98,13 @@ GOLDEN = {
     "analyze-ex1":
         "ac6ba1b8d89dfaaf3d255e65490cdd6550a228a454094524c7be01f69fa136f5",
     "analyze-ex2":
-        "007da35123cdceda591f6b1525b9e843ec42183353a3a14a318982816fe32823",
+        "cb00b54d1c647083ea0f2e9ee8e00ad1af0cf39ad354ac2300264c6d2c37b727",
     "analyze-ex3":
-        "a0a67f0805ac8fbff49183cc72de46fdcc91dd6781442e796275c42c999f2c0d",
+        "7bdcb3f2537b3be7032744bfc3c63affe59e9aedd6cca5366515ac1276ac3929",
     "analyze-ex2-k200000":
-        "29e88d099560c3593182569d7ad71484b6f8e49da2f8c59bb936c84ef1f050ae",
+        "cae1b7786e8e562729004c4c386e0216be96aaa41e51eb1c88559e91be0f73a2",
     "analyze-ex3-k200000":
-        "b1874f03e30e7d7eeddbf8e28c833221347debee59bfdb7dbf6863d6281b422c",
+        "de3a7d26a03b42f5d2642323d8da6d1096a191ba883a5b55869b0dd68a03d72c",
     "simulate-ex1-keep":
         "889abeef26a3867fea48880b77bac1e3a3b8f4a8c36112a43c24465864074bf0",
     "simulate-ex3-jobs2":

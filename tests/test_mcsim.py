@@ -14,7 +14,7 @@ from scipy import stats
 
 import mc_oracle
 from mc_oracle import run_distill_trials
-from translink import mcsim
+from translink import delivery, mcsim
 from translink import (
     ConfigError,
     DeliveryPolicy,
@@ -244,9 +244,12 @@ def test_engines_agree_in_distribution(name):
 
 
 def _invert(u_round, u_chan, p_her, n_channels, k_rounds):
-    """Herald rounds, then winning channels, as run_trials takes them."""
-    rounds = mcsim._herald_rounds(u_round, p_her, n_channels, k_rounds)
-    return rounds, mcsim._winning_channels(u_chan, rounds, p_her, n_channels)
+    """Herald rounds, then winning channels, as run_trials draws them: with
+    the evaluator's log-miss at one channel and at N, and its q at N."""
+    link = replace(resolve(_ex1()), p_her=p_her)
+    (log_miss, a), _, law = delivery._law(link, [1, n_channels])
+    rounds = mcsim._herald_rounds(u_round, a, k_rounds)
+    return rounds, mcsim._winning_channels(u_chan, rounds, log_miss, law[0, 1], n_channels)
 
 
 def test_inversion_edge_cases():
@@ -254,10 +257,14 @@ def test_inversion_edge_cases():
     zero = np.zeros(4)
     top = np.full(4, 1.0 - 2.0**-53)  # the largest uniform the stream yields
     for n_channels in (1, 20):
-        rounds, chans = _invert(top, top, 0.0, n_channels, 88)
-        assert rounds.tolist() == [0] * 4 and chans.tolist() == [-1] * 4
-        rounds, chans = _invert(top, top, 1.0, n_channels, 88)
-        assert rounds.tolist() == [1] * 4 and chans.tolist() == [0] * 4
+        # p = 0: a is -0.0, and u = 0 must not become 0/0
+        for u in (zero, top):
+            rounds, chans = _invert(u, u, 0.0, n_channels, 88)
+            assert rounds.tolist() == [0] * 4 and chans.tolist() == [-1] * 4
+        # p = 1: the floored a and log-miss give round 1 and channel 0
+        for u in (zero, top):
+            rounds, chans = _invert(u, u, 1.0, n_channels, 88)
+            assert rounds.tolist() == [1] * 4 and chans.tolist() == [0] * 4
         # u = 0 heralds at once, on the first channel
         rounds, chans = _invert(zero, zero, 0.3, n_channels, 15)
         assert rounds.tolist() == [1] * 4 and chans.tolist() == [0] * 4
@@ -512,6 +519,24 @@ def test_zero_herald_probability():
     assert out.std_error == 0.0
     assert out.n_no_herald == 300
     assert out.herald_rounds == out.herald_histogram == ()
+
+
+@pytest.mark.parametrize("n_channels", [1, 20])
+def test_certain_and_impossible_heralds(n_channels):
+    """p_her 1 heralds every trial in round 1 on channel 0; p_her 0 (no
+    detection) heralds none, and every trial is on channel -1."""
+    cfg = replace(_ex1(), policy=DeliveryPolicy(t_del_us=88.0, n_parallel=n_channels))
+    out = run_trials(resolve(replace(cfg, p_her_reference=1.0)), 3000, seed=5,
+                     keep_trials=True)
+    trials = _per_trial(out.trials)
+    assert out.herald_rounds == (1,) and out.herald_histogram == (3000,)
+    assert (trials["herald_round"] == 1).all() and (trials["winning_channel"] == 0).all()
+    link = resolve(replace(cfg, transducer=replace(cfg.transducer, eta_det=0.0)))
+    assert link.p_her == 0.0
+    out = run_trials(link, 3000, seed=5, keep_trials=True)
+    trials = _per_trial(out.trials)
+    assert out.n_no_herald == 3000 and out.herald_rounds == ()
+    assert (trials["herald_round"] == 0).all() and (trials["winning_channel"] == -1).all()
 
 
 def test_certain_herald_via_override():
