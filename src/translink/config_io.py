@@ -32,6 +32,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, is_dataclass
 from enum import Enum
+from functools import cache
 
 from ._numpy import np
 from .errors import ConfigError, ModelDomainError, SchemaError
@@ -221,8 +222,8 @@ def resolved_config(parsed: ParsedConfig) -> dict:
 
 # --------------------------------------------------------------- emission
 
-# Rows per % call in emit_csv: enough to amortize the call, few enough that
-# a block's cells stay small next to the columns themselves.
+# Rows per block in emit_csv: enough to amortize a block's % call or byte
+# build, few enough that its cells stay small next to the columns themselves.
 _CSV_BLOCK = 4096
 
 
@@ -309,56 +310,97 @@ def emit_json(path, payload: dict, manifest: RunManifest) -> str:
     return text
 
 
-def _float_cells(block: np.ndarray) -> tuple[str, list | None]:
+def _float_cells(block: np.ndarray) -> tuple[str, list | np.ndarray | None]:
     """One float64 block as (row-format field, the values that it takes).
 
-    Each cell prints as format(v, ".9g"). Runs of equal cells are found bit
-    for bit, so 0.0 and -0.0 stay apart and no NaN merges. A block that is
-    one run becomes a literal field that takes no values. When at least half
-    of the cells repeat the cell above them, each run's first value is
-    formatted once and its string repeated. When every value is a whole
-    number below 1e9 in magnitude and none is -0.0, the values go on as
-    ints, whose str is the %.9g text. Any other block keeps %.9g.
+    Each cell prints as format(v, ".9g"). The block is classified once, from
+    its min and max:
+    - one text, a literal field that takes no values, when its cells are
+      equal bit for bit, or when it holds no NaN, does not span zero, and
+      its min and max print the same text. %.9g rounds correctly, so it is
+      monotone and every cell between them prints that text too. A NaN
+      would turn both reductions into NaN, and 0.0 and -0.0 compare equal
+      but print 0 and -0, so such blocks need equal bits;
+    - whole numbers below 1e9 in magnitude, none of them -0.0, go on as
+      ints, whose str is the %.9g text: an int64 array when all are >= 0
+      with one digit count, which _byte_rows can write, a list otherwise;
+    - any other block keeps %.9g.
     """
+    lo, hi = float(block.min()), float(block.max())
     bits = block.view(np.int64)
-    changes = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if not len(changes):
-        return "%.9g" % block[0], None  # the text holds no "%"
-    if 2 * (len(block) - 1 - len(changes)) >= len(block):
-        starts = np.concatenate(([0], changes))
-        heads = block[starts].tolist()
-        texts = np.array(("%.9g," * len(heads) % tuple(heads)).split(",")[:-1], dtype=object)
-        return "%s", np.repeat(texts, np.diff(starts, append=len(block))).tolist()
-    if (np.abs(block) < 1e9).all():
+    if lo > 0 or hi < 0:  # no NaN, no zero
+        if "%.9g" % lo == "%.9g" % hi:
+            return "%.9g" % lo, None  # the text holds no "%"
+    elif (bits == bits[0]).all():
+        return "%.9g" % lo, None
+    if -1e9 < lo and hi < 1e9 and lo.is_integer() and hi.is_integer():
         ints = block.astype(np.int64)
         # the round trip is bit-exact only for whole numbers other than -0.0
         if np.array_equal(ints.astype(np.float64).view(np.int64), bits):
+            if lo >= 0 and len(str(int(lo))) == len(str(int(hi))):
+                return "%s", ints
             return "%s", ints.tolist()
     return "%.9g", block.tolist()
 
 
+@cache
+def _digit_triples() -> np.ndarray:
+    """The ASCII digits of 000 to 999, one row of three bytes each."""
+    return np.frombuffer("".join(map("{:03d}".format, range(1000))).encode(),
+                         dtype=np.uint8).reshape(1000, 3)
+
+
+def _byte_rows(fields: list, n_rows: int) -> str:
+    """The lines of a block whose fields are literals or int64 arrays of
+    one digit count, built as bytes from one template row.
+
+    The template holds each literal and the first row's digits; the other
+    rows' digits go into a (rows, width) uint8 copy of it, three at a time
+    from _digit_triples, and the block is decoded once.
+    """
+    texts = [spec if cells is None else str(cells[0]) for spec, cells in fields]
+    row = ",".join(texts) + "\n"
+    if all(cells is None for _, cells in fields):
+        return row * n_rows
+    lines = np.tile(np.frombuffer(row.encode(), dtype=np.uint8), (n_rows, 1))
+    triples = _digit_triples()
+    start = 0
+    for text, (_, cells) in zip(texts, fields):
+        stop = start + len(text)
+        if cells is not None:
+            rest = cells
+            for end in range(stop, start, -3):
+                rest, low = np.divmod(rest, 1000)
+                width = min(3, end - start)
+                lines[:, end - width:end] = triples.take(low, axis=0)[:, 3 - width:]
+        start = stop + 1
+    return str(lines.data, "ascii")
+
+
 def _format_rows(columns: list) -> str:
-    """The CSV lines of equal-length column slices, formatted by one %.
+    """The CSV lines of equal-length column slices.
 
     A floating slice goes through _float_cells as float64, any other is
-    written with %s. The row format repeats once per row, and the values go
-    to % in one flat list: each of the n value columns is slice-assigned
-    into every n-th slot, so no tuple is built per row.
+    written with %s. A block of float columns that _float_cells makes all
+    literals or int64 arrays is built as bytes by _byte_rows. Any other
+    block is formatted by one %: the row format repeats once per row, and
+    the values go to % in one flat list, each of the n value columns
+    slice-assigned into every n-th slot, so no tuple is built per row.
     """
-    specs, values = [], []
-    for cells in columns:
-        if cells.dtype.kind == "f":
-            spec, cells = _float_cells(np.ascontiguousarray(cells, dtype=np.float64))
-        else:
-            spec, cells = "%s", cells.tolist()
-        specs.append(spec)
-        if cells is not None:
-            values.append(cells)
+    fields = [
+        _float_cells(np.ascontiguousarray(cells, dtype=np.float64))
+        if cells.dtype.kind == "f" else ("%s", cells.tolist())
+        for cells in columns
+    ]
     n_rows = len(columns[0])
+    if all(cells is None or isinstance(cells, np.ndarray) for _, cells in fields):
+        return _byte_rows(fields, n_rows)
+    values = [cells if isinstance(cells, list) else cells.tolist()
+              for _, cells in fields if cells is not None]
     flat = [None] * (n_rows * len(values))
     for j, column in enumerate(values):
         flat[j::len(values)] = column
-    return (",".join(specs) + "\n") * n_rows % tuple(flat)
+    return (",".join(spec for spec, _ in fields) + "\n") * n_rows % tuple(flat)
 
 
 def _table_texts(names: tuple, table) -> np.ndarray:
@@ -387,13 +429,15 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
     name and row i takes the cells of table row codes[i]. Each table row is
     formatted once, by the same rules, and its text is gathered by code.
     The manifest rides along as a '#' comment line above the header. Each
-    block of _CSV_BLOCK rows is formatted by one % (see _format_rows) and
-    written out at once, and a float column is cast to float64 a block at a
-    time; the whole text is joined only to be returned. Within a block, a
-    float column that is one run of equal cells, or in which at least half
-    of the cells repeat the one above, formats each run once, and one of
-    whole numbers below 1e9 goes as ints; each cell still prints what %.9g
-    prints (see _float_cells).
+    block of _CSV_BLOCK rows is formatted at once and written out, and a
+    float column is cast to float64 a block at a time; the whole text is
+    joined only to be returned. Within a block, a float column whose cells
+    all print one text is formatted once, and one of whole numbers below
+    1e9 goes as ints (see _float_cells). A block whose columns all print
+    one text or hold whole numbers >= 0 of one digit count, such as the
+    flat tail of a long analyze grid, is built as bytes from one template
+    row (see _byte_rows); any other goes through one % (see _format_rows).
+    Each cell still prints what %.9g prints.
     """
     names, sources = [], []  # sources: (values, codes into them or None)
     for key, column in columns.items():

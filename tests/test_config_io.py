@@ -547,7 +547,7 @@ def test_emit_csv_matches_per_cell_oracle(tmp_path_factory, rows):
 @pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_emit_csv_blocks_of_literals_only(tmp_path, n_rows):
     """Every float column is one run within each block, so each block's row
-    format is all literals and its % takes an empty tuple."""
+    is all literals and the block is that row repeated."""
     def runs(*values):
         return np.repeat(values, BLOCK)[:n_rows]
 
@@ -572,6 +572,89 @@ def test_emit_csv_one_varying_column(tmp_path, n_rows):
     assert text.count("\n") == n_rows + 2
 
 
+def _straddle(boundary: str) -> tuple[float, float]:
+    """The two adjacent doubles on either side of a 9th-digit rounding
+    boundary, which print different texts."""
+    near = float(boundary)
+    for lo in (math.nextafter(near, -math.inf), near):
+        hi = math.nextafter(lo, math.inf)
+        if format(lo, ".9g") != format(hi, ".9g"):
+            return lo, hi
+    raise ValueError(f"{boundary} is not a 9th-digit rounding boundary")
+
+
+def _with(value, at, n_rows, fill):
+    """A column of `fill` that holds `value` at row `at`."""
+    column = np.full(n_rows, fill)
+    column[at] = value
+    return column
+
+
+# Each case is one float column of two blocks, and how many of them are
+# built as bytes, alone or beside a whole-number column.
+N_KIND = 2 * BLOCK
+STEPS = np.arange(N_KIND)
+KIND_CASES = {
+    # cells that differ in bits but print one text: the plateau is a literal
+    "plateau-of-ulps": (0.5 + STEPS * 2.0**-45, 2),
+    "negative-plateau-of-ulps": (-(1e-300 + STEPS * 2.0**-1040), 2),
+    # min and max one ulp either side of a rounding boundary must not merge
+    "straddles-rounding-boundary": (
+        np.where(STEPS % 3 == 0, *_straddle("1.000000005")), 0),
+    "straddles-at-block-edges": (
+        np.resize(_straddle("0.1234567855"), N_KIND), 0),
+    # 0.0 and -0.0 compare equal and print 0 and -0
+    "zeros-with-one-negative-zero-first": (_with(-0.0, 0, N_KIND, 0.0), 1),
+    "zeros-with-one-negative-zero-last": (_with(-0.0, BLOCK - 1, N_KIND, 0.0), 1),
+    "negative-zeros-with-one-zero": (_with(0.0, BLOCK // 2, N_KIND, -0.0), 1),
+    "zeros-spanning-zero": (np.where(STEPS % 2 == 0, 0.0, -5e-324), 0),
+    "zero-plateau": (np.zeros(N_KIND), 2),
+    "negative-zero-plateau": (np.full(N_KIND, -0.0), 2),
+    # a NaN turns min and max into NaN
+    "nan-in-plateau": (_with(math.nan, BLOCK // 3, N_KIND, 0.5), 1),
+    "nan-first-in-plateau": (_with(math.nan, 0, N_KIND, -2.5), 1),
+    "nan-plateau": (np.full(N_KIND, math.nan), 2),
+    "inf-plateau": (np.full(N_KIND, math.inf), 2),
+    "inf-with-largest-finite": (_with(1.7976931348623157e308, 7, N_KIND, math.inf), 1),
+    "-inf-with-lowest-finite": (_with(-1.7976931348623157e308, 7, N_KIND, -math.inf), 1),
+    "inf-and-minus-inf": (np.where(STEPS % 2 == 0, math.inf, -math.inf), 0),
+    # whole numbers that change digit count inside a block, and the 1e9 edge
+    "digits-4-to-5": (9999.0 - BLOCK // 2 + STEPS, 1),
+    "digits-8-to-9": (99999999.0 - BLOCK // 2 + STEPS, 1),
+    "digits-up-to-1e9-minus-1": (1e9 - N_KIND + STEPS, 2),
+    "digits-across-1e9": (1e9 - BLOCK // 2 + STEPS, 0),
+    "digits-0-to-1": (STEPS % 12.0, 0),
+    "one-digit-count": (1000.0 + STEPS % 9000, 2),
+    "whole-with-negative-zero": (_with(-0.0, 5, N_KIND, 3.0), 1),
+    "negative-whole": (-10000.0 - STEPS, 0),
+    "negative-whole-across-zero": (STEPS - float(BLOCK), 0),
+    "negative-whole-plateau": (np.full(N_KIND, -7.0), 2),
+    # float32 cells print the %.9g of their float64 value
+    "float32-plateau": (np.full(N_KIND, 0.1, dtype=np.float32), 2),
+    "float32-whole": ((1000 + STEPS % 9000).astype(np.float32), 2),
+    "float32-varying": (np.float32(0.1) + STEPS.astype(np.float32) * np.float32(1e-7), 0),
+}
+
+
+@pytest.mark.parametrize("case", list(KIND_CASES))
+def test_emit_csv_block_kinds_match_per_cell_oracle(tmp_path, monkeypatch, case):
+    """Each way a float column's block is classified prints %.9g's text:
+    alone, beside a whole-number column, and beside a varying one."""
+    column, byte_blocks = KIND_CASES[case]
+    calls = []
+    byte_rows = config_io._byte_rows
+    monkeypatch.setattr(config_io, "_byte_rows",
+                        lambda fields, n: calls.append(n) or byte_rows(fields, n))
+    for columns, blocks in (
+        ({"x": column}, byte_blocks),
+        ({"t": 10000.0 + STEPS, "x": column}, byte_blocks),
+        ({"x": column, "v": np.linspace(-1, 1, N_KIND), "i": STEPS}, 0),
+    ):
+        calls.clear()
+        _check_against_oracle(tmp_path, columns)
+        assert calls == [BLOCK] * blocks
+
+
 # What run-heavy columns are drawn from: both zeros, NaNs of two bit
 # patterns, infinities, whole numbers at and inside the 1e9 edge of the
 # whole-number path, and fractions.
@@ -590,6 +673,7 @@ RUN_POOL = np.array([
             st.lists(st.integers(0, len(RUN_POOL) - 1), min_size=1, max_size=4),
             st.sampled_from([0.0, 0.99, 1.0]),
             st.sampled_from([np.float64, np.float32]),
+            st.sampled_from([0, 1, 2**20]),
         ),
         min_size=1,
         max_size=3,
@@ -601,27 +685,44 @@ RUN_POOL = np.array([
 # whole-number path (1e9, also float32's rounding of 1e9 - 1, and -0.0)
 @example(
     n_rows=BLOCK + 1,
-    specs=[([8], 0.99, np.float64), ([9, 7], 0.99, np.float64),
-           ([6], 0.99, np.float32), ([1], 0.99, np.float64)],
+    specs=[([8], 0.99, np.float64, 0), ([9, 7], 0.99, np.float64, 0),
+           ([6], 0.99, np.float32, 0), ([1], 0.99, np.float64, 0)],
     max_run=1,
     seed=0,
 )
+# plateaus whose cells differ in their last bits: 0.5 and 1/3, which print
+# one text, and both zeros, whose nudged cells are subnormals of either sign
+@example(
+    n_rows=2 * BLOCK + 1,
+    specs=[([12], 0.0, np.float64, 2**20), ([13], 0.0, np.float64, 2**20),
+           ([0, 1], 0.0, np.float64, 1)],
+    max_run=2 * BLOCK,
+    seed=0,
+)
 def test_emit_csv_runs_match_per_cell_oracle(tmp_path_factory, n_rows, specs, max_run, seed):
-    """Run-heavy and whole-number columns: every block path prints %.9g's text.
+    """Run-heavy, plateau and whole-number columns: every block path prints
+    %.9g's text.
 
     Each run's value comes from the pool, or with probability `fresh` is a
-    new whole number below 1e9 in magnitude.
+    new whole number below 1e9 in magnitude. Then each finite cell's bits
+    are nudged up by at most `ulps`, so that a long run becomes a plateau
+    whose cells differ in bits but mostly print one text.
     """
     rng = np.random.default_rng(seed)
     columns = {"i": np.arange(n_rows)}
-    for j, (pool, fresh, dtype) in enumerate(specs):
+    for j, (pool, fresh, dtype, ulps) in enumerate(specs):
         heads = np.where(
             rng.random(n_rows) < fresh,
             rng.integers(-(10**9 - 1), 10**9, n_rows),
             RUN_POOL[rng.choice(pool, n_rows)],
         )
         lengths = rng.integers(1, max_run + 1, n_rows)
-        columns[f"f{j}"] = np.repeat(heads, lengths)[:n_rows].astype(dtype)
+        column = np.repeat(heads, lengths)[:n_rows].astype(dtype)
+        bits = column.view(np.int64 if dtype is np.float64 else np.int32)
+        # only finite cells: a nudged inf or NaN can be a signalling NaN,
+        # whose cast to float64 warns
+        bits += rng.integers(0, ulps + 1, n_rows, dtype=bits.dtype) * np.isfinite(column)
+        columns[f"f{j}"] = column
     _check_against_oracle(tmp_path_factory.mktemp("csv"), columns)
 
 
