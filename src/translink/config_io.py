@@ -360,8 +360,6 @@ def _byte_rows(fields: list, n_rows: int) -> str:
     """
     texts = [spec if cells is None else str(cells[0]) for spec, cells in fields]
     row = ",".join(texts) + "\n"
-    if all(cells is None for _, cells in fields):
-        return row * n_rows
     lines = np.tile(np.frombuffer(row.encode(), dtype=np.uint8), (n_rows, 1))
     triples = _digit_triples()
     start = 0
@@ -387,11 +385,12 @@ def _format_rows(columns: list) -> str:
     the values go to % in one flat list, each of the n value columns
     slice-assigned into every n-th slot, so no tuple is built per row.
     """
-    fields = [
-        _float_cells(np.ascontiguousarray(cells, dtype=np.float64))
-        if cells.dtype.kind == "f" else ("%s", cells.tolist())
-        for cells in columns
-    ]
+    with np.errstate(invalid="ignore"):  # the cast of a float32 signalling NaN warns
+        fields = [
+            _float_cells(np.ascontiguousarray(cells, dtype=np.float64))
+            if cells.dtype.kind == "f" else ("%s", cells.tolist())
+            for cells in columns
+        ]
     n_rows = len(columns[0])
     if all(cells is None or isinstance(cells, np.ndarray) for _, cells in fields):
         return _byte_rows(fields, n_rows)
@@ -403,16 +402,27 @@ def _format_rows(columns: list) -> str:
     return (",".join(spec for spec, _ in fields) + "\n") * n_rows % tuple(flat)
 
 
+def _blocks(sources: list, n_rows: int):
+    """The CSV text of each block of _CSV_BLOCK rows, in order (see _format_rows).
+
+    A source is (values, codes): row i takes values[i], or values[codes[i]]
+    where codes is not None.
+    """
+    for start in range(0, n_rows, _CSV_BLOCK):
+        stop = start + _CSV_BLOCK
+        yield _format_rows([
+            values[start:stop] if codes is None else values[codes[start:stop]]
+            for values, codes in sources
+        ])
+
+
 def _table_texts(names: tuple, table) -> np.ndarray:
     """Each row of a group's table as the text of its cells, in an object array."""
     table = [np.asarray(column) for column in table]
     if len(table) != len(names):
         raise ValueError(f"group {names} has {len(table)} table columns")
     n_rows = len(table[0])
-    texts = "".join(
-        _format_rows([column[start:start + _CSV_BLOCK] for column in table])
-        for start in range(0, n_rows, _CSV_BLOCK)
-    ).split("\n")[:-1]
+    texts = "".join(_blocks([(column, None) for column in table], n_rows)).split("\n")[:-1]
     if len(texts) != n_rows:
         raise ValueError(f"group {names}: a table cell holds a newline")
     return np.array(texts, dtype=object)
@@ -437,7 +447,8 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
     one text or hold whole numbers >= 0 of one digit count, such as the
     flat tail of a long analyze grid, is built as bytes from one template
     row (see _byte_rows); any other goes through one % (see _format_rows).
-    Each cell still prints what %.9g prints.
+    Each cell still prints what %.9g prints. A CSV of no columns is a
+    ValueError, raised before any file is opened.
     """
     names, sources = [], []  # sources: (values, codes into them or None)
     for key, column in columns.items():
@@ -449,8 +460,8 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
             names.append(key)
             sources.append((np.asarray(column), None))
     lengths = {len(values if codes is None else codes) for values, codes in sources}
-    if len(lengths) > 1:
-        raise ValueError("CSV columns differ in length")
+    if len(lengths) != 1:
+        raise ValueError("CSV columns differ in length" if lengths else "CSV has no columns")
     n_rows = lengths.pop()
     parts = [
         "# manifest: " + _json_text(manifest, path) + "\n",
@@ -458,11 +469,7 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
     ]
     with _atomic_writer(path) as handle:
         handle.write(parts[0] + parts[1])
-        for start in range(0, n_rows, _CSV_BLOCK):
-            stop = start + _CSV_BLOCK
-            parts.append(_format_rows([
-                values[start:stop] if codes is None else values[codes[start:stop]]
-                for values, codes in sources
-            ]))
-            handle.write(parts[-1])
+        for text in _blocks(sources, n_rows):
+            parts.append(text)
+            handle.write(text)
     return "".join(parts)

@@ -24,6 +24,12 @@ precision for any p_her in (0, 1] and any T_coh (Goldberg, ACM Comput.
 Surv. 23, 1991; Higham, Accuracy and Stability of Numerical Algorithms,
 2002, ch. 1, on (e^x - 1)/x). Every point, a single one too, goes through
 numpy: its exp and expm1 need not equal the math module's to the last bit.
+
+Each rule is written once. _at evaluates a and S at the policy's width,
+for the policy point and the grid's rows alike. _f_del forms
+F_del = 0.5 + gain s, gain = max(F_her - 0.5, 0), from the decay-weighted
+success mass s, for the point, the grid, the optimum's searches and the
+Monte Carlo's per-round table.
 """
 
 from __future__ import annotations
@@ -176,21 +182,28 @@ def _search_k_max(config: LinkConfig, k_max: int | None) -> int:
     return k_max
 
 
-def _at_policy(link: Link) -> tuple:
-    """(k a, p_success, s, f_del) at the policy's t_del, each an array of one.
+def _f_del(link: Link, s):
+    """f_del = 1/2 + gain s, from the decay-weighted success mass s."""
+    return 0.5 + link.gain * s
 
-    The state decays over the K = link.k_rounds rounds of the grid and
-    then for the rest of t_del, so s = e^(-rem/T_coh) S(K). At a t_del on
-    the grid that factor is exp(-0.0) = 1, and the point equals the grid's
-    to the last bit.
+
+def _at(link: Link, k=None) -> tuple:
+    """(k a, s) at the policy's width: at the round counts k, an array, or
+    when k is None at the policy's t_del, k = [K] with K = link.k_rounds.
+
+    s is the decay-weighted success mass S(k). At the policy's t_del the
+    state decays over the K rounds and then for the rest of t_del, so
+    s = e^(-rem/T_coh) S(K). At a t_del on the grid that factor is
+    exp(-0.0) = 1, and the point equals the grid's row K to the last bit.
     """
     c = link.config
-    t_rep, t_del = c.transducer.t_rep_us, c.policy.t_del_us
+    a, _, law = _law(link, c.policy.n_parallel)
+    if k is not None:
+        return k * a, _decay_mass(law, k)
     # validate's t_del >= t_rep makes k_rounds >= 1
     k = np.array([link.k_rounds], dtype=float)
-    a, _, law = _law(link, c.policy.n_parallel)
-    s = np.exp(-(t_del - link.k_rounds * t_rep) / c.qubit.t_coh_us) * _decay_mass(law, k)
-    return k * a, -np.expm1(k * a), s, 0.5 + link.gain * s
+    rem = c.policy.t_del_us - link.k_rounds * c.transducer.t_rep_us
+    return k * a, np.exp(-rem / c.qubit.t_coh_us) * _decay_mass(law, k)
 
 
 def delivered_fidelity(link: Link) -> LinkMetrics:
@@ -202,15 +215,15 @@ def delivered_fidelity(link: Link) -> LinkMetrics:
     over it, so f_her < 1/2 gives f_del = 1/2.
     """
     c = link.config
-    _, p_success, _, f_del = _at_policy(link)
+    ka, s = _at(link)
     return LinkMetrics(
         p_her=link.p_her,
         i_prot=link.formula.i_prot,
         i_th=link.formula.i_th,
         f_her=link.f_her,
         eta_link=c.qubit.t_coh_us * link.p_her / c.transducer.t_rep_us,
-        p_success=float(p_success[0]),
-        f_del=float(f_del[0]),
+        p_success=float(-np.expm1(ka)[0]),
+        f_del=float(_f_del(link, s)[0]),
     )
 
 
@@ -254,7 +267,8 @@ def infidelity_breakdown(link: Link) -> dict:
 
     The breakdown of infidelity_breakdown_curve, at the one delivery point.
     """
-    parts = _breakdown(link, *_at_policy(link))
+    ka, s = _at(link)
+    parts = _breakdown(link, ka, -np.expm1(ka), s, _f_del(link, s))
     return {name: float(value[0]) for name, value in parts.items()}
 
 
@@ -272,11 +286,10 @@ def delivery_curve(link: Link, k_max: int | None = None) -> DeliveryCurve:
         # time needs no more than this grid
         k_max = min(_search_k_max(c, None), max(1000, 2 * link.k_rounds))
     k = np.arange(1, _checked_k_max(k_max, MAX_GRID_POINTS) + 1, dtype=float)
-    a, _, law = _law(link, c.policy.n_parallel)
-    f_del = 0.5 + link.gain * _decay_mass(law, k)
+    ka, s = _at(link, k)
     with np.errstate(over="ignore"):  # past the float range, a t_rep near it gives inf
         t_del = k * c.transducer.t_rep_us
-    return DeliveryCurve(t_del, -np.expm1(k * a), f_del)
+    return DeliveryCurve(t_del, -np.expm1(ka), _f_del(link, s))
 
 
 def infidelity_breakdown_curve(
@@ -291,10 +304,8 @@ def infidelity_breakdown_curve(
     and `thermal` components are read-only broadcast views of one value;
     copy them before writing into them.
     """
-    k = np.arange(1, curve.t_del_us.size + 1, dtype=float)
-    a, _, law = _law(link, link.config.policy.n_parallel)
-    parts = _breakdown(link, k * a, curve.p_success, _decay_mass(law, k), curve.f_del)
-    return curve.t_del_us, parts
+    ka, s = _at(link, np.arange(1, curve.t_del_us.size + 1, dtype=float))
+    return curve.t_del_us, _breakdown(link, ka, curve.p_success, s, curve.f_del)
 
 
 def _peak_rounds(a: np.ndarray, b: float) -> np.ndarray:
@@ -308,19 +319,20 @@ def _peak_rounds(a: np.ndarray, b: float) -> np.ndarray:
         return np.where(a == b, -1.0 / a, np.log1p((b - a) / a) / (a - b))
 
 
-def _first_reaching(f_del_at, law, floor, low, k, f):
+def _first_reaching(link: Link, law, floor, low, k, f):
     """Move each lane's k down to the first round in [low, k] whose f_del reaches floor.
 
-    A lane is one column of law. f_del must not decrease on [low, k] and
-    must reach floor at k, where it is f; k and f are updated in place. All
-    lanes bisect in lockstep, log2(k) + 1 steps at most.
+    A lane is one column of law, at one width of the link. f_del must not
+    decrease on [low, k] and must reach floor at k, where it is f; k and f
+    are updated in place. All lanes bisect in lockstep, log2(k) + 1 steps
+    at most.
     """
     while True:
         lanes = np.flatnonzero(low < k)
         if lanes.size == 0:
             return
         mid = (low[lanes] + k[lanes]) // 2
-        values = f_del_at(law[:, lanes], mid)
+        values = _f_del(link, _decay_mass(law[:, lanes], mid))
         hit = values >= floor[lanes]
         k[lanes] = np.where(hit, mid, k[lanes])
         f[lanes] = np.where(hit, values, f[lanes])
@@ -328,21 +340,17 @@ def _first_reaching(f_del_at, law, floor, low, k, f):
 
 
 def _optimum(link: Link, k_max: int | None, a: np.ndarray, b: float, law: np.ndarray):
-    """(f_del_at, k*, f*): per column of law, with a its entry of a, the first
-    argmax k* of f_del(k) = f_del_at(law, k) on [1, k_max], and f* =
-    f_del(k*). See optimal_delivery_time.
+    """(k*, f*): per column of law, with a its entry of a, the first argmax
+    k* of f_del(k) = _f_del(link, S(k)) on [1, k_max], and f* = f_del(k*).
+    See optimal_delivery_time.
     """
     k_max = _checked_k_max(_search_k_max(link.config, k_max))
-
-    def f_del_at(law, k):
-        return 0.5 + link.gain * _decay_mass(law, k)
-
     peak = np.clip(_peak_rounds(a, b), 1.0, float(k_max))
     lo = np.maximum(np.floor(peak) - 2, 1).astype(np.int64)
     hi = np.minimum(np.ceil(peak) + 2, k_max).astype(np.int64)
     # the window lo..hi, at most 6 rounds, as one block; its first maximum
     window = lo[:, None] + np.arange(6)
-    values = f_del_at(law[:, :, None], window)
+    values = _f_del(link, _decay_mass(law[:, :, None], window))
     values[window > hi[:, None]] = -np.inf
     best = np.argmax(values, axis=1)
     rows = np.arange(len(a))
@@ -350,8 +358,8 @@ def _optimum(link: Link, k_max: int | None, a: np.ndarray, b: float, law: np.nda
     # where the window's left end is best, bisect [1, lo] for the first k
     # that reaches the same value
     low = np.where(best == 0, 1, k_best)
-    _first_reaching(f_del_at, law, f_best.copy(), low, k_best, f_best)
-    return f_del_at, k_best, f_best
+    _first_reaching(link, law, f_best.copy(), low, k_best, f_best)
+    return k_best, f_best
 
 
 def optimal_delivery_time(
@@ -396,7 +404,7 @@ def optimal_delivery_time(
         raise ConfigError("n_parallel: every width must be an integer >= 1")
     t_rep = link.config.transducer.t_rep_us
     if widths.ndim == 0:
-        _, k_best, f_best = _optimum(link, k_max, *_law(link, widths.reshape(1)))
+        k_best, f_best = _optimum(link, k_max, *_law(link, widths.reshape(1)))
         return float(k_best[0]) * t_rep, float(f_best[0])
     # k_max, b and the gain are the same at every width. Ascending widths
     # that share (q, m, x) share the evaluator's values, and so the optimum
@@ -404,7 +412,7 @@ def optimal_delivery_time(
     a, b, law = _law(link, n)
     first = np.ones(n.size, dtype=bool)
     first[1:] = (law[:3, 1:] != law[:3, :-1]).any(axis=0)
-    _, k_best, f_best = _optimum(link, k_max, a[first], b, law[:, first])
+    k_best, f_best = _optimum(link, k_max, a[first], b, law[:, first])
     lane = (np.cumsum(first) - 1)[where]
     with np.errstate(over="ignore"):  # past the float range, a t_rep near it gives inf
         t_del = k_best[lane] * t_rep
@@ -422,10 +430,10 @@ def min_time_to_fidelity(link: Link, target: float, k_max: int | None = None) ->
     if not (0.5 < target < 1.0):
         raise ModelDomainError(f"target fidelity {target} outside (0.5, 1)")
     a, b, law = _law(link, np.reshape(link.config.policy.n_parallel, -1))
-    f_del_at, k_best, f_best = _optimum(link, k_max, a, b, law)
+    k_best, f_best = _optimum(link, k_max, a, b, law)
     if f_best[0] < target:
         raise UnattainableError(
             f"target fidelity {target} unattainable: best f_del is {f_best[0]:.6f}"
         )
-    _first_reaching(f_del_at, law, np.asarray([target]), np.ones_like(k_best), k_best, f_best)
+    _first_reaching(link, law, np.asarray([target]), np.ones_like(k_best), k_best, f_best)
     return float(k_best[0]) * link.config.transducer.t_rep_us

@@ -24,10 +24,12 @@ that per-round table of herald round, storage time and f_del.
 The draws read the link's law where the analytics read it: K and the gain
 from the Link, and the log-miss a = N log1p(-p_her) and the round's herald
 probability q from the delivery evaluator, floored as it floors them. So
-the two models read the same a and q on every CPU. The uniforms' own
-log1p(-u) is numpy's, whose last bit may differ between CPUs; that can
-move a herald round across an integer, with a chance of at most about
-K 10^-16 per trial.
+the two models read the same a and q on every CPU. The per-round table's
+f_del is the analytics' one formula too, delivery._f_del: 1/2 + gain s,
+with s the heralded state's decay factor. The uniforms' own log1p(-u) is
+numpy's, whose last bit may differ between CPUs; that can move a herald
+round across an integer, with a chance of at most about K 10^-16 per
+trial.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import threading
 from dataclasses import fields
 
 from ._numpy import np
-from .delivery import Link, _law
+from .delivery import Link, _f_del, _law
 from .errors import ConfigError
 from .params import Record
 
@@ -226,7 +228,7 @@ def _summarize(link: Link, hist, seed, rounds=None, chans=None) -> MCStats:
     # subnormal one overflows the exponent to -inf, whose exp is 0 exactly
     with np.errstate(over="ignore"):
         decay = np.exp(-tau / c.qubit.t_coh_us)
-    f_del = np.where(missed, 0.5, 0.5 + link.gain * decay)
+    f_del = np.where(missed, 0.5, _f_del(link, decay))
     heralded = (counts > 0) & ~missed
     n_no_herald = int(counts[missed].sum())
     # a kept trial's code is its round's row; a dense table holds round r at row r

@@ -110,35 +110,26 @@ class Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def bounded(holds, text: str, **kwargs):
-    """A dataclass field whose value must satisfy holds(value).
+def bounded(*checks, **kwargs):
+    """A dataclass field whose value must pass each check, a (holds, text) pair.
 
-    `text` completes the violation "<section>.<field> <text>" that
-    field_violations reports otherwise; kwargs go to dataclasses.field.
+    A value fails a check unless holds(value) is true, and `text` completes
+    the violation "<section>.<field> <text>" that field_violations reports
+    for it, in the order of the checks. kwargs go to dataclasses.field.
     """
-    return field(metadata={"range": ((holds, text),)}, **kwargs)
-
-
-def unit_interval(**kwargs):
-    return bounded(lambda x: 0.0 <= x <= 1.0, "out of [0, 1]", **kwargs)
-
-
-def positive(finite: bool = False, **kwargs):
-    """A number > 0 and, when finite is set, not inf; each bound has its own
-    violation text. A NaN is reported by field_violations as such."""
-    checks = ((lambda x: x > 0, "must be > 0"),)
-    if finite:
-        checks += ((lambda x: x != math.inf, "must be finite"),)
     return field(metadata={"range": checks}, **kwargs)
 
 
-def at_least_one(at_most: int | None = None, **kwargs):
-    """A count >= 1 and, when at_most is given, <= at_most; each bound has
-    its own violation text."""
-    checks = ((lambda n: n >= 1, "must be >= 1"),)
-    if at_most is not None:
-        checks += ((lambda n: n <= at_most, f"must be <= {at_most}"),)
-    return field(metadata={"range": checks}, **kwargs)
+# the checks that several fields share. A NaN fails all but _FINITE, and
+# field_violations also reports it as NaN
+_UNIT = (lambda x: 0.0 <= x <= 1.0, "out of [0, 1]")
+_POSITIVE = (lambda x: x > 0, "must be > 0")
+_FINITE = (lambda x: x != math.inf, "must be finite")
+_AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
+
+
+def _at_most(limit: int) -> tuple:
+    return (lambda n: n <= limit, f"must be <= {limit}")
 
 
 class PhotonBasis(Enum):
@@ -188,11 +179,11 @@ class TransducerParams(Record):
     """One transducer channel: efficiencies, added noise and attempt timing."""
 
     name: str = field(default="custom", kw_only=True)
-    eta_mw: float = unit_interval()  # microwave loading/heralding efficiency
-    p_mo: float = unit_interval()  # microwave<->optical conversion per attempt
-    eta_det: float = unit_interval()  # optical detection chain efficiency
-    n_th: float = bounded(lambda x: x >= 0, "must be >= 0")  # thermal photons per attempt
-    t_rep_us: float = positive()  # attempt period
+    eta_mw: float = bounded(_UNIT)  # microwave loading/heralding efficiency
+    p_mo: float = bounded(_UNIT)  # microwave<->optical conversion per attempt
+    eta_det: float = bounded(_UNIT)  # optical detection chain efficiency
+    n_th: float = bounded((lambda x: x >= 0, "must be >= 0"))  # thermal photons per attempt
+    t_rep_us: float = bounded(_POSITIVE)  # attempt period
 
     @property
     def eta_tot(self) -> float:
@@ -208,15 +199,15 @@ class StorageQubitParams(Record):
     both halves of the pair.
     """
 
-    t_coh_us: float = positive()
+    t_coh_us: float = bounded(_POSITIVE)
 
 
 class MemoryParams(Record):
     """Optical memory used to boost the heralding probability."""
 
     kind: MemoryKind
-    eta_mem: float = unit_interval()  # store-and-reemit efficiency
-    lifetime_us: float = positive()  # upper bound on t_del
+    eta_mem: float = bounded(_UNIT)  # store-and-reemit efficiency
+    lifetime_us: float = bounded(_POSITIVE)  # upper bound on t_del
 
 
 class ProtocolSpec(Record):
@@ -244,10 +235,9 @@ class DeliveryPolicy(Record):
 
     t_del_us: float  # fixed delivery time / timeout
     # channels racing for a herald
-    n_parallel: int = at_least_one(at_most=MAX_TRANSDUCERS_PER_MODULE, default=1)
+    n_parallel: int = bounded(_AT_LEAST_ONE, _at_most(MAX_TRANSDUCERS_PER_MODULE), default=1)
     distill_rounds: int = bounded(
-        lambda n: 0 <= n <= MAX_DISTILL_ROUNDS,
-        f"out of [0, {MAX_DISTILL_ROUNDS}]",
+        (lambda n: 0 <= n <= MAX_DISTILL_ROUNDS, f"out of [0, {MAX_DISTILL_ROUNDS}]"),
         default=0,
     )
     fidelity_model: FidelityModel = FidelityModel.THERMAL_HALF
@@ -269,7 +259,7 @@ class LinkConfig(Record):
     memory: MemoryParams | None = field(default=None, kw_only=True)
     policy: DeliveryPolicy
     p_her_reference: float | None = bounded(
-        lambda p: 0.0 < p <= 1.0, "out of (0, 1]", default=None, kw_only=True
+        (lambda p: 0.0 < p <= 1.0, "out of (0, 1]"), default=None, kw_only=True
     )
 
 
@@ -280,10 +270,10 @@ class Architecture(Enum):
 class ArchitectureSpec(Record):
     """Module-level planning inputs."""
 
-    qubits_per_processor: int = at_least_one()
-    clock_cycle_us: float = positive(finite=True)
-    transducer_budget: int = at_least_one(at_most=MAX_TRANSDUCER_BUDGET)
-    target_fidelity: float = bounded(lambda f: 0.5 < f < 1, "out of (0.5, 1)")
+    qubits_per_processor: int = bounded(_AT_LEAST_ONE)
+    clock_cycle_us: float = bounded(_POSITIVE, _FINITE)
+    transducer_budget: int = bounded(_AT_LEAST_ONE, _at_most(MAX_TRANSDUCER_BUDGET))
+    target_fidelity: float = bounded((lambda f: 0.5 < f < 1, "out of (0.5, 1)"))
     architecture: Architecture = Architecture.LATTICE_SURGERY
 
 

@@ -699,14 +699,22 @@ RUN_POOL = np.array([
     max_run=2 * BLOCK,
     seed=0,
 )
+# float32 infinities nudged by one ulp into signalling NaNs
+@example(
+    n_rows=BLOCK + 1,
+    specs=[([4, 5], 0.0, np.float32, 1)],
+    max_run=64,
+    seed=0,
+)
 def test_emit_csv_runs_match_per_cell_oracle(tmp_path_factory, n_rows, specs, max_run, seed):
     """Run-heavy, plateau and whole-number columns: every block path prints
     %.9g's text.
 
     Each run's value comes from the pool, or with probability `fresh` is a
-    new whole number below 1e9 in magnitude. Then each finite cell's bits
-    are nudged up by at most `ulps`, so that a long run becomes a plateau
-    whose cells differ in bits but mostly print one text.
+    new whole number below 1e9 in magnitude. Then each cell's bits are
+    nudged up by at most `ulps`, so that a long run becomes a plateau whose
+    cells differ in bits but mostly print one text, and a nudged infinity
+    becomes a NaN, a signalling one among them.
     """
     rng = np.random.default_rng(seed)
     columns = {"i": np.arange(n_rows)}
@@ -719,11 +727,24 @@ def test_emit_csv_runs_match_per_cell_oracle(tmp_path_factory, n_rows, specs, ma
         lengths = rng.integers(1, max_run + 1, n_rows)
         column = np.repeat(heads, lengths)[:n_rows].astype(dtype)
         bits = column.view(np.int64 if dtype is np.float64 else np.int32)
-        # only finite cells: a nudged inf or NaN can be a signalling NaN,
-        # whose cast to float64 warns
-        bits += rng.integers(0, ulps + 1, n_rows, dtype=bits.dtype) * np.isfinite(column)
+        bits += rng.integers(0, ulps + 1, n_rows, dtype=bits.dtype)
         columns[f"f{j}"] = column
     _check_against_oracle(tmp_path_factory.mktemp("csv"), columns)
+
+
+def test_emit_csv_float32_signalling_nan(tmp_path):
+    """A float32 signalling NaN prints nan, and its cast to float64, which
+    numpy warns about, does not make emit_csv raise."""
+    column = np.array([1, 2, 0], dtype=np.float32)
+    column.view(np.uint32)[2] = 0x7F800001
+    text = _check_against_oracle(tmp_path, {"x": column})
+    assert text.splitlines()[2:] == ["1", "2", "nan"]
+
+
+def test_emit_csv_needs_a_column(tmp_path):
+    with pytest.raises(ValueError, match="no columns"):
+        emit_csv(tmp_path / "out.csv", {}, build_manifest("cmd", {}))
+    assert list(tmp_path.iterdir()) == []
 
 
 def _ungrouped(columns):

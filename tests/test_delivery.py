@@ -46,6 +46,8 @@ from translink import cli, delivery
 from translink.config_io import parse_config
 from translink.params import MAX_TRANSDUCERS_PER_MODULE
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
 
 def _oracle_point(p_her, f_her, t_del, t_rep, t_coh, n_parallel=1):
     """Sum the herald-round distribution term by term; no closed form."""
@@ -260,16 +262,24 @@ def test_delivered_fidelity_never_below_half():
         assert f_del >= 0.5
 
 
-def test_curve_contains_policy_point():
-    cfg = _ex1()
-    curve = delivery_curve(resolve(cfg))
-    m = delivered_fidelity(resolve(cfg))
+@pytest.mark.parametrize(
+    "name, k_rounds", [("ex1", 88), ("ex2", 400), ("ex3", 15), ("lattice", 15)]
+)
+def test_curve_contains_policy_point(name, k_rounds):
+    """Each shipped t_del lies on the grid, so the policy point is the grid's
+    row K to the last bit: p_success, f_del and every breakdown component."""
+    link = resolve(parse_config(EXAMPLES / f"{name}.json").link)
+    assert link.k_rounds == k_rounds
+    curve = delivery_curve(link)
     assert curve.t_del_us[0] == pytest.approx(1.0)
     assert len(curve.t_del_us) == len(curve.p_success) == len(curve.f_del)
-    idx = int(np.argmin(np.abs(curve.t_del_us - 88.0)))
-    assert curve.t_del_us[idx] == pytest.approx(88.0)
-    assert curve.p_success[idx] == pytest.approx(m.p_success, rel=1e-12)
-    assert curve.f_del[idx] == pytest.approx(m.f_del, rel=1e-12)
+    row = k_rounds - 1
+    assert curve.t_del_us[row] == link.config.policy.t_del_us
+    m = delivered_fidelity(link)
+    assert (curve.p_success[row], curve.f_del[row]) == (m.p_success, m.f_del)
+    _, parts = infidelity_breakdown_curve(link, curve)
+    point = infidelity_breakdown(link)
+    assert {key: parts[key][row] for key in point} == point
     assert np.all(np.diff(curve.p_success) >= -1e-15)
 
 
@@ -762,9 +772,6 @@ def test_tiny_herald_probability_keeps_its_digits():
     want = mp_point(1e-300, 1, 1.0, 200.0, link.f_her, 88)[0]
     assert rel_error(delivered_fidelity(link).p_success, want) <= 1e-12
     assert delivered_fidelity(link).p_success == pytest.approx(8.8e-299, rel=1e-12)
-
-
-EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def _nine_digit_texts(exact, ulps=4):

@@ -1,10 +1,14 @@
 """The package namespace is lazy: `import translink` loads nothing else,
-and every public name resolves to its defining module's object."""
+and every public name resolves to its defining module's object. The
+declared dependencies cover every third-party import of the tests and
+the benchmark."""
 
+import ast
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,3 +64,28 @@ def test_version_is_tool_version():
     from translink.config_io import TOOL_VERSION
 
     assert translink.__version__ is TOOL_VERSION
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_declared_extras_cover_third_party_imports():
+    """A fresh install of the package with its `test` extra can import every
+    module that tests/ and bench/ import, apart from the standard library and
+    their own modules."""
+    import tomllib
+
+    root = SRC.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req)[0].lower() for req in requirements}
+    files = [*root.glob("tests/*.py"), *root.glob("bench/**/*.py")]
+    imported = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    own = {path.stem for path in files} | {"translink"}
+    third_party = imported - set(sys.stdlib_module_names) - own
+    assert "numpy" in third_party and "pytest" in third_party
+    assert third_party - declared == set()
