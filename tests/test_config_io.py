@@ -5,6 +5,8 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -468,7 +470,13 @@ def _check_against_oracle(tmp_path, columns):
     path = tmp_path / "out.csv"
     text = emit_csv(path, columns, manifest)
     assert path.read_text() == text
-    assert text == _oracle_csv(columns, text.splitlines()[0])
+    expected = _oracle_csv(columns, text.splitlines()[0])
+    # the first wrong line, not a diff of the whole text, which takes
+    # minutes for a few thousand rows
+    wrong = next((pair for pair in zip(text.splitlines(), expected.splitlines())
+                  if pair[0] != pair[1]), None)
+    assert wrong is None
+    assert text == expected
     return text
 
 
@@ -590,49 +598,85 @@ def _with(value, at, n_rows, fill):
     return column
 
 
-# Each case is one float column of two blocks, and how many of them are
-# built as bytes, alone or beside a whole-number column.
+def _near_ties(exponents, seed):
+    """Adjacent doubles on both sides of 9-digit rounding ties (d.dddddddd5
+    times 10**e), one pair for each e drawn from `exponents`, shuffled."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for e in rng.choice(exponents, N_KIND):
+        try:
+            pairs += _straddle(f"{rng.integers(10**8, 10**9)}5e{e - 9}")
+        except ValueError:  # the tie itself is a double
+            pass
+    return rng.permutation(pairs)[:N_KIND]
+
+
+# Each case is one float column of two blocks, and how many of its rows are
+# built as bytes: alone, beside a whole-number column, and beside a varying
+# one. A % block holds a non-finite varying cell, or switches between fixed
+# and exponential notation too often to split.
 N_KIND = 2 * BLOCK
 STEPS = np.arange(N_KIND)
 KIND_CASES = {
     # cells that differ in bits but print one text: the plateau is a literal
-    "plateau-of-ulps": (0.5 + STEPS * 2.0**-45, 2),
-    "negative-plateau-of-ulps": (-(1e-300 + STEPS * 2.0**-1040), 2),
+    "plateau-of-ulps": (0.5 + STEPS * 2.0**-45, N_KIND),
+    "negative-plateau-of-ulps": (-(1e-300 + STEPS * 2.0**-1040), N_KIND),
     # min and max one ulp either side of a rounding boundary must not merge
     "straddles-rounding-boundary": (
-        np.where(STEPS % 3 == 0, *_straddle("1.000000005")), 0),
+        np.where(STEPS % 3 == 0, *_straddle("1.000000005")), N_KIND),
     "straddles-at-block-edges": (
-        np.resize(_straddle("0.1234567855"), N_KIND), 0),
+        np.resize(_straddle("0.1234567855"), N_KIND), N_KIND),
+    # cells within the scaling's error of a tie, on both sides of it
+    "near-ties-fixed": (_near_ties(np.arange(-4, 9), 1), N_KIND),
+    "near-ties-exponential": (_near_ties(np.r_[-323:-4, 9:308], 2), N_KIND),
+    "negative-near-ties": (-_near_ties(np.arange(-4, 9), 3), N_KIND),
+    # 9.999999995 * 10**k rounds up into the next decade, and across the
+    # switches to exponential notation below 1e-4 and from 1e9
+    "decade-carry": (np.sort(np.concatenate(
+        [_straddle(f"9.999999995e{k}") for k in range(-12, 14)] * 160))[:N_KIND], N_KIND),
+    "switch-at-1e-4": (np.geomspace(1e-6, 1e-2, N_KIND), N_KIND),
+    "switch-at-1e9": (np.geomspace(1e7, 1e11, N_KIND)[::-1], N_KIND),
+    "switch-at-1e9-whole": (np.round(np.geomspace(1e8, 1e10, N_KIND)), N_KIND),
+    "switch-every-row": (np.where(STEPS % 2 == 0, 1e-5, 1e-3) * (1 + STEPS * 1e-6), 0),
+    "exponents-99-100": (np.array([1.5e99, -2.5e100, 3.5e-99, 4.5e-100])[STEPS % 4]
+                         * (1 + STEPS * 1e-7), N_KIND),
+    # a decay through the subnormals into exact zeros, some of them -0.0
+    "subnormals-into-zeros": (np.where(STEPS % 7 == 0, -1.0, 1.0)
+                              * 1e-300 * 0.5 ** (STEPS % 1100), N_KIND),
+    "subnormals-only": (5e-324 * (1 + STEPS % 5000), N_KIND),
     # 0.0 and -0.0 compare equal and print 0 and -0
-    "zeros-with-one-negative-zero-first": (_with(-0.0, 0, N_KIND, 0.0), 1),
-    "zeros-with-one-negative-zero-last": (_with(-0.0, BLOCK - 1, N_KIND, 0.0), 1),
-    "negative-zeros-with-one-zero": (_with(0.0, BLOCK // 2, N_KIND, -0.0), 1),
-    "zeros-spanning-zero": (np.where(STEPS % 2 == 0, 0.0, -5e-324), 0),
-    "zero-plateau": (np.zeros(N_KIND), 2),
-    "negative-zero-plateau": (np.full(N_KIND, -0.0), 2),
+    "zeros-with-one-negative-zero-first": (_with(-0.0, 0, N_KIND, 0.0), N_KIND),
+    "zeros-with-one-negative-zero-last": (_with(-0.0, BLOCK - 1, N_KIND, 0.0), N_KIND),
+    "negative-zeros-with-one-zero": (_with(0.0, BLOCK // 2, N_KIND, -0.0), N_KIND),
+    "zeros-spanning-zero": (np.where(STEPS % 2 == 0, 0.0, -5e-324), N_KIND),
+    "zero-plateau": (np.zeros(N_KIND), N_KIND),
+    "negative-zero-plateau": (np.full(N_KIND, -0.0), N_KIND),
+    "negative-decimals": (-(0.5 + STEPS * 1e-5), N_KIND),
+    "mixed-sign-decimals": (np.linspace(-3, 3, N_KIND) + 1e-9, N_KIND),
     # a NaN turns min and max into NaN
-    "nan-in-plateau": (_with(math.nan, BLOCK // 3, N_KIND, 0.5), 1),
-    "nan-first-in-plateau": (_with(math.nan, 0, N_KIND, -2.5), 1),
-    "nan-plateau": (np.full(N_KIND, math.nan), 2),
-    "inf-plateau": (np.full(N_KIND, math.inf), 2),
-    "inf-with-largest-finite": (_with(1.7976931348623157e308, 7, N_KIND, math.inf), 1),
-    "-inf-with-lowest-finite": (_with(-1.7976931348623157e308, 7, N_KIND, -math.inf), 1),
+    "nan-in-plateau": (_with(math.nan, BLOCK // 3, N_KIND, 0.5), BLOCK),
+    "nan-first-in-plateau": (_with(math.nan, 0, N_KIND, -2.5), BLOCK),
+    "nan-plateau": (np.full(N_KIND, math.nan), N_KIND),
+    "inf-plateau": (np.full(N_KIND, math.inf), N_KIND),
+    "inf-with-largest-finite": (_with(1.7976931348623157e308, 7, N_KIND, math.inf), BLOCK),
+    "-inf-with-lowest-finite": (_with(-1.7976931348623157e308, 7, N_KIND, -math.inf), BLOCK),
     "inf-and-minus-inf": (np.where(STEPS % 2 == 0, math.inf, -math.inf), 0),
     # whole numbers that change digit count inside a block, and the 1e9 edge
-    "digits-4-to-5": (9999.0 - BLOCK // 2 + STEPS, 1),
-    "digits-8-to-9": (99999999.0 - BLOCK // 2 + STEPS, 1),
-    "digits-up-to-1e9-minus-1": (1e9 - N_KIND + STEPS, 2),
-    "digits-across-1e9": (1e9 - BLOCK // 2 + STEPS, 0),
-    "digits-0-to-1": (STEPS % 12.0, 0),
-    "one-digit-count": (1000.0 + STEPS % 9000, 2),
-    "whole-with-negative-zero": (_with(-0.0, 5, N_KIND, 3.0), 1),
-    "negative-whole": (-10000.0 - STEPS, 0),
-    "negative-whole-across-zero": (STEPS - float(BLOCK), 0),
-    "negative-whole-plateau": (np.full(N_KIND, -7.0), 2),
+    "digits-4-to-5": (9999.0 - BLOCK // 2 + STEPS, N_KIND),
+    "digits-8-to-9": (99999999.0 - BLOCK // 2 + STEPS, N_KIND),
+    "digits-up-to-1e9-minus-1": (1e9 - N_KIND + STEPS, N_KIND),
+    "digits-across-1e9": (1e9 - BLOCK // 2 + STEPS, N_KIND),
+    "digits-0-to-1": (STEPS % 12.0, N_KIND),
+    "one-digit-count": (1000.0 + STEPS % 9000, N_KIND),
+    "whole-with-negative-zero": (_with(-0.0, 5, N_KIND, 3.0), N_KIND),
+    "negative-whole": (-10000.0 - STEPS, N_KIND),
+    "negative-whole-across-zero": (STEPS - float(BLOCK), N_KIND),
+    "negative-whole-plateau": (np.full(N_KIND, -7.0), N_KIND),
     # float32 cells print the %.9g of their float64 value
-    "float32-plateau": (np.full(N_KIND, 0.1, dtype=np.float32), 2),
-    "float32-whole": ((1000 + STEPS % 9000).astype(np.float32), 2),
-    "float32-varying": (np.float32(0.1) + STEPS.astype(np.float32) * np.float32(1e-7), 0),
+    "float32-plateau": (np.full(N_KIND, 0.1, dtype=np.float32), N_KIND),
+    "float32-whole": ((1000 + STEPS % 9000).astype(np.float32), N_KIND),
+    "float32-varying": (
+        np.float32(0.1) + STEPS.astype(np.float32) * np.float32(1e-7), N_KIND),
 }
 
 
@@ -640,19 +684,63 @@ KIND_CASES = {
 def test_emit_csv_block_kinds_match_per_cell_oracle(tmp_path, monkeypatch, case):
     """Each way a float column's block is classified prints %.9g's text:
     alone, beside a whole-number column, and beside a varying one."""
-    column, byte_blocks = KIND_CASES[case]
+    column, byte_rows = KIND_CASES[case]
     calls = []
-    byte_rows = config_io._byte_rows
+    build = config_io._byte_rows
     monkeypatch.setattr(config_io, "_byte_rows",
-                        lambda fields, n: calls.append(n) or byte_rows(fields, n))
-    for columns, blocks in (
-        ({"x": column}, byte_blocks),
-        ({"t": 10000.0 + STEPS, "x": column}, byte_blocks),
-        ({"x": column, "v": np.linspace(-1, 1, N_KIND), "i": STEPS}, 0),
+                        lambda fields, n: calls.append(n) or build(fields, n))
+    for columns in (
+        {"x": column},
+        {"t": 10000.0 + STEPS, "x": column},
+        {"x": column, "v": np.linspace(-1, 1, N_KIND), "i": STEPS},
     ):
         calls.clear()
         _check_against_oracle(tmp_path, columns)
-        assert calls == [BLOCK] * blocks
+        assert sum(calls) == byte_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["decay", "bits", "decimal"]),
+    n_rows=st.sampled_from([BLOCK, 2 * BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a decay that starts in fixed notation and ends in exact zeros
+@example(kind="decay", n_rows=BLOCK, seed=3)
+def test_emit_csv_float_blocks_match_per_cell_oracle(tmp_path_factory, kind, n_rows, seed):
+    """Whole blocks of varying floats print %.9g's text.
+
+    A decay falls geometrically from a random start through the
+    subnormals into exact zeros, with a sign for the column. Bit patterns
+    are random doubles of one random binary-exponent window, with random
+    signs. Decimals are uniform values rounded to a few decimal places, so
+    that many of them end in zeros.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "decay":
+        start = 10.0 ** rng.uniform(-10, 10) * rng.choice([-1, 1])
+        column = start * 10.0 ** (-rng.uniform(0.05, 1.0) * np.arange(n_rows))
+    elif kind == "bits":
+        low = rng.integers(0, 2047)
+        biased = rng.integers(low, min(low + rng.integers(1, 80), 2047), n_rows, dtype=np.uint64)
+        bits = (biased << np.uint64(52)) | rng.integers(0, 2**52, n_rows, dtype=np.uint64)
+        bits |= rng.integers(0, 2, n_rows, dtype=np.uint64) << np.uint64(63)
+        column = bits.view(np.float64)
+    else:
+        scale = 10.0 ** rng.integers(-6, 10)
+        column = np.round(rng.uniform(-1, 1, n_rows) * scale, rng.integers(0, 12))
+    _check_against_oracle(tmp_path_factory.mktemp("csv"), {"x": column, "i": np.arange(n_rows)})
+
+
+def test_cli_import_builds_no_formatting_table():
+    """The digit, exponent and power tables are built by the first CSV
+    block that needs them, not by importing the CLI."""
+    probe = ("import translink.cli\n"
+             "from translink import config_io as c\n"
+             "print([f.cache_info().currsize for f in (c._digit_groups, c._exponents, c._powers)])")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[0, 0, 0]\n")
 
 
 # What run-heavy columns are drawn from: both zeros, NaNs of two bit
