@@ -7,17 +7,17 @@ with --rounds. Every link value comes from that file: the runner resolves
 its link and builds the run manifest, whose resolved_config is the file
 with its defaults filled in. Each command then only computes and hands its
 artifacts to the runner in order, which writes each atomically into --out
-(default: current directory). Once the command returns, the runner echoes
-the first, primary artifact to stdout. A rejected input writes nothing. A
-negative value after a space (`--f-in -1e5`, `--f-in -inf`) reads as
-`--f-in=-1e5` does. Errors print one JSON object to stderr; exit codes: 0
-success, 1 configuration error or an artifact that cannot be written, 2
-model-domain error, a result that overflows a float included. Where this
-module is imported before numpy, numpy loads at the first array a command
-builds: presets, distill --f-in and a usage or config error never load it.
-Where it loads, the process runs only the threads that simulate --jobs
-starts: numpy's OpenBLAS is capped at one thread, unless the user sets
-OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS.
+(default: current directory). Once the command returns, the runner copies
+the first, primary artifact's file to stdout. A rejected input writes
+nothing. A negative value after a space (`--f-in -1e5`, `--f-in -inf`)
+reads as `--f-in=-1e5` does. Errors print one JSON object to stderr; exit
+codes: 0 success, 1 configuration error or an artifact that cannot be
+written, 2 model-domain error, a result that overflows a float included.
+Where this module is imported before numpy, numpy loads at the first array
+a command builds: presets, distill --f-in and a usage or config error never
+load it. Where it loads, the process runs only the threads that simulate
+--jobs starts: numpy's OpenBLAS is capped at one thread, unless the user
+sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -118,6 +118,9 @@ atexit.register(gc.freeze)
 P_HER_FLAG_REL_TOL = 0.01
 
 DEFAULT_CIRCUIT_BUDGET = 100_000
+
+# Characters per read when the primary artifact is copied to stdout.
+_ECHO_BLOCK = 1 << 20
 
 # Every negative number that float() reads. argparse's own matcher knows only
 # -5 and -.5, and takes -1e5, -inf or -nan after a space for an option.
@@ -230,9 +233,9 @@ def _run(args, command: str) -> int:
     The handler args.func(args, parsed, link, emit) gets the parsed config
     and its resolved link (both None without --config), and passes each
     artifact to emit(name, data): a JSON payload for a .json name, CSV
-    columns for a .csv one. Only the first artifact's text is kept, for
-    stdout. The steps: parse the config, resolve its link, build the
-    manifest and run the handler.
+    columns for a .csv one. The steps: parse the config, resolve its link,
+    build the manifest, run the handler, and copy the first artifact's file
+    to stdout a block at a time, so that no artifact's text is held for it.
     """
     parsed = link = None
     if getattr(args, "config", None) is not None:
@@ -249,13 +252,16 @@ def _run(args, command: str) -> int:
     primary = []
 
     def emit(name: str, data: dict) -> None:
-        write = emit_json if name.endswith(".json") else emit_csv
-        text = write(os.path.join(args.out, name), data, manifest)
+        path = os.path.join(args.out, name)
+        (emit_json if name.endswith(".json") else emit_csv)(path, data, manifest)
         if not primary:
-            primary.append(text)
+            primary.append(path)
 
     args.func(args, parsed, link, emit)
-    sys.stdout.write(primary[0])
+    # the artifact as written: UTF-8 with "\n" line ends, which newline="" keeps
+    with open(primary[0], encoding="utf-8", newline="") as artifact:
+        while block := artifact.read(_ECHO_BLOCK):
+            sys.stdout.write(block)
     return 0
 
 
@@ -337,7 +343,9 @@ def _trial_columns(cols: TrialColumns, n_channels: int) -> dict:
         cells[timed_out] = ""
         return cells
 
-    trial, rounds = np.arange(len(cols)), blank_timeouts(cols.herald_round)
+    # trial ids as int32: at most MAX_TRIAL_DUMP = 10^6 trials are kept
+    trial = np.arange(len(cols), dtype=np.int32)
+    rounds = blank_timeouts(cols.herald_round)
     if n_channels == 1:
         return {
             "trial": trial,

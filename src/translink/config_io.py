@@ -227,14 +227,24 @@ def resolved_config(parsed: ParsedConfig) -> dict:
 _CSV_BLOCK = 4096
 
 
+class _IntArray:
+    """A 1-D integer array in a _nine_digits tree, such as a herald-round
+    histogram: emit_json writes it a block at a time (see _array_blocks)."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        self.array = array
+
+
 def _nine_digits(obj):
     """Round every float in a JSON-like tree, dataclasses included, to 9 digits.
 
-    Plain Python types are checked before numpy's scalar types, whose first
-    read would load a deferred numpy (see _numpy). A list or tuple of ints
-    alone, such as a herald-round histogram, is returned as it is, without a
-    call per element: json writes a tuple as an array, and a copy would only
-    raise the peak memory.
+    Plain Python types are checked before numpy's types, whose first read
+    would load a deferred numpy (see _numpy). A 1-D integer array longer
+    than a block is wrapped as an _IntArray, not copied into Python ints:
+    at millions of entries those would cost about 36 B each. A shorter one
+    becomes a list, which the one json.dumps of its subtree writes.
     """
     if isinstance(obj, float):
         return float(format(float(obj), ".9g"))
@@ -243,13 +253,13 @@ def _nine_digits(obj):
     if isinstance(obj, dict):
         return {k: _nine_digits(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if all(type(v) is int for v in obj):
-            return obj
         return [_nine_digits(v) for v in obj]
     if is_dataclass(obj):
         return _nine_digits(asdict(obj))
     if isinstance(obj, (np.floating, np.integer)):
         return _nine_digits(obj.item())
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
+        return _IntArray(obj) if len(obj) > _CSV_BLOCK else obj.tolist()
     return obj
 
 
@@ -262,12 +272,13 @@ def _non_finite(obj, pointer: str = ""):
             yield from _non_finite(value, f"{pointer}/{key}")
 
 
-def _json_text(obj, path, **dumps_kwargs) -> str:
-    """obj as strict JSON at 9 digits; a non-finite float raises
-    ModelDomainError naming the artifact at `path` and the float's key."""
-    doc = _nine_digits(obj)
+@contextmanager
+def _finite(doc, path):
+    """Turns json's ValueError for a non-finite float of the _nine_digits
+    tree doc into a ModelDomainError naming the artifact at `path` and the
+    float's key."""
     try:
-        return json.dumps(doc, allow_nan=False, **dumps_kwargs)
+        yield
     except ValueError:
         pointer = next(_non_finite(doc), None)
         if pointer is None:  # not a float: an int with more digits than str() prints
@@ -276,6 +287,70 @@ def _json_text(obj, path, **dumps_kwargs) -> str:
             f"{os.path.basename(path)}: {pointer} is not finite, "
             "and JSON has no Infinity or NaN"
         ) from None
+
+
+def _json_text(obj, path) -> str:
+    """obj as strict one-line JSON at 9 digits (see _finite)."""
+    doc = _nine_digits(obj)
+    with _finite(doc, path):
+        return json.dumps(doc, allow_nan=False)
+
+
+def _holds_array(obj) -> bool:
+    """Whether a _nine_digits tree holds an _IntArray."""
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, list):
+        return isinstance(obj, _IntArray)
+    return any(_holds_array(v) for v in obj)
+
+
+def _json_pieces(obj, pad: str = ""):
+    """The text of json.dumps(obj, indent=2, allow_nan=False), for a
+    _nine_digits tree obj nested `pad` deep, in pieces: a str, or an
+    (_IntArray, pad) pair whose text _array_blocks writes.
+
+    A subtree that holds no _IntArray is one dumps, its lines moved `pad`
+    to the right: json escapes every newline inside a string, so each
+    newline of its text starts a line. The dicts and lists above an
+    _IntArray are laid out as dumps lays them out.
+    """
+    inner = pad + "  "
+    if isinstance(obj, _IntArray):
+        yield obj, pad
+    elif not _holds_array(obj):
+        yield json.dumps(obj, allow_nan=False, indent=2).replace("\n", "\n" + pad)
+    elif isinstance(obj, dict):
+        opening = "{"
+        for key, value in obj.items():
+            # the key as json writes one, which may turn it into a string
+            yield f"{opening}\n{inner}{json.dumps({key: 0}, allow_nan=False)[1:-4]}: "
+            yield from _json_pieces(value, inner)
+            opening = ","
+        yield "\n" + pad + "}"
+    else:
+        opening = "["
+        for value in obj:
+            yield f"{opening}\n{inner}"
+            yield from _json_pieces(value, inner)
+            opening = ","
+        yield "\n" + pad + "]"
+
+
+def _array_blocks(ints: _IntArray, pad: str):
+    """The text of an array longer than a block as json.dumps(indent=2)
+    lays it out `pad` deep, _CSV_BLOCK entries at a time. Each block's
+    lines, the indent, an int and a comma, are built as bytes from one
+    template row, like a CSV block's (see _byte_rows); the last entry drops
+    its comma."""
+    array, inner = ints.array, pad + "  "
+    yield "[\n"
+    for start in range(0, len(array), _CSV_BLOCK):
+        block = array[start:start + _CSV_BLOCK]
+        spec, cells = _int_cells(block)
+        text = (_byte_rows([(inner, None), (spec, cells), (",", None)], len(block), "")
+                if spec == "" else "".join(f"{inner}{v},\n" for v in cells))
+        yield text if start + _CSV_BLOCK < len(array) else text[:-2] + "\n" + pad + "]"
 
 
 @contextmanager
@@ -300,14 +375,30 @@ def _atomic_writer(path):
         raise
 
 
-def emit_json(path, payload: dict, manifest: RunManifest) -> str:
-    """Write a JSON artifact with the manifest as its first key."""
+def emit_json(path, payload: dict, manifest: RunManifest) -> int:
+    """Write a JSON artifact with the manifest as its first key; returns the
+    number of bytes written.
+
+    The file holds json.dumps(doc, indent=2) of the 9-digit doc and a
+    newline. A 1-D integer array in the payload, such as an MCStats
+    histogram, writes as a JSON array in that layout, a block at a time
+    (see _array_blocks), so its text is never held whole. The text is ASCII,
+    as json escapes every other character, so its length in characters is
+    its size in bytes.
+    """
     doc = {"manifest": manifest}
     doc.update(payload)
-    text = _json_text(doc, path, indent=2) + "\n"
+    doc = _nine_digits(doc)
+    with _finite(doc, path):  # every error is raised before the file is opened
+        pieces = list(_json_pieces(doc))
+    size = 0
     with _atomic_writer(path) as handle:
-        handle.write(text)
-    return text
+        for piece in pieces:
+            for text in (piece,) if isinstance(piece, str) else _array_blocks(*piece):
+                handle.write(text)
+                size += len(text)
+        handle.write("\n")
+    return size + 1
 
 
 def _float_cells(block: np.ndarray) -> tuple:
@@ -563,9 +654,9 @@ def _fraction_groups(fraction: np.ndarray, triples: int, start: int) -> list:
     return groups
 
 
-def _byte_rows(fields: list, n_rows: int) -> str:
+def _byte_rows(fields: list, n_rows: int, sep: str = ",") -> str:
     """The lines of a block whose fields are literals or slots, built as
-    bytes from one template row.
+    bytes from one template row, the fields joined by sep.
 
     The template row holds each literal and each slot's text; it is tiled
     into n_rows rows, and 8 more that only absorb the last row's reach.
@@ -575,14 +666,14 @@ def _byte_rows(fields: list, n_rows: int) -> str:
     NUL, and the block is decoded once.
     """
     texts = [spec if cells is None else cells[0] for spec, cells in fields]
-    row = (",".join(texts) + "\n").encode()
+    row = (sep.join(texts) + "\n").encode()
     lines = np.tile(np.frombuffer(row, dtype=np.uint8), n_rows + 8)
     start = 0
     for text, (_, cells) in zip(texts, fields):
         for digits, first in () if cells is None else cells[1]:
             view = np.ndarray((n_rows,), "<u8", lines, start + first, (len(row),))
             view |= digits
-        start += len(text) + 1
+        start += len(text) + len(sep)
     return str(lines[:len(row) * n_rows].tobytes().replace(b"\0", b""), "ascii")
 
 
@@ -664,8 +755,15 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
     formatted once, by the same rules, and its text is gathered by code.
     The manifest rides along as a '#' comment line above the header. Each
     block of _CSV_BLOCK rows is formatted at once and written out, and a
-    float column is cast to float64 a block at a time; the whole text is
-    joined only to be returned. Within a block, a float column whose cells
+    float column is cast to float64 a block at a time.
+
+    The text is also returned: cli ignores it, but bench/tracing.py counts
+    the rows and bytes of every CSV from it. It is held once: each written
+    block is appended to one str that no other name refers to, which
+    CPython grows in place (a realloc, not a copy of everything so far), so
+    no list of blocks and no join of them exists beside it, and the peak
+    stays near one text where blocks and their join held two. Within a
+    block, a float column whose cells
     all print one text is formatted once; any other finite one has its
     nine digits and exponent decided by numpy (see _decimal_slot), and an
     integer column is written digit by digit. A block of such columns is
@@ -687,13 +785,10 @@ def emit_csv(path, columns: dict, manifest: RunManifest) -> str:
     if len(lengths) != 1:
         raise ValueError("CSV columns differ in length" if lengths else "CSV has no columns")
     n_rows = lengths.pop()
-    parts = [
-        "# manifest: " + _json_text(manifest, path) + "\n",
-        ",".join(names) + "\n",
-    ]
+    text = "# manifest: " + _json_text(manifest, path) + "\n" + ",".join(names) + "\n"
     with _atomic_writer(path) as handle:
-        handle.write(parts[0] + parts[1])
-        for text in _blocks(sources, n_rows):
-            parts.append(text)
-            handle.write(text)
-    return "".join(parts)
+        handle.write(text)
+        for block in _blocks(sources, n_rows):
+            handle.write(block)
+            text += block  # grown in place: text is its only reference
+    return text

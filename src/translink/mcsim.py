@@ -17,9 +17,13 @@ and sorted and sparse otherwise, and no per-trial array exists unless the
 trials are kept. The histograms merge exactly, f_del is evaluated once per
 distinct round, and the mean and standard error are correctly rounded from
 exact integer sums over the histogram. Every statistic is therefore the
-same for any job count, span size or keep_trials. Kept trials stay coded by
-round: each holds its winning channel and a code, the index of its row in
-that per-round table of herald round, storage time and f_del.
+same for any job count, span size or keep_trials. The merged histogram
+stays two int64 arrays, through MCStats to emit_json, which writes them a
+block at a time: at millions of distinct rounds, a tuple of Python ints
+costs about 36 B an entry and its indented JSON text some 15 more, where the
+arrays cost 8. Kept trials stay coded by round: each holds its winning
+channel (int16) and a code, the index of its row in that per-round table
+of herald round, storage time and f_del.
 
 The draws read the link's law where the analytics read it: K and the gain
 from the Link, and the log-miss a = N log1p(-p_her) and the round's herald
@@ -97,7 +101,7 @@ class TrialColumns(Record):
     """
 
     code: np.ndarray  # int32, per trial: its row of the table
-    winning_channel: np.ndarray  # int64, per trial: 0..N-1
+    winning_channel: np.ndarray  # int16, per trial: 0..N-1, N <= 10^4
     herald_round: np.ndarray  # int64, per row: 0..K
     tau_us: np.ndarray  # per row: storage time before delivery
     f_del: np.ndarray  # per row
@@ -106,16 +110,17 @@ class TrialColumns(Record):
         return len(self.code)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TrialColumns):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self)
-        )
+        return _fields_equal(self, other)
 
 
 class MCStats(Record):
-    """Statistics of one Monte Carlo run, from its herald-round histogram."""
+    """Statistics of one Monte Carlo run, from its herald-round histogram.
+
+    The histogram stays the merged int64 arrays, 8 B an entry and column
+    where a tuple of Python ints takes about 36: at the 10^7-round cap a
+    run heralds at millions of distinct rounds. emit_json writes the two
+    arrays a block at a time, and == compares them element by element.
+    """
 
     n_trials: int
     seed: int
@@ -123,15 +128,29 @@ class MCStats(Record):
     std_error: float
     p_success: float
     n_no_herald: int
-    herald_rounds: tuple  # the rounds at which some trial heralded, ascending
-    herald_histogram: tuple  # count of heralds at each of herald_rounds
+    herald_rounds: np.ndarray  # int64: the rounds at which some trial heralded, ascending
+    herald_histogram: np.ndarray  # int64: count of heralds at each of herald_rounds
     trials: TrialColumns | None = None  # only when requested
 
+    def __eq__(self, other) -> bool:
+        return _fields_equal(self, other)
+
     def to_dict(self) -> dict:
-        """Every field but trials, in order, with tuples as lists."""
+        """Every field but trials, in order; the histogram stays two arrays."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         del doc["trials"]
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
+        return doc
+
+
+def _fields_equal(record, other):
+    """== of two records of one class, array fields element by element."""
+    if other.__class__ is not record.__class__:
+        return NotImplemented
+    return all(
+        np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+        for mine, theirs in ((getattr(record, f.name), getattr(other, f.name))
+                             for f in fields(record))
+    )
 
 
 def _herald_rounds(u, a, k_rounds) -> np.ndarray:
@@ -166,44 +185,88 @@ def _winning_channels(u, rounds, log_miss, q, n_channels) -> np.ndarray:
     log_miss = log1p(-p), and clipped to N - 1 against rounding. At p = 1
     the floored log_miss of -10^4 gives channel 0 for every u < 1. With one
     channel every herald goes to channel 0, and with none (p = 0 gives none)
-    no channel is drawn; then u is not read (it may be None).
+    no channel is drawn; then u is not read (it may be None). The channels
+    are int16: a policy has at most 10^4 of them.
     """
     heralded = rounds > 0
     if n_channels == 1 or not heralded.any():
-        return heralded.astype(np.int64) - 1
+        return heralded.astype(np.int16) - 1
     chans = np.minimum(np.floor(np.log1p(-u * q) / log_miss), n_channels - 1)
-    return np.where(heralded, chans, -1.0).astype(np.int64)
+    return np.where(heralded, chans, -1.0).astype(np.int16)
 
 
-def _merge(hists):
-    """One (rounds, counts) histogram from several, exactly: the distinct
-    rounds ascending and the counts summed. Histograms that share one dense
-    0..K rounds array add their counts."""
-    rounds, counts = zip(*hists)
-    if all(r is rounds[0] for r in rounds):
-        return rounds[0], sum(counts)
-    rounds, at = np.unique(np.concatenate(rounds), return_inverse=True)
-    # float weights add the counts exactly: they total at most MAX_TRIALS
-    return rounds, np.bincount(at, np.concatenate(counts)).astype(np.int64)
+def _merge(hists: list):
+    """One (rounds, counts) histogram from the list hists of several,
+    exactly: the distinct rounds ascending and the counts summed.
+    Histograms that share one dense 0..K rounds array add their counts.
+
+    Sparse ones are merged as one int64 key per entry, round << 32 | count:
+    a round is at most K <= 10^7 and a count at most MAX_TRIALS, both below
+    2**31, so sorting the keys sorts the rounds and puts the counts of one
+    round side by side. Each input is popped from hists, and so freed, once
+    its keys are packed; the sort runs in place. The merge then holds about
+    18 B an input entry beside its output, where np.unique with an inverse
+    held the inputs' 16 and about 55 more.
+    """
+    if all(r is hists[0][0] for r, _ in hists):
+        rounds, counts = zip(*hists)
+        return rounds[0], sum(counts[1:], counts[0])  # one histogram: itself
+    keys = np.empty(sum(len(r) for r, _ in hists), dtype=np.int64)
+    lo = 0
+    while hists:
+        part, count = hists.pop()
+        key = keys[lo:lo + len(part)]
+        np.left_shift(part, 32, out=key)
+        key |= count
+        lo += len(part)
+        del part, count
+    keys.sort()
+    rounds = keys >> 32
+    starts = np.flatnonzero(np.concatenate(([True], rounds[1:] != rounds[:-1])))
+    rounds = rounds[starts]
+    keys &= 0xFFFFFFFF
+    return rounds, np.add.reduceat(keys, starts)
 
 
-def _moments(f_del, counts, n) -> tuple:
+def _table(link: Link, values):
+    """Storage time and f_del at each herald round of values (0: none).
+
+    Each heralded state decays in storage from its herald round until
+    t_del; trials with no herald deliver the fidelity-1/2 fallback. These
+    are, element for element, the float operations that a per-trial
+    evaluation runs, so a row does not depend on the slice it is read in.
+    """
+    c = link.config
+    missed = values == 0  # no herald, nothing stored
+    tau = np.where(missed, 0.0, c.policy.t_del_us - values * c.transducer.t_rep_us)
+    # the decay; an infinite t_coh gives exp(-0.0) = 1 exactly, and a
+    # subnormal one overflows the exponent to -inf, whose exp is 0 exactly
+    with np.errstate(over="ignore"):
+        decay = np.exp(-tau / c.qubit.t_coh_us)
+    return tau, np.where(missed, 0.5, _f_del(link, decay))
+
+
+def _moments(link: Link, values, counts, n) -> tuple:
     """Mean and standard error of the f_del of n trials, of which counts[i]
-    deliver f_del[i].
+    heralded at round values[i].
 
     Both are correctly rounded from exact integer sums, so they do not
     depend on how the trials were counted. Each f_del lies in [1/2, 1], so
     m = f_del * 2**53 is an integer below 2**54. Its three 18-bit pieces
     keep every partial sum of counts * piece * piece below n * 2**36, inside
     int64 for n < 2**27 trials. SE is the square root of the correctly
-    rounded s^2 / n, s^2 the sample variance.
+    rounded s^2 / n, s^2 the sample variance. f_del and the pieces are
+    evaluated a span of rounds at a time, so they cost no more than a
+    span's draws, however many rounds heralded.
     """
-    m = (f_del * 2.0**53).astype(np.int64)
-    pieces = [(m >> shift) & 0x3FFFF for shift in (0, 18, 36)]
-    weighted = [counts * piece for piece in pieces]
-    s1 = sum(int(w.sum()) << 18 * i for i, w in enumerate(weighted))
-    s2 = sum(int(np.dot(w, piece)) << 18 * (i + j)
-             for i, w in enumerate(weighted) for j, piece in enumerate(pieces))
+    s1 = s2 = 0
+    for lo in range(0, len(values), _CHUNK):
+        m = (_table(link, values[lo:lo + _CHUNK])[1] * 2.0**53).astype(np.int64)
+        pieces = [(m >> shift) & 0x3FFFF for shift in (0, 18, 36)]
+        weighted = [counts[lo:lo + _CHUNK] * piece for piece in pieces]
+        s1 += sum(int(w.sum()) << 18 * i for i, w in enumerate(weighted))
+        s2 += sum(int(np.dot(w, piece)) << 18 * (i + j)
+                  for i, w in enumerate(weighted) for j, piece in enumerate(pieces))
     se2 = (n * s2 - s1 * s1) / (n * n * (n - 1) << 106) if n > 1 else 0.0
     return s1 / (n << 53), math.sqrt(se2)
 
@@ -212,33 +275,25 @@ def _summarize(link: Link, hist, seed, rounds=None, chans=None) -> MCStats:
     """Reduce a histogram of herald rounds (0: none) to MCStats.
 
     hist is (rounds, counts): the distinct rounds, ascending, and the trials
-    at each. Each heralded state decays in storage from its herald round
-    until t_del; trials with no herald deliver the fidelity-1/2 fallback.
-    Storage time and f_del are evaluated once for each of those rounds,
-    element for element the same float operations that a per-trial
-    evaluation runs. Kept trials (`rounds` and `chans`, per trial) are
-    coded by their row of those tables.
+    at each. Storage time and f_del are evaluated once for each of those
+    rounds (see _table). Kept trials (`rounds` and `chans`, per trial) are
+    coded by their row of that table.
     """
     values, counts = hist
     n_trials = int(counts.sum())
-    c = link.config
-    missed = values == 0  # no herald, nothing stored
-    tau = np.where(missed, 0.0, c.policy.t_del_us - values * c.transducer.t_rep_us)
-    # the decay; an infinite t_coh gives exp(-0.0) = 1 exactly, and a
-    # subnormal one overflows the exponent to -inf, whose exp is 0 exactly
-    with np.errstate(over="ignore"):
-        decay = np.exp(-tau / c.qubit.t_coh_us)
-    f_del = np.where(missed, 0.5, _f_del(link, decay))
+    missed = values == 0  # no herald
     heralded = (counts > 0) & ~missed
     n_no_herald = int(counts[missed].sum())
-    # a kept trial's code is its round's row; a dense table holds round r at row r
-    dense = rounds is None or len(values) > values[-1]
-    at = rounds if dense else np.searchsorted(values, rounds).astype(np.int32)
+    trials = None
+    if rounds is not None:
+        # a kept trial's code is its round's row; a dense table holds round r at row r
+        dense = len(values) > values[-1]
+        at = rounds if dense else np.searchsorted(values, rounds).astype(np.int32)
+        trials = TrialColumns(at, chans, values, *_table(link, values))
     return MCStats(
-        n_trials, seed, *_moments(f_del, counts, n_trials),
+        n_trials, seed, *_moments(link, values, counts, n_trials),
         (n_trials - n_no_herald) / n_trials, n_no_herald,
-        *(tuple(column[heralded].tolist()) for column in (values, counts)),
-        None if rounds is None else TrialColumns(at, chans, values, tau, f_del),
+        values[heralded], counts[heralded], trials,
     )
 
 
@@ -276,7 +331,7 @@ def run_trials(
     # channels, apart: the rounds become the codes, and must not hold the
     # channels' memory alive with them
     rounds = np.empty(n_trials, dtype=np.int32) if keep_trials else None
-    chans = np.empty(n_trials, dtype=np.int64) if keep_trials else None
+    chans = np.empty(n_trials, dtype=np.int16) if keep_trials else None
     draw_chans = keep_trials and n_channels > 1
     # K + 1 bins cost no more than a span's draws: count densely, else sort
     dense = np.arange(k_rounds + 1) if k_rounds < min(_CHUNK, n_trials) else None

@@ -190,8 +190,8 @@ def run_two_draw_trials(link, n_trials: int, seed: int) -> tuple:
         mean_f_del=mean_f_del,
         std_error=std_error,
         p_success=n_success / n_trials,
-        herald_rounds=tuple(herald_rounds.tolist()),
-        herald_histogram=tuple(herald_histogram.tolist()),
+        herald_rounds=herald_rounds.astype(np.int64),
+        herald_histogram=herald_histogram.astype(np.int64),
         n_no_herald=n_trials - n_success,
     )
     trials = {"herald_round": rounds, "winning_channel": chans, "tau_us": tau, "f_del": f_del}

@@ -27,7 +27,9 @@ from translink import (
     PhotonBasis,
     ProtocolSpec,
     PumpMode,
+    build_manifest,
     delivered_fidelity,
+    emit_csv,
     lattice_surgery_plan,
     min_time_to_fidelity,
     optimal_delivery_time,
@@ -1188,6 +1190,25 @@ def test_simulate_loads_numpy_before_its_workers(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(report.read_text()) == [True]
     assert done.stdout == (tmp_path / "out" / "mcstats.json").read_text()
+
+
+@pytest.mark.parametrize("config", [EX1, EX3], ids=["ex1", "ex3"])
+def test_emit_csv_holds_the_trials_text_once(tmp_path, config):
+    """emit_csv returns its text and holds it once: on 2x10^5 kept trials
+    its traced peak stays below 1.5 times that text. A list of the written
+    blocks and their join would hold it twice."""
+    link = resolve(parse_config(config).link)
+    cols = run_trials(link, 200_000, 4, keep_trials=True).trials
+    columns = cli._trial_columns(cols, link.config.policy.n_parallel)
+    manifest = build_manifest("translink simulate", {})
+    tracemalloc.start()
+    try:
+        text = emit_csv(tmp_path / "trials.csv", columns, manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 200_002
+    assert peak < 1.5 * len(text)
 
 
 def test_trial_columns_memory_follows_the_kept_trials(tmp_path):

@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import unittest.mock
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -403,8 +404,9 @@ def test_manifest_shape():
 def test_emit_json_rounds_floats(tmp_path):
     manifest = build_manifest("cmd", {"pi": math.pi})
     path = tmp_path / "out.json"
-    text = emit_json(path, {"third": 1 / 3, "flag": True, "n": 3}, manifest)
-    assert text == path.read_text()
+    size = emit_json(path, {"third": 1 / 3, "flag": True, "n": 3}, manifest)
+    text = path.read_text()
+    assert size == len(text.encode())  # emit_json returns the bytes it wrote
     doc = json.loads(text)
     assert doc["third"] == 0.333333333
     assert doc["flag"] is True
@@ -421,7 +423,8 @@ def test_emit_json_scalars_and_int_lists(tmp_path):
         "f32": np.float32(0.1), "f64": np.float64(1 / 3), "i64": np.int64(-7),
         "ints": (3, 1, 2**70), "flags": [True, 0], "mixed": [1, 2.123456789012],
     }
-    text = emit_json(tmp_path / "out.json", payload, build_manifest("cmd", {}))
+    emit_json(tmp_path / "out.json", payload, build_manifest("cmd", {}))
+    text = (tmp_path / "out.json").read_text()
     doc = json.loads(text)
     del doc["manifest"]
     assert doc == {
@@ -429,6 +432,73 @@ def test_emit_json_scalars_and_int_lists(tmp_path):
         "ints": [3, 1, 2**70], "flags": [True, 0], "mixed": [1, 2.12345679],
     }
     assert '"flags": [\n    true,\n    0\n  ]' in text
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+def _int_arrays():
+    """int64 arrays: empty, one entry, or a few blocks of the patched size,
+    with the int64 extremes and the 10**18 edge of the digit slots drawn often."""
+    edges = st.sampled_from([0, 1, -1, 10**18 - 1, -10**18 + 1, 10**18, 2**63 - 1, -2**63])
+    cells = edges | st.integers(-999, 999) | _INT64
+    return st.lists(cells, max_size=11).map(lambda v: np.array(v, dtype=np.int64))
+
+
+_JSON_KEYS = st.text(max_size=4) | st.integers(-5, 5) | st.booleans() | st.none()
+_JSON_LEAVES = (st.none() | st.booleans() | _INT64 | st.text(max_size=6)
+                | st.floats(allow_nan=False, allow_infinity=False) | _int_arrays())
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_KEYS, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _as_lists(obj):
+    """obj with every numpy array as a list of Python ints."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(value) for value in obj]
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=4), _JSON_TREES, max_size=4))
+def test_emit_json_writes_int_arrays_in_blocks_as_dumps_would(tmp_path_factory, payload):
+    """Integer arrays, nested at any depth, are written a block at a time in
+    exactly json.dumps(indent=2)'s layout: the file is the dumps of the
+    same 9-digit doc with each array as a list, and emit_json returns its
+    size. Blocks of 3 entries put empty, one-block and many-block arrays
+    through the block writer."""
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    manifest = build_manifest("cmd", {"x": 1.5})
+    with unittest.mock.patch.object(config_io, "_CSV_BLOCK", 3):
+        size = emit_json(path, payload, manifest)
+    doc = config_io._nine_digits({"manifest": manifest, **_as_lists(payload)})
+    want = json.dumps(doc, allow_nan=False, indent=2) + "\n"
+    assert path.read_bytes() == want.encode()
+    assert size == len(want)
+
+
+def test_emit_json_writes_a_histogram_in_blocks(tmp_path):
+    """Two int64 columns of 10**5 entries, as a long run's histogram, write
+    as dumps of their lists, and as more than one block each."""
+    rng = np.random.default_rng(5)
+    rounds = np.unique(rng.integers(1, 10**7, 10**5))
+    counts = rng.integers(1, 100, len(rounds))
+    assert len(rounds) > 2 * BLOCK
+    payload = {"mcstats": {"n_trials": int(counts.sum()), "herald_rounds": rounds,
+                           "herald_histogram": counts}}
+    manifest = build_manifest("cmd", {})
+    size = emit_json(tmp_path / "mc.json", payload, manifest)
+    doc = {"manifest": manifest, "mcstats": {**payload["mcstats"], "herald_rounds": rounds.tolist(),
+                                             "herald_histogram": counts.tolist()}}
+    want = json.dumps(config_io._nine_digits(doc), indent=2) + "\n"
+    assert (tmp_path / "mc.json").read_text() == want and size == len(want)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.inf)],

@@ -131,8 +131,10 @@ def test_matches_two_draw_oracle(link, n_trials, seed, keep_trials, n_jobs, chun
     """Skipped channel draws and per-round f_del change no bit of the output.
 
     The oracle draws both uniforms of every trial and evaluates f_del trial
-    by trial. Kept columns, read at each trial's code, must match bit for
-    bit; without kept trials, the rounds are compared through the histogram.
+    by trial. Kept columns, read at each trial's code, must match: integer
+    ones by value (the channels are int16, the oracle's int64), float ones
+    bit for bit; without kept trials, the rounds are compared through the
+    histogram.
     """
     want, want_trials = mc_oracle.run_two_draw_trials(link, n_trials, seed)
     with mock.patch.object(mcsim, "_CHUNK", chunk):
@@ -141,15 +143,18 @@ def test_matches_two_draw_oracle(link, n_trials, seed, keep_trials, n_jobs, chun
     assert got.std_error == want.std_error
     assert got.p_success == want.p_success
     assert got.n_no_herald == want.n_no_herald
-    assert got.herald_rounds == want.herald_rounds
-    assert got.herald_histogram == want.herald_histogram
+    assert np.array_equal(got.herald_rounds, want.herald_rounds)
+    assert np.array_equal(got.herald_histogram, want.herald_histogram)
     if not keep_trials:
         assert got.trials is None
         return
     got_trials = _per_trial(got.trials)
     for name, column in want_trials.items():
-        # bit patterns, so that -0.0 and 0.0 differ
-        assert np.array_equal(got_trials[name].view(np.uint64), column.view(np.uint64))
+        if column.dtype.kind == "f":  # bit patterns, so that -0.0 and 0.0 differ
+            got_column, column = got_trials[name].view(np.uint64), column.view(np.uint64)
+        else:
+            got_column = got_trials[name]
+        assert np.array_equal(got_column, column)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -174,6 +179,28 @@ def test_stats_do_not_depend_on_how_trials_are_counted(
     assert replace(got, trials=None) == want
 
 
+@pytest.mark.parametrize("link", [
+    resolve(_ex1()),
+    resolve(_ex3()),
+    resolve(replace(_ex1(10_000_000.0), p_her_reference=1e-7)),
+], ids=["ex1", "ex3", "round-cap"])
+def test_stats_equal_across_jobs_and_the_oracle(link):
+    """MCStats == compares its int64 histograms by value and returns one
+    bool: one and two jobs over two spans give equal stats, and so does
+    the two-draw oracle, whose histogram is np.unique of per-trial rounds.
+    One count more makes them unequal."""
+    one = run_trials(link, 70_000, seed=12)
+    two = run_trials(link, 70_000, seed=12, n_jobs=2)
+    want, _ = mc_oracle.run_two_draw_trials(link, 70_000, 12)
+    assert (one == two) is True and (two == want) is True
+    for stats in (one, two):
+        assert stats.herald_rounds.dtype == stats.herald_histogram.dtype == np.int64
+    bumped = one.herald_histogram.copy()
+    bumped[-1] += 1
+    assert (replace(one, herald_histogram=bumped) == one) is False
+    assert (replace(one, herald_rounds=one.herald_rounds[:-1]) == one) is False
+
+
 @pytest.mark.parametrize("keep_trials", [False, True])
 def test_round_cap_memory_follows_the_trials(keep_trials):
     """At the 10^7-round cap, 2000 trials count only the rounds that occur:
@@ -187,6 +214,24 @@ def test_round_cap_memory_follows_the_trials(keep_trials):
         tracemalloc.stop()
     assert peak < 2 * 2**20
     assert len(out.herald_rounds) > 1000
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_sparse_merge_memory_follows_the_histogram(n_jobs):
+    """At the 10^7-round cap nearly every heralded trial has a round of its
+    own. The merges pack their inputs into int64 keys, freeing each input
+    as it goes, and the histogram stays int64 arrays: the traced peak stays
+    below 48 B a distinct round (np.unique merges and tuples of Python
+    ints read 114)."""
+    link = resolve(replace(_ex1(10_000_000.0), p_her_reference=1e-7))
+    tracemalloc.start()
+    try:
+        out = run_trials(link, 400_000, seed=9, n_jobs=n_jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.herald_rounds) > 200_000
+    assert peak < 48 * len(out.herald_rounds)
 
 
 def _dense(stats_out, k_rounds):
@@ -307,8 +352,8 @@ def test_full_round_span_runs():
     rounds = _per_trial(out.trials)["herald_round"]
     heralded = rounds[rounds > 0]
     want_rounds, want_counts = np.unique(heralded, return_counts=True)
-    assert out.herald_rounds == tuple(want_rounds.tolist())
-    assert out.herald_histogram == tuple(want_counts.tolist())
+    assert np.array_equal(out.herald_rounds, want_rounds)
+    assert np.array_equal(out.herald_histogram, want_counts)
     assert sum(out.herald_histogram) + out.n_no_herald == 2000
     assert len(out.trials) == 2000
     assert rounds.max() <= 10_000_000
@@ -518,7 +563,7 @@ def test_zero_herald_probability():
     assert out.mean_f_del == 0.5
     assert out.std_error == 0.0
     assert out.n_no_herald == 300
-    assert out.herald_rounds == out.herald_histogram == ()
+    assert len(out.herald_rounds) == len(out.herald_histogram) == 0
 
 
 @pytest.mark.parametrize("n_channels", [1, 20])
@@ -529,13 +574,13 @@ def test_certain_and_impossible_heralds(n_channels):
     out = run_trials(resolve(replace(cfg, p_her_reference=1.0)), 3000, seed=5,
                      keep_trials=True)
     trials = _per_trial(out.trials)
-    assert out.herald_rounds == (1,) and out.herald_histogram == (3000,)
+    assert out.herald_rounds.tolist() == [1] and out.herald_histogram.tolist() == [3000]
     assert (trials["herald_round"] == 1).all() and (trials["winning_channel"] == 0).all()
     link = resolve(replace(cfg, transducer=replace(cfg.transducer, eta_det=0.0)))
     assert link.p_her == 0.0
     out = run_trials(link, 3000, seed=5, keep_trials=True)
     trials = _per_trial(out.trials)
-    assert out.n_no_herald == 3000 and out.herald_rounds == ()
+    assert out.n_no_herald == 3000 and len(out.herald_rounds) == 0
     assert (trials["herald_round"] == 0).all() and (trials["winning_channel"] == -1).all()
 
 
@@ -545,7 +590,7 @@ def test_certain_herald_via_override():
     link = resolve(replace(cfg, p_her_reference=1.0))
     out = run_trials(link, 200, seed=2, keep_trials=True)
     assert out.p_success == 1.0
-    assert out.herald_rounds == (1,) and out.herald_histogram == (200,)
+    assert out.herald_rounds.tolist() == [1] and out.herald_histogram.tolist() == [200]
     want = 0.5 + (m.f_her - 0.5) * math.exp(-9.0 / 200.0)
     assert out.mean_f_del == pytest.approx(want, rel=1e-12)
     assert all(c == 0 for c in out.trials.winning_channel.tolist())
@@ -586,10 +631,11 @@ def test_stats_to_dict_shape():
         "herald_rounds",
         "herald_histogram",
     }
-    assert isinstance(d["herald_rounds"], list)
-    assert isinstance(d["herald_histogram"], list)
+    # the histogram stays two int64 arrays, which emit_json writes in blocks
+    for name in ("herald_rounds", "herald_histogram"):
+        assert isinstance(d[name], np.ndarray) and d[name].dtype == np.int64
     # only the rounds that heralded, ascending, out of K = 10
-    rounds = d["herald_rounds"]
+    rounds = d["herald_rounds"].tolist()
     assert len(rounds) == len(d["herald_histogram"]) == len(set(rounds))
     assert rounds == sorted(rounds) and set(rounds) <= set(range(1, 11))
     assert all(count > 0 for count in d["herald_histogram"])

@@ -158,7 +158,7 @@ def test_record_agrees_with_its_stock_twin(cls):
         assert repr(replace(record)) == repr(replace(twin))
         changed = {first: getattr(record, first)}
         assert repr(replace(record, **changed)) == repr(replace(twin, **changed))
-        if cls is TrialColumns:  # array equality, below
+        if cls in (TrialColumns, translink.MCStats):  # array equality, below
             continue
         assert _outcome(lambda: hash(record)) == _outcome(lambda: hash(twin))
         copy = replace(record)
@@ -232,10 +232,27 @@ def test_trial_columns_keep_array_equality_and_no_hash():
         hash(columns)
 
 
+def test_mc_stats_compare_histograms_by_value_and_have_no_hash():
+    """MCStats holds its histogram as int64 arrays: == compares them element
+    by element and returns one bool, and it has no hash."""
+    for stats in _samples()[translink.MCStats]:
+        same = replace(stats, herald_rounds=np.copy(stats.herald_rounds),
+                       herald_histogram=np.copy(stats.herald_histogram))
+        assert (stats == same) is True and same is not stats
+        bumped = replace(stats, herald_histogram=stats.herald_histogram + 1)
+        assert (stats == bumped) is False
+        assert (stats == replace(stats, trials=None)) is (stats.trials is None)
+        assert stats.__eq__(stats.trials) is NotImplemented
+    assert translink.MCStats.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(stats)
+
+
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_no_record_class_carries_generated_methods(cls):
     own = {name for name in GENERATED if name in vars(cls)}
-    # TrialColumns writes its own array __eq__, which unsets __hash__
-    assert own == ({"__eq__", "__hash__"} if cls is TrialColumns else set())
+    # TrialColumns and MCStats write their own array __eq__, which unsets __hash__
+    arrays = cls in (TrialColumns, translink.MCStats)
+    assert own == ({"__eq__", "__hash__"} if arrays else set())
     # a record without a docstring would get dataclass's signature text
     assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}(")
